@@ -1,174 +1,59 @@
 """Ground states of a random lattice Schroedinger operator with a weak
 on-site interaction: eigensolvers, a constrained minimizer, condensation
-certificates, and reproducible ensemble experiments."""
+certificates, and reproducible ensemble experiments.
 
-from .analysis import (
-    FourNormReport,
-    GapOverlapReport,
-    LocalizationReport,
-    ShellDecomposition,
-    default_band_scale,
-    f_scale,
-    four_norm_bound_check,
-    g_scale,
-    gap_and_overlap,
-    localization_center,
-    lp_norm,
-    random_low_energy_field,
-    scale_functions,
-    shell_decompose,
-    trial_delta_background,
-    trial_flat_fourier,
-)
-from .cli import build_parser, main, write_outputs
+The package namespace holds the names scripts and notebooks use; everything
+else is imported from its submodule."""
+
+from .analysis import gap_and_overlap, localization_center
+from .cli import main, write_outputs
 from .disorder import (
-    BOUNDARY_CONDITIONS,
-    DISTRIBUTIONS,
-    DisorderRealization,
     DisorderSpec,
     Region,
-    partition_into_boxes,
     periodic_hamiltonian,
     provenance_stream,
     restrict_hamiltonian,
     sample_potential,
-    whole_torus,
 )
 from .ensemble import (
     EXPERIMENTS,
     ExperimentPlan,
     ExperimentResult,
-    bracket_ground_energy,
-    condense_sample,
-    overlap_deficit_scale,
-    parse_config_text,
-    plan_from_options,
-    plan_to_config,
-    record_invariant_errors,
-    run_condensation,
-    run_groundstate_scaling,
+    replay_sample,
     run_plan,
-    run_shell_experiment,
-    run_spectral_estimates,
-    run_spectrum,
-    theorem_coupling,
 )
-from .gp import (
-    CondensationCertificate,
-    GPProblem,
-    GPResult,
-    certificate,
-    gp_energy,
-    gp_gradient,
-    minimize_gp,
-)
-from .lattice import (
-    SUPPORTED_DIMS,
-    LatticeGeometry,
-    apply_neg_laplacian,
-    build_lattice,
-    coordinate_norms,
-    dft,
-    dirichlet_energy,
-    idft,
-    laplace_symbol,
-    plane_wave,
-    torus_distance,
-    torus_distances,
-)
-from .records import ReadResult, RunRecord, read_records, write_records
-from .spectral import (
-    DENSE_LIMIT,
-    EigenConvergenceError,
-    EigenSolution,
-    HamiltonianOperator,
-    OversizeError,
-    count_eigenvalues_in,
-    dense_matrix,
-    dense_oracle,
-    lowest_eigenpairs,
-)
+from .gp import GPProblem, certificate, minimize_gp
+from .lattice import build_lattice, dirichlet_energy, torus_distance
+from .records import RunRecord, read_records, write_records
+from .spectral import dense_matrix, lowest_eigenpairs
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOUNDARY_CONDITIONS",
-    "CondensationCertificate",
-    "DENSE_LIMIT",
-    "DISTRIBUTIONS",
-    "DisorderRealization",
     "DisorderSpec",
     "EXPERIMENTS",
-    "EigenConvergenceError",
-    "EigenSolution",
     "ExperimentPlan",
     "ExperimentResult",
-    "FourNormReport",
     "GPProblem",
-    "GPResult",
-    "GapOverlapReport",
-    "HamiltonianOperator",
-    "LatticeGeometry",
-    "LocalizationReport",
-    "OversizeError",
-    "ReadResult",
     "Region",
     "RunRecord",
-    "SUPPORTED_DIMS",
-    "ShellDecomposition",
-    "apply_neg_laplacian",
-    "bracket_ground_energy",
     "build_lattice",
-    "build_parser",
     "certificate",
-    "condense_sample",
-    "coordinate_norms",
-    "count_eigenvalues_in",
-    "default_band_scale",
     "dense_matrix",
-    "dense_oracle",
-    "dft",
     "dirichlet_energy",
-    "f_scale",
-    "four_norm_bound_check",
-    "g_scale",
     "gap_and_overlap",
-    "gp_energy",
-    "gp_gradient",
-    "idft",
-    "laplace_symbol",
     "localization_center",
     "lowest_eigenpairs",
-    "lp_norm",
     "main",
     "minimize_gp",
-    "overlap_deficit_scale",
-    "parse_config_text",
-    "partition_into_boxes",
     "periodic_hamiltonian",
-    "plan_from_options",
-    "plan_to_config",
-    "plane_wave",
     "provenance_stream",
-    "random_low_energy_field",
     "read_records",
-    "record_invariant_errors",
+    "replay_sample",
     "restrict_hamiltonian",
-    "run_condensation",
-    "run_groundstate_scaling",
     "run_plan",
-    "run_shell_experiment",
-    "run_spectral_estimates",
-    "run_spectrum",
     "sample_potential",
-    "scale_functions",
-    "shell_decompose",
-    "theorem_coupling",
     "torus_distance",
-    "torus_distances",
-    "trial_delta_background",
-    "trial_flat_fourier",
-    "whole_torus",
     "write_outputs",
     "write_records",
 ]

@@ -25,20 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    LatticeGeometry,
-    apply_neg_laplacian,
-    coordinate_norms,
-    dft,
-    dirichlet_energy,
-    idft,
-    torus_distances,
-)
+from .lattice import LatticeGeometry, coordinate_norms, dft, dirichlet_energy, idft
 from .gp import GPResult
 from .spectral import EigenSolution
-
-DECAY_FLOOR = 1e-12   # amplitudes below this are noise for the decay fit
-CENTER_EXCLUSION = 2  # fit ignores this ball around the localization center
 
 
 def lp_norm(field: np.ndarray, p) -> float:
@@ -75,11 +64,6 @@ def g_scale(eps: float, dim: int) -> float:
     if dim == 4:
         return eps * abs(math.log(eps))
     return eps
-
-
-def scale_functions(x: float, dim: int) -> tuple[float, float]:
-    """Both scale functions evaluated at the same argument."""
-    return f_scale(x, dim), g_scale(x, dim)
 
 
 @dataclass(frozen=True)
@@ -204,60 +188,23 @@ def four_norm_bound_check(
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    """Peak position and exponential-decay fit of |u| away from it."""
+    """Position of the amplitude peak of a field."""
 
     center: tuple[int, ...]
-    alpha: float               # fitted decay rate, inf when the tail is empty
-    intercept: float
-    prefactor_exponent: float  # intercept / log L
-    residual_rms: float
-    n_fit: int
 
 
 def localization_center(geom: LatticeGeometry, field: np.ndarray) -> LocalizationReport:
-    """Locate the amplitude peak and fit log|u| against the l1 torus distance.
+    """Locate the peak of |u|.
 
     Ties at the maximum resolve to the lexicographically smallest coordinate
-    tuple.  Sites closer than 3 to the center or with |u| <= 1e-12 are
-    excluded from the fit; with fewer than two usable sites the decay rate is
-    reported as infinite over an empty tail.
+    tuple.
     """
     u = np.abs(np.asarray(field, dtype=float))
     peak = u.max()
     tied = np.flatnonzero(u == peak)
     order = np.lexsort(geom.coords[tied].T[::-1])
     center_site = int(tied[order[0]])
-    center = geom.coordinate(center_site)
-
-    dist = torus_distances(geom, center_site)
-    mask = (u > DECAY_FLOOR) & (dist > CENTER_EXCLUSION)
-    n_fit = int(mask.sum())
-    log_l = math.log(geom.half_side) if geom.half_side >= 2 else math.nan
-
-    if n_fit < 2:
-        return LocalizationReport(
-            center=center,
-            alpha=math.inf,
-            intercept=math.nan,
-            prefactor_exponent=math.nan,
-            residual_rms=0.0,
-            n_fit=n_fit,
-        )
-
-    x = dist[mask].astype(float)
-    y = np.log(u[mask])
-    design = np.column_stack([np.ones_like(x), -x])
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    intercept, alpha = float(sol[0]), float(sol[1])
-    resid = y - design @ sol
-    return LocalizationReport(
-        center=center,
-        alpha=alpha,
-        intercept=intercept,
-        prefactor_exponent=intercept / log_l if not math.isnan(log_l) else math.nan,
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_fit=n_fit,
-    )
+    return LocalizationReport(center=geom.coordinate(center_site))
 
 
 @dataclass(frozen=True)

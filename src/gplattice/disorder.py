@@ -77,31 +77,6 @@ class DisorderSpec:
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
-    def to_config(self) -> dict[str, str]:
-        cfg = {
-            "distribution": self.distribution,
-            "v_max": repr(self.v_max),
-            "seed": str(self.master_seed),
-        }
-        if self.distribution == "bernoulli":
-            cfg["p"] = repr(self.p)
-        if self.distribution == "levels":
-            cfg["levels"] = ",".join(repr(v) for v in self.levels)
-        return cfg
-
-    @classmethod
-    def from_config(cls, cfg: dict[str, str]) -> "DisorderSpec":
-        levels = None
-        if "levels" in cfg and cfg["levels"]:
-            levels = tuple(float(tok) for tok in cfg["levels"].split(","))
-        return cls(
-            distribution=cfg.get("distribution", "uniform"),
-            v_max=float(cfg.get("v_max", "1.0")),
-            p=float(cfg.get("p", "0.5")),
-            levels=levels,
-            master_seed=int(cfg.get("seed", "0")),
-        )
-
 
 @dataclass(frozen=True)
 class DisorderRealization:

@@ -1,10 +1,14 @@
-"""Experiment plans, ensemble runners, and their summaries.
+"""Experiment plans, the shared sample pipeline, and per-experiment summaries.
 
 A plan fixes everything a run needs: lattice dimension, the L grid, the
 coupling schedule, sample counts, tolerances, the disorder law, and the
 master seed.  Each sample re-derives its random streams from the provenance
 triple (master seed, L index, sample index), so a run is reproducible bit for
 bit and can be sharded over workers without changing a single record.
+
+Every experiment runs through one sample function, which draws the potential,
+solves for the spectrum, and turns any failure into an error record; an
+experiment adds only its observable and its summary (see ``_PIPELINES``).
 
 The named coupling schedule scales the interaction as
 
@@ -35,7 +39,6 @@ from .analysis import (
     f_scale,
     four_norm_bound_check,
     g_scale,
-    gap_and_overlap,
     localization_center,
     lp_norm,
     random_low_energy_field,
@@ -181,7 +184,7 @@ class ExperimentPlan:
 
 
 # ---------------------------------------------------------------------------
-# config file round trip (line-oriented key=value)
+# config files (line-oriented key=value)
 
 _LIST_KEYS = {
     "l_grid",
@@ -254,43 +257,6 @@ def plan_from_options(options: dict[str, str]) -> ExperimentPlan:
     return ExperimentPlan(**kwargs)
 
 
-def plan_to_config(plan: ExperimentPlan) -> str:
-    """Serialize a plan to config text; parses back to an equal plan."""
-    lines = [
-        f"experiment={plan.experiment}",
-        f"seed={plan.seed}",
-        f"dim={plan.dim}",
-        "l_grid=" + ",".join(str(l) for l in plan.l_grid),
-    ]
-    if isinstance(plan.schedule, str):
-        lines.append("schedule=theorem")
-        lines.append(f"c={plan.c!r}")
-    else:
-        lines.append("schedule=" + ",".join(repr(u) for u in plan.schedule))
-    lines += [
-        f"samples={plan.samples}",
-        f"tol_eig={plan.tol_eig!r}",
-        f"tol_gp={plan.tol_gp!r}",
-        f"distribution={plan.distribution}",
-        f"v_max={plan.v_max!r}",
-        f"workers={plan.workers}",
-        f"eig_count={plan.eig_count}",
-    ]
-    if plan.distribution == "bernoulli":
-        lines.append(f"p={plan.p!r}")
-    if plan.levels:
-        lines.append("levels=" + ",".join(repr(v) for v in plan.levels))
-    if plan.out:
-        lines.append(f"out={plan.out}")
-    lines.append("box_sides=" + ",".join(str(s) for s in plan.box_sides))
-    lines.append("wegner_widths=" + ",".join(repr(w) for w in plan.wegner_widths))
-    lines.append("minami_widths=" + ",".join(repr(w) for w in plan.minami_widths))
-    lines.append("gap_eta_grid=" + ",".join(repr(e) for e in plan.gap_eta_grid))
-    lines.append("eps_grid=" + ",".join(repr(e) for e in plan.eps_grid))
-    lines.append(f"center_lambda={plan.center_lambda!r}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # per-record invariants
 
@@ -340,68 +306,142 @@ def _non_decreasing(values: list[float]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# condensation runs
+# the shared sample pipeline: one provenance slot in, one record plus side data out
 
-def _condense_sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
+@dataclass(frozen=True)
+class _Pipeline:
+    """What one experiment adds to the shared sample pipeline.
+
+    ``eig_count`` gives the number of lowest eigenpairs to solve for, or is
+    None for a full dense spectrum.  ``observe(plan, l_index, sample_index,
+    geom, ham, eig)`` returns the record fields and the side data the
+    summary needs; ``summarize(plan, groups, n_failed)`` gets the healthy
+    (record, side data) pairs grouped per L.
+    """
+
+    eig_count: Callable[[ExperimentPlan], int] | None
+    observe: Callable
+    summarize: Callable
+    interacting: bool = False
+
+
+def _sample(task: tuple[ExperimentPlan, int, int]) -> tuple[RunRecord, object]:
+    """Draw, solve and observe one (plan, L index, sample index) slot.
+
+    A failure anywhere after the record's base fields becomes an error
+    record with no side data.
+    """
     plan, l_index, sample_index = task
+    pipeline = _PIPELINES[plan.experiment]
     half_side = plan.l_grid[l_index]
     geom = _geometry(plan.dim, half_side)
-    coupling = plan.coupling_for(l_index)
     base = dict(
         master_seed=plan.seed,
         l_index=l_index,
         sample_index=sample_index,
         dim=plan.dim,
         half_side=half_side,
-        coupling=coupling,
+        coupling=plan.coupling_for(l_index) if pipeline.interacting else 0.0,
     )
     start = time.perf_counter()
     try:
         realization = sample_potential(plan.disorder_spec(), geom, l_index, sample_index)
         ham = periodic_hamiltonian(realization)
-        eig = lowest_eigenpairs(
-            ham,
-            2,
-            tol=plan.tol_eig,
-            seed=provenance_stream(plan.seed, l_index, sample_index, EIG_CHANNEL),
-        )
-        problem = GPProblem(ham, coupling)
-        gp = minimize_gp(problem, init=eig.vectors[:, 0], g_tol=plan.tol_gp)
-        if not gp.converged:
-            raise RuntimeError(
-                f"minimizer stalled at projected gradient {gp.grad_norm:.3e}"
+        if pipeline.eig_count is None:
+            eig = np.linalg.eigvalsh(dense_matrix(ham))
+        else:
+            eig = lowest_eigenpairs(
+                ham,
+                pipeline.eig_count(plan),
+                tol=plan.tol_eig,
+                seed=provenance_stream(plan.seed, l_index, sample_index, EIG_CHANNEL),
             )
-        cert = certificate(problem, eig, gp)
-        report = gap_and_overlap(geom, eig, gp)
-        loc0 = localization_center(geom, eig.vectors[:, 0])
-        loc1 = localization_center(geom, eig.vectors[:, 1])
-        dist = torus_distance(
-            geom, geom.site_index(loc0.center), geom.site_index(loc1.center)
-        )
-        return RunRecord(
-            **base,
-            e0=float(eig.values[0]),
-            e1=float(eig.values[1]),
-            e_gp=gp.energy,
-            overlap=report.overlap,
-            gap=report.gap,
-            ipr=report.ipr,
-            kinetic=report.kinetic,
-            cert_valid=cert.valid,
-            cert_margin=cert.margin,
-            pi0_norm=cert.pi0_norm,
-            orth_norm=cert.orth_norm,
-            center0=loc0.center,
-            center1=loc1.center,
-            center_dist=dist,
-            gp_iterations=gp.iterations,
-            gp_converged=gp.converged,
-            wall_time=time.perf_counter() - start,
-        )
+        fields, side = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)
     except (EigenConvergenceError, RuntimeError, ValueError) as exc:
-        return RunRecord(
-            **base, error=str(exc), wall_time=time.perf_counter() - start
+        record = RunRecord(**base, error=str(exc), wall_time=time.perf_counter() - start)
+        return record, None
+    return RunRecord(**base, **fields, wall_time=time.perf_counter() - start), side
+
+
+def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunRecord:
+    """Replay a single record of any experiment from its provenance."""
+    return _sample((plan, l_index, sample_index))[0]
+
+
+def run_plan(plan: ExperimentPlan) -> ExperimentResult:
+    """Run every (L, sample) slot of a plan and summarize the healthy records."""
+    pipeline = _PIPELINES[plan.experiment]
+    n_max = (2 * max(plan.l_grid) + 1) ** plan.dim
+    if pipeline.eig_count is None and n_max > DENSE_LIMIT:
+        raise OversizeError(
+            f"{plan.experiment} needs full dense spectra; {n_max} sites exceeds "
+            f"the {DENSE_LIMIT}-site dense limit"
         )
+    tasks = [
+        (plan, l_index, sample)
+        for l_index in range(len(plan.l_grid))
+        for sample in range(plan.samples)
+    ]
+    outputs = _parallel_map(_sample, tasks, plan.workers)
+    records = [record for record, _ in outputs]
+    groups: list[list[tuple[RunRecord, object]]] = [[] for _ in plan.l_grid]
+    for record, side in outputs:
+        if record.error is None:
+            groups[record.l_index].append((record, side))
+    n_failed = len(records) - sum(len(group) for group in groups)
+    return ExperimentResult(
+        plan=plan,
+        records=records,
+        summary=pipeline.summarize(plan, groups, n_failed),
+        invariant_violations=[e for r in records for e in record_invariant_errors(r)],
+    )
+
+
+def _ground_fields(geom: LatticeGeometry, eig) -> dict:
+    phi0 = eig.vectors[:, 0]
+    return dict(
+        e0=float(eig.values[0]),
+        ipr=float(np.sum(phi0**4)),
+        kinetic=dirichlet_energy(geom, phi0),
+        center0=localization_center(geom, phi0).center,
+    )
+
+
+def _pair_fields(geom: LatticeGeometry, eig) -> dict:
+    fields = _ground_fields(geom, eig)
+    center1 = localization_center(geom, eig.vectors[:, 1]).center
+    fields.update(
+        e1=float(eig.values[1]),
+        gap=float(eig.values[1] - eig.values[0]),
+        center1=center1,
+        center_dist=torus_distance(
+            geom, geom.site_index(fields["center0"]), geom.site_index(center1)
+        ),
+    )
+    return fields
+
+
+# ---------------------------------------------------------------------------
+# condensation runs: ground state, GP minimizer, and certificate
+
+def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
+    problem = GPProblem(ham, plan.coupling_for(l_index))
+    gp = minimize_gp(problem, init=eig.vectors[:, 0], g_tol=plan.tol_gp)
+    if not gp.converged:
+        raise RuntimeError(f"minimizer stalled at projected gradient {gp.grad_norm:.3e}")
+    cert = certificate(problem, eig, gp)
+    fields = _pair_fields(geom, eig)
+    fields.update(
+        e_gp=gp.energy,
+        overlap=cert.overlap,
+        cert_valid=cert.valid,
+        cert_margin=cert.margin,
+        pi0_norm=cert.pi0_norm,
+        orth_norm=cert.orth_norm,
+        gp_iterations=gp.iterations,
+        gp_converged=gp.converged,
+    )
+    return fields, None
 
 
 @dataclass
@@ -453,14 +493,11 @@ class CondenseSummary:
         return {"overlap": overlap, "gap": gap, "condensate_fraction": frac}
 
 
-def _summarize_condense(plan: ExperimentPlan, records: list[RunRecord]) -> CondenseSummary:
+def _summarize_condense(plan: ExperimentPlan, groups, n_failed: int) -> CondenseSummary:
     rows = []
-    for l_index, half_side in enumerate(plan.l_grid):
-        ok = [
-            r for r in records if r.l_index == l_index and r.error is None
-        ]
-        overlaps = np.array([r.overlap for r in ok])
-        gaps = np.array([r.gap for r in ok])
+    for l_index, (half_side, group) in enumerate(zip(plan.l_grid, groups)):
+        overlaps = np.array([r.overlap for r, _ in group])
+        gaps = np.array([r.gap for r, _ in group])
         coupling = plan.coupling_for(l_index)
         eta = overlap_deficit_scale(half_side, plan.dim, coupling)
         med_o, q25_o, q75_o = _quantiles(overlaps)
@@ -471,7 +508,7 @@ def _summarize_condense(plan: ExperimentPlan, records: list[RunRecord]) -> Conde
                 half_side=half_side,
                 coupling=coupling,
                 eta=eta,
-                n_ok=len(ok),
+                n_ok=len(group),
                 median_overlap=med_o,
                 overlap_q25=q25_o,
                 overlap_q75=q75_o,
@@ -481,7 +518,6 @@ def _summarize_condense(plan: ExperimentPlan, records: list[RunRecord]) -> Conde
                 fraction_within_eta=frac,
             )
         )
-    n_failed = sum(1 for r in records if r.error is not None)
     return CondenseSummary(
         rows=rows,
         overlap_monotone=_non_decreasing([r["median_overlap"] for r in rows]),
@@ -490,76 +526,11 @@ def _summarize_condense(plan: ExperimentPlan, records: list[RunRecord]) -> Conde
     )
 
 
-def run_condensation(plan: ExperimentPlan) -> ExperimentResult:
-    """Ground state, GP minimizer, and certificate for every (L, sample)."""
-    tasks = [
-        (plan, l_index, sample)
-        for l_index in range(len(plan.l_grid))
-        for sample in range(plan.samples)
-    ]
-    records = _parallel_map(_condense_sample, tasks, plan.workers)
-    violations = [e for r in records for e in record_invariant_errors(r)]
-    return ExperimentResult(
-        plan=plan,
-        records=records,
-        summary=_summarize_condense(plan, records),
-        invariant_violations=violations,
-    )
-
-
-def condense_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunRecord:
-    """Replay a single record from its provenance."""
-    return _condense_sample((plan, l_index, sample_index))
-
-
 # ---------------------------------------------------------------------------
 # spectrum runs (no interaction): gaps, centers, gap law
 
-def _spectrum_sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
-    plan, l_index, sample_index = task
-    half_side = plan.l_grid[l_index]
-    geom = _geometry(plan.dim, half_side)
-    base = dict(
-        master_seed=plan.seed,
-        l_index=l_index,
-        sample_index=sample_index,
-        dim=plan.dim,
-        half_side=half_side,
-        coupling=0.0,
-    )
-    start = time.perf_counter()
-    try:
-        realization = sample_potential(plan.disorder_spec(), geom, l_index, sample_index)
-        ham = periodic_hamiltonian(realization)
-        count = max(2, plan.eig_count)
-        eig = lowest_eigenpairs(
-            ham,
-            count,
-            tol=plan.tol_eig,
-            seed=provenance_stream(plan.seed, l_index, sample_index, EIG_CHANNEL),
-        )
-        phi0 = eig.vectors[:, 0]
-        loc0 = localization_center(geom, phi0)
-        loc1 = localization_center(geom, eig.vectors[:, 1])
-        dist = torus_distance(
-            geom, geom.site_index(loc0.center), geom.site_index(loc1.center)
-        )
-        return RunRecord(
-            **base,
-            e0=float(eig.values[0]),
-            e1=float(eig.values[1]),
-            gap=float(eig.values[1] - eig.values[0]),
-            ipr=float(np.sum(phi0**4)),
-            kinetic=dirichlet_energy(geom, phi0),
-            center0=loc0.center,
-            center1=loc1.center,
-            center_dist=dist,
-            wall_time=time.perf_counter() - start,
-        )
-    except (EigenConvergenceError, RuntimeError, ValueError) as exc:
-        return RunRecord(
-            **base, error=str(exc), wall_time=time.perf_counter() - start
-        )
+def _observe_spectrum(plan, l_index, sample_index, geom, ham, eig):
+    return _pair_fields(geom, eig), None
 
 
 @dataclass
@@ -609,19 +580,18 @@ class SpectrumSummary:
         return {"gap": gap, "gap_law": law, "center_distance": centers}
 
 
-def _summarize_spectrum(plan: ExperimentPlan, records: list[RunRecord]) -> SpectrumSummary:
+def _summarize_spectrum(plan: ExperimentPlan, groups, n_failed: int) -> SpectrumSummary:
     rows = []
     law = []
-    for l_index, half_side in enumerate(plan.l_grid):
-        ok = [r for r in records if r.l_index == l_index and r.error is None]
-        gaps = np.array([r.gap for r in ok])
-        dists = np.array([r.center_dist for r in ok], dtype=float)
+    for half_side, group in zip(plan.l_grid, groups):
+        gaps = np.array([r.gap for r, _ in group])
+        dists = np.array([r.center_dist for r, _ in group], dtype=float)
         med_g, q25_g, q75_g = _quantiles(gaps)
         threshold = plan.center_lambda * math.log(max(half_side, 2))
         rows.append(
             dict(
                 half_side=half_side,
-                n_ok=len(ok),
+                n_ok=len(group),
                 median_gap=med_g,
                 gap_q25=q25_g,
                 gap_q75=q75_g,
@@ -631,70 +601,28 @@ def _summarize_spectrum(plan: ExperimentPlan, records: list[RunRecord]) -> Spect
                 ),
             )
         )
-        scale = half_side ** (-plan.dim)
-        for eta in plan.gap_eta_grid:
-            prob = float(np.mean(gaps <= eta * scale)) if gaps.size else math.nan
-            law.append(dict(half_side=half_side, eta=eta, prob=prob))
-    n_failed = sum(1 for r in records if r.error is not None)
+        law += _gap_law(plan, half_side, gaps)
     return SpectrumSummary(rows=rows, gap_law=law, n_failed=n_failed)
 
 
-def run_spectrum(plan: ExperimentPlan) -> ExperimentResult:
-    """Low-lying spectra only: gap statistics and localization centers."""
-    tasks = [
-        (plan, l_index, sample)
-        for l_index in range(len(plan.l_grid))
-        for sample in range(plan.samples)
+def _gap_law(plan: ExperimentPlan, half_side: int, gaps: np.ndarray) -> list[dict]:
+    """P[gap <= eta L^-d] for each eta of the plan's grid."""
+    scale = half_side ** (-plan.dim)
+    return [
+        dict(
+            half_side=half_side,
+            eta=eta,
+            prob=float(np.mean(gaps <= eta * scale)) if gaps.size else math.nan,
+        )
+        for eta in plan.gap_eta_grid
     ]
-    records = _parallel_map(_spectrum_sample, tasks, plan.workers)
-    violations = [e for r in records for e in record_invariant_errors(r)]
-    return ExperimentResult(
-        plan=plan,
-        records=records,
-        summary=_summarize_spectrum(plan, records),
-        invariant_violations=violations,
-    )
 
 
 # ---------------------------------------------------------------------------
 # ground-state scaling runs
 
-def _scaling_sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
-    plan, l_index, sample_index = task
-    half_side = plan.l_grid[l_index]
-    geom = _geometry(plan.dim, half_side)
-    base = dict(
-        master_seed=plan.seed,
-        l_index=l_index,
-        sample_index=sample_index,
-        dim=plan.dim,
-        half_side=half_side,
-        coupling=0.0,
-    )
-    start = time.perf_counter()
-    try:
-        realization = sample_potential(plan.disorder_spec(), geom, l_index, sample_index)
-        ham = periodic_hamiltonian(realization)
-        eig = lowest_eigenpairs(
-            ham,
-            1,
-            tol=plan.tol_eig,
-            seed=provenance_stream(plan.seed, l_index, sample_index, EIG_CHANNEL),
-        )
-        phi0 = eig.vectors[:, 0]
-        loc0 = localization_center(geom, phi0)
-        return RunRecord(
-            **base,
-            e0=float(eig.values[0]),
-            ipr=float(np.sum(phi0**4)),
-            kinetic=dirichlet_energy(geom, phi0),
-            center0=loc0.center,
-            wall_time=time.perf_counter() - start,
-        )
-    except (EigenConvergenceError, RuntimeError, ValueError) as exc:
-        return RunRecord(
-            **base, error=str(exc), wall_time=time.perf_counter() - start
-        )
+def _observe_scaling(plan, l_index, sample_index, geom, ham, eig):
+    return _ground_fields(geom, eig), None
 
 
 @dataclass
@@ -741,17 +669,16 @@ class ScalingSummary:
         }
 
 
-def _summarize_scaling(plan: ExperimentPlan, records: list[RunRecord]) -> ScalingSummary:
+def _summarize_scaling(plan: ExperimentPlan, groups, n_failed: int) -> ScalingSummary:
     rows = []
-    for l_index, half_side in enumerate(plan.l_grid):
-        ok = [r for r in records if r.l_index == l_index and r.error is None]
-        e0s = np.array([r.e0 for r in ok])
+    for half_side, group in zip(plan.l_grid, groups):
+        e0s = np.array([r.e0 for r, _ in group])
         med, q25, q75 = _quantiles(e0s)
         norm = med * math.log(max(half_side, 2)) ** (2.0 / plan.dim)
         rows.append(
             dict(
                 half_side=half_side,
-                n_ok=len(ok),
+                n_ok=len(group),
                 median_e0=med,
                 e0_q25=q25,
                 e0_q75=q75,
@@ -762,9 +689,7 @@ def _summarize_scaling(plan: ExperimentPlan, records: list[RunRecord]) -> Scalin
     band_min = min(normalized) if normalized else math.nan
     band_max = max(normalized) if normalized else math.nan
     flat_bad = sum(
-        1
-        for r in records
-        if r.error is None and r.kinetic > r.e0 + INVARIANT_SLACK
+        1 for group in groups for r, _ in group if r.kinetic > r.e0 + INVARIANT_SLACK
     )
     return ScalingSummary(
         rows=rows,
@@ -772,59 +697,24 @@ def _summarize_scaling(plan: ExperimentPlan, records: list[RunRecord]) -> Scalin
         band_max=band_max,
         band_ratio=band_max / band_min if normalized and band_min > 0 else math.nan,
         flatness_violations=flat_bad,
-        n_failed=sum(1 for r in records if r.error is not None),
-    )
-
-
-def run_groundstate_scaling(plan: ExperimentPlan) -> ExperimentResult:
-    """Ground-state energy against L, normalized by (log L)^(2/d)."""
-    tasks = [
-        (plan, l_index, sample)
-        for l_index in range(len(plan.l_grid))
-        for sample in range(plan.samples)
-    ]
-    records = _parallel_map(_scaling_sample, tasks, plan.workers)
-    violations = [e for r in records for e in record_invariant_errors(r)]
-    return ExperimentResult(
-        plan=plan,
-        records=records,
-        summary=_summarize_scaling(plan, records),
-        invariant_violations=violations,
+        n_failed=n_failed,
     )
 
 
 # ---------------------------------------------------------------------------
 # spectral-hypothesis estimators: Wegner, Minami, Lifshitz, gap law
 
-def _estimates_sample(task: tuple[ExperimentPlan, int, int]):
-    plan, l_index, sample_index = task
-    half_side = plan.l_grid[l_index]
-    geom = _geometry(plan.dim, half_side)
-    realization = sample_potential(plan.disorder_spec(), geom, l_index, sample_index)
-    ham = periodic_hamiltonian(realization)
-    vals = np.linalg.eigvalsh(dense_matrix(ham))
+def _observe_estimates(plan, l_index, sample_index, geom, ham, vals):
+    """Gap fields, plus eigenvalue counts in windows at the band center."""
     center = (4.0 * plan.dim + plan.v_max) / 2.0
-    wegner = [
-        int(((vals >= center - w / 2) & (vals <= center + w / 2)).sum())
-        for w in plan.wegner_widths
-    ]
-    minami = [
-        int(((vals >= center - w / 2) & (vals <= center + w / 2)).sum()) >= 2
-        for w in plan.minami_widths
-    ]
-    record = RunRecord(
-        master_seed=plan.seed,
-        l_index=l_index,
-        sample_index=sample_index,
-        dim=plan.dim,
-        half_side=half_side,
-        coupling=0.0,
-        e0=float(vals[0]),
-        e1=float(vals[1]),
-        gap=float(vals[1] - vals[0]),
-        wall_time=0.0,
-    )
-    return record, wegner, minami
+
+    def count(width: float) -> int:
+        return int(((vals >= center - width / 2) & (vals <= center + width / 2)).sum())
+
+    wegner = [count(w) for w in plan.wegner_widths]
+    minami = [count(w) >= 2 for w in plan.minami_widths]
+    fields = dict(e0=float(vals[0]), e1=float(vals[1]), gap=float(vals[1] - vals[0]))
+    return fields, (wegner, minami)
 
 
 def _box_ground_sample(task: tuple[ExperimentPlan, int, int]) -> float:
@@ -841,8 +731,6 @@ def _box_ground_sample(task: tuple[ExperimentPlan, int, int]) -> float:
     )
     box = restrict_hamiltonian(realization, region)
     return float(np.linalg.eigvalsh(dense_matrix(box))[0])
-
-
 @dataclass
 class EstimatesSummary:
     wegner: list[dict]    # per (L, width): mean count, fit
@@ -901,38 +789,19 @@ class EstimatesSummary:
         }
 
 
-def run_spectral_estimates(plan: ExperimentPlan) -> ExperimentResult:
-    """Monte Carlo estimators for the spectral-statistics hypotheses."""
-    n_max = (2 * max(plan.l_grid) + 1) ** plan.dim
-    if n_max > DENSE_LIMIT:
-        raise OversizeError(
-            f"estimates need full dense spectra; {n_max} sites exceeds "
-            f"the {DENSE_LIMIT}-site dense limit"
-        )
-    tasks = [
-        (plan, l_index, sample)
-        for l_index in range(len(plan.l_grid))
-        for sample in range(plan.samples)
-    ]
-    outputs = _parallel_map(_estimates_sample, tasks, plan.workers)
-    records = [out[0] for out in outputs]
-
+def _summarize_estimates(plan: ExperimentPlan, groups, n_failed: int) -> EstimatesSummary:
     wegner_rows = []
     minami_rows = []
     minami_slopes: dict[int, float] = {}
     gap_rows = []
-    for l_index, half_side in enumerate(plan.l_grid):
-        block = [
-            out
-            for out, task in zip(outputs, tasks)
-            if task[1] == l_index
-        ]
-        wcounts = np.array([out[1] for out in block], dtype=float)
-        mhits = np.array([out[2] for out in block], dtype=float)
-        gaps = np.array([out[0].gap for out in block])
+    widths = np.asarray(plan.wegner_widths)
+    for half_side, group in zip(plan.l_grid, groups):
+        wcounts = np.array([side[0] for _, side in group], dtype=float)
+        mhits = np.array([side[1] for _, side in group], dtype=float)
+        gaps = np.array([r.gap for r, _ in group])
 
-        widths = np.asarray(plan.wegner_widths)
-        means = wcounts.mean(axis=0)
+        # the reshape keeps the width axis when every sample of this L failed
+        means = wcounts.reshape(len(group), widths.size).mean(axis=0)
         slope = float((widths * means).sum() / (widths**2).sum())
         for w, m in zip(widths, means):
             fit = slope * w
@@ -946,7 +815,7 @@ def run_spectral_estimates(plan: ExperimentPlan) -> ExperimentResult:
                 )
             )
 
-        probs = mhits.mean(axis=0)
+        probs = mhits.reshape(len(group), len(plan.minami_widths)).mean(axis=0)
         for w, prob in zip(plan.minami_widths, probs):
             minami_rows.append(
                 dict(half_side=half_side, width=float(w), prob=float(prob))
@@ -961,87 +830,40 @@ def run_spectral_estimates(plan: ExperimentPlan) -> ExperimentResult:
         else:
             minami_slopes[half_side] = math.nan
 
-        scale = half_side ** (-plan.dim)
-        for eta in plan.gap_eta_grid:
-            gap_rows.append(
-                dict(
-                    half_side=half_side,
-                    eta=eta,
-                    prob=float(np.mean(gaps <= eta * scale)),
-                )
-            )
+        gap_rows += _gap_law(plan, half_side, gaps)
 
-    lifshitz_rows = []
-    for side_index, side in enumerate(plan.box_sides):
-        box_tasks = [(plan, side_index, s) for s in range(plan.samples)]
-        energies = np.array(_parallel_map(_box_ground_sample, box_tasks, plan.workers))
-        lifshitz_rows.append(
-            dict(side=side, prob=float(np.mean(energies <= side**-2.0)))
-        )
+    box_tasks = [
+        (plan, side_index, s)
+        for side_index in range(len(plan.box_sides))
+        for s in range(plan.samples)
+    ]
+    energies = np.array(_parallel_map(_box_ground_sample, box_tasks, plan.workers))
+    lifshitz_rows = [
+        dict(side=side, prob=float(np.mean(row <= side**-2.0)))
+        for side, row in zip(plan.box_sides, energies.reshape(-1, plan.samples))
+    ]
 
-    summary = EstimatesSummary(
+    return EstimatesSummary(
         wegner=wegner_rows,
         minami=minami_rows,
         minami_slope=minami_slopes,
         lifshitz=lifshitz_rows,
         gap_law=gap_rows,
-        n_failed=0,
-    )
-    violations = [e for r in records for e in record_invariant_errors(r)]
-    return ExperimentResult(
-        plan=plan, records=records, summary=summary, invariant_violations=violations
+        n_failed=n_failed,
     )
 
 
 # ---------------------------------------------------------------------------
 # shell / four-norm calibration
 
-def _shell_sample(task: tuple[ExperimentPlan, int, int]):
-    """One corpus ground state plus one random field per eps value."""
-    plan, l_index, sample_index = task
-    half_side = plan.l_grid[l_index]
-    geom = _geometry(plan.dim, half_side)
-    base = dict(
-        master_seed=plan.seed,
-        l_index=l_index,
-        sample_index=sample_index,
-        dim=plan.dim,
-        half_side=half_side,
-        coupling=0.0,
-    )
-    start = time.perf_counter()
-    try:
-        realization = sample_potential(
-            plan.disorder_spec(), geom, l_index, sample_index
-        )
-        ham = periodic_hamiltonian(realization)
-        eig = lowest_eigenpairs(
-            ham,
-            1,
-            tol=plan.tol_eig,
-            seed=provenance_stream(plan.seed, l_index, sample_index, EIG_CHANNEL),
-        )
-        phi0 = eig.vectors[:, 0]
-        eps0 = default_band_scale(geom, phi0)
-        corpus_report = four_norm_bound_check(geom, phi0, eps0)
-        record = RunRecord(
-            **base,
-            e0=float(eig.values[0]),
-            ipr=float(np.sum(phi0**4)),
-            kinetic=dirichlet_energy(geom, phi0),
-            center0=localization_center(geom, phi0).center,
-            wall_time=time.perf_counter() - start,
-        )
-    except (EigenConvergenceError, RuntimeError, ValueError) as exc:
-        record = RunRecord(
-            **base, error=str(exc), wall_time=time.perf_counter() - start
-        )
-        return record, math.nan, []
-
+def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
+    """Ground-state fields and four-norm ratio, plus one random field per eps."""
+    phi0 = eig.vectors[:, 0]
+    corpus_ratio = four_norm_bound_check(geom, phi0, default_band_scale(geom, phi0)).ratio
     rng = provenance_stream(plan.seed, l_index, sample_index, FIELD_CHANNEL)
     field_stats = []
     for eps_index, eps in enumerate(plan.eps_grid):
-        if eps * half_side < 1:
+        if eps * geom.half_side < 1:
             continue
         u = random_low_energy_field(geom, eps, rng)
         dec = shell_decompose(geom, u, eps)
@@ -1052,10 +874,8 @@ def _shell_sample(task: tuple[ExperimentPlan, int, int]):
             dec.lattice_constant * dec.kinetic * (1 + 1e-12) + 1e-15
         )
         report = four_norm_bound_check(geom, u, eps)
-        field_stats.append(
-            (eps_index, sup_ratio, bool(annulus_ok), report.ratio)
-        )
-    return record, corpus_report.ratio, field_stats
+        field_stats.append((eps_index, sup_ratio, bool(annulus_ok), report.ratio))
+    return _ground_fields(geom, eig), (corpus_ratio, field_stats)
 
 
 @dataclass
@@ -1110,22 +930,12 @@ class ShellsSummary:
         }
 
 
-def run_shell_experiment(plan: ExperimentPlan) -> ExperimentResult:
-    """Shell bounds and four-norm calibration over ground states and fields."""
-    tasks = [
-        (plan, l_index, sample)
-        for l_index in range(len(plan.l_grid))
-        for sample in range(plan.samples)
-    ]
-    outputs = _parallel_map(_shell_sample, tasks, plan.workers)
-    records = [out[0] for out in outputs]
-
+def _summarize_shells(plan: ExperimentPlan, groups, n_failed: int) -> ShellsSummary:
     field_rows = []
     corpus_rows = []
-    for l_index, half_side in enumerate(plan.l_grid):
+    for half_side, group in zip(plan.l_grid, groups):
         geom = _geometry(plan.dim, half_side)
-        block = [out for out, task in zip(outputs, tasks) if task[1] == l_index]
-        corpus = np.array([out[1] for out in block if math.isfinite(out[1])])
+        corpus = np.array([side[0] for _, side in group])
 
         trial_ratios = []
         per_eps_trials = {}
@@ -1140,25 +950,18 @@ def run_shell_experiment(plan: ExperimentPlan) -> ExperimentResult:
             per_eps_trials[eps_index] = (delta_ratio, flat_ratio)
             trial_ratios += [delta_ratio, flat_ratio]
 
-        for eps_index, eps in enumerate(plan.eps_grid):
-            if eps_index not in per_eps_trials:
-                continue
-            stats = [
-                s for out in block for s in out[2] if s[0] == eps_index
-            ]
+        for eps_index, (delta_ratio, flat_ratio) in per_eps_trials.items():
+            stats = [s for _, side in group for s in side[1] if s[0] == eps_index]
             if not stats:
                 continue
-            sup_max = float(np.nanmax([s[1] for s in stats]))
-            annulus_ok = all(s[2] for s in stats)
             ratios = np.array([s[3] for s in stats])
-            delta_ratio, flat_ratio = per_eps_trials[eps_index]
             field_rows.append(
                 dict(
                     half_side=half_side,
-                    eps=eps,
+                    eps=plan.eps_grid[eps_index],
                     n_fields=len(stats),
-                    sup_ratio_max=sup_max,
-                    annulus_ok=annulus_ok,
+                    sup_ratio_max=float(np.nanmax([s[1] for s in stats])),
+                    annulus_ok=all(s[2] for s in stats),
                     ratio_max=float(ratios.max()),
                     ratio_median=float(np.median(ratios)),
                     delta_ratio=delta_ratio,
@@ -1181,19 +984,25 @@ def run_shell_experiment(plan: ExperimentPlan) -> ExperimentResult:
             )
         )
 
-    summary = ShellsSummary(
-        field_rows=field_rows,
-        corpus_rows=corpus_rows,
-        n_failed=sum(1 for r in records if r.error is not None),
-    )
-    violations = [e for r in records for e in record_invariant_errors(r)]
-    return ExperimentResult(
-        plan=plan, records=records, summary=summary, invariant_violations=violations
-    )
+    return ShellsSummary(field_rows=field_rows, corpus_rows=corpus_rows, n_failed=n_failed)
+
+
+_PIPELINES = {
+    "condense": _Pipeline(
+        lambda plan: 2, _observe_condense, _summarize_condense, interacting=True
+    ),
+    "spectrum": _Pipeline(
+        lambda plan: max(2, plan.eig_count), _observe_spectrum, _summarize_spectrum
+    ),
+    "scaling": _Pipeline(lambda plan: 1, _observe_scaling, _summarize_scaling),
+    "estimates": _Pipeline(None, _observe_estimates, _summarize_estimates),
+    "shells": _Pipeline(lambda plan: 1, _observe_shells, _summarize_shells),
+}
 
 
 # ---------------------------------------------------------------------------
-# bracketing helper used by tests and the estimates pipeline
+# Neumann / periodic / Dirichlet bracketing; no experiment runs it, the
+# tests check the ordering with it
 
 def bracket_ground_energy(
     realization, box_side: int, tol: float = 1e-10, seed=0
@@ -1210,16 +1019,3 @@ def bracket_ground_energy(
         e_dir = min(e_dir, float(lowest_eigenpairs(dir_op, 1, tol=tol, seed=seed).values[0]))
         e_neu = min(e_neu, float(lowest_eigenpairs(neu_op, 1, tol=tol, seed=seed).values[0]))
     return e_neu, float(e_per), e_dir
-
-
-RUNNERS = {
-    "condense": run_condensation,
-    "spectrum": run_spectrum,
-    "scaling": run_groundstate_scaling,
-    "estimates": run_spectral_estimates,
-    "shells": run_shell_experiment,
-}
-
-
-def run_plan(plan: ExperimentPlan) -> ExperimentResult:
-    return RUNNERS[plan.experiment](plan)

@@ -152,10 +152,13 @@ class CondensationCertificate:
     """Spectral-projection check that the minimizer sits on the ground state.
 
     With pi0 the rank-one projector onto the ground state, a valid
-    certificate asserts (e1 - e_gp) * ||(1-pi0) phi|| <= (e_gp - e0) * ||pi0 phi||;
-    ``margin`` is right side minus left side.  The flag is False when the GP
-    energy reaches e1 or the spectral gap is below resolution, in which case
-    the inequality says nothing.
+    certificate asserts
+    (e1 - e_gp) * ||(1-pi0) phi||^2 <= (e_gp - e0) * ||pi0 phi||^2,
+    which the energy bound e_gp >= <H phi, phi> >= e0 ||pi0 phi||^2 +
+    e1 ||(1-pi0) phi||^2 gives for a unit phi; ``margin`` is right side minus
+    left side.  The flag is False when the GP energy reaches e1 or the
+    spectral gap is below resolution, in which case the inequality says
+    nothing.
     """
 
     e0: float
@@ -185,7 +188,7 @@ def certificate(
     orth_norm = float(np.linalg.norm(ortho))
 
     valid = e1 > e_gp and (e1 - e0) >= GAP_TIE_TOL
-    margin = (e_gp - e0) * pi0_norm - (e1 - e_gp) * orth_norm
+    margin = (e_gp - e0) * pi0_norm**2 - (e1 - e_gp) * orth_norm**2
     return CondensationCertificate(
         e0=e0,
         e1=e1,

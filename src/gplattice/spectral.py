@@ -25,7 +25,7 @@ DENSE_LIMIT = 4096
 
 
 class OversizeError(ValueError):
-    """Instance too large for the dense path and no factorization applies."""
+    """Instance too large for the dense path."""
 
 
 class EigenConvergenceError(RuntimeError):
@@ -257,53 +257,4 @@ def dense_oracle(op: HamiltonianOperator) -> EigenSolution:
     res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     return EigenSolution(
         values=vals, vectors=vecs, residuals=res, iterations=0, converged=True
-    )
-
-
-def _chain_structure(op: HamiltonianOperator) -> bool:
-    """True when the operator is an open chain (tridiagonal in local order)."""
-    if op.geom.dim != 1 or op.bc not in ("dirichlet", "neumann"):
-        return False
-    n = op.n_sites
-    idx = np.arange(n)
-    hops = np.sort(op.hop, axis=1)
-    for i in range(n):
-        allowed = {i - 1, i + 1, n}
-        if not set(int(h) for h in hops[i]) <= allowed:
-            return False
-    # every interior bond must be present
-    has_next = (op.hop == (idx[:, None] + 1)).any(axis=1)
-    return bool(has_next[:-1].all()) if n > 1 else True
-
-
-def _count_below(diag: np.ndarray, shift: float) -> int:
-    """Eigenvalues strictly below ``shift`` for a unit-offdiagonal chain."""
-    count = 0
-    pivot = 1.0
-    for i, d in enumerate(diag):
-        if i == 0:
-            pivot = d - shift
-        else:
-            pivot = (d - shift) - 1.0 / pivot
-        if pivot == 0.0:
-            pivot = -1e-300
-        if pivot < 0.0:
-            count += 1
-    return count
-
-
-def count_eigenvalues_in(op: HamiltonianOperator, lo: float, hi: float) -> int:
-    """Exact number of eigenvalues in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    if op.n_sites <= DENSE_LIMIT:
-        vals = np.linalg.eigvalsh(dense_matrix(op))
-        return int(((vals >= lo) & (vals <= hi)).sum())
-    if _chain_structure(op):
-        diag = np.asarray(op.diag, dtype=float)
-        upper = _count_below(diag, np.nextafter(hi, np.inf))
-        lower = _count_below(diag, lo)
-        return int(upper - lower)
-    raise OversizeError(
-        f"{op.n_sites} sites: no dense path and no chain factorization available"
     )

@@ -22,23 +22,23 @@ from gplattice import (
     ExperimentPlan,
     GPProblem,
     build_lattice,
-    bracket_ground_energy,
-    dense_oracle,
-    gp_energy,
-    gp_gradient,
-    laplace_symbol,
     lowest_eigenpairs,
-    lp_norm,
     minimize_gp,
     periodic_hamiltonian,
-    random_low_energy_field,
-    record_invariant_errors,
     run_plan,
     sample_potential,
+)
+from gplattice.analysis import (
+    g_scale,
+    lp_norm,
+    random_low_energy_field,
     shell_decompose,
     trial_flat_fourier,
-    g_scale,
 )
+from gplattice.ensemble import bracket_ground_energy, record_invariant_errors
+from gplattice.gp import gp_energy, gp_gradient
+from gplattice.lattice import laplace_symbol
+from gplattice.spectral import dense_oracle
 
 WORKERS = min(8, os.cpu_count() or 1)
 FIXTURE = Path(__file__).parent / "fixtures" / "condensation_trend.json"

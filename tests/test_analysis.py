@@ -8,28 +8,27 @@ from gplattice import (
     DisorderSpec,
     GPProblem,
     build_lattice,
-    default_band_scale,
-    dense_oracle,
     dirichlet_energy,
+    gap_and_overlap,
+    localization_center,
+    lowest_eigenpairs,
+    minimize_gp,
+    periodic_hamiltonian,
+    sample_potential,
+)
+from gplattice.analysis import (
+    default_band_scale,
     f_scale,
     four_norm_bound_check,
     g_scale,
-    gap_and_overlap,
-    laplace_symbol,
-    localization_center,
-    lowest_eigenpairs,
     lp_norm,
-    minimize_gp,
-    periodic_hamiltonian,
-    plane_wave,
     random_low_energy_field,
-    sample_potential,
-    scale_functions,
     shell_decompose,
-    torus_distances,
     trial_delta_background,
     trial_flat_fourier,
 )
+from gplattice.lattice import laplace_symbol, plane_wave
+from gplattice.spectral import dense_oracle
 
 SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=55)
 
@@ -54,8 +53,6 @@ def test_scale_function_domains():
         f_scale(1.0, 4)  # log must be positive here
     with pytest.raises(ValueError):
         g_scale(-0.5, 1)
-    f, g = scale_functions(4.0, 3)
-    assert f == f_scale(4.0, 3) and g == g_scale(4.0, 3)
 
 
 # --- norms ---------------------------------------------------------------------
@@ -176,17 +173,6 @@ def test_four_norm_preconditions_reported():
 
 # --- localization reports ---------------------------------------------------------
 
-def test_localization_fit_recovers_decay_rate():
-    geom = build_lattice(1, 200)
-    dist = torus_distances(geom, geom.site_index((0,))).astype(float)
-    u = np.exp(-0.5 * dist)
-    u /= np.linalg.norm(u)
-    rep = localization_center(geom, u)
-    assert rep.center == (0,)
-    assert rep.alpha == pytest.approx(0.5, abs=1e-3)
-    assert rep.residual_rms < 1e-8
-
-
 def test_localization_tie_breaks_lexicographically():
     geom = build_lattice(2, 3)
     u = np.zeros(geom.n_sites)
@@ -197,14 +183,11 @@ def test_localization_tie_breaks_lexicographically():
     assert rep.center == (1, -2)
 
 
-def test_localization_of_delta_reports_empty_tail():
+def test_localization_of_delta_is_its_site():
     geom = build_lattice(1, 20)
     u = np.zeros(geom.n_sites)
-    u[geom.site_index((4,))] = 1.0
-    rep = localization_center(geom, u)
-    assert rep.center == (4,)
-    assert rep.n_fit == 0
-    assert math.isinf(rep.alpha)
+    u[geom.site_index((4,))] = -1.0
+    assert localization_center(geom, u).center == (4,)
 
 
 # --- gap / overlap bundle ----------------------------------------------------------

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from gplattice import build_parser, main, read_records
+from gplattice import main, read_records
+from gplattice.cli import build_parser
 from gplattice.ensemble import EXPERIMENTS
 
 

@@ -3,18 +3,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gplattice import (
-    DisorderRealization,
     DisorderSpec,
     Region,
     build_lattice,
     dense_matrix,
-    partition_into_boxes,
     periodic_hamiltonian,
     provenance_stream,
     restrict_hamiltonian,
     sample_potential,
-    whole_torus,
 )
+from gplattice.disorder import DisorderRealization, partition_into_boxes, whole_torus
 
 
 # --- disorder spec and sampling ---------------------------------------------
@@ -32,17 +30,6 @@ def test_spec_validation():
         DisorderSpec(distribution="levels", v_max=1.0, levels=(0.5, 2.0))
     with pytest.raises(ValueError):
         DisorderSpec(distribution="uniform", master_seed=-1)
-
-
-def test_spec_config_round_trip():
-    for spec in [
-        DisorderSpec(distribution="uniform", v_max=2.5, master_seed=9),
-        DisorderSpec(distribution="bernoulli", v_max=1.0, p=0.25, master_seed=0),
-        DisorderSpec(
-            distribution="levels", v_max=3.0, levels=(0.0, 1.5, 3.0), master_seed=4
-        ),
-    ]:
-        assert DisorderSpec.from_config(spec.to_config()) == spec
 
 
 def test_uniform_sample_bounds():

@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,21 +9,22 @@ from hypothesis import given, strategies as st
 from gplattice import (
     DisorderSpec,
     ExperimentPlan,
-    OversizeError,
     RunRecord,
-    bracket_ground_energy,
     build_lattice,
-    condense_sample,
+    replay_sample,
+    run_plan,
+    sample_potential,
+)
+from gplattice.ensemble import (
+    bracket_ground_energy,
     overlap_deficit_scale,
     parse_config_text,
     plan_from_options,
-    plan_to_config,
     record_invariant_errors,
-    run_condensation,
-    run_plan,
-    sample_potential,
     theorem_coupling,
 )
+from gplattice import ensemble
+from gplattice.spectral import OversizeError
 
 
 # --- coupling schedule -------------------------------------------------------
@@ -102,6 +103,18 @@ def test_plan_disorder_spec_carries_seed():
 
 # --- config round trip -------------------------------------------------------
 
+def config_text(plan):
+    """key=value lines for every field of a plan that is set."""
+    lines = []
+    for f in fields(plan):
+        value = getattr(plan, f.name)
+        if isinstance(value, tuple):
+            value = ",".join(repr(v) for v in value)
+        if value is not None:
+            lines.append(f"{f.name}={value}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "plan",
     [
@@ -118,7 +131,7 @@ def test_plan_disorder_spec_carries_seed():
     ],
 )
 def test_config_text_round_trips_plans(plan):
-    options = parse_config_text(plan_to_config(plan))
+    options = parse_config_text(config_text(plan))
     assert plan_from_options(options) == plan
 
 
@@ -198,7 +211,7 @@ def test_invariant_slack_is_respected():
 @pytest.fixture(scope="module")
 def small_condense():
     plan = base_plan()
-    return plan, run_condensation(plan)
+    return plan, run_plan(plan)
 
 
 def test_condense_run_covers_every_slot(small_condense):
@@ -234,21 +247,85 @@ def test_condense_summary_shape(small_condense):
     assert header[0] == "half_side" and len(rows) == len(plan.l_grid)
 
 
-def test_single_sample_replay_matches_run(small_condense):
-    plan, result = small_condense
-    rec = next(r for r in result.records if r.l_index == 1 and r.sample_index == 2)
-    replayed = condense_sample(plan, 1, 2)
-    assert replayed.content_key() == rec.content_key()
+def test_certificate_plan_has_no_invariant_violations():
+    # with unsquared norms in the margin, two of these records broke the bound
+    plan = ExperimentPlan("condense", seed=0, dim=2, l_grid=(8, 16), samples=2)
+    result = run_plan(plan)
+    assert all(r.error is None and r.cert_valid for r in result.records)
+    assert result.invariant_violations == []
+
+
+# one small plan per experiment, at the sizes of the smoke tests below
+SMALL_PLANS = [
+    base_plan(l_grid=(4,), samples=4),
+    ExperimentPlan(
+        experiment="spectrum", seed=11, l_grid=(5,), schedule=(0.0,), samples=4
+    ),
+    ExperimentPlan(
+        experiment="scaling", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=2
+    ),
+    ExperimentPlan(
+        experiment="estimates",
+        seed=2,
+        l_grid=(6,),
+        schedule=(0.0,),
+        samples=40,
+        box_sides=(4,),
+        v_max=6.0,
+    ),
+    ExperimentPlan(
+        experiment="shells",
+        seed=7,
+        l_grid=(32,),
+        schedule=(0.0,),
+        samples=2,
+        eps_grid=(0.5, 0.25),
+    ),
+]
+
+
+def test_single_sample_replay_matches_run():
+    for plan in SMALL_PLANS:
+        result = run_plan(plan)
+        rec = result.records[-1]
+        replayed = replay_sample(plan, rec.l_index, rec.sample_index)
+        assert replayed.content_key() == rec.content_key(), plan.experiment
 
 
 def test_worker_count_does_not_change_records():
-    plan_serial = base_plan(l_grid=(4,), samples=4)
-    plan_pool = replace(plan_serial, workers=2)
-    serial = run_condensation(plan_serial)
-    pooled = run_condensation(plan_pool)
-    assert Counter(r.content_key() for r in serial.records) == Counter(
-        r.content_key() for r in pooled.records
-    )
+    for plan_serial in SMALL_PLANS:
+        plan_pool = replace(plan_serial, workers=2)
+        serial = run_plan(plan_serial)
+        pooled = run_plan(plan_pool)
+        assert Counter(r.content_key() for r in serial.records) == Counter(
+            r.content_key() for r in pooled.records
+        ), plan_serial.experiment
+        assert serial.summary.series() == pooled.summary.series()
+
+
+@pytest.mark.parametrize(
+    "plan, stage",
+    [(SMALL_PLANS[3], "dense_matrix"), (SMALL_PLANS[4], "random_low_energy_field")],
+    ids=["estimates", "shells"],
+)
+def test_failures_become_error_records(plan, stage, monkeypatch):
+    real = getattr(ensemble, stage)
+    calls = []
+
+    def fail_on_second_call(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("injected failure")
+        return real(*args)
+
+    monkeypatch.setattr(ensemble, stage, fail_on_second_call)
+    result = run_plan(plan)
+    failed = [r for r in result.records if r.error is not None]
+    assert [r.error for r in failed] == ["injected failure"]
+    assert len(result.records) == len(plan.l_grid) * plan.samples
+    assert all(r.wall_time > 0 for r in result.records)
+    assert result.summary.n_failed == 1
+    assert "failed samples: 1" in result.summary.table()
 
 
 # --- other runners, smoke level ----------------------------------------------
@@ -290,7 +367,9 @@ def test_estimates_runner_smoke():
         v_max=6.0,
     )
     result = run_plan(plan)
+    assert all(r.wall_time > 0 for r in result.records)
     summary = result.summary
+    assert summary.n_failed == 0
     assert {row["width"] for row in summary.wegner} == set(plan.wegner_widths)
     assert set(summary.minami_slope) == {6}
     for row in summary.lifshitz:
@@ -338,3 +417,24 @@ def test_bracket_orders_ground_energies():
         e_neu, e_per, e_dir = bracket_ground_energy(realization, 6, tol=1e-10)
         assert e_neu <= e_per + 1e-8
         assert e_per <= e_dir + 1e-8
+
+
+# --- public surface ------------------------------------------------------------
+
+def test_package_namespace_keeps_what_callers_use():
+    import gplattice
+
+    used = {
+        # the benchmark replays samples through these
+        "DisorderSpec", "GPProblem", "Region", "build_lattice", "certificate",
+        "dense_matrix", "dirichlet_energy", "gap_and_overlap", "localization_center",
+        "lowest_eigenpairs", "minimize_gp", "periodic_hamiltonian", "provenance_stream",
+        "restrict_hamiltonian", "sample_potential", "torus_distance", "write_records",
+        # scripts and the README
+        "ExperimentPlan", "run_plan", "write_outputs", "main",
+        # results, records, and replay
+        "ExperimentResult", "RunRecord", "read_records", "EXPERIMENTS", "replay_sample",
+    }
+    assert used <= set(gplattice.__all__)
+    for name in gplattice.__all__:
+        assert hasattr(gplattice, name), name

@@ -1,0 +1,110 @@
+"""Record identity: one tiny plan per experiment against archived outputs.
+
+The fixture holds each plan's records (payload fields, no wall time) and the
+text of every ``.dat`` series it writes.  Integers, booleans, strings and
+centers must match exactly, floats within ``FLOAT_TOL``.  Regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+only when a change to the records is intended, and say which fields moved.
+"""
+
+import json
+import math
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from gplattice import ExperimentPlan, run_plan, write_outputs
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden_records.json"
+FLOAT_TOL = 1e-12
+
+GOLDEN_PLANS = {
+    "condense": ExperimentPlan(
+        experiment="condense", seed=3, l_grid=(4, 6), schedule=(0.05,), samples=3
+    ),
+    "spectrum": ExperimentPlan(
+        experiment="spectrum", seed=11, l_grid=(5,), schedule=(0.0,), samples=4
+    ),
+    "scaling": ExperimentPlan(
+        experiment="scaling", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
+    ),
+    "estimates": ExperimentPlan(
+        experiment="estimates",
+        seed=2,
+        l_grid=(6,),
+        schedule=(0.0,),
+        samples=40,
+        box_sides=(4,),
+        v_max=6.0,
+    ),
+    "shells": ExperimentPlan(
+        experiment="shells",
+        seed=7,
+        l_grid=(32,),
+        schedule=(0.0,),
+        samples=2,
+        eps_grid=(0.5, 0.25),
+    ),
+    "certificate-2d": ExperimentPlan(
+        experiment="condense", seed=0, dim=2, l_grid=(8, 16), samples=2
+    ),
+}
+
+
+def snapshot(plan: ExperimentPlan, tmp: Path) -> dict:
+    """Records in provenance order and the text of each written series."""
+    result = run_plan(replace(plan, out=str(tmp / "run.jsonl")))
+    paths = write_outputs(result)
+    records = sorted(result.records, key=lambda r: (r.l_index, r.sample_index))
+    return {
+        "records": [r.content_dict() for r in records],
+        "series": {p.name: p.read_text() for p in paths if p.suffix == ".dat"},
+    }
+
+
+def same_value(got, want) -> bool:
+    if isinstance(want, float):
+        if math.isnan(want):
+            return math.isnan(got)
+        return abs(got - want) <= FLOAT_TOL
+    if isinstance(want, list):
+        return list(got) == want
+    return got == want
+
+
+def series_rows(text: str) -> tuple[str, list[list[float]]]:
+    header, *rows = text.splitlines()
+    return header, [[float(tok) for tok in row.split()] for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+def test_records_and_series_match_golden(name, tmp_path):
+    want = json.loads(GOLDEN.read_text())[name]
+    got = snapshot(GOLDEN_PLANS[name], tmp_path)
+
+    assert len(got["records"]) == len(want["records"])
+    for rec, ref in zip(got["records"], want["records"]):
+        assert rec.keys() == ref.keys()
+        moved = [k for k in ref if not same_value(rec[k], ref[k])]
+        assert not moved, f"{name} {ref['l_index'], ref['sample_index']}: {moved}"
+
+    assert got["series"].keys() == want["series"].keys()
+    for series, text in want["series"].items():
+        header, rows = series_rows(got["series"][series])
+        ref_header, ref_rows = series_rows(text)
+        assert header == ref_header
+        assert len(rows) == len(ref_rows)
+        for row, ref_row in zip(rows, ref_rows):
+            assert all(same_value(a, b) for a, b in zip(row, ref_row)), series
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = {name: snapshot(plan, Path(tmp)) for name, plan in GOLDEN_PLANS.items()}
+    GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"wrote {GOLDEN}")

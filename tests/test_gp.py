@@ -8,14 +8,13 @@ from gplattice import (
     build_lattice,
     certificate,
     dense_matrix,
-    dense_oracle,
-    gp_energy,
-    gp_gradient,
     lowest_eigenpairs,
     minimize_gp,
     periodic_hamiltonian,
     sample_potential,
 )
+from gplattice.gp import gp_energy, gp_gradient
+from gplattice.spectral import dense_oracle
 
 SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=77)
 

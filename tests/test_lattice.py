@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gplattice import (
+from gplattice import build_lattice, dirichlet_energy, torus_distance
+from gplattice.lattice import (
     apply_neg_laplacian,
-    build_lattice,
     coordinate_norms,
     dft,
-    dirichlet_energy,
     idft,
     laplace_symbol,
     plane_wave,
-    torus_distance,
     torus_distances,
 )
 

@@ -2,21 +2,15 @@ import numpy as np
 import pytest
 
 from gplattice import (
-    DENSE_LIMIT,
     DisorderSpec,
-    EigenConvergenceError,
-    OversizeError,
-    Region,
     build_lattice,
-    count_eigenvalues_in,
     dense_matrix,
-    dense_oracle,
-    laplace_symbol,
     lowest_eigenpairs,
     periodic_hamiltonian,
-    restrict_hamiltonian,
     sample_potential,
 )
+from gplattice.lattice import laplace_symbol
+from gplattice.spectral import EigenConvergenceError, OversizeError, dense_oracle
 
 SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=101)
 
@@ -122,43 +116,6 @@ def test_invalid_arguments():
         lowest_eigenpairs(ham, ham.n_sites + 1)
     with pytest.raises(ValueError):
         lowest_eigenpairs(ham, 2, tol=0.0)
-
-
-def test_count_dense_route_closed_interval():
-    ham = make_ham(1, 12)
-    w = np.linalg.eigvalsh(dense_matrix(ham))
-    assert count_eigenvalues_in(ham, w[2], w[5]) == 4  # endpoints included
-    assert count_eigenvalues_in(ham, -10.0, w[-1]) == ham.n_sites
-    assert count_eigenvalues_in(ham, w[-1] + 1e-9, 100.0) == 0
-
-
-def test_count_chain_route_matches_dense():
-    geom = build_lattice(1, 40)
-    real = sample_potential(SPEC, geom, 0, 3)
-    for bc in ("dirichlet", "neumann"):
-        op = restrict_hamiltonian(real, Region(intervals=((-35, 70),), bc=bc))
-        w = np.linalg.eigvalsh(dense_matrix(op))
-        for lo, hi in [(0.0, 1.0), (w[0], w[0]), (w[10], w[20]), (5.0, 9.0)]:
-            expect = int(((w >= lo) & (w <= hi)).sum())
-            assert count_eigenvalues_in(op, lo, hi) == expect
-
-
-def test_count_large_chain_uses_sturm():
-    # far over the dense limit, but countable through the LDL recursion
-    geom = build_lattice(1, 3000)
-    real = sample_potential(SPEC, geom, 0, 4)
-    op = restrict_hamiltonian(real, Region(intervals=((-2999, 5999),), bc="dirichlet"))
-    assert op.n_sites > DENSE_LIMIT
-    n_low = count_eigenvalues_in(op, -1.0, 0.5)
-    n_all = count_eigenvalues_in(op, -1.0, 10.0)
-    assert 0 < n_low < n_all == op.n_sites
-
-
-def test_count_oversize_periodic_rejected():
-    geom = build_lattice(1, 3000)
-    ham = periodic_hamiltonian(sample_potential(SPEC, geom, 0, 5))
-    with pytest.raises(OversizeError):
-        count_eigenvalues_in(ham, 0.0, 1.0)
 
 
 def test_dense_oracle_rejects_oversize():
