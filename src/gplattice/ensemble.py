@@ -440,6 +440,7 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
         orth_norm=cert.orth_norm,
         gp_iterations=gp.iterations,
         gp_converged=gp.converged,
+        gp_grad_norm=gp.grad_norm,
     )
     return fields, None
 

@@ -2,8 +2,10 @@
 
 One record per sample, one JSON object per line, floats serialized with
 shortest-round-trip precision so reading a stream back reproduces every
-numeric field exactly.  ``wall_time`` is bookkeeping, not payload: record
-content comparisons (and the determinism guarantees) exclude it.
+numeric field exactly.  The diagnostics ``wall_time`` and ``gp_grad_norm``
+are bookkeeping, not payload: record content comparisons (and the
+determinism guarantees) exclude them, and a stream written without
+``gp_grad_norm`` reads back with it set to NaN.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
+
+
+# bookkeeping fields, kept out of content comparisons
+DIAGNOSTICS = ("wall_time", "gp_grad_norm")
 
 
 @dataclass(frozen=True)
@@ -48,11 +54,13 @@ class RunRecord:
     gp_converged: bool = False
     error: str | None = None
     wall_time: float = 0.0
+    gp_grad_norm: float = math.nan
 
     def content_dict(self) -> dict:
-        """All payload fields; excludes wall time."""
+        """All payload fields; excludes the diagnostics."""
         data = asdict(self)
-        data.pop("wall_time")
+        for name in DIAGNOSTICS:
+            data.pop(name)
         return data
 
     def content_key(self) -> tuple:
@@ -69,6 +77,7 @@ class RunRecord:
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
         known = {f.name for f in fields(cls)}
+        data.setdefault("gp_grad_norm", math.nan)
         missing = known - data.keys()
         if missing:
             raise ValueError(f"record is missing fields {sorted(missing)}")

@@ -255,6 +255,26 @@ def test_certificate_plan_has_no_invariant_violations():
     assert result.invariant_violations == []
 
 
+# samples on which projected gradient descent alone ran into its 200000-step
+# cap ("minimizer stalled"): master seed 2022, L=64, sample 0 of the trend
+# benchmark plan, and slot (L index 0, sample 184) of the acceptance trend plan
+TREND_GRID = dict(experiment="condense", dim=1, l_grid=(64, 128, 256, 512), c=1.0)
+
+
+@pytest.mark.parametrize(
+    "seed, l_index, sample_index",
+    [(2022, 0, 0), (0, 0, 184)],
+    ids=["benchmark-seed-2022", "trend-plan-184"],
+)
+def test_formerly_stalled_samples_are_healthy(seed, l_index, sample_index):
+    plan = ExperimentPlan(seed=seed, samples=sample_index + 1, **TREND_GRID)
+    rec = replay_sample(plan, l_index, sample_index)
+    assert rec.error is None and rec.gp_converged
+    assert rec.gp_grad_norm <= plan.tol_gp
+    assert rec.cert_valid and rec.cert_margin >= 0.0
+    assert record_invariant_errors(rec) == []
+
+
 # one small plan per experiment, at the sizes of the smoke tests below
 SMALL_PLANS = [
     base_plan(l_grid=(4,), samples=4),

@@ -13,6 +13,7 @@ from gplattice import (
     periodic_hamiltonian,
     sample_potential,
 )
+from gplattice import gp
 from gplattice.gp import gp_energy, gp_gradient
 from gplattice.spectral import dense_oracle
 
@@ -129,6 +130,80 @@ def test_minimizer_against_scipy_composite():
     res = minimize_gp(prob, seed=2)
     assert res.converged
     assert res.energy <= best + 1e-8
+
+
+def small_gap_problem():
+    # the smallest gap of 60 samples at L=16, with U * ipr = gap: the linear
+    # ground state is a saddle of the energy, and the minimizer mixes in the
+    # first excited state (overlap about 0.966)
+    geom = build_lattice(1, 16)
+    ham = periodic_hamiltonian(sample_potential(SPEC, geom, 0, 27))
+    ref = dense_oracle(ham)
+    gap = ref.values[1] - ref.values[0]
+    assert gap < 5e-3
+    return GPProblem(ham, gap / float(np.sum(ref.vectors[:, 0] ** 4)))
+
+
+def projected_gradient_only(problem, init, monkeypatch, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "NEWTON_MAX_STEPS", 0)
+        return minimize_gp(problem, init=init, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_problem(half=12, coupling=0.3, sample=2),
+        lambda: make_problem(half=3, coupling=0.3, dim=2),
+        lambda: make_problem(half=2, coupling=0.3, sample=1, dim=3),
+        small_gap_problem,
+    ],
+    ids=["d1", "d2", "d3", "d1-small-gap"],
+)
+def test_newton_start_matches_tight_gradient_solve(make, monkeypatch):
+    prob = make()
+    ref = dense_oracle(prob.hamiltonian)
+    init = ref.vectors[:, 0]
+    res = minimize_gp(prob, init=init)
+    tight = projected_gradient_only(prob, init, monkeypatch, g_tol=1e-12)
+    assert res.converged and tight.converged
+    # the Newton phase did the work; projected gradient alone needs hundreds
+    assert res.iterations <= 10 < tight.iterations
+    assert np.all(np.diff(res.trace) <= 0)
+    assert abs(res.energy - tight.energy) <= 1e-12
+    assert abs(abs(init @ res.phi) - abs(init @ tight.phi)) <= 1e-9
+
+
+@pytest.mark.parametrize("genuine_steps", [0, 1])
+def test_rejected_newton_step_falls_back_to_projected_gradient(genuine_steps, monkeypatch):
+    prob = make_problem(half=12, coupling=0.3, sample=2)
+    init = dense_oracle(prob.hamiltonian).vectors[:, 0]
+    pg_only = projected_gradient_only(prob, init, monkeypatch)
+    newton = gp._projected_newton_direction
+    calls = []
+
+    def genuine_then_uphill(problem, phi, residual, mu):
+        # an ascent direction, which no halving makes acceptable
+        calls.append(residual)
+        if len(calls) <= genuine_steps:
+            return newton(problem, phi, residual, mu)
+        return 10.0 * residual
+
+    monkeypatch.setattr(gp, "_projected_newton_direction", genuine_then_uphill)
+    res = minimize_gp(prob, init=init)
+    assert len(calls) == genuine_steps + 1
+    assert res.converged
+    assert np.all(np.diff(res.trace) <= 0)
+    assert res.trace[-1] == res.energy
+    # one trace entry per accepted Newton or gradient step, plus the start
+    assert len(res.trace) == res.iterations + 1
+    if genuine_steps == 0:
+        # the rejected step left the start untouched
+        assert np.array_equal(res.phi, pg_only.phi)
+        assert np.array_equal(res.trace, pg_only.trace)
+    else:
+        assert res.trace[1] < res.trace[0]
+        assert abs(res.energy - pg_only.energy) <= 1e-12
 
 
 def test_certificate_fields_and_validity():

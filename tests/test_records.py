@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -33,6 +34,7 @@ def make_record(**overrides):
         gp_converged=True,
         error=None,
         wall_time=1.25,
+        gp_grad_norm=3.5e-10,
     )
     base.update(overrides)
     return RunRecord(**base)
@@ -62,6 +64,24 @@ def test_wall_time_excluded_from_content():
     assert a.content_dict() == b.content_dict()
     assert a.content_key() == b.content_key()
     assert "wall_time" not in a.content_dict()
+
+
+def test_gp_grad_norm_is_a_diagnostic(tmp_path):
+    rec = make_record(gp_grad_norm=9.87654321e-10)
+    back = RunRecord.from_json(rec.to_json())
+    assert back == rec and back.gp_grad_norm == 9.87654321e-10
+    assert "gp_grad_norm" not in rec.content_dict()
+    assert rec.content_key() == make_record(gp_grad_norm=1e-3).content_key()
+
+    # a stream written before the field existed still loads, with NaN
+    path = tmp_path / "old.jsonl"
+    data = json.loads(rec.to_json())
+    del data["gp_grad_norm"]
+    path.write_text(json.dumps(data) + "\n")
+    result = read_records(path)
+    assert result.bad_lines == []
+    assert math.isnan(result.records[0].gp_grad_norm)
+    assert result.records[0].content_key() == rec.content_key()
 
 
 def test_write_then_read(tmp_path):
