@@ -2,11 +2,11 @@
 on-site interaction: eigensolvers, a constrained minimizer, condensation
 certificates, and reproducible ensemble experiments.
 
-The package namespace holds the names scripts and notebooks use; everything
-else is imported from its submodule."""
+The package namespace holds the names notebooks and the benchmark use;
+everything else is imported from its submodule."""
 
 from .analysis import gap_and_overlap, localization_center
-from .cli import main, write_outputs
+from .cli import main
 from .disorder import (
     DisorderSpec,
     Region,
@@ -54,6 +54,5 @@ __all__ = [
     "run_plan",
     "sample_potential",
     "torus_distance",
-    "write_outputs",
     "write_records",
 ]

@@ -35,26 +35,6 @@ _EXPERIMENT_HELP = {
     "shells": "frequency-shell bounds and four-norm calibration",
 }
 
-# plan fields that can be set from the command line; values are kept as
-# strings and merged with the config file before typed parsing
-_FLAG_KEYS = (
-    "seed",
-    "dim",
-    "l_grid",
-    "schedule",
-    "c",
-    "samples",
-    "out",
-    "tol_eig",
-    "tol_gp",
-    "distribution",
-    "v_max",
-    "p",
-    "levels",
-    "workers",
-    "eig_count",
-)
-
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -108,9 +88,8 @@ def _merge_options(args: argparse.Namespace) -> dict[str, str]:
     options: dict[str, str] = {}
     if args.config:
         options.update(parse_config_text(Path(args.config).read_text()))
-    for key in _FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
+    for key, value in vars(args).items():
+        if value is not None and key not in ("config", "experiment"):
             options[key] = str(value)
     options["experiment"] = args.experiment
     return options

@@ -25,10 +25,10 @@ from .spectral import HamiltonianOperator
 DISTRIBUTIONS = ("uniform", "bernoulli", "levels")
 BOUNDARY_CONDITIONS = ("periodic", "dirichlet", "neumann")
 
-# channel ids for the per-sample random streams
+# channel ids for the per-sample random streams; they key the provenance
+# streams, so an id that falls out of use is not given to another channel
 POTENTIAL_CHANNEL = 0
 EIG_CHANNEL = 1
-GP_CHANNEL = 2
 FIELD_CHANNEL = 3
 BOX_CHANNEL = 4
 
@@ -80,11 +80,10 @@ class DisorderSpec:
 
 @dataclass(frozen=True)
 class DisorderRealization:
-    """One sampled potential with full provenance."""
+    """One sampled potential and the (L index, sample index) slot it fills."""
 
     geom: LatticeGeometry
     potential: np.ndarray
-    spec: DisorderSpec
     l_index: int
     sample_index: int
 
@@ -109,7 +108,6 @@ def sample_potential(
     return DisorderRealization(
         geom=geom,
         potential=values,
-        spec=spec,
         l_index=l_index,
         sample_index=sample_index,
     )
@@ -243,12 +241,10 @@ def restrict_hamiltonian(
 
     return HamiltonianOperator(
         geom=geom,
-        sites=sites,
         diag=kinetic + pot,
         hop=hop,
         potential=pot,
         bc=region.bc,
-        region=region,
     )
 
 

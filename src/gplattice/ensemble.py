@@ -149,6 +149,17 @@ class ExperimentPlan:
             raise ValueError("tolerances must be positive")
         if self.eig_count < 1:
             raise ValueError("eig_count must be >= 1")
+        if any(side < 1 for side in self.box_sides):
+            raise ValueError(f"every box side must be >= 1, got {self.box_sides}")
+        if any(not 0.0 < eps < 1.0 for eps in self.eps_grid):
+            raise ValueError(f"every eps must lie in (0, 1), got {self.eps_grid}")
+        if not self.wegner_widths:
+            raise ValueError("wegner_widths must not be empty")
+        widths = self.wegner_widths + self.minami_widths + self.gap_eta_grid
+        if any(not w > 0 for w in widths):
+            raise ValueError(
+                "Wegner and Minami widths and gap-law etas must be positive"
+            )
         if isinstance(self.schedule, str):
             if self.schedule != "theorem":
                 raise ValueError(

@@ -21,9 +21,9 @@ and renormalized.  Convergence always means that this loop saw a
 sphere-projected gradient norm of at most ``g_tol``; after a successful
 Newton phase it sees it at its first iteration.  Iterates stay nonnegative,
 the energy trace holds the energy after every accepted step of either phase
-and is monotone, and ``iterations`` counts Newton plus gradient steps.  The
-default initial point is the single-particle ground state, which makes the
-zero-coupling problem converge immediately.
+and is monotone, and ``iterations`` counts Newton plus gradient steps.
+Started from the single-particle ground state, the zero-coupling problem
+converges immediately.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import EigenSolution, HamiltonianOperator, lowest_eigenpairs
+from .spectral import EigenSolution, HamiltonianOperator
 
 GAP_TIE_TOL = 1e-12
 # relative energy change below which the energy test is rounding noise
@@ -42,6 +42,9 @@ NOISE_FLOOR = 8.0 * np.finfo(float).eps
 NEWTON_MAX_STEPS = 50
 NEWTON_HALVINGS = 10
 CG_RTOL_FLOOR = 1e-6
+# the gradient loop's energy-change test and its step cap
+E_TOL = 1e-12
+MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -159,27 +162,16 @@ def _newton_phase(
     return phi, energy, NEWTON_MAX_STEPS
 
 
-def minimize_gp(
-    problem: GPProblem,
-    init: np.ndarray | None = None,
-    *,
-    g_tol: float = 1e-9,
-    e_tol: float = 1e-12,
-    max_iter: int = 200_000,
-    eig_tol: float = 1e-10,
-    seed=0,
-) -> GPResult:
+def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) -> GPResult:
     """Minimize the energy over the unit sphere: Newton steps, then projected gradient.
 
-    Convergence requires the sphere-projected gradient norm to fall below
-    ``g_tol`` with the relative energy decrease below ``e_tol`` (the latter is
-    not tested at the gradient loop's first iteration).  ``max_iter`` caps
-    the gradient steps only.
+    The start is ``|init|``, normalized.  Convergence requires the
+    sphere-projected gradient norm to fall below ``g_tol`` with the relative
+    energy decrease below ``E_TOL`` (the latter is not tested at the gradient
+    loop's first iteration).  ``MAX_ITER`` caps the gradient steps only.
     """
     h = problem.hamiltonian
     coupling = problem.coupling
-    if init is None:
-        init = lowest_eigenpairs(h, 1, tol=eig_tol, seed=seed).vectors[:, 0]
     phi = np.abs(np.asarray(init, dtype=float))
     norm = np.linalg.norm(phi)
     if norm == 0:
@@ -203,11 +195,11 @@ def minimize_gp(
     converged = False
     last_drop = np.inf
 
-    for iterations in range(max_iter + 1):
+    for iterations in range(MAX_ITER + 1):
         grad = gp_gradient(problem, phi)
         tangent = grad - (grad @ phi) * phi
         grad_norm = float(np.linalg.norm(tangent))
-        if grad_norm <= g_tol and (iterations == 0 or last_drop <= e_tol):
+        if grad_norm <= g_tol and (iterations == 0 or last_drop <= E_TOL):
             converged = True
             break
 

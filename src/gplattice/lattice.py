@@ -50,10 +50,6 @@ class LatticeGeometry:
     def coordinate(self, index: int) -> tuple[int, ...]:
         return tuple(int(c) for c in self.coords[index])
 
-    def grid(self, field: np.ndarray) -> np.ndarray:
-        """Reshape a flat field to the (2L+1,)*d coordinate grid."""
-        return np.asarray(field).reshape(self.shape)
-
 
 def build_lattice(dim: int, half_side: int) -> LatticeGeometry:
     """Construct the periodic torus {-L..L}^d with its neighbour table."""

@@ -48,12 +48,10 @@ class HamiltonianOperator:
     """
 
     geom: LatticeGeometry
-    sites: np.ndarray       # torus indices of the operator's sites (n,)
     diag: np.ndarray        # kinetic diagonal + potential (n,)
     hop: np.ndarray         # (n, 2d) local neighbour indices, n == dropped
     potential: np.ndarray   # (n,)
     bc: str
-    region: object = None
 
     @property
     def n_sites(self) -> int:

@@ -80,7 +80,8 @@ def test_criterion_01_interaction_free_minimizer_recovers_ground_state(capsys):
         spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=0)
         for sample in range(50):
             ham = periodic_hamiltonian(sample_potential(spec, geom, 0, sample))
-            gp = minimize_gp(GPProblem(ham, 0.0), seed=sample)
+            init = lowest_eigenpairs(ham, 1, tol=1e-10, seed=sample).vectors[:, 0]
+            gp = minimize_gp(GPProblem(ham, 0.0), init=init)
             ref = dense_oracle(ham)
             overlap = abs(float(ref.vectors[:, 0] @ gp.phi))
             worst_overlap = min(worst_overlap, overlap)

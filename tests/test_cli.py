@@ -1,10 +1,61 @@
+import argparse
 import math
+from pathlib import Path
 
 import pytest
 
-from gplattice import main, read_records
-from gplattice.cli import build_parser
-from gplattice.ensemble import EXPERIMENTS
+from gplattice import ExperimentPlan, main, read_records
+from gplattice.cli import _add_common_options, _merge_options, build_parser
+from gplattice.ensemble import EXPERIMENTS, parse_config_text, plan_from_options
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+# the standing runs behind the paper's figures, one config file each
+STANDING_PLANS = {
+    "condensation_trend": ExperimentPlan(
+        experiment="condense",
+        seed=0,
+        dim=1,
+        l_grid=(64, 128, 256, 512),
+        schedule="theorem",
+        c=1.0,
+        samples=200,
+        workers=8,
+        out="runs/condensation_trend.jsonl",
+    ),
+    "groundstate_scaling": ExperimentPlan(
+        experiment="scaling",
+        seed=0,
+        dim=1,
+        l_grid=(32, 64, 128, 256, 512),
+        schedule=(0.0,),
+        samples=200,
+        workers=8,
+        out="runs/groundstate_scaling.jsonl",
+    ),
+    "spectral_estimates": ExperimentPlan(
+        experiment="estimates",
+        seed=0,
+        dim=1,
+        l_grid=(32,),
+        schedule=(0.0,),
+        samples=10_000,
+        v_max=6.0,
+        workers=8,
+        out="runs/spectral_estimates.jsonl",
+    ),
+    "shell_calibration": ExperimentPlan(
+        experiment="shells",
+        seed=0,
+        dim=1,
+        l_grid=(128, 512),
+        schedule=(0.0,),
+        samples=50,
+        eps_grid=(0.5, 0.1, 0.02),
+        workers=8,
+        out="runs/shell_calibration.jsonl",
+    ),
+}
 
 
 def test_every_experiment_has_a_subcommand(capsys):
@@ -108,3 +159,65 @@ def test_spectrum_subcommand_runs(tmp_path, capsys):
     capsys.readouterr()
     assert read_records(out).bad_lines == []
     assert (tmp_path / "spec.gap_law.dat").exists()
+
+
+def test_configs_are_the_standing_plans():
+    assert sorted(p.stem for p in CONFIGS.glob("*.cfg")) == sorted(STANDING_PLANS)
+    for name, expected in STANDING_PLANS.items():
+        options = parse_config_text((CONFIGS / f"{name}.cfg").read_text())
+        options["experiment"] = expected.experiment
+        assert plan_from_options(options) == expected, name
+
+
+@pytest.mark.parametrize("name", sorted(STANDING_PLANS))
+def test_config_runs_through_the_cli(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.jsonl"
+    argv = [STANDING_PLANS[name].experiment, "--config", str(CONFIGS / f"{name}.cfg")]
+    argv += ["--samples", "1", "--l-grid", "8", "--workers", "1", "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(read_records(out).records) == 1
+
+
+def test_every_flag_reaches_the_plan():
+    # one value per flag, none of them the plan default; a flag added to the
+    # parser must be added here too
+    flags = {
+        "seed": ("5", 5),
+        "dim": ("2", 2),
+        "l_grid": ("3,5", (3, 5)),
+        "schedule": ("0.25,0.5", (0.25, 0.5)),
+        "c": ("2.5", 2.5),
+        "samples": ("7", 7),
+        "out": ("elsewhere/run.jsonl", "elsewhere/run.jsonl"),
+        "tol_eig": ("1e-8", 1e-8),
+        "tol_gp": ("1e-7", 1e-7),
+        "distribution": ("levels", "levels"),
+        "v_max": ("3", 3.0),
+        "p": ("0.25", 0.25),
+        "levels": ("0,1.5", (0.0, 1.5)),
+        "workers": ("3", 3),
+        "eig_count": ("4", 4),
+    }
+    common = argparse.ArgumentParser()
+    _add_common_options(common)
+    options = {a.dest: a.option_strings[0] for a in common._actions if a.dest != "help"}
+    assert set(options) == set(flags) | {"config"}
+
+    argv = ["spectrum"]
+    for dest, (text, _) in flags.items():
+        argv += [options[dest], text]
+    plan = plan_from_options(_merge_options(build_parser().parse_args(argv)))
+    default = ExperimentPlan(experiment="spectrum", seed=0)
+    for dest, (_, value) in flags.items():
+        assert getattr(plan, dest) == value != getattr(default, dest), dest
+
+
+def test_bad_plan_value_in_config_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed=1\nl_grid=4\nschedule=0\nsamples=3\nbox_sides=0\n")
+    out = tmp_path / "bad.jsonl"
+    code = main(["estimates", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

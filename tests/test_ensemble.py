@@ -77,6 +77,14 @@ def base_plan(**overrides):
         dict(schedule="theorem", l_grid=(1, 4)),
         dict(distribution="cauchy"),
         dict(distribution="levels", levels=None),
+        dict(box_sides=(4, 0)),
+        dict(eps_grid=(0.5, 1.5)),
+        dict(eps_grid=(0.0,)),
+        dict(eps_grid=(1.0,)),
+        dict(wegner_widths=()),
+        dict(wegner_widths=(0.02, -0.01)),
+        dict(minami_widths=(0.0,)),
+        dict(gap_eta_grid=(1.0, -2.0)),
     ],
 )
 def test_plan_rejects_bad_options(overrides):
@@ -450,8 +458,8 @@ def test_package_namespace_keeps_what_callers_use():
         "dense_matrix", "dirichlet_energy", "gap_and_overlap", "localization_center",
         "lowest_eigenpairs", "minimize_gp", "periodic_hamiltonian", "provenance_stream",
         "restrict_hamiltonian", "sample_potential", "torus_distance", "write_records",
-        # scripts and the README
-        "ExperimentPlan", "run_plan", "write_outputs", "main",
+        # the README
+        "ExperimentPlan", "run_plan", "main",
         # results, records, and replay
         "ExperimentResult", "RunRecord", "read_records", "EXPERIMENTS", "replay_sample",
     }

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from gplattice import ExperimentPlan, run_plan, write_outputs
+from gplattice import ExperimentPlan, run_plan
+from gplattice.cli import write_outputs
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_records.json"
 FLOAT_TOL = 1e-12

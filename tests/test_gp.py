@@ -26,6 +26,11 @@ def make_problem(half=12, coupling=0.1, sample=0, dim=1):
     return GPProblem(ham, coupling)
 
 
+def ground_state(prob, seed):
+    """The single-particle ground state as the iterative solver finds it."""
+    return lowest_eigenpairs(prob.hamiltonian, 1, tol=1e-10, seed=seed).vectors[:, 0]
+
+
 def test_problem_validation():
     geom = build_lattice(1, 4)
     ham = periodic_hamiltonian(sample_potential(SPEC, geom))
@@ -71,7 +76,7 @@ def test_zero_coupling_reduces_to_ground_state():
 
 def test_minimizer_basic_contract():
     prob = make_problem(coupling=0.2)
-    res = minimize_gp(prob, seed=3)
+    res = minimize_gp(prob, init=ground_state(prob, seed=3))
     assert res.converged
     assert res.grad_norm <= 1e-9
     assert abs(np.linalg.norm(res.phi) - 1.0) <= 1e-12
@@ -95,14 +100,14 @@ def test_energy_monotone_in_coupling():
     energies = []
     for coupling in (0.0, 0.05, 0.2, 1.0):
         prob = make_problem(half=8, coupling=coupling, sample=2)
-        energies.append(minimize_gp(prob, seed=1).energy)
+        energies.append(minimize_gp(prob, init=ground_state(prob, seed=1)).energy)
     assert all(b >= a - 1e-12 for a, b in zip(energies, energies[1:]))
 
 
 def test_minimizer_unique_across_inits():
     # the agreement tolerance here is an engineering choice
     prob = make_problem(half=9, coupling=0.4, sample=5)
-    res_a = minimize_gp(prob, seed=0)
+    res_a = minimize_gp(prob, init=ground_state(prob, seed=0))
     rng = np.random.default_rng(123)
     res_b = minimize_gp(prob, init=np.abs(rng.normal(size=prob.hamiltonian.n_sites)))
     assert res_a.converged and res_b.converged
@@ -127,7 +132,7 @@ def test_minimizer_against_scipy_composite():
         out = optimize.minimize(composite, x0, method="BFGS", options={"maxiter": 2000})
         best = min(best, float(out.fun))
 
-    res = minimize_gp(prob, seed=2)
+    res = minimize_gp(prob, init=ground_state(prob, seed=2))
     assert res.converged
     assert res.energy <= best + 1e-8
 
