@@ -115,7 +115,7 @@ def write_outputs(result: ExperimentResult) -> list[Path]:
     summary_path = Path(f"{stem}.summary.txt")
     summary_path.write_text(result.summary.table() + "\n")
     written.append(summary_path)
-    for name, (header, rows) in result.summary.series().items():
+    for name, (header, rows) in result.summary.series.items():
         series_path = Path(f"{stem}.{name}.dat")
         _write_series(series_path, header, rows)
         written.append(series_path)

@@ -126,7 +126,6 @@ class ExperimentPlan:
     minami_widths: tuple[float, ...] = (0.005, 0.01, 0.02, 0.04)
     gap_eta_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
     eps_grid: tuple[float, ...] = (0.5, 0.2, 0.1)
-    center_lambda: float = 8.0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -141,6 +140,17 @@ class ExperimentPlan:
             raise ValueError(f"l_grid must be strictly increasing, got {self.l_grid}")
         if min(self.l_grid) < 1:
             raise ValueError("every L must be >= 1")
+        if self.experiment == "estimates":
+            # full dense spectra of the torus and of every Neumann box
+            sites = max(
+                (2 * max(self.l_grid) + 1) ** self.dim,
+                max(self.box_sides, default=1) ** self.dim,
+            )
+            if sites > DENSE_LIMIT:
+                raise OversizeError(
+                    f"estimates needs full dense spectra; {sites} sites exceeds "
+                    f"the {DENSE_LIMIT}-site dense limit"
+                )
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
@@ -241,7 +251,7 @@ def plan_from_options(options: dict[str, str]) -> ExperimentPlan:
         "seed": int(options["seed"]),
     }
     simple_int = {"dim", "samples", "workers", "eig_count"}
-    simple_float = {"c", "tol_eig", "tol_gp", "v_max", "p", "center_lambda"}
+    simple_float = {"c", "tol_eig", "tol_gp", "v_max", "p"}
     for key, value in options.items():
         if key in ("experiment", "seed"):
             continue
@@ -289,11 +299,48 @@ def record_invariant_errors(record: RunRecord, slack: float = INVARIANT_SLACK) -
     return errs
 
 
+Series = tuple[list[str], list[list[float]]]
+
+QUANTILE_COLUMNS = ["half_side", "median", "q25", "q75"]
+GAP_LAW_COLUMNS = ["half_side", "eta", "prob"]
+
+
+@dataclass
+class Summary:
+    """Per-L statistics of one run.
+
+    ``series`` maps a name to (column names, rows); the CLI writes each one
+    as ``<stem>.<name>.dat``.  ``checks`` maps a name to a verdict or a
+    per-L value, ``n_ok`` gives the healthy-sample count per L, and
+    ``n_failed`` the number of error records.
+    """
+
+    series: dict[str, Series]
+    checks: dict[str, object]
+    n_ok: dict[int, int]
+    n_failed: int
+
+    def table(self) -> str:
+        """Every series as a titled block, then one line per check."""
+        lines = []
+        for name, (header, rows) in self.series.items():
+            cells = [header] + [[f"{float(v):.12g}" for v in row] for row in rows]
+            widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+            lines.append(f"[{name}]")
+            for lead, row in zip(["# "] + ["  "] * len(rows), cells):
+                lines.append(lead + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
+            lines.append("")
+        lines += [f"{name}: {value}" for name, value in self.checks.items()]
+        lines.append(f"healthy samples by L: {self.n_ok}")
+        lines.append(f"failed samples: {self.n_failed}")
+        return "\n".join(lines)
+
+
 @dataclass
 class ExperimentResult:
     plan: ExperimentPlan
     records: list[RunRecord]
-    summary: object
+    summary: Summary
     invariant_violations: list[str]
 
 
@@ -316,6 +363,10 @@ def _non_decreasing(values: list[float]) -> bool:
     return all(b >= a for a, b in zip(values, values[1:]))
 
 
+def _fraction(mask: np.ndarray) -> float:
+    return float(np.mean(mask)) if mask.size else math.nan
+
+
 # ---------------------------------------------------------------------------
 # the shared sample pipeline: one provenance slot in, one record plus side data out
 
@@ -326,8 +377,9 @@ class _Pipeline:
     ``eig_count`` gives the number of lowest eigenpairs to solve for, or is
     None for a full dense spectrum.  ``observe(plan, l_index, sample_index,
     geom, ham, eig)`` returns the record fields and the side data the
-    summary needs; ``summarize(plan, groups, n_failed)`` gets the healthy
-    (record, side data) pairs grouped per L.
+    summary needs; ``summarize(plan, groups)`` gets the healthy (record,
+    side data) pairs grouped per L and returns the ``Summary`` series and
+    checks.
     """
 
     eig_count: Callable[[ExperimentPlan], int] | None
@@ -381,13 +433,6 @@ def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunR
 
 def run_plan(plan: ExperimentPlan) -> ExperimentResult:
     """Run every (L, sample) slot of a plan and summarize the healthy records."""
-    pipeline = _PIPELINES[plan.experiment]
-    n_max = (2 * max(plan.l_grid) + 1) ** plan.dim
-    if pipeline.eig_count is None and n_max > DENSE_LIMIT:
-        raise OversizeError(
-            f"{plan.experiment} needs full dense spectra; {n_max} sites exceeds "
-            f"the {DENSE_LIMIT}-site dense limit"
-        )
     tasks = [
         (plan, l_index, sample)
         for l_index in range(len(plan.l_grid))
@@ -399,11 +444,12 @@ def run_plan(plan: ExperimentPlan) -> ExperimentResult:
     for record, side in outputs:
         if record.error is None:
             groups[record.l_index].append((record, side))
-    n_failed = len(records) - sum(len(group) for group in groups)
+    series, checks = _PIPELINES[plan.experiment].summarize(plan, groups)
+    n_ok = {half_side: len(group) for half_side, group in zip(plan.l_grid, groups)}
     return ExperimentResult(
         plan=plan,
         records=records,
-        summary=pipeline.summarize(plan, groups, n_failed),
+        summary=Summary(series, checks, n_ok, len(records) - sum(n_ok.values())),
         invariant_violations=[e for r in records for e in record_invariant_errors(r)],
     )
 
@@ -456,86 +502,28 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
     return fields, None
 
 
-@dataclass
-class CondenseSummary:
-    rows: list[dict]
-    overlap_monotone: bool
-    fraction_monotone: bool
-    n_failed: int
-
-    def table(self) -> str:
-        head = (
-            f"{'L':>6} {'U':>12} {'eta':>8} {'ok':>5} {'med overlap':>12} "
-            f"{'q25':>10} {'q75':>10} {'med gap':>10} {'frac>=1-eta':>12}"
-        )
-        lines = [head]
-        for r in self.rows:
-            lines.append(
-                f"{r['half_side']:>6} {r['coupling']:>12.4e} {r['eta']:>8.4f} "
-                f"{r['n_ok']:>5} {r['median_overlap']:>12.8f} "
-                f"{r['overlap_q25']:>10.6f} {r['overlap_q75']:>10.6f} "
-                f"{r['median_gap']:>10.3e} {r['fraction_within_eta']:>12.4f}"
-            )
-        lines.append(
-            f"overlap trend non-decreasing: {self.overlap_monotone}; "
-            f"fraction trend non-decreasing: {self.fraction_monotone}; "
-            f"failed samples: {self.n_failed}"
-        )
-        return "\n".join(lines)
-
-    def series(self) -> dict[str, tuple[list[str], list[list[float]]]]:
-        overlap = (
-            ["half_side", "median", "q25", "q75"],
-            [
-                [r["half_side"], r["median_overlap"], r["overlap_q25"], r["overlap_q75"]]
-                for r in self.rows
-            ],
-        )
-        gap = (
-            ["half_side", "median", "q25", "q75"],
-            [
-                [r["half_side"], r["median_gap"], r["gap_q25"], r["gap_q75"]]
-                for r in self.rows
-            ],
-        )
-        frac = (
-            ["half_side", "fraction", "eta"],
-            [[r["half_side"], r["fraction_within_eta"], r["eta"]] for r in self.rows],
-        )
-        return {"overlap": overlap, "gap": gap, "condensate_fraction": frac}
-
-
-def _summarize_condense(plan: ExperimentPlan, groups, n_failed: int) -> CondenseSummary:
-    rows = []
+def _summarize_condense(plan: ExperimentPlan, groups):
+    overlap, gap, fraction = [], [], []
     for l_index, (half_side, group) in enumerate(zip(plan.l_grid, groups)):
         overlaps = np.array([r.overlap for r, _ in group])
-        gaps = np.array([r.gap for r, _ in group])
-        coupling = plan.coupling_for(l_index)
-        eta = overlap_deficit_scale(half_side, plan.dim, coupling)
-        med_o, q25_o, q75_o = _quantiles(overlaps)
-        med_g, q25_g, q75_g = _quantiles(gaps)
-        frac = float(np.mean(overlaps >= 1.0 - eta)) if overlaps.size else math.nan
-        rows.append(
-            dict(
-                half_side=half_side,
-                coupling=coupling,
-                eta=eta,
-                n_ok=len(group),
-                median_overlap=med_o,
-                overlap_q25=q25_o,
-                overlap_q75=q75_o,
-                median_gap=med_g,
-                gap_q25=q25_g,
-                gap_q75=q75_g,
-                fraction_within_eta=frac,
-            )
-        )
-    return CondenseSummary(
-        rows=rows,
-        overlap_monotone=_non_decreasing([r["median_overlap"] for r in rows]),
-        fraction_monotone=_non_decreasing([r["fraction_within_eta"] for r in rows]),
-        n_failed=n_failed,
-    )
+        eta = overlap_deficit_scale(half_side, plan.dim, plan.coupling_for(l_index))
+        overlap.append([half_side, *_quantiles(overlaps)])
+        gap.append([half_side, *_quantiles(np.array([r.gap for r, _ in group]))])
+        fraction.append([half_side, _fraction(overlaps >= 1.0 - eta), eta])
+    series = {
+        "overlap": (QUANTILE_COLUMNS, overlap),
+        "gap": (QUANTILE_COLUMNS, gap),
+        "condensate_fraction": (["half_side", "fraction", "eta"], fraction),
+    }
+    checks = {
+        "coupling U by L": {
+            half_side: plan.coupling_for(l_index)
+            for l_index, half_side in enumerate(plan.l_grid)
+        },
+        "overlap trend non-decreasing": _non_decreasing([row[1] for row in overlap]),
+        "fraction trend non-decreasing": _non_decreasing([row[1] for row in fraction]),
+    }
+    return series, checks
 
 
 # ---------------------------------------------------------------------------
@@ -545,89 +533,32 @@ def _observe_spectrum(plan, l_index, sample_index, geom, ham, eig):
     return _pair_fields(geom, eig), None
 
 
-@dataclass
-class SpectrumSummary:
-    rows: list[dict]
-    gap_law: list[dict]       # per (L, eta): P[gap <= eta L^-d]
-    n_failed: int
-
-    def table(self) -> str:
-        lines = [
-            f"{'L':>6} {'ok':>5} {'med gap':>10} {'q25':>10} {'q75':>10} "
-            f"{'med dist':>9} {'frac close':>10}"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r['half_side']:>6} {r['n_ok']:>5} {r['median_gap']:>10.3e} "
-                f"{r['gap_q25']:>10.3e} {r['gap_q75']:>10.3e} "
-                f"{r['median_center_dist']:>9.1f} {r['fraction_centers_close']:>10.4f}"
-            )
-        lines.append("gap law P[gap <= eta L^-d]:")
-        for g in self.gap_law:
-            lines.append(
-                f"  L={g['half_side']:>5} eta={g['eta']:>7.3f} p={g['prob']:.5f}"
-            )
-        lines.append(f"failed samples: {self.n_failed}")
-        return "\n".join(lines)
-
-    def series(self) -> dict[str, tuple[list[str], list[list[float]]]]:
-        gap = (
-            ["half_side", "median", "q25", "q75"],
-            [
-                [r["half_side"], r["median_gap"], r["gap_q25"], r["gap_q75"]]
-                for r in self.rows
-            ],
-        )
-        law = (
-            ["half_side", "eta", "prob"],
-            [[g["half_side"], g["eta"], g["prob"]] for g in self.gap_law],
-        )
-        centers = (
-            ["half_side", "median_dist", "fraction_close"],
-            [
-                [r["half_side"], r["median_center_dist"], r["fraction_centers_close"]]
-                for r in self.rows
-            ],
-        )
-        return {"gap": gap, "gap_law": law, "center_distance": centers}
+# localization centers at most CENTER_LAMBDA * log L apart count as close
+CENTER_LAMBDA = 8.0
 
 
-def _summarize_spectrum(plan: ExperimentPlan, groups, n_failed: int) -> SpectrumSummary:
-    rows = []
-    law = []
+def _summarize_spectrum(plan: ExperimentPlan, groups):
+    gap, law, centers = [], [], []
     for half_side, group in zip(plan.l_grid, groups):
         gaps = np.array([r.gap for r, _ in group])
         dists = np.array([r.center_dist for r, _ in group], dtype=float)
-        med_g, q25_g, q75_g = _quantiles(gaps)
-        threshold = plan.center_lambda * math.log(max(half_side, 2))
-        rows.append(
-            dict(
-                half_side=half_side,
-                n_ok=len(group),
-                median_gap=med_g,
-                gap_q25=q25_g,
-                gap_q75=q75_g,
-                median_center_dist=float(np.median(dists)) if dists.size else math.nan,
-                fraction_centers_close=(
-                    float(np.mean(dists <= threshold)) if dists.size else math.nan
-                ),
-            )
-        )
+        gap.append([half_side, *_quantiles(gaps)])
         law += _gap_law(plan, half_side, gaps)
-    return SpectrumSummary(rows=rows, gap_law=law, n_failed=n_failed)
+        close = dists <= CENTER_LAMBDA * math.log(max(half_side, 2))
+        median_dist = float(np.median(dists)) if dists.size else math.nan
+        centers.append([half_side, median_dist, _fraction(close)])
+    series = {
+        "gap": (QUANTILE_COLUMNS, gap),
+        "gap_law": (GAP_LAW_COLUMNS, law),
+        "center_distance": (["half_side", "median_dist", "fraction_close"], centers),
+    }
+    return series, {}
 
 
-def _gap_law(plan: ExperimentPlan, half_side: int, gaps: np.ndarray) -> list[dict]:
-    """P[gap <= eta L^-d] for each eta of the plan's grid."""
+def _gap_law(plan: ExperimentPlan, half_side: int, gaps: np.ndarray) -> list[list]:
+    """Rows (L, eta, P[gap <= eta L^-d]) for each eta of the plan's grid."""
     scale = half_side ** (-plan.dim)
-    return [
-        dict(
-            half_side=half_side,
-            eta=eta,
-            prob=float(np.mean(gaps <= eta * scale)) if gaps.size else math.nan,
-        )
-        for eta in plan.gap_eta_grid
-    ]
+    return [[half_side, eta, _fraction(gaps <= eta * scale)] for eta in plan.gap_eta_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -637,80 +568,26 @@ def _observe_scaling(plan, l_index, sample_index, geom, ham, eig):
     return _ground_fields(geom, eig), None
 
 
-@dataclass
-class ScalingSummary:
-    rows: list[dict]
-    band_min: float
-    band_max: float
-    band_ratio: float
-    flatness_violations: int
-    n_failed: int
-
-    def table(self) -> str:
-        lines = [
-            f"{'L':>6} {'ok':>5} {'med e0':>12} {'q25':>12} {'q75':>12} "
-            f"{'e0*(log L)^(2/d)':>18}"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r['half_side']:>6} {r['n_ok']:>5} {r['median_e0']:>12.6e} "
-                f"{r['e0_q25']:>12.6e} {r['e0_q75']:>12.6e} {r['normalized']:>18.6f}"
-            )
-        lines.append(
-            f"normalized band: [{self.band_min:.6f}, {self.band_max:.6f}] "
-            f"(ratio {self.band_ratio:.3f}); flatness violations: "
-            f"{self.flatness_violations}; failed samples: {self.n_failed}"
-        )
-        return "\n".join(lines)
-
-    def series(self) -> dict[str, tuple[list[str], list[list[float]]]]:
-        return {
-            "e0": (
-                ["half_side", "median", "q25", "q75", "normalized"],
-                [
-                    [
-                        r["half_side"],
-                        r["median_e0"],
-                        r["e0_q25"],
-                        r["e0_q75"],
-                        r["normalized"],
-                    ]
-                    for r in self.rows
-                ],
-            )
-        }
-
-
-def _summarize_scaling(plan: ExperimentPlan, groups, n_failed: int) -> ScalingSummary:
+def _summarize_scaling(plan: ExperimentPlan, groups):
     rows = []
     for half_side, group in zip(plan.l_grid, groups):
-        e0s = np.array([r.e0 for r, _ in group])
-        med, q25, q75 = _quantiles(e0s)
+        med, q25, q75 = _quantiles(np.array([r.e0 for r, _ in group]))
         norm = med * math.log(max(half_side, 2)) ** (2.0 / plan.dim)
-        rows.append(
-            dict(
-                half_side=half_side,
-                n_ok=len(group),
-                median_e0=med,
-                e0_q25=q25,
-                e0_q75=q75,
-                normalized=norm,
-            )
-        )
-    normalized = [r["normalized"] for r in rows if math.isfinite(r["normalized"])]
+        rows.append([half_side, med, q25, q75, norm])
+    normalized = [row[4] for row in rows if math.isfinite(row[4])]
     band_min = min(normalized) if normalized else math.nan
     band_max = max(normalized) if normalized else math.nan
     flat_bad = sum(
         1 for group in groups for r, _ in group if r.kinetic > r.e0 + INVARIANT_SLACK
     )
-    return ScalingSummary(
-        rows=rows,
-        band_min=band_min,
-        band_max=band_max,
-        band_ratio=band_max / band_min if normalized and band_min > 0 else math.nan,
-        flatness_violations=flat_bad,
-        n_failed=n_failed,
-    )
+    checks = {
+        "normalized band (min, max)": (band_min, band_max),
+        "normalized band ratio": (
+            band_max / band_min if normalized and band_min > 0 else math.nan
+        ),
+        "flatness violations": flat_bad,
+    }
+    return {"e0": (QUANTILE_COLUMNS + ["normalized"], rows)}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -743,95 +620,23 @@ def _box_ground_sample(task: tuple[ExperimentPlan, int, int]) -> float:
     )
     box = restrict_hamiltonian(realization, region)
     return float(np.linalg.eigvalsh(dense_matrix(box))[0])
-@dataclass
-class EstimatesSummary:
-    wegner: list[dict]    # per (L, width): mean count, fit
-    minami: list[dict]    # per (L, width): P[>= 2]
-    minami_slope: dict    # per L: fitted log-log slope
-    lifshitz: list[dict]  # per side: P[E0^N <= side^-2]
-    gap_law: list[dict]   # per (L, eta)
-    n_failed: int
-
-    def table(self) -> str:
-        lines = ["Wegner: mean eigenvalue count in a bulk interval vs width"]
-        for r in self.wegner:
-            lines.append(
-                f"  L={r['half_side']:>5} width={r['width']:<7g} mean={r['mean_count']:.5f} "
-                f"fit={r['fit']:.5f} rel_dev={r['rel_dev']:.4f}"
-            )
-        lines.append("Minami: P[at least two eigenvalues] vs width")
-        for r in self.minami:
-            lines.append(
-                f"  L={r['half_side']:>5} width={r['width']:<7g} p={r['prob']:.6f}"
-            )
-        for half_side, slope in sorted(self.minami_slope.items()):
-            lines.append(f"  L={half_side:>5} log-log slope = {slope:.4f}")
-        lines.append("Lifshitz: P[Neumann box ground energy <= side^-2]")
-        for r in self.lifshitz:
-            lines.append(f"  side={r['side']:>4} p={r['prob']:.6f}")
-        lines.append("Gap law: P[gap <= eta L^-d]")
-        for r in self.gap_law:
-            lines.append(
-                f"  L={r['half_side']:>5} eta={r['eta']:>7.3f} p={r['prob']:.5f}"
-            )
-        lines.append(f"failed samples: {self.n_failed}")
-        return "\n".join(lines)
-
-    def series(self) -> dict[str, tuple[list[str], list[list[float]]]]:
-        return {
-            "wegner": (
-                ["half_side", "width", "mean_count", "fit"],
-                [
-                    [r["half_side"], r["width"], r["mean_count"], r["fit"]]
-                    for r in self.wegner
-                ],
-            ),
-            "minami": (
-                ["half_side", "width", "prob"],
-                [[r["half_side"], r["width"], r["prob"]] for r in self.minami],
-            ),
-            "lifshitz": (
-                ["side", "prob"],
-                [[r["side"], r["prob"]] for r in self.lifshitz],
-            ),
-            "gap_law": (
-                ["half_side", "eta", "prob"],
-                [[r["half_side"], r["eta"], r["prob"]] for r in self.gap_law],
-            ),
-        }
 
 
-def _summarize_estimates(plan: ExperimentPlan, groups, n_failed: int) -> EstimatesSummary:
-    wegner_rows = []
-    minami_rows = []
+def _summarize_estimates(plan: ExperimentPlan, groups):
+    wegner, minami, law = [], [], []
     minami_slopes: dict[int, float] = {}
-    gap_rows = []
     widths = np.asarray(plan.wegner_widths)
     for half_side, group in zip(plan.l_grid, groups):
         wcounts = np.array([side[0] for _, side in group], dtype=float)
         mhits = np.array([side[1] for _, side in group], dtype=float)
-        gaps = np.array([r.gap for r, _ in group])
 
         # the reshape keeps the width axis when every sample of this L failed
         means = wcounts.reshape(len(group), widths.size).mean(axis=0)
         slope = float((widths * means).sum() / (widths**2).sum())
-        for w, m in zip(widths, means):
-            fit = slope * w
-            wegner_rows.append(
-                dict(
-                    half_side=half_side,
-                    width=float(w),
-                    mean_count=float(m),
-                    fit=fit,
-                    rel_dev=abs(m - fit) / fit if fit > 0 else math.nan,
-                )
-            )
+        wegner += [[half_side, w, m, slope * w] for w, m in zip(widths, means)]
 
         probs = mhits.reshape(len(group), len(plan.minami_widths)).mean(axis=0)
-        for w, prob in zip(plan.minami_widths, probs):
-            minami_rows.append(
-                dict(half_side=half_side, width=float(w), prob=float(prob))
-            )
+        minami += [[half_side, w, prob] for w, prob in zip(plan.minami_widths, probs)]
         positive = [(w, p) for w, p in zip(plan.minami_widths, probs) if p > 0]
         if len(positive) >= 2:
             lw = np.log([w for w, _ in positive])
@@ -842,7 +647,7 @@ def _summarize_estimates(plan: ExperimentPlan, groups, n_failed: int) -> Estimat
         else:
             minami_slopes[half_side] = math.nan
 
-        gap_rows += _gap_law(plan, half_side, gaps)
+        law += _gap_law(plan, half_side, np.array([r.gap for r, _ in group]))
 
     box_tasks = [
         (plan, side_index, s)
@@ -850,26 +655,29 @@ def _summarize_estimates(plan: ExperimentPlan, groups, n_failed: int) -> Estimat
         for s in range(plan.samples)
     ]
     energies = np.array(_parallel_map(_box_ground_sample, box_tasks, plan.workers))
-    lifshitz_rows = [
-        dict(side=side, prob=float(np.mean(row <= side**-2.0)))
+    lifshitz = [
+        [side, float(np.mean(row <= side**-2.0))]
         for side, row in zip(plan.box_sides, energies.reshape(-1, plan.samples))
     ]
 
-    return EstimatesSummary(
-        wegner=wegner_rows,
-        minami=minami_rows,
-        minami_slope=minami_slopes,
-        lifshitz=lifshitz_rows,
-        gap_law=gap_rows,
-        n_failed=n_failed,
-    )
+    series = {
+        "wegner": (["half_side", "width", "mean_count", "fit"], wegner),
+        "minami": (["half_side", "width", "prob"], minami),
+        "lifshitz": (["side", "prob"], lifshitz),
+        "gap_law": (GAP_LAW_COLUMNS, law),
+    }
+    return series, {"Minami log-log slope by L": minami_slopes}
 
 
 # ---------------------------------------------------------------------------
 # shell / four-norm calibration
 
 def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
-    """Ground-state fields and four-norm ratio, plus one random field per eps."""
+    """Ground-state fields and four-norm ratio, plus one random field per eps.
+
+    An eps with eps * L < 1 has no shell to sample and is skipped; the
+    summary names the skipped eps per L.
+    """
     phi0 = eig.vectors[:, 0]
     corpus_ratio = four_norm_bound_check(geom, phi0, default_band_scale(geom, phi0)).ratio
     rng = provenance_stream(plan.seed, l_index, sample_index, FIELD_CHANNEL)
@@ -890,67 +698,13 @@ def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
     return _ground_fields(geom, eig), (corpus_ratio, field_stats)
 
 
-@dataclass
-class ShellsSummary:
-    field_rows: list[dict]    # per (L, eps): sup-bound and four-norm ratios
-    corpus_rows: list[dict]   # per L: ground-state corpus against trial families
-    n_failed: int
-
-    def table(self) -> str:
-        lines = ["random low-energy fields:"]
-        for r in self.field_rows:
-            lines.append(
-                f"  L={r['half_side']:>5} eps={r['eps']:<6g} n={r['n_fields']:>5} "
-                f"sup_ratio_max={r['sup_ratio_max']:.6f} "
-                f"annulus_ok={r['annulus_ok']} "
-                f"ratio_max={r['ratio_max']:.5f} ratio_med={r['ratio_median']:.5f} "
-                f"delta={r['delta_ratio']:.5f} flat={r['flat_ratio']:.5f}"
-            )
-        lines.append("ground-state corpus:")
-        for r in self.corpus_rows:
-            lines.append(
-                f"  L={r['half_side']:>5} n={r['n_corpus']:>5} "
-                f"corpus_max={r['corpus_max']:.5f} corpus_med={r['corpus_median']:.5f} "
-                f"trial_scale={r['trial_scale']:.5f} within_3x={r['within_3x']}"
-            )
-        lines.append(f"failed samples: {self.n_failed}")
-        return "\n".join(lines)
-
-    def series(self) -> dict[str, tuple[list[str], list[list[float]]]]:
-        return {
-            "four_norm_ratio": (
-                ["half_side", "eps", "ratio_max", "ratio_median", "delta", "flat"],
-                [
-                    [
-                        r["half_side"],
-                        r["eps"],
-                        r["ratio_max"],
-                        r["ratio_median"],
-                        r["delta_ratio"],
-                        r["flat_ratio"],
-                    ]
-                    for r in self.field_rows
-                ],
-            ),
-            "sup_bound": (
-                ["half_side", "eps", "sup_ratio_max"],
-                [
-                    [r["half_side"], r["eps"], r["sup_ratio_max"]]
-                    for r in self.field_rows
-                ],
-            ),
-        }
-
-
-def _summarize_shells(plan: ExperimentPlan, groups, n_failed: int) -> ShellsSummary:
-    field_rows = []
-    corpus_rows = []
+def _summarize_shells(plan: ExperimentPlan, groups):
+    four_norm, sup_bound, corpus_rows = [], [], []
+    skipped, annulus_ok, within_3x = {}, {}, {}
     for half_side, group in zip(plan.l_grid, groups):
         geom = _geometry(plan.dim, half_side)
-        corpus = np.array([side[0] for _, side in group])
-
+        skipped[half_side] = [eps for eps in plan.eps_grid if eps * half_side < 1]
         trial_ratios = []
-        per_eps_trials = {}
         for eps_index, eps in enumerate(plan.eps_grid):
             if eps * half_side < 1:
                 continue
@@ -959,44 +713,50 @@ def _summarize_shells(plan: ExperimentPlan, groups, n_failed: int) -> ShellsSumm
             delta_ratio = lp_norm(delta_unit, 4) / g_scale(eps, plan.dim)
             flat = trial_flat_fourier(geom, eps)
             flat_ratio = lp_norm(flat, 4) / g_scale(eps, plan.dim)
-            per_eps_trials[eps_index] = (delta_ratio, flat_ratio)
             trial_ratios += [delta_ratio, flat_ratio]
 
-        for eps_index, (delta_ratio, flat_ratio) in per_eps_trials.items():
             stats = [s for _, side in group for s in side[1] if s[0] == eps_index]
             if not stats:
                 continue
             ratios = np.array([s[3] for s in stats])
-            field_rows.append(
-                dict(
-                    half_side=half_side,
-                    eps=plan.eps_grid[eps_index],
-                    n_fields=len(stats),
-                    sup_ratio_max=float(np.nanmax([s[1] for s in stats])),
-                    annulus_ok=all(s[2] for s in stats),
-                    ratio_max=float(ratios.max()),
-                    ratio_median=float(np.median(ratios)),
-                    delta_ratio=delta_ratio,
-                    flat_ratio=flat_ratio,
-                )
+            four_norm.append(
+                [
+                    half_side,
+                    eps,
+                    float(ratios.max()),
+                    float(np.median(ratios)),
+                    delta_ratio,
+                    flat_ratio,
+                ]
             )
+            sup_bound.append([half_side, eps, float(np.nanmax([s[1] for s in stats]))])
+            annulus_ok[half_side, eps] = all(s[2] for s in stats)
 
+        corpus = np.array([side[0] for _, side in group])
         trial_scale = max(trial_ratios) if trial_ratios else math.nan
         corpus_max = float(corpus.max()) if corpus.size else math.nan
-        corpus_rows.append(
-            dict(
-                half_side=half_side,
-                n_corpus=int(corpus.size),
-                corpus_max=corpus_max,
-                corpus_median=float(np.median(corpus)) if corpus.size else math.nan,
-                trial_scale=trial_scale,
-                within_3x=bool(corpus_max <= 3.0 * trial_scale)
-                if trial_ratios
-                else False,
-            )
-        )
+        corpus_median = float(np.median(corpus)) if corpus.size else math.nan
+        corpus_rows.append([half_side, corpus_max, corpus_median, trial_scale])
+        # False when either side is NaN: no corpus, or every eps skipped
+        within_3x[half_side] = bool(corpus_max <= 3.0 * trial_scale)
 
-    return ShellsSummary(field_rows=field_rows, corpus_rows=corpus_rows, n_failed=n_failed)
+    series = {
+        "four_norm_ratio": (
+            ["half_side", "eps", "ratio_max", "ratio_median", "delta", "flat"],
+            four_norm,
+        ),
+        "sup_bound": (["half_side", "eps", "sup_ratio_max"], sup_bound),
+        "corpus": (
+            ["half_side", "corpus_max", "corpus_median", "trial_scale"],
+            corpus_rows,
+        ),
+    }
+    checks = {
+        "eps skipped (eps L < 1) by L": skipped,
+        "annulus bound holds by (L, eps)": annulus_ok,
+        "corpus max within 3x trial scale by L": within_3x,
+    }
+    return series, checks
 
 
 _PIPELINES = {

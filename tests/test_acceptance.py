@@ -220,8 +220,10 @@ def test_criterion_05_certificate_holds_on_condensation_run(capsys, trend_run):
 def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
     result, elapsed = trend_run
     summary = result.summary
-    medians = [row["median_overlap"] for row in summary.rows]
-    fractions = [row["fraction_within_eta"] for row in summary.rows]
+    medians = [row[1] for row in summary.series["overlap"][1]]
+    fractions = [row[1] for row in summary.series["condensate_fraction"][1]]
+    overlap_monotone = summary.checks["overlap trend non-decreasing"]
+    fraction_monotone = summary.checks["fraction trend non-decreasing"]
     # the overlap differs from 1 only in the 8th digit at L=512, so the
     # deficit 1 - overlap is what a relative gate can see move
     deficits = [
@@ -232,8 +234,10 @@ def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
 
     snapshot = {
         "l_grid": list(TREND_PLAN.l_grid),
-        "coupling": [row["coupling"] for row in summary.rows],
-        "eta": [row["eta"] for row in summary.rows],
+        "coupling": [
+            TREND_PLAN.coupling_for(l_index) for l_index in range(len(TREND_PLAN.l_grid))
+        ],
+        "eta": [row[2] for row in summary.series["condensate_fraction"][1]],
         "median_overlap": medians,
         "fraction_within_eta": fractions,
         "median_deficit": deficits,
@@ -260,8 +264,8 @@ def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
         fixture_ok = True
 
     ok = (
-        summary.overlap_monotone
-        and summary.fraction_monotone
+        overlap_monotone
+        and fraction_monotone
         and medians[-1] >= 0.9
         and elapsed <= 1800.0
         and fixture_ok
@@ -272,8 +276,8 @@ def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
         ok,
         f"median overlaps {['%.8f' % m for m in medians]} (deficits "
         f"{['%.4e' % d for d in deficits]}) non-decreasing="
-        f"{summary.overlap_monotone}, fractions non-decreasing="
-        f"{summary.fraction_monotone}, {elapsed:.0f}s wall; {fixture_note}",
+        f"{overlap_monotone}, fractions non-decreasing="
+        f"{fraction_monotone}, {elapsed:.0f}s wall; {fixture_note}",
     )
 
 
@@ -353,7 +357,7 @@ def test_criterion_09_level_pair_statistics_slope(capsys):
     start = time.perf_counter()
     result = run_plan(plan)
     elapsed = time.perf_counter() - start
-    slope = result.summary.minami_slope[32]
+    slope = result.summary.checks["Minami log-log slope by L"][32]
     ok = 1.7 <= slope <= 2.3 and elapsed <= 600.0
     verdict(
         capsys,

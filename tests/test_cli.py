@@ -117,7 +117,7 @@ def test_end_to_end_run_writes_all_outputs(tmp_path, capsys):
     )
     assert code == 0
     captured = capsys.readouterr()
-    assert "med overlap" in captured.out
+    assert "[overlap]" in captured.out
     assert captured.err == ""
 
     result = read_records(out)
@@ -211,6 +211,15 @@ def test_every_flag_reaches_the_plan():
     default = ExperimentPlan(experiment="spectrum", seed=0)
     for dest, (_, value) in flags.items():
         assert getattr(plan, dest) == value != getattr(default, dest), dest
+
+
+def test_oversize_estimates_plan_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "big.jsonl"
+    argv = ["estimates", "--seed", "1", "--l-grid", "5000", "--schedule", "0"]
+    code = main(argv + ["--samples", "1", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_plan_value_in_config_is_a_usage_error(tmp_path, capsys):

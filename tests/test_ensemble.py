@@ -245,11 +245,12 @@ def test_condense_records_carry_provenance_and_physics(small_condense):
 def test_condense_summary_shape(small_condense):
     plan, result = small_condense
     summary = result.summary
-    assert [r["half_side"] for r in summary.rows] == list(plan.l_grid)
+    for header, rows in summary.series.values():
+        assert [row[0] for row in rows] == list(plan.l_grid)
     assert summary.n_failed == 0
     text = summary.table()
-    assert "med overlap" in text and str(plan.l_grid[-1]) in text
-    series = summary.series()
+    assert "[overlap]" in text and str(plan.l_grid[-1]) in text
+    series = summary.series
     assert set(series) == {"overlap", "gap", "condensate_fraction"}
     header, rows = series["overlap"]
     assert header[0] == "half_side" and len(rows) == len(plan.l_grid)
@@ -328,7 +329,8 @@ def test_worker_count_does_not_change_records():
         assert Counter(r.content_key() for r in serial.records) == Counter(
             r.content_key() for r in pooled.records
         ), plan_serial.experiment
-        assert serial.summary.series() == pooled.summary.series()
+        np.testing.assert_equal(serial.summary.series, pooled.summary.series)
+        np.testing.assert_equal(serial.summary.checks, pooled.summary.checks)
 
 
 @pytest.mark.parametrize(
@@ -366,9 +368,9 @@ def test_spectrum_runner_smoke():
     assert all(math.isfinite(r.gap) and r.gap >= 0 for r in result.records)
     assert all(math.isnan(r.e_gp) for r in result.records)
     assert all(r.center_dist >= 0 for r in result.records)
-    series = result.summary.series()
+    series = result.summary.series
     assert set(series) == {"gap", "gap_law", "center_distance"}
-    assert len(result.summary.gap_law) == len(plan.gap_eta_grid)
+    assert len(series["gap_law"][1]) == len(plan.gap_eta_grid)
 
 
 def test_scaling_runner_smoke():
@@ -376,11 +378,12 @@ def test_scaling_runner_smoke():
         experiment="scaling", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
     )
     result = run_plan(plan)
-    summary = result.summary
-    assert summary.band_ratio >= 1.0
-    assert math.isfinite(summary.band_min) and summary.band_min > 0
-    assert summary.flatness_violations == 0
-    header, rows = summary.series()["e0"]
+    checks = result.summary.checks
+    band_min, _ = checks["normalized band (min, max)"]
+    assert checks["normalized band ratio"] >= 1.0
+    assert math.isfinite(band_min) and band_min > 0
+    assert checks["flatness violations"] == 0
+    header, rows = result.summary.series["e0"]
     assert len(rows) == 2
 
 
@@ -398,19 +401,31 @@ def test_estimates_runner_smoke():
     assert all(r.wall_time > 0 for r in result.records)
     summary = result.summary
     assert summary.n_failed == 0
-    assert {row["width"] for row in summary.wegner} == set(plan.wegner_widths)
-    assert set(summary.minami_slope) == {6}
-    for row in summary.lifshitz:
-        assert 0.0 <= row["prob"] <= 1.0
-    assert len(summary.gap_law) == len(plan.gap_eta_grid)
+    _, wegner = summary.series["wegner"]
+    assert {row[1] for row in wegner} == set(plan.wegner_widths)
+    assert set(summary.checks["Minami log-log slope by L"]) == {6}
+    for side, prob in summary.series["lifshitz"][1]:
+        assert 0.0 <= prob <= 1.0
+    assert len(summary.series["gap_law"][1]) == len(plan.gap_eta_grid)
 
 
 def test_estimates_runner_refuses_oversize_grids():
-    plan = ExperimentPlan(
-        experiment="estimates", seed=2, l_grid=(5000,), schedule=(0.0,), samples=1
-    )
+    # the torus of the largest L, and a 65^2 = 4225-site Neumann box, are both
+    # above the dense limit; either is refused before any sample runs
     with pytest.raises(OversizeError):
-        run_plan(plan)
+        ExperimentPlan(
+            experiment="estimates", seed=2, l_grid=(5000,), schedule=(0.0,), samples=1
+        )
+    with pytest.raises(OversizeError):
+        ExperimentPlan(
+            experiment="estimates",
+            seed=2,
+            dim=2,
+            l_grid=(4,),
+            schedule=(0.0,),
+            samples=1,
+            box_sides=(65,),
+        )
 
 
 def test_shells_runner_smoke():
@@ -425,14 +440,35 @@ def test_shells_runner_smoke():
     result = run_plan(plan)
     summary = result.summary
     assert summary.n_failed == 0
-    assert {r["eps"] for r in summary.field_rows} == {0.5, 0.25}
-    for row in summary.field_rows:
-        assert row["sup_ratio_max"] <= 1.0 + 1e-9
-        assert row["annulus_ok"]
-        assert 0.0 < row["ratio_median"] <= row["ratio_max"]
-    (corpus,) = summary.corpus_rows
-    assert corpus["n_corpus"] == 2
-    assert corpus["within_3x"]
+    _, four_norm = summary.series["four_norm_ratio"]
+    _, sup_bound = summary.series["sup_bound"]
+    assert {row[1] for row in four_norm} == {0.5, 0.25}
+    for _, _, ratio_max, ratio_median, _, _ in four_norm:
+        assert 0.0 < ratio_median <= ratio_max
+    for _, _, sup_ratio_max in sup_bound:
+        assert sup_ratio_max <= 1.0 + 1e-9
+    assert summary.checks["annulus bound holds by (L, eps)"] == {
+        (32, 0.5): True,
+        (32, 0.25): True,
+    }
+    # every healthy sample gives one corpus ratio and one field per kept eps
+    assert summary.n_ok == {32: 2}
+    assert summary.checks["corpus max within 3x trial scale by L"] == {32: True}
+
+
+def test_shells_names_skipped_eps():
+    plan = ExperimentPlan(
+        experiment="shells",
+        seed=0,
+        l_grid=(8,),
+        schedule=(0.0,),
+        samples=1,
+        eps_grid=(0.5, 0.1),
+    )
+    summary = run_plan(plan).summary
+    assert summary.checks["eps skipped (eps L < 1) by L"] == {8: [0.1]}
+    assert "eps skipped (eps L < 1) by L: {8: [0.1]}" in summary.table()
+    assert [row[1] for row in summary.series["four_norm_ratio"][1]] == [0.5]
 
 
 # --- Neumann / periodic / Dirichlet bracketing --------------------------------

@@ -102,6 +102,25 @@ def test_records_and_series_match_golden(name, tmp_path):
             assert all(same_value(a, b) for a, b in zip(row, ref_row)), series
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+def test_summary_text_shows_every_series(name, tmp_path):
+    # the summary text and the .dat files come from the same series
+    plan = replace(GOLDEN_PLANS[name], out=str(tmp_path / "run.jsonl"))
+    paths = write_outputs(run_plan(plan))
+    text = (tmp_path / "run.summary.txt").read_text()
+    blocks = {}
+    for block in text.split("\n\n"):
+        title, header, *rows = block.splitlines()
+        if title.startswith("["):
+            blocks[title.strip("[]")] = (header.split()[1:], len(rows))
+    dat_paths = [p for p in paths if p.suffix == ".dat"]
+    assert len(blocks) == len(dat_paths)
+    for path in dat_paths:
+        header, *rows = path.read_text().splitlines()
+        series = path.name[len("run.") : -len(".dat")]
+        assert blocks[series] == (header.split()[1:], len(rows)), series
+
+
 if __name__ == "__main__":
     import tempfile
 
