@@ -419,6 +419,9 @@ def _sample(task: tuple[ExperimentPlan, int, int]) -> tuple[RunRecord, object]:
                 tol=plan.tol_eig,
                 seed=provenance_stream(plan.seed, l_index, sample_index, EIG_CHANNEL),
             )
+            base.update(
+                eig_applies=eig.iterations, eig_residual_max=float(eig.residuals.max())
+            )
         fields, side = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)
     except (EigenConvergenceError, RuntimeError, ValueError) as exc:
         record = RunRecord(**base, error=str(exc), wall_time=time.perf_counter() - start)

@@ -34,7 +34,7 @@ class LatticeGeometry:
     side: int
     n_sites: int
     coords: np.ndarray      # (n_sites, dim) int, each coordinate in [-L, L]
-    neighbors: np.ndarray   # (n_sites, 2*dim) int, periodic neighbours
+    neighbors: np.ndarray   # (n_sites, 2*dim) int, for restrictions and dense assembly
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -89,10 +89,30 @@ def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
     return arr
 
 
+def periodic_stencil(geom: LatticeGeometry, diag, field) -> np.ndarray:
+    """``diag * u`` minus the sum over each site's 2d torus neighbours.
+
+    ``field`` is one flat field or an (n_sites, k) block of them, and ``diag``
+    a scalar or a per-site array.  The neighbours are subtracted in place on
+    shifted slices of the grid, wrap-around faces included.
+    """
+    u = np.ascontiguousarray(field)
+    tail = u.shape[1:]
+    grid = u.reshape(geom.shape + tail)
+    d = np.asarray(diag)
+    out = (d.reshape(geom.shape + (1,) * len(tail)) if d.ndim else d) * grid
+    for axis in range(geom.dim):
+        pre = (slice(None),) * axis
+        out[pre + (slice(None, -1),)] -= grid[pre + (slice(1, None),)]
+        out[pre + (-1,)] -= grid[pre + (0,)]
+        out[pre + (slice(1, None),)] -= grid[pre + (slice(None, -1),)]
+        out[pre + (0,)] -= grid[pre + (-1,)]
+    return out.reshape(u.shape)
+
+
 def apply_neg_laplacian(geom: LatticeGeometry, field) -> np.ndarray:
     """Apply -Delta site-wise: 2d u(x) minus the sum over the 2d neighbours."""
-    u = _check_field(geom, field)
-    return 2 * geom.dim * u - u[geom.neighbors].sum(axis=1)
+    return periodic_stencil(geom, 2 * geom.dim, _check_field(geom, field))
 
 
 def laplace_symbol(geom: LatticeGeometry) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 One record per sample, one JSON object per line, floats serialized with
 shortest-round-trip precision so reading a stream back reproduces every
-numeric field exactly.  The diagnostics ``wall_time`` and ``gp_grad_norm``
+numeric field exactly.  The diagnostics (``wall_time``, the GP minimizer's
+final gradient and the eigensolver's applied columns and largest residual)
 are bookkeeping, not payload: record content comparisons (and the
-determinism guarantees) exclude them, and a stream written without
-``gp_grad_norm`` reads back with it set to NaN.
+determinism guarantees) exclude them, and a stream written before a
+diagnostic existed reads back with it set to NaN.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 
-# bookkeeping fields, kept out of content comparisons
-DIAGNOSTICS = ("wall_time", "gp_grad_norm")
+# bookkeeping fields, kept out of content comparisons; all but wall_time
+# read back as NaN from streams written without them
+DIAGNOSTICS = ("wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max")
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class RunRecord:
     error: str | None = None
     wall_time: float = 0.0
     gp_grad_norm: float = math.nan
+    eig_applies: float = math.nan       # applied columns, an int when measured
+    eig_residual_max: float = math.nan
 
     def content_dict(self) -> dict:
         """All payload fields; excludes the diagnostics."""
@@ -77,7 +81,8 @@ class RunRecord:
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
         known = {f.name for f in fields(cls)}
-        data.setdefault("gp_grad_norm", math.nan)
+        for name in DIAGNOSTICS[1:]:
+            data.setdefault(name, math.nan)
         missing = known - data.keys()
         if missing:
             raise ValueError(f"record is missing fields {sorted(missing)}")

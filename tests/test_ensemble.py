@@ -242,6 +242,16 @@ def test_condense_records_carry_provenance_and_physics(small_condense):
         assert rec.gp_converged
 
 
+def test_records_carry_eigensolver_diagnostics(small_condense):
+    plan, result = small_condense
+    for rec in result.records:
+        assert isinstance(rec.eig_applies, int) and rec.eig_applies > 0
+        assert 0.0 < rec.eig_residual_max <= plan.tol_eig
+    # the dense path of `estimates` runs no iterative solver
+    rec = replay_sample(ExperimentPlan(experiment="estimates", seed=2, l_grid=(6,)), 0, 0)
+    assert math.isnan(rec.eig_applies) and math.isnan(rec.eig_residual_max)
+
+
 def test_condense_summary_shape(small_condense):
     plan, result = small_condense
     summary = result.summary

@@ -7,6 +7,8 @@ centers must match exactly, floats within ``FLOAT_TOL``.  Regenerate with
     PYTHONPATH=src python tests/test_golden.py
 
 only when a change to the records is intended, and say which fields moved.
+Regeneration keeps every archived value that still matches, rewrites only
+the moved ones and prints them, so a second run leaves the fixture as is.
 """
 
 import json
@@ -121,10 +123,65 @@ def test_summary_text_shows_every_series(name, tmp_path):
         assert blocks[series] == (header.split()[1:], len(rows)), series
 
 
+def merge_snapshot(fresh: dict, archived: dict | None, name: str) -> list[tuple]:
+    """Put archived values back into ``fresh`` wherever they still match.
+
+    Returns the (plan, record or series, field or row) triples that moved.
+    """
+    if archived is None or len(archived["records"]) != len(fresh["records"]):
+        return [(name, "records", "all")]
+    moved = []
+    for rec, ref in zip(fresh["records"], archived["records"]):
+        for key, value in rec.items():
+            if key in ref and same_value(value, ref[key]):
+                rec[key] = ref[key]
+            else:
+                moved.append((name, (rec["l_index"], rec["sample_index"]), key))
+    for series, text in fresh["series"].items():
+        lines = text.splitlines(keepends=True)
+        old = archived["series"].get(series, "").splitlines(keepends=True)
+        if len(old) != len(lines) or old[:1] != lines[:1]:
+            moved.append((name, series, "all"))
+            continue
+        for row, (line, ref) in enumerate(zip(lines[1:], old[1:]), start=1):
+            got, want = line.split(), ref.split()
+            if len(got) == len(want) and all(
+                same_value(float(a), float(b)) for a, b in zip(got, want)
+            ):
+                lines[row] = ref
+            else:
+                moved.append((name, series, row))
+        fresh["series"][series] = "".join(lines)
+    return moved
+
+
+def test_regeneration_keeps_values_that_still_match():
+    archived = {
+        "records": [{"l_index": 0, "sample_index": 1, "e0": 0.5, "gap": 0.25}],
+        "series": {"run.gap.dat": "# half_side median\n4 0.25\n5 0.5\n"},
+    }
+    fresh = {
+        "records": [{"l_index": 0, "sample_index": 1, "e0": 0.5 + 1e-13, "gap": 0.26}],
+        "series": {"run.gap.dat": "# half_side median\n4 0.2500000000001\n5 0.6\n"},
+    }
+    moved = merge_snapshot(fresh, archived, "plan")
+    assert moved == [("plan", (0, 1), "gap"), ("plan", "run.gap.dat", 2)]
+    assert fresh["records"][0] == {"l_index": 0, "sample_index": 1, "e0": 0.5, "gap": 0.26}
+    assert fresh["series"]["run.gap.dat"] == "# half_side median\n4 0.25\n5 0.6\n"
+
+
 if __name__ == "__main__":
     import tempfile
 
+    archive = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         data = {name: snapshot(plan, Path(tmp)) for name, plan in GOLDEN_PLANS.items()}
+    moved = [
+        entry
+        for name, snap in data.items()
+        for entry in merge_snapshot(snap, archive.get(name), name)
+    ]
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"wrote {GOLDEN}")
+    for entry in moved:
+        print("moved:", *entry)
+    print(f"wrote {GOLDEN} ({len(moved)} moved)")

@@ -35,6 +35,8 @@ def make_record(**overrides):
         error=None,
         wall_time=1.25,
         gp_grad_norm=3.5e-10,
+        eig_applies=1059,
+        eig_residual_max=2.7416428968939688e-12,
     )
     base.update(overrides)
     return RunRecord(**base)
@@ -82,6 +84,30 @@ def test_gp_grad_norm_is_a_diagnostic(tmp_path):
     assert result.bad_lines == []
     assert math.isnan(result.records[0].gp_grad_norm)
     assert result.records[0].content_key() == rec.content_key()
+
+
+def test_eigensolver_diagnostics_round_trip(tmp_path):
+    rec = make_record(eig_applies=4213, eig_residual_max=8.123456789e-11)
+    back = RunRecord.from_json(rec.to_json())
+    assert back == rec
+    assert back.eig_applies == 4213 and back.eig_residual_max == 8.123456789e-11
+    assert not {"eig_applies", "eig_residual_max"} & rec.content_dict().keys()
+    assert rec.content_key() == make_record(eig_applies=7, eig_residual_max=1.0).content_key()
+
+    # a line written before the solver diagnostics existed reads back NaN
+    data = json.loads(rec.to_json())
+    del data["eig_applies"], data["eig_residual_max"]
+    old = json.dumps(data)
+    data.pop("gp_grad_norm")
+    older = json.dumps(data)
+    path = tmp_path / "old.jsonl"
+    path.write_text(old + "\n" + older + "\n")
+    result = read_records(path)
+    assert result.bad_lines == []
+    for back in result.records:
+        assert math.isnan(back.eig_applies) and math.isnan(back.eig_residual_max)
+        assert back.content_key() == rec.content_key()
+    assert math.isnan(result.records[1].gp_grad_norm)
 
 
 def test_write_then_read(tmp_path):

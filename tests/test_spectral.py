@@ -3,12 +3,16 @@ import pytest
 
 from gplattice import (
     DisorderSpec,
+    Region,
     build_lattice,
     dense_matrix,
     lowest_eigenpairs,
     periodic_hamiltonian,
+    provenance_stream,
+    restrict_hamiltonian,
     sample_potential,
 )
+from gplattice.disorder import EIG_CHANNEL
 from gplattice.lattice import laplace_symbol
 from gplattice.spectral import EigenConvergenceError, OversizeError, dense_oracle
 
@@ -38,6 +42,46 @@ def test_apply_matches_dense():
         np.testing.assert_allclose(ham.apply(u), mat @ u, atol=1e-12)
         block = rng.normal(size=(ham.n_sites, 3))
         np.testing.assert_allclose(ham.apply(block), mat @ block, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("half", [1, 2])
+def test_periodic_stencil_matches_dense(dim, half):
+    ham = make_ham(dim, half)
+    assert ham.bc == "periodic"
+    mat = dense_matrix(ham)
+    rng = np.random.default_rng(10 * dim + half)
+    u = rng.normal(size=ham.n_sites)
+    np.testing.assert_allclose(ham.apply(u), mat @ u, rtol=0, atol=1e-13)
+    # a Fortran-ordered block, as QR factorizations return them
+    block = np.asfortranarray(rng.normal(size=(ham.n_sites, 2 * dim + 3)))
+    np.testing.assert_allclose(ham.apply(block), mat @ block, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize(
+    "dim, intervals",
+    [(1, ((-3, 5),)), (2, ((-2, 4), (0, 3))), (3, ((-1, 3), (0, 2), (-2, 3)))],
+)
+def test_restricted_boxes_match_dense_through_table(dim, bc, intervals):
+    geom = build_lattice(dim, 3)
+    real = sample_potential(SPEC, geom, 0, 1)
+    op = restrict_hamiltonian(real, Region(intervals=intervals, bc=bc))
+    mat = dense_matrix(op)
+    rng = np.random.default_rng(dim)
+    u = rng.normal(size=op.n_sites)
+    np.testing.assert_allclose(op.apply(u), mat @ u, rtol=0, atol=1e-13)
+    block = rng.normal(size=(op.n_sites, 2 * dim + 3))
+    np.testing.assert_allclose(op.apply(block), mat @ block, rtol=0, atol=1e-13)
+
+
+def test_whole_torus_at_an_offset_keeps_the_stencil_exact():
+    # the region's site order is a cyclic shift per axis, still a torus grid
+    geom = build_lattice(2, 3)
+    real = sample_potential(SPEC, geom, 0, 2)
+    op = restrict_hamiltonian(real, Region(intervals=((0, 7), (2, 7)), bc="periodic"))
+    u = np.random.default_rng(0).normal(size=(op.n_sites, 3))
+    np.testing.assert_allclose(op.apply(u), dense_matrix(op) @ u, rtol=0, atol=1e-13)
 
 
 def test_iterative_matches_dense_oracle():
@@ -87,6 +131,51 @@ def test_degenerate_flat_potential_spectrum():
     np.testing.assert_allclose(sol.values, symbol[:5], atol=1e-10)
     full = np.linalg.eigvalsh(dense_matrix(ham))
     np.testing.assert_allclose(full, symbol, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim, half", [(2, 6), (3, 3)])
+def test_degenerate_flat_potential_keeps_the_2d_fold_level(dim, half):
+    geom = build_lattice(dim, half)
+    spec = DisorderSpec(distribution="levels", v_max=1.0, levels=(0.0,), master_seed=0)
+    ham = periodic_hamiltonian(sample_potential(spec, geom, 0, 0))
+    symbol = np.sort(laplace_symbol(geom))
+    count = 2 * dim + 1
+    sol = lowest_eigenpairs(ham, count, tol=1e-10, seed=3)
+    assert sol.converged and sol.residuals.max() <= 1e-10
+    np.testing.assert_allclose(sol.values, symbol[:count], atol=1e-10)
+    # the constant ground state, then the whole first excited level
+    level = sol.vectors[:, 1:]
+    assert level.shape[1] == 2 * dim
+    np.testing.assert_allclose(ham.apply(level), symbol[1] * level, atol=1e-9)
+    np.testing.assert_allclose(level.T @ level, np.eye(2 * dim), atol=1e-12)
+
+
+def test_small_gap_sample_converges_to_the_dense_oracle():
+    # master seed 3, L=128, sample 1: the two lowest levels are 1.9e-5 apart
+    geom = build_lattice(1, 128)
+    spec = DisorderSpec(master_seed=3)
+    ham = periodic_hamiltonian(sample_potential(spec, geom, 0, 1))
+    ref = dense_oracle(ham)
+    assert 1e-5 < ref.values[1] - ref.values[0] < 2e-5
+    sol = lowest_eigenpairs(ham, 2, tol=1e-10, seed=provenance_stream(3, 0, 1, EIG_CHANNEL))
+    assert sol.converged
+    fresh = np.linalg.norm(ham.apply(sol.vectors) - sol.vectors * sol.values, axis=0)
+    assert fresh.max() <= 1e-10
+    np.testing.assert_allclose(sol.values, ref.values[:2], rtol=0, atol=1e-12)
+    overlaps = np.abs(np.sum(sol.vectors * ref.vectors[:, :2], axis=0))
+    np.testing.assert_allclose(overlaps, 1.0, rtol=0, atol=1e-12)
+
+
+def test_deep_ground_state_does_not_stall_the_pair_above():
+    # master seed 0, L=512, L index 3, sample 20: e0 sits 0.034 below a tight
+    # cluster of five levels; filtering e0's column with the rest swamped the
+    # second pair in the QR, whose residual stalled at 1.26e-10
+    geom = build_lattice(1, 512)
+    ham = periodic_hamiltonian(sample_potential(DisorderSpec(master_seed=0), geom, 3, 20))
+    sol = lowest_eigenpairs(ham, 2, tol=1e-10, seed=provenance_stream(0, 3, 20, EIG_CHANNEL))
+    assert sol.converged and sol.residuals.max() <= 1e-10
+    ref = dense_oracle(ham)
+    np.testing.assert_allclose(sol.values, ref.values[:2], rtol=0, atol=1e-12)
 
 
 def test_sign_convention_nonnegative_sum():
