@@ -122,11 +122,22 @@ def write_outputs(result: ExperimentResult) -> list[Path]:
     return written
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse a records path that cannot be written, before any sample runs."""
+    if out is None:
+        return
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(f"--out names a directory: {out}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         plan = plan_from_options(_merge_options(args))
+        _check_out(plan.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeGeometry
+from .lattice import LatticeGeometry, stencil
 from .spectral import HamiltonianOperator
 
 DISTRIBUTIONS = ("uniform", "bernoulli", "levels")
@@ -213,38 +213,28 @@ def restrict_hamiltonian(
 ) -> HamiltonianOperator:
     """Restrict -Delta + V to a region under the region's boundary condition.
 
-    Both restrictions drop the couplings that leave the region; Dirichlet
-    keeps the diagonal 2d + V while Neumann reduces it to the in-region
-    degree + V.  A periodic "restriction" must cover the whole torus.
+    Both restrictions drop the couplings that leave the region, so an axis
+    that spans the whole torus keeps its wrap coupling; Dirichlet keeps the
+    diagonal 2d + V while Neumann reduces it to the in-region degree + V.  A
+    periodic "restriction" must cover the whole torus.
     """
     geom = realization.geom
+    shape = region.side_lengths()
     if region.bc == "periodic":
-        if region.n_sites() != geom.n_sites:
+        if shape != geom.shape:
             raise ValueError("periodic boundary requires the whole torus")
     elif region.wraps(geom):
         raise ValueError("Dirichlet/Neumann regions must not wrap around the torus")
 
     sites = region.site_indices(geom)
-    n = sites.size
-    local = np.full(geom.n_sites, -1, dtype=np.int64)
-    local[sites] = np.arange(n)
-
-    hop = local[geom.neighbors[sites]]
-    outside = hop < 0
-    hop = np.where(outside, n, hop)
-
     if region.bc == "neumann":
-        kinetic = 2.0 * geom.dim - outside.sum(axis=1)
+        kinetic = -stencil(shape, geom.side, 0.0, np.ones(sites.size))
     else:
-        kinetic = np.full(n, 2.0 * geom.dim)
+        kinetic = np.full(sites.size, 2.0 * geom.dim)
     pot = realization.potential[sites]
 
     return HamiltonianOperator(
-        geom=geom,
-        diag=kinetic + pot,
-        hop=hop,
-        potential=pot,
-        bc=region.bc,
+        geom=geom, diag=kinetic + pot, shape=shape, potential=pot, bc=region.bc
     )
 
 

@@ -59,7 +59,13 @@ from .disorder import (
     sample_potential,
 )
 from .gp import GPProblem, certificate, minimize_gp
-from .lattice import LatticeGeometry, build_lattice, dirichlet_energy, torus_distance
+from .lattice import (
+    SUPPORTED_DIMS,
+    LatticeGeometry,
+    build_lattice,
+    dirichlet_energy,
+    torus_distance,
+)
 from .records import RunRecord
 from .spectral import (
     DENSE_LIMIT,
@@ -134,6 +140,10 @@ class ExperimentPlan:
             )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.dim not in SUPPORTED_DIMS:
+            raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {self.dim}")
+        if not self.c >= 0:
+            raise ValueError(f"c must be >= 0, got {self.c}")
         if not self.l_grid:
             raise ValueError("l_grid must not be empty")
         if any(b <= a for a, b in zip(self.l_grid, self.l_grid[1:])):

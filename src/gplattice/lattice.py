@@ -4,7 +4,9 @@ Sites form the cube {-L, ..., L}^d with opposite faces identified, so every
 site has exactly 2d neighbours.  Fields are flat numpy arrays indexed site by
 site; internally coordinate c sits at axis position c + L and the axes are
 raveled in row-major order, which gives a fixed site <-> multi-index
-bijection.
+bijection.  Axis-aligned boxes inside the torus use the same row-major
+layout on their own side lengths, so one stencil serves the torus and every
+box.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol
@@ -27,14 +29,13 @@ SUPPORTED_DIMS = (1, 2, 3)
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Torus geometry: dimensions, site coordinates and the neighbour table."""
+    """Torus geometry: dimensions and site coordinates."""
 
     dim: int
     half_side: int
     side: int
     n_sites: int
     coords: np.ndarray      # (n_sites, dim) int, each coordinate in [-L, L]
-    neighbors: np.ndarray   # (n_sites, 2*dim) int, for restrictions and dense assembly
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,7 +53,7 @@ class LatticeGeometry:
 
 
 def build_lattice(dim: int, half_side: int) -> LatticeGeometry:
-    """Construct the periodic torus {-L..L}^d with its neighbour table."""
+    """Construct the periodic torus {-L..L}^d."""
     if dim not in SUPPORTED_DIMS:
         raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {dim}")
     if half_side < 1:
@@ -63,20 +64,8 @@ def build_lattice(dim: int, half_side: int) -> LatticeGeometry:
 
     axes = np.indices(shape).reshape(dim, n_sites)
     coords = (axes.T - half_side).astype(np.int64)
-
-    flat = np.arange(n_sites).reshape(shape)
-    neighbors = np.empty((n_sites, 2 * dim), dtype=np.int64)
-    for axis in range(dim):
-        neighbors[:, 2 * axis] = np.roll(flat, -1, axis=axis).ravel()
-        neighbors[:, 2 * axis + 1] = np.roll(flat, 1, axis=axis).ravel()
-
     return LatticeGeometry(
-        dim=dim,
-        half_side=half_side,
-        side=side,
-        n_sites=n_sites,
-        coords=coords,
-        neighbors=neighbors,
+        dim=dim, half_side=half_side, side=side, n_sites=n_sites, coords=coords
     )
 
 
@@ -89,30 +78,36 @@ def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
     return arr
 
 
-def periodic_stencil(geom: LatticeGeometry, diag, field) -> np.ndarray:
-    """``diag * u`` minus the sum over each site's 2d torus neighbours.
+def stencil(shape: tuple[int, ...], side: int, diag, field) -> np.ndarray:
+    """``diag * u`` minus the sum over each site's neighbours inside a box.
 
-    ``field`` is one flat field or an (n_sites, k) block of them, and ``diag``
-    a scalar or a per-site array.  The neighbours are subtracted in place on
-    shifted slices of the grid, wrap-around faces included.
+    The box has side lengths ``shape`` on a torus of side ``side``; the whole
+    torus is the box of shape ``(side,) * d``.  ``field`` is one flat field
+    or a (sites, k) block of them, and ``diag`` a scalar or a per-site array.
+    The neighbours are subtracted in place on shifted slices of the grid.  An
+    axis as long as the torus side also couples its two end faces; a shorter
+    axis drops the couplings that leave the box.
     """
     u = np.ascontiguousarray(field)
     tail = u.shape[1:]
-    grid = u.reshape(geom.shape + tail)
+    grid = u.reshape(shape + tail)
     d = np.asarray(diag)
-    out = (d.reshape(geom.shape + (1,) * len(tail)) if d.ndim else d) * grid
-    for axis in range(geom.dim):
+    out = (d.reshape(shape + (1,) * len(tail)) if d.ndim else d) * grid
+    for axis, length in enumerate(shape):
         pre = (slice(None),) * axis
+        wraps = length == side
         out[pre + (slice(None, -1),)] -= grid[pre + (slice(1, None),)]
-        out[pre + (-1,)] -= grid[pre + (0,)]
+        if wraps:
+            out[pre + (-1,)] -= grid[pre + (0,)]
         out[pre + (slice(1, None),)] -= grid[pre + (slice(None, -1),)]
-        out[pre + (0,)] -= grid[pre + (-1,)]
+        if wraps:
+            out[pre + (0,)] -= grid[pre + (-1,)]
     return out.reshape(u.shape)
 
 
 def apply_neg_laplacian(geom: LatticeGeometry, field) -> np.ndarray:
     """Apply -Delta site-wise: 2d u(x) minus the sum over the 2d neighbours."""
-    return periodic_stencil(geom, 2 * geom.dim, _check_field(geom, field))
+    return stencil(geom.shape, geom.side, 2 * geom.dim, _check_field(geom, field))
 
 
 def laplace_symbol(geom: LatticeGeometry) -> np.ndarray:

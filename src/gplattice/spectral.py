@@ -1,10 +1,10 @@
 """Matrix-free lattice Hamiltonians and their low-lying spectra.
 
-An operator stores a per-site diagonal (kinetic part plus potential) and a
-padded neighbour table, so one application costs O(sites * 2d) and nothing is
-ever assembled except inside the small-instance dense oracle.  On the full
-torus the neighbours are subtracted on shifted slices of the grid; restricted
-Dirichlet and Neumann boxes go through the table.
+An operator stores a per-site diagonal (kinetic part plus potential) on the
+grid of its region, the torus or a box inside it, and subtracts the
+neighbours on shifted slices of that grid (:func:`lattice.stencil`).  One
+application costs O(sites * 2d), and nothing is ever assembled except inside
+the small-instance dense oracle.
 
 The iterative solver is Chebyshev-filtered subspace iteration (Zhou, Saad,
 Tiago & Chelikowsky, J. Comput. Phys. 219, 2006; Zhou & Saad, SIAM J. Matrix
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGeometry, periodic_stencil
+from .lattice import LatticeGeometry, stencil
 
 DENSE_LIMIT = 4096
 # Chebyshev filter degree per outer step; 20-40 all cost within 10%
@@ -50,17 +50,18 @@ class EigenConvergenceError(RuntimeError):
 class HamiltonianOperator:
     """(-Delta + V) restricted to a region.
 
-    A periodic operator covers the whole torus and is applied as a stencil
-    on the grid.  ``hop`` holds local neighbour indices with ``n_sites`` as
-    the padding value for couplings dropped at the region boundary.  Boundary
-    conventions: periodic and Dirichlet keep the full diagonal 2d + V, the
-    Neumann restriction reduces it to the in-region degree + V so that the
-    region-constant vector is in the kernel whenever V vanishes.
+    The operator is a stencil on the region's grid of side lengths
+    ``shape``.  An axis as long as the torus side keeps the coupling between
+    its end faces; on a shorter axis the couplings that leave the region are
+    dropped.  Boundary conventions: periodic and Dirichlet keep the full
+    diagonal 2d + V, the Neumann restriction reduces it to the in-region
+    degree + V so that the region-constant vector is in the kernel whenever
+    V vanishes.
     """
 
     geom: LatticeGeometry
     diag: np.ndarray        # kinetic diagonal + potential (n,)
-    hop: np.ndarray         # (n, 2d) local neighbour indices, n == dropped
+    shape: tuple[int, ...]  # the region's side lengths
     potential: np.ndarray   # (n,)
     bc: str
 
@@ -75,11 +76,7 @@ class HamiltonianOperator:
             raise ValueError(
                 f"field must have leading dimension {self.n_sites}, got {u.shape}"
             )
-        if self.bc == "periodic":
-            return periodic_stencil(self.geom, self.diag, u)
-        padded = np.concatenate([u, np.zeros((1,) + u.shape[1:], dtype=u.dtype)])
-        diag = self.diag if u.ndim == 1 else self.diag[:, None]
-        return diag * u - padded[self.hop].sum(axis=1)
+        return stencil(self.shape, self.geom.side, self.diag, u)
 
     def spectral_bound(self) -> float:
         """Upper bound 4d + max V on the spectrum."""
@@ -87,15 +84,8 @@ class HamiltonianOperator:
 
 
 def dense_matrix(op: HamiltonianOperator) -> np.ndarray:
-    """Assemble the operator as a dense symmetric matrix."""
-    n = op.n_sites
-    mat = np.zeros((n, n))
-    np.fill_diagonal(mat, op.diag)
-    rows = np.repeat(np.arange(n), op.hop.shape[1])
-    cols = op.hop.ravel()
-    keep = cols < n
-    np.subtract.at(mat, (rows[keep], cols[keep]), 1.0)
-    return mat
+    """Assemble the operator as a dense symmetric matrix: its columns applied."""
+    return op.apply(np.eye(op.n_sites))
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,27 @@ def test_oversize_estimates_plan_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--dim", "4"], ["--dim", "0"], ["--c", "-1"]])
+def test_bad_dim_or_c_is_a_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "bad.jsonl"
+    argv = ["condense", "--seed", "0", "--l-grid", "4", "--samples", "1"]
+    code = main(argv + flags + ["--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_naming_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_run(plan):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setattr("gplattice.cli.run_plan", no_run)
+    argv = ["condense", "--seed", "0", "--l-grid", "4", "--samples", "1"]
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bad_plan_value_in_config_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed=1\nl_grid=4\nschedule=0\nsamples=3\nbox_sides=0\n")

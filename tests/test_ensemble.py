@@ -85,6 +85,10 @@ def base_plan(**overrides):
         dict(wegner_widths=(0.02, -0.01)),
         dict(minami_widths=(0.0,)),
         dict(gap_eta_grid=(1.0, -2.0)),
+        dict(dim=4),
+        dict(dim=0),
+        dict(c=-1.0),
+        dict(c=float("nan")),
     ],
 )
 def test_plan_rejects_bad_options(overrides):

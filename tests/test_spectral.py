@@ -13,49 +13,60 @@ from gplattice import (
     sample_potential,
 )
 from gplattice.disorder import EIG_CHANNEL
-from gplattice.lattice import laplace_symbol
+from gplattice.lattice import laplace_symbol, torus_distances
 from gplattice.spectral import EigenConvergenceError, OversizeError, dense_oracle
+
+from coordinate_reference import reference_matrix
 
 SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=101)
 
 
+def make_real(dim, half, sample=0):
+    return sample_potential(SPEC, build_lattice(dim, half), 0, sample)
+
+
 def make_ham(dim, half, sample=0):
-    geom = build_lattice(dim, half)
-    return periodic_hamiltonian(sample_potential(SPEC, geom, 0, sample))
+    return periodic_hamiltonian(make_real(dim, half, sample))
+
+
+def assert_matches_reference(op, ref, columns, seed):
+    """``dense_matrix(op)`` is ``ref``, and ``op.apply`` agrees with it."""
+    np.testing.assert_array_equal(dense_matrix(op), ref)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=op.n_sites)
+    np.testing.assert_allclose(op.apply(u), ref @ u, rtol=0, atol=1e-13)
+    # a Fortran-ordered block, as QR factorizations return them
+    block = np.asfortranarray(rng.normal(size=(op.n_sites, columns)))
+    np.testing.assert_allclose(op.apply(block), ref @ block, rtol=0, atol=1e-13)
 
 
 def test_dense_matrix_is_symmetric_with_expected_row():
-    ham = make_ham(2, 3)
+    real = make_real(2, 3)
+    ham = periodic_hamiltonian(real)
     mat = dense_matrix(ham)
-    np.testing.assert_allclose(mat, mat.T, atol=0.0)
+    np.testing.assert_array_equal(mat, mat.T)
+    np.testing.assert_array_equal(mat, reference_matrix(real))
     i = ham.geom.site_index((0, 0))
     assert mat[i, i] == pytest.approx(4.0 + ham.potential[i])
-    assert sorted(mat[i, ham.geom.neighbors[i]]) == [-1.0] * 4
+    neighbours = torus_distances(ham.geom, i) == 1
+    assert sorted(mat[i, neighbours]) == [-1.0] * 4
+    assert np.count_nonzero(mat[i]) == 5
 
 
 def test_apply_matches_dense():
     for dim, half in [(1, 10), (2, 3), (3, 1)]:
-        ham = make_ham(dim, half)
-        mat = dense_matrix(ham)
-        rng = np.random.default_rng(dim)
-        u = rng.normal(size=ham.n_sites)
-        np.testing.assert_allclose(ham.apply(u), mat @ u, atol=1e-12)
-        block = rng.normal(size=(ham.n_sites, 3))
-        np.testing.assert_allclose(ham.apply(block), mat @ block, atol=1e-12)
+        real = make_real(dim, half)
+        ham = periodic_hamiltonian(real)
+        assert_matches_reference(ham, reference_matrix(real), 3, dim)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("half", [1, 2])
 def test_periodic_stencil_matches_dense(dim, half):
-    ham = make_ham(dim, half)
+    real = make_real(dim, half)
+    ham = periodic_hamiltonian(real)
     assert ham.bc == "periodic"
-    mat = dense_matrix(ham)
-    rng = np.random.default_rng(10 * dim + half)
-    u = rng.normal(size=ham.n_sites)
-    np.testing.assert_allclose(ham.apply(u), mat @ u, rtol=0, atol=1e-13)
-    # a Fortran-ordered block, as QR factorizations return them
-    block = np.asfortranarray(rng.normal(size=(ham.n_sites, 2 * dim + 3)))
-    np.testing.assert_allclose(ham.apply(block), mat @ block, rtol=0, atol=1e-13)
+    assert_matches_reference(ham, reference_matrix(real), 2 * dim + 3, 10 * dim + half)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
@@ -64,24 +75,44 @@ def test_periodic_stencil_matches_dense(dim, half):
     [(1, ((-3, 5),)), (2, ((-2, 4), (0, 3))), (3, ((-1, 3), (0, 2), (-2, 3)))],
 )
 def test_restricted_boxes_match_dense_through_table(dim, bc, intervals):
-    geom = build_lattice(dim, 3)
-    real = sample_potential(SPEC, geom, 0, 1)
-    op = restrict_hamiltonian(real, Region(intervals=intervals, bc=bc))
-    mat = dense_matrix(op)
-    rng = np.random.default_rng(dim)
-    u = rng.normal(size=op.n_sites)
-    np.testing.assert_allclose(op.apply(u), mat @ u, rtol=0, atol=1e-13)
-    block = rng.normal(size=(op.n_sites, 2 * dim + 3))
-    np.testing.assert_allclose(op.apply(block), mat @ block, rtol=0, atol=1e-13)
+    real = sample_potential(SPEC, build_lattice(dim, 3), 0, 1)
+    region = Region(intervals=intervals, bc=bc)
+    op = restrict_hamiltonian(real, region)
+    assert_matches_reference(op, reference_matrix(real, region), 2 * dim + 3, dim)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize(
+    "dim, half, intervals",
+    [
+        (2, 3, ((-3, 7), (0, 3))),
+        (2, 3, ((1, 3), (-3, 7))),
+        (3, 2, ((-2, 5), (0, 3), (-2, 5))),
+    ],
+)
+def test_box_spanning_a_whole_axis_keeps_the_wrap_coupling(dim, half, intervals, bc):
+    geom = build_lattice(dim, half)
+    real = sample_potential(SPEC, geom, 0, 3)
+    region = Region(intervals=intervals, bc=bc)
+    op = restrict_hamiltonian(real, region)
+    assert_matches_reference(op, reference_matrix(real, region), 2 * dim + 3, 7)
+    # the box's corner is coupled to the far end of a spanning axis only
+    sites = list(region.site_indices(geom))
+    corner = [start for start, _ in intervals]
+    row = dense_matrix(op)[sites.index(geom.site_index(corner))]
+    for axis, (start, length) in enumerate(intervals):
+        far = corner.copy()
+        far[axis] = start + length - 1
+        coupling = row[sites.index(geom.site_index(far))]
+        assert coupling == (-1.0 if length == geom.side else 0.0)
 
 
 def test_whole_torus_at_an_offset_keeps_the_stencil_exact():
     # the region's site order is a cyclic shift per axis, still a torus grid
-    geom = build_lattice(2, 3)
-    real = sample_potential(SPEC, geom, 0, 2)
-    op = restrict_hamiltonian(real, Region(intervals=((0, 7), (2, 7)), bc="periodic"))
-    u = np.random.default_rng(0).normal(size=(op.n_sites, 3))
-    np.testing.assert_allclose(op.apply(u), dense_matrix(op) @ u, rtol=0, atol=1e-13)
+    real = make_real(2, 3, 2)
+    region = Region(intervals=((0, 7), (2, 7)), bc="periodic")
+    op = restrict_hamiltonian(real, region)
+    assert_matches_reference(op, reference_matrix(real, region), 3, 0)
 
 
 def test_iterative_matches_dense_oracle():
