@@ -228,7 +228,7 @@ def restrict_hamiltonian(
 
     sites = region.site_indices(geom)
     if region.bc == "neumann":
-        kinetic = -stencil(shape, geom.side, 0.0, np.ones(sites.size))
+        kinetic = -stencil(shape, geom.side, np.ones(sites.size), np.zeros(sites.size))
     else:
         kinetic = np.full(sites.size, 2.0 * geom.dim)
     pot = realization.potential[sites]

@@ -420,6 +420,7 @@ def _sample(task: tuple[ExperimentPlan, int, int]) -> tuple[RunRecord, object]:
     try:
         realization = sample_potential(plan.disorder_spec(), geom, l_index, sample_index)
         ham = periodic_hamiltonian(realization)
+        eig_start = time.perf_counter()
         if pipeline.eig_count is None:
             eig = np.linalg.eigvalsh(dense_matrix(ham))
         else:
@@ -432,6 +433,7 @@ def _sample(task: tuple[ExperimentPlan, int, int]) -> tuple[RunRecord, object]:
             base.update(
                 eig_applies=eig.iterations, eig_residual_max=float(eig.residuals.max())
             )
+        base["t_eig"] = time.perf_counter() - eig_start
         fields, side = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)
     except (EigenConvergenceError, RuntimeError, ValueError) as exc:
         record = RunRecord(**base, error=str(exc), wall_time=time.perf_counter() - start)
@@ -496,7 +498,9 @@ def _pair_fields(geom: LatticeGeometry, eig) -> dict:
 
 def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
     problem = GPProblem(ham, plan.coupling_for(l_index))
+    gp_start = time.perf_counter()
     gp = minimize_gp(problem, init=eig.vectors[:, 0], g_tol=plan.tol_gp)
+    t_gp = time.perf_counter() - gp_start
     if not gp.converged:
         raise RuntimeError(f"minimizer stalled at projected gradient {gp.grad_norm:.3e}")
     cert = certificate(problem, eig, gp)
@@ -511,6 +515,7 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
         gp_iterations=gp.iterations,
         gp_converged=gp.converged,
         gp_grad_norm=gp.grad_norm,
+        t_gp=t_gp,
     )
     return fields, None
 

@@ -6,7 +6,10 @@ site; internally coordinate c sits at axis position c + L and the axes are
 raveled in row-major order, which gives a fixed site <-> multi-index
 bijection.  Axis-aligned boxes inside the torus use the same row-major
 layout on their own side lengths, so one stencil serves the torus and every
-box.
+box.  The stencil works on the flat field: along an axis of flat stride s
+the neighbours are the field shifted by +-s, and only the sites on a row
+end of that axis need a correction.  A block of fields is held one field
+per row, so each shift is one contiguous pass over the whole block.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol
@@ -78,36 +81,54 @@ def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
     return arr
 
 
-def stencil(shape: tuple[int, ...], side: int, diag, field) -> np.ndarray:
-    """``diag * u`` minus the sum over each site's neighbours inside a box.
+def stencil(shape: tuple[int, ...], side: int, field, out: np.ndarray) -> np.ndarray:
+    """Subtract from ``out``, in place, the sum over each site's neighbours of ``field``.
 
     The box has side lengths ``shape`` on a torus of side ``side``; the whole
     torus is the box of shape ``(side,) * d``.  ``field`` is one flat field
-    or a (sites, k) block of them, and ``diag`` a scalar or a per-site array.
-    The neighbours are subtracted in place on shifted slices of the grid.  An
-    axis as long as the torus side also couples its two end faces; a shorter
-    axis drops the couplings that leave the box.
+    or a (k, sites) block holding one field per row, and ``out`` is a
+    C-contiguous array of the same shape, returned.  A flat field of m * sites
+    entries holds m uncoupled entries per site, trailing.  Per axis of flat
+    stride ``s`` the neighbours are two shifts of the whole flat block by
+    ``s``; on its (-1, length, s) view, whose rows run along the axis, the
+    couplings those shifts made across a row end (or from one field into
+    the next) are then added back.  An axis as long as the torus side also
+    couples its two end faces; a shorter axis drops the couplings that
+    leave the box.
     """
     u = np.ascontiguousarray(field)
-    tail = u.shape[1:]
-    grid = u.reshape(shape + tail)
-    d = np.asarray(diag)
-    out = (d.reshape(shape + (1,) * len(tail)) if d.ndim else d) * grid
-    for axis, length in enumerate(shape):
-        pre = (slice(None),) * axis
-        wraps = length == side
-        out[pre + (slice(None, -1),)] -= grid[pre + (slice(1, None),)]
-        if wraps:
-            out[pre + (-1,)] -= grid[pre + (0,)]
-        out[pre + (slice(1, None),)] -= grid[pre + (slice(None, -1),)]
-        if wraps:
-            out[pre + (0,)] -= grid[pre + (-1,)]
-    return out.reshape(u.shape)
+    if out.shape != u.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape {u.shape}")
+    flat, acc = u.reshape(-1), out.reshape(-1)
+    stride = u.shape[-1]
+    for length in shape:
+        stride //= length
+        acc[:-stride] -= flat[stride:]
+        acc[stride:] -= flat[:-stride]
+        if stride * length == flat.size:
+            # one row (a single field's leading axis): its faces are the ends,
+            # single sites in d = 1, where scalar updates skip the ufunc cost
+            if length == side and stride == 1:
+                acc[-1] -= flat[0]
+                acc[0] -= flat[-1]
+            elif length == side:
+                acc[-stride:] -= flat[:stride]
+                acc[:stride] -= flat[-stride:]
+            continue
+        grid = flat.reshape(-1, length, stride)
+        faces = acc.reshape(grid.shape)
+        faces[:-1, -1] += grid[1:, 0]
+        faces[1:, 0] += grid[:-1, -1]
+        if length == side:
+            faces[:, -1] -= grid[:, 0]
+            faces[:, 0] -= grid[:, -1]
+    return out
 
 
 def apply_neg_laplacian(geom: LatticeGeometry, field) -> np.ndarray:
     """Apply -Delta site-wise: 2d u(x) minus the sum over the 2d neighbours."""
-    return stencil(geom.shape, geom.side, 2 * geom.dim, _check_field(geom, field))
+    u = np.ascontiguousarray(_check_field(geom, field))
+    return stencil(geom.shape, geom.side, u, 2 * geom.dim * u)
 
 
 def laplace_symbol(geom: LatticeGeometry) -> np.ndarray:

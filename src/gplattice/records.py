@@ -3,8 +3,9 @@
 One record per sample, one JSON object per line, floats serialized with
 shortest-round-trip precision so reading a stream back reproduces every
 numeric field exactly.  The diagnostics (``wall_time``, the GP minimizer's
-final gradient and the eigensolver's applied columns and largest residual)
-are bookkeeping, not payload: record content comparisons (and the
+final gradient, the eigensolver's applied columns and largest residual, and
+the seconds spent in the eigensolve and in the GP minimization) are
+bookkeeping, not payload: record content comparisons (and the
 determinism guarantees) exclude them, and a stream written before a
 diagnostic existed reads back with it set to NaN.
 """
@@ -19,7 +20,9 @@ from typing import NamedTuple
 
 # bookkeeping fields, kept out of content comparisons; all but wall_time
 # read back as NaN from streams written without them
-DIAGNOSTICS = ("wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max")
+DIAGNOSTICS = (
+    "wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max", "t_eig", "t_gp"
+)
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,8 @@ class RunRecord:
     gp_grad_norm: float = math.nan
     eig_applies: float = math.nan       # applied columns, an int when measured
     eig_residual_max: float = math.nan
+    t_eig: float = math.nan             # seconds in the eigensolve
+    t_gp: float = math.nan              # seconds in minimize_gp
 
     def content_dict(self) -> dict:
         """All payload fields; excludes the diagnostics."""

@@ -2,25 +2,27 @@
 
 An operator stores a per-site diagonal (kinetic part plus potential) on the
 grid of its region, the torus or a box inside it, and subtracts the
-neighbours on shifted slices of that grid (:func:`lattice.stencil`).  One
-application costs O(sites * 2d), and nothing is ever assembled except inside
-the small-instance dense oracle.
+neighbours with :func:`lattice.stencil`: two shifts of the flat field per
+axis, corrected at the row ends.  One application costs O(sites * 2d), and
+nothing is ever assembled except inside the small-instance dense oracle.
 
 The iterative solver is Chebyshev-filtered subspace iteration (Zhou, Saad,
 Tiago & Chelikowsky, J. Comput. Phys. 219, 2006; Zhou & Saad, SIAM J. Matrix
 Anal. Appl. 29, 2007): a fixed-degree Chebyshev polynomial of the operator
 damps the unwanted upper spectrum of a block, which is then orthonormalized
-and rotated onto its Ritz vectors.  The block is at least 2d+3 columns wide
-so degenerate clusters are captured whole; the free first excited level has
-multiplicity 2d, which a single-vector iteration would silently split.
-Residuals of returned pairs are recomputed with a fresh operator application
-before the solver accepts them.
+by one Householder QR and rotated onto its Ritz vectors.  Blocks are held
+as (k, sites) arrays, one field per row, so every field is contiguous and
+each filter step is a few passes over the flat block.  The block is at
+least 2d+3 fields wide so degenerate clusters are captured whole; the free
+first excited level has multiplicity 2d, which a single-vector iteration
+would silently split.  Residuals of returned pairs are recomputed with a
+fresh operator application before the solver accepts them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +78,10 @@ class HamiltonianOperator:
             raise ValueError(
                 f"field must have leading dimension {self.n_sites}, got {u.shape}"
             )
-        return stencil(self.shape, self.geom.side, self.diag, u)
+        # the stencil takes one field per row; a Fortran-ordered block's
+        # transpose already is one, so no copy is made
+        rows = np.ascontiguousarray(u.T)
+        return stencil(self.shape, self.geom.side, rows, self.diag * rows).T
 
     def spectral_bound(self) -> float:
         """Upper bound 4d + max V on the spectrum."""
@@ -84,8 +89,17 @@ class HamiltonianOperator:
 
 
 def dense_matrix(op: HamiltonianOperator) -> np.ndarray:
-    """Assemble the operator as a dense symmetric matrix: its columns applied."""
-    return op.apply(np.eye(op.n_sites))
+    """Assemble the operator as a dense symmetric matrix: the identity applied.
+
+    The identity is passed flat, its n columns trailing each site, so the
+    stencil sees one field on the grid ``shape + (n,)`` whose last axis
+    carries no coupling, and needs no correction between the columns.
+    """
+    n = op.n_sites
+    eye = np.eye(n)
+    return stencil(
+        op.shape, op.geom.side, eye.reshape(-1), (op.diag[:, None] * eye).reshape(-1)
+    ).reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,7 @@ class EigenSolution:
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its entry sum (or largest entry on ties) is positive."""
-    out = vectors.copy()
+    out = vectors.copy(order="K")
     for j in range(out.shape[1]):
         col = out[:, j]
         pivot = col.sum()
@@ -113,9 +127,43 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
-    """Ritz values, vectors and their images for an orthonormal basis."""
-    vals, rot = np.linalg.eigh(basis.T @ image)
-    return vals, basis @ rot, image @ rot
+    """Ritz values, vectors and their images for an orthonormal basis of rows."""
+    vals, rot = np.linalg.eigh(basis @ image.T)
+    return vals, rot.T @ basis, rot.T @ image
+
+
+def _chebyshev_step(op, shifted, beta, prev, cur, scratch) -> np.ndarray:
+    """Overwrite ``prev`` with ``(H - c) cur - beta * prev`` and return it.
+
+    ``shifted`` is ``op.diag - c`` and ``scratch`` a buffer shaped like the
+    (k, n) row blocks ``prev`` and ``cur``, so the step allocates nothing.
+    """
+    prev *= -beta
+    np.multiply(shifted, cur, out=scratch)
+    prev += scratch
+    return stencil(op.shape, op.geom.side, cur, prev)
+
+
+def _chebyshev_filter(op, rows, image, cut, upper) -> np.ndarray:
+    """Degree-``FILTER_DEGREE`` Chebyshev filter damping [cut, upper] on ``rows``.
+
+    ``image`` holds the rows' images under the operator.  In monic form, with
+    x = (H - center) / half, W_j = 2 (half / 2)^j T_j(x) obeys W_{j+1} =
+    (H - center) W_j - beta_j W_{j-1}, beta_1 = half^2 / 2 and beta_j =
+    half^2 / 4 after; two row blocks and one scratch block hold the whole
+    recurrence.
+    """
+    half = (upper - cut) / 2.0
+    center = (upper + cut) / 2.0
+    shifted = op.diag - center
+    prev = rows.copy()
+    cur = image - center * prev
+    scratch = np.empty_like(cur)
+    beta = half * half / 2.0
+    for _ in range(FILTER_DEGREE - 1):
+        prev, cur = cur, _chebyshev_step(op, shifted, beta, prev, cur, scratch)
+        beta = half * half / 4.0
+    return cur
 
 
 def lowest_eigenpairs(
@@ -128,20 +176,23 @@ def lowest_eigenpairs(
 ) -> EigenSolution:
     """Lowest ``count`` eigenpairs by Chebyshev-filtered subspace iteration.
 
-    A block of ``max(count + 4, 2d + 3)`` columns is drawn from ``seed``, so
+    A block of ``max(count + 4, 2d + 3)`` fields is drawn from ``seed``, so
     runs replay bit-exactly; up to ``WHOLE_SPACE_LIMIT`` sites the block
-    spans the whole space and one Rayleigh-Ritz step is exact.  Each outer
-    step applies a degree-``FILTER_DEGREE`` Chebyshev filter that damps
-    [largest Ritz value, ``op.spectral_bound()``], orthonormalizes the block
-    with two QR factorizations and does a Rayleigh-Ritz step.  Leading pairs
+    spans the whole space and one Rayleigh-Ritz step is exact.  The block is
+    a (width, n) array, one field per row.  Each outer step applies a
+    degree-``FILTER_DEGREE`` Chebyshev filter that damps [largest Ritz
+    value, ``op.spectral_bound()``]: each step of its three-term recurrence
+    overwrites the oldest iterate in place, so no block is allocated per
+    step.  One Householder QR then orthonormalizes the block and a
+    Rayleigh-Ritz step rotates it onto its Ritz vectors.  Leading pairs
     whose residual is already <= ``tol`` are locked: the filter skips them,
-    so a deep isolated ground state cannot swamp the columns above it in
-    the QR.
+    so a deep isolated ground state cannot swamp the fields above it in the
+    QR.
     Pairs are accepted only after a fresh application confirms every
-    residual <= ``tol``.  ``iterations`` counts applied columns; if the
-    budget (default ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE *
-    width)``) would be exceeded, :class:`EigenConvergenceError` carries the
-    best pairs found.
+    residual <= ``tol``; signs are fixed only on the pairs returned.
+    ``iterations`` counts applied fields; if the budget (default
+    ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)``) would be
+    exceeded, :class:`EigenConvergenceError` carries the best pairs found.
     """
     n = op.n_sites
     if not 1 <= count <= n:
@@ -154,53 +205,44 @@ def lowest_eigenpairs(
         max_applies = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
 
-    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
-    vals, vecs, image = _rayleigh_ritz(basis, op.apply(basis))
+    def apply(rows):
+        return op.apply(rows.T).T
+
+    def orthonormal_rows(rows):
+        return np.ascontiguousarray(np.linalg.qr(rows.T)[0].T)
+
+    basis = orthonormal_rows(np.random.default_rng(seed).standard_normal((n, width)).T)
+    vals, vecs, image = _rayleigh_ritz(basis, apply(basis))
     used = width
     best: EigenSolution | None = None
     while True:
-        res = np.linalg.norm(image[:, :count] - vecs[:, :count] * vals[:count], axis=0)
+        head = vecs[:count]
+        res = np.linalg.norm(image[:count] - vals[:count, None] * head, axis=1)
         if res.max() <= tol:
             # confirm with a fresh application before accepting
-            head = vecs[:, :count]
             used += count
-            res = np.linalg.norm(op.apply(head) - head * vals[:count], axis=0)
+            res = np.linalg.norm(apply(head) - vals[:count, None] * head, axis=1)
             if res.max() <= tol:
                 return EigenSolution(
-                    vals[:count].copy(), _fix_signs(head), res, used, True
+                    vals[:count].copy(), _fix_signs(head.T), res, used, True
                 )
         if best is None or res.max() < best.residuals.max():
-            best = EigenSolution(
-                vals[:count].copy(), _fix_signs(vecs[:, :count]), res, used, False
-            )
+            best = EigenSolution(vals[:count].copy(), head.T, res, used, False)
         lock = int(np.argmin(res <= tol))   # leading converged pairs
         # a basis of the whole space is already exact up to round-off
         if width == n or used + FILTER_DEGREE * (width - lock) > max_applies:
             raise EigenConvergenceError(
                 f"no convergence after {used} operator applications; "
                 f"best residuals {np.array2string(best.residuals, precision=3)}",
-                best=best,
+                best=replace(best, vectors=_fix_signs(best.vectors)),
             )
 
-        # scaled Chebyshev recurrence on [cut, upper], normalized at vals[lock]
-        half = (upper - vals[-1]) / 2.0
-        center = (upper + vals[-1]) / 2.0
-        sigma = first = half / (vals[lock] - center)
-        prev = vecs[:, lock:]
-        cur = (image[:, lock:] - center * prev) * (sigma / half)
-        for _ in range(FILTER_DEGREE - 1):
-            sigma_next = 1.0 / (2.0 / first - sigma)
-            nxt = op.apply(cur)
-            nxt -= center * cur
-            nxt *= 2.0 * sigma_next / half
-            nxt -= (sigma * sigma_next) * prev
-            prev, cur, sigma = cur, nxt, sigma_next
-        # the locked columns lead the QR, so the new ones come out orthogonal
-        block = np.linalg.qr(np.linalg.qr(np.hstack([vecs[:, :lock], cur]))[0])[0]
-        fresh = np.ascontiguousarray(block[:, lock:])
+        filtered = _chebyshev_filter(op, vecs[lock:], image[lock:], vals[-1], upper)
+        # the locked fields lead the QR, so the new ones come out orthogonal
+        fresh = orthonormal_rows(np.vstack([vecs[:lock], filtered]))[lock:]
+        del filtered    # one block fewer held through the Rayleigh-Ritz step
         vals, vecs, image = _rayleigh_ritz(
-            np.hstack([vecs[:, :lock], fresh]),
-            np.hstack([image[:, :lock], op.apply(fresh)]),
+            np.vstack([vecs[:lock], fresh]), np.vstack([image[:lock], apply(fresh)])
         )
         used += FILTER_DEGREE * (width - lock)
 

@@ -251,9 +251,13 @@ def test_records_carry_eigensolver_diagnostics(small_condense):
     for rec in result.records:
         assert isinstance(rec.eig_applies, int) and rec.eig_applies > 0
         assert 0.0 < rec.eig_residual_max <= plan.tol_eig
-    # the dense path of `estimates` runs no iterative solver
+        # the two stage times are parts of the sample's wall time
+        assert 0.0 < rec.t_eig and 0.0 < rec.t_gp
+        assert rec.t_eig + rec.t_gp < rec.wall_time
+    # the dense path of `estimates` runs no iterative solver and no GP step
     rec = replay_sample(ExperimentPlan(experiment="estimates", seed=2, l_grid=(6,)), 0, 0)
     assert math.isnan(rec.eig_applies) and math.isnan(rec.eig_residual_max)
+    assert 0.0 < rec.t_eig < rec.wall_time and math.isnan(rec.t_gp)
 
 
 def test_condense_summary_shape(small_condense):

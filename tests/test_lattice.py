@@ -60,7 +60,8 @@ def test_invalid_dimensions_rejected():
 def test_neighbors_are_symmetric_and_counted():
     # the stencil's couplings are the sites at torus distance 1
     for geom in small_geometries():
-        adj = -stencil(geom.shape, geom.side, 0.0, np.eye(geom.n_sites))
+        n = geom.n_sites
+        adj = -stencil(geom.shape, geom.side, np.eye(n), np.zeros((n, n)))
         np.testing.assert_array_equal(adj, adjacency(geom, np.arange(geom.n_sites)))
         np.testing.assert_array_equal(adj, adj.T)
         np.testing.assert_array_equal(adj.sum(axis=1), 2 * geom.dim)

@@ -37,6 +37,8 @@ def make_record(**overrides):
         gp_grad_norm=3.5e-10,
         eig_applies=1059,
         eig_residual_max=2.7416428968939688e-12,
+        t_eig=0.0421,
+        t_gp=0.0036,
     )
     base.update(overrides)
     return RunRecord(**base)
@@ -108,6 +110,25 @@ def test_eigensolver_diagnostics_round_trip(tmp_path):
         assert math.isnan(back.eig_applies) and math.isnan(back.eig_residual_max)
         assert back.content_key() == rec.content_key()
     assert math.isnan(result.records[1].gp_grad_norm)
+
+
+def test_stage_times_are_diagnostics(tmp_path):
+    rec = make_record(t_eig=0.123456789, t_gp=9.87e-4)
+    back = RunRecord.from_json(rec.to_json())
+    assert back == rec and (back.t_eig, back.t_gp) == (0.123456789, 9.87e-4)
+    assert not {"t_eig", "t_gp"} & rec.content_dict().keys()
+    assert rec.content_key() == make_record(t_eig=5.0, t_gp=math.nan).content_key()
+
+    # a line written before the stage times existed reads back NaN
+    data = json.loads(rec.to_json())
+    del data["t_eig"], data["t_gp"]
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    result = read_records(path)
+    assert result.bad_lines == []
+    back = result.records[0]
+    assert math.isnan(back.t_eig) and math.isnan(back.t_gp)
+    assert back.content_key() == rec.content_key()
 
 
 def test_write_then_read(tmp_path):

@@ -14,7 +14,12 @@ from gplattice import (
 )
 from gplattice.disorder import EIG_CHANNEL
 from gplattice.lattice import laplace_symbol, torus_distances
-from gplattice.spectral import EigenConvergenceError, OversizeError, dense_oracle
+from gplattice.spectral import (
+    EigenConvergenceError,
+    OversizeError,
+    _chebyshev_step,
+    dense_oracle,
+)
 
 from coordinate_reference import reference_matrix
 
@@ -30,14 +35,21 @@ def make_ham(dim, half, sample=0):
 
 
 def assert_matches_reference(op, ref, columns, seed):
-    """``dense_matrix(op)`` is ``ref``, and ``op.apply`` agrees with it."""
+    """``dense_matrix(op)`` is ``ref``, and ``op.apply`` agrees with it.
+
+    ``op.apply`` is checked on one field and on C- and Fortran-ordered blocks
+    of 1, 2 and ``columns`` columns.
+    """
     np.testing.assert_array_equal(dense_matrix(op), ref)
     rng = np.random.default_rng(seed)
     u = rng.normal(size=op.n_sites)
     np.testing.assert_allclose(op.apply(u), ref @ u, rtol=0, atol=1e-13)
-    # a Fortran-ordered block, as QR factorizations return them
-    block = np.asfortranarray(rng.normal(size=(op.n_sites, columns)))
-    np.testing.assert_allclose(op.apply(block), ref @ block, rtol=0, atol=1e-13)
+    for width in (1, 2, columns):
+        block = rng.normal(size=(op.n_sites, width))
+        for ordered in (np.ascontiguousarray, np.asfortranarray):
+            got = op.apply(ordered(block))
+            assert got.shape == block.shape
+            np.testing.assert_allclose(got, ref @ block, rtol=0, atol=1e-13)
 
 
 def test_dense_matrix_is_symmetric_with_expected_row():
@@ -113,6 +125,20 @@ def test_whole_torus_at_an_offset_keeps_the_stencil_exact():
     region = Region(intervals=((0, 7), (2, 7)), bc="periodic")
     op = restrict_hamiltonian(real, region)
     assert_matches_reference(op, reference_matrix(real, region), 3, 0)
+
+
+@pytest.mark.parametrize("dim, half", [(1, 10), (2, 4), (3, 2)])
+def test_fused_chebyshev_step_is_the_recurrence(dim, half):
+    # one in-place filter step against (H - c) W_j - beta W_{j-1} built unfused
+    ham = make_ham(dim, half)
+    rng = np.random.default_rng(dim)
+    older, cur = rng.normal(size=(2, 2 * dim + 3, ham.n_sites))
+    center, beta = 5.5, 7.25
+    want = ham.apply(cur.T).T - center * cur - beta * older
+    prev = older.copy()
+    got = _chebyshev_step(ham, ham.diag - center, beta, prev, cur, np.empty_like(cur))
+    assert got is prev
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_iterative_matches_dense_oracle():
@@ -207,6 +233,8 @@ def test_deep_ground_state_does_not_stall_the_pair_above():
     assert sol.converged and sol.residuals.max() <= 1e-10
     ref = dense_oracle(ham)
     np.testing.assert_allclose(sol.values, ref.values[:2], rtol=0, atol=1e-12)
+    # one QR per outer step still returns an orthonormal pair
+    np.testing.assert_allclose(sol.vectors.T @ sol.vectors, np.eye(2), rtol=0, atol=1e-12)
 
 
 def test_sign_convention_nonnegative_sum():
