@@ -14,7 +14,9 @@ state gives the Dirichlet upper bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -208,6 +210,15 @@ def partition_into_boxes(
     ]
 
 
+@functools.cache
+def _neumann_degree(shape: tuple[int, ...], side: int) -> np.ndarray:
+    """In-region neighbour count of every site of a box (read-only, shared)."""
+    n = math.prod(shape)
+    degree = -stencil(shape, side, np.ones(n), np.zeros(n))
+    degree.setflags(write=False)
+    return degree
+
+
 def restrict_hamiltonian(
     realization: DisorderRealization, region: Region
 ) -> HamiltonianOperator:
@@ -217,6 +228,12 @@ def restrict_hamiltonian(
     that spans the whole torus keeps its wrap coupling; Dirichlet keeps the
     diagonal 2d + V while Neumann reduces it to the in-region degree + V.  A
     periodic "restriction" must cover the whole torus.
+
+    The region's potential, in the order of :meth:`Region.site_indices`, is
+    a slice of the potential on the torus grid; a periodic region at an
+    offset rolls that grid per axis, and the whole torus at the origin uses
+    the realization's potential as it is.  The Neumann degree depends only
+    on the region's shape and is computed once per (shape, torus side).
     """
     geom = realization.geom
     shape = region.side_lengths()
@@ -225,16 +242,26 @@ def restrict_hamiltonian(
             raise ValueError("periodic boundary requires the whole torus")
     elif region.wraps(geom):
         raise ValueError("Dirichlet/Neumann regions must not wrap around the torus")
+    if region.dim != geom.dim:
+        raise ValueError(f"region is {region.dim}-dimensional, lattice is {geom.dim}")
+    offsets = tuple(start + geom.half_side for start, _ in region.intervals)
+    if any(not 0 <= offset < geom.side for offset in offsets):
+        raise ValueError(f"an interval of {region.intervals} starts outside the torus")
 
-    sites = region.site_indices(geom)
-    if region.bc == "neumann":
-        kinetic = -stencil(shape, geom.side, np.ones(sites.size), np.zeros(sites.size))
+    grid = realization.potential.reshape(geom.shape)
+    if region.bc != "periodic":
+        pot = grid[tuple(slice(o, o + n) for o, n in zip(offsets, shape))].reshape(-1)
+    elif any(offsets):
+        pot = np.roll(grid, [-o for o in offsets], axis=tuple(range(geom.dim))).reshape(-1)
     else:
-        kinetic = np.full(sites.size, 2.0 * geom.dim)
-    pot = realization.potential[sites]
+        pot = realization.potential
+    if region.bc == "neumann":
+        diag = _neumann_degree(shape, geom.side) + pot
+    else:
+        diag = 2.0 * geom.dim + pot
 
     return HamiltonianOperator(
-        geom=geom, diag=kinetic + pot, shape=shape, potential=pot, bc=region.bc
+        geom=geom, diag=diag, shape=shape, potential=pot, bc=region.bc
     )
 
 

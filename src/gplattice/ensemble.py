@@ -357,6 +357,10 @@ class ExperimentResult:
 def _parallel_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
     if workers <= 1:
         return [fn(task) for task in tasks]
+    # numpy imports numpy.random lazily; importing it before the fork spares
+    # every worker the import on its first sample
+    import numpy.random  # noqa: F401
+
     chunk = max(1, len(tasks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
@@ -615,11 +619,15 @@ def _observe_estimates(plan, l_index, sample_index, geom, ham, vals):
     """Gap fields, plus eigenvalue counts in windows at the band center."""
     center = (4.0 * plan.dim + plan.v_max) / 2.0
 
-    def count(width: float) -> int:
-        return int(((vals >= center - width / 2) & (vals <= center + width / 2)).sum())
+    def counts(widths) -> np.ndarray:
+        # vals ascend: the closed window [lo, hi] holds the levels from the
+        # first >= lo up to the last <= hi
+        half = np.asarray(widths) / 2
+        hi = vals.searchsorted(center + half, "right")
+        return hi - vals.searchsorted(center - half, "left")
 
-    wegner = [count(w) for w in plan.wegner_widths]
-    minami = [count(w) >= 2 for w in plan.minami_widths]
+    wegner = counts(plan.wegner_widths).tolist()
+    minami = (counts(plan.minami_widths) >= 2).tolist()
     fields = dict(e0=float(vals[0]), e1=float(vals[1]), gap=float(vals[1] - vals[0]))
     return fields, (wegner, minami)
 

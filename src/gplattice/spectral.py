@@ -21,6 +21,7 @@ fresh operator application before the solver accepts them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -88,18 +89,40 @@ class HamiltonianOperator:
         return 4.0 * self.geom.dim + float(self.potential.max(initial=0.0))
 
 
-def dense_matrix(op: HamiltonianOperator) -> np.ndarray:
-    """Assemble the operator as a dense symmetric matrix: the identity applied.
+@functools.cache
+def _hopping_pattern(shape: tuple[int, ...], side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions and values of the off-diagonal entries of a region's matrix.
 
-    The identity is passed flat, its n columns trailing each site, so the
-    stencil sees one field on the grid ``shape + (n,)`` whose last axis
-    carries no coupling, and needs no correction between the columns.
+    They are read off the stencil applied to the identity, passed flat with
+    its n columns trailing each site, so the stencil sees one field on the
+    grid ``shape + (n,)`` whose last axis carries no coupling.  The stencil
+    never couples a site to itself, so every entry found is off the
+    diagonal.  Both arrays are read-only: every caller shares them.
+    """
+    n = math.prod(shape)
+    hopping = stencil(shape, side, np.eye(n).reshape(-1), np.zeros(n * n))
+    positions = np.flatnonzero(hopping)
+    values = hopping[positions]
+    positions.setflags(write=False)
+    values.setflags(write=False)
+    return positions, values
+
+
+def dense_matrix(op: HamiltonianOperator) -> np.ndarray:
+    """Assemble the operator as a dense symmetric matrix.
+
+    The off-diagonal entries depend only on the region's shape and the torus
+    side; their positions and values are found once per (shape, side) and
+    cached, in O(2d n) memory.  Each call scatters them into a fresh zero
+    matrix and writes ``op.diag`` on the diagonal, which gives the same
+    matrix, bit for bit, as applying the operator to the identity.
     """
     n = op.n_sites
-    eye = np.eye(n)
-    return stencil(
-        op.shape, op.geom.side, eye.reshape(-1), (op.diag[:, None] * eye).reshape(-1)
-    ).reshape(n, n)
+    positions, values = _hopping_pattern(op.shape, op.geom.side)
+    mat = np.zeros(n * n)
+    mat[positions] = values
+    mat[:: n + 1] = op.diag
+    return mat.reshape(n, n)
 
 
 @dataclass(frozen=True)

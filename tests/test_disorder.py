@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -233,6 +235,44 @@ def test_restricted_potential_follows_sites():
     np.testing.assert_array_equal(op.potential, real.potential[sites])
     mat = dense_matrix(op)
     np.testing.assert_allclose(np.diag(mat), 2.0 + real.potential[sites])
+
+
+@pytest.mark.parametrize("dim, half", [(1, 6), (2, 3), (3, 2)])
+def test_restriction_takes_the_potential_at_site_indices(dim, half):
+    # site_indices is the oracle for the sliced (boxes) and rolled (periodic
+    # regions at an offset) potential; box sides run up to the torus side
+    geom = build_lattice(dim, half)
+    real = sample_potential(DisorderSpec(master_seed=4), geom, 0, dim)
+    regions = [
+        region
+        for box in range(1, geom.side + 1)
+        for bc in ("dirichlet", "neumann")
+        for region in partition_into_boxes(geom, box, bc)
+    ]
+    regions += [
+        Region(intervals=tuple((start, geom.side) for start in starts), bc="periodic")
+        for starts in itertools.product(range(-half, half + 1), repeat=dim)
+    ]
+    for region in regions:
+        op = restrict_hamiltonian(real, region)
+        assert op.shape == region.side_lengths()
+        np.testing.assert_array_equal(op.potential, real.potential[region.site_indices(geom)])
+
+
+def test_callers_cannot_change_the_cached_shape_data():
+    # the Neumann degree and the matrix pattern are cached per shape; writing
+    # into what a call returned must not reach the next call
+    geom = build_lattice(2, 3)
+    real = sample_potential(DisorderSpec(master_seed=5), geom)
+    region = Region(intervals=((-2, 4), (0, 3)), bc="neumann")
+    op = restrict_hamiltonian(real, region)
+    diag, mat = op.diag.copy(), dense_matrix(op)
+    want = mat.copy()
+    mat[:] = 9.0
+    np.testing.assert_array_equal(dense_matrix(op), want)
+    op.diag[:] = -7.0
+    np.testing.assert_array_equal(restrict_hamiltonian(real, region).diag, diag)
+    np.testing.assert_array_equal(dense_matrix(restrict_hamiltonian(real, region)), want)
 
 
 def test_realization_records_slot():

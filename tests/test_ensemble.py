@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from gplattice import (
     ExperimentPlan,
     RunRecord,
     build_lattice,
+    dense_matrix,
+    periodic_hamiltonian,
     replay_sample,
     run_plan,
     sample_potential,
@@ -425,6 +431,70 @@ def test_estimates_runner_smoke():
     for side, prob in summary.series["lifshitz"][1]:
         assert 0.0 <= prob <= 1.0
     assert len(summary.series["gap_law"][1]) == len(plan.gap_eta_grid)
+
+
+ESTIMATES_PLAN = ExperimentPlan(
+    experiment="estimates", seed=0, l_grid=(4,), schedule=(0.0,), samples=1, v_max=6.0
+)
+ESTIMATES_CENTER = (4.0 * ESTIMATES_PLAN.dim + ESTIMATES_PLAN.v_max) / 2.0
+# the flat potential 3 on the 9-site ring: its levels in [3, 7] come in pairs
+FLAT_RING = periodic_hamiltonian(
+    sample_potential(
+        DisorderSpec(distribution="levels", v_max=6.0, levels=(3.0,)), build_lattice(1, 4)
+    )
+)
+FLAT_LEVELS = np.linalg.eigvalsh(dense_matrix(FLAT_RING)).tolist()
+
+
+@st.composite
+def spectra_and_widths(draw):
+    """Ascending levels and window widths.
+
+    Some levels sit exactly on window edges, and a level drawn twice repeats.
+    """
+    # a width of 2 |level - center| puts a window edge exactly on that level
+    on_level = [2 * abs(v - ESTIMATES_CENTER) for v in FLAT_LEVELS if v != ESTIMATES_CENTER]
+    width = st.one_of(st.floats(1e-3, 5.0), st.sampled_from(on_level))
+    wegner = draw(st.lists(width, min_size=1, max_size=4))
+    minami = draw(st.lists(width, min_size=1, max_size=4))
+    edges = [ESTIMATES_CENTER + s * w / 2 for w in wegner + minami for s in (-1, 1)]
+    level = st.one_of(st.sampled_from(FLAT_LEVELS + edges), st.floats(0.0, 10.0))
+    vals = np.sort(draw(st.lists(level, min_size=2, max_size=30)))
+    return vals, tuple(wegner), tuple(minami)
+
+
+@given(spectra_and_widths())
+def test_estimates_window_counts_match_the_mask_definition(case):
+    vals, wegner, minami = case
+    plan = replace(ESTIMATES_PLAN, wegner_widths=wegner, minami_widths=minami)
+
+    def count(w):
+        c = ESTIMATES_CENTER
+        return int(((vals >= c - w / 2) & (vals <= c + w / 2)).sum())
+
+    fields, (wcounts, mhits) = ensemble._observe_estimates(plan, 0, 0, None, None, vals)
+    assert wcounts == [count(w) for w in wegner]
+    assert mhits == [count(w) >= 2 for w in minami]
+    assert fields["gap"] == vals[1] - vals[0]
+
+
+def test_pool_workers_start_with_numpy_random_imported():
+    # numpy.random is imported lazily; a worker forked without it pays the
+    # import on its first sample.  Each task is evaluated in a worker.
+    code = (
+        "from gplattice.ensemble import _parallel_map\n"
+        "print(_parallel_map(eval, [\"'numpy.random' in __import__('sys').modules\"] * 4, 2))"
+    )
+    src = str(Path(ensemble.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == str([True] * 4)
 
 
 def test_estimates_runner_refuses_oversize_grids():
