@@ -1,8 +1,8 @@
 """Command line front end.
 
 One subcommand per experiment kind.  Options come from an optional key=value
-config file plus flags; flags win.  A master seed is mandatory so no run is
-ever silently irreproducible.
+config file plus flags, both named by ``ExperimentPlan`` fields; flags win.
+A master seed is mandatory so no run is ever silently irreproducible.
 
 Outputs, when --out is given: the records file itself (one JSON object per
 line), a plain-text summary next to it, and one whitespace-delimited .dat
@@ -36,39 +36,37 @@ _EXPERIMENT_HELP = {
 }
 
 
+_FLAG_HELP = {
+    "seed": "master seed (required here or in the config)",
+    "dim": "lattice dimension (1, 2, or 3)",
+    "l_grid": "comma separated half-sides, e.g. 64,128,256,512",
+    "schedule": "'theorem' for the built-in coupling schedule, or comma "
+    "separated couplings (one value, or one per L)",
+    "c": "prefactor of the built-in coupling schedule",
+    "samples": "disorder samples per L",
+    "out": "records file (JSON lines); sidecar files share its stem",
+    "tol_eig": None,
+    "tol_gp": None,
+    "distribution": "one of " + ", ".join(DISTRIBUTIONS),
+    "v_max": None,
+    "p": "bernoulli on-probability",
+    "levels": "comma separated level values",
+    "workers": "worker processes (default 1)",
+    "eig_count": None,
+}
+
+
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
+    """``--config`` plus ``--<name, with - for _>`` per ``_FLAG_HELP`` field.
+
+    Flags take strings: the plan parses and checks a flag's value exactly as
+    it does the same key in a config file.
+    """
     parser.add_argument(
         "--config", help="key=value file; command line flags override its entries"
     )
-    parser.add_argument(
-        "--seed", type=int, help="master seed (required here or in the config)"
-    )
-    parser.add_argument("--dim", type=int, help="lattice dimension (1, 2, or 3)")
-    parser.add_argument(
-        "--l-grid",
-        dest="l_grid",
-        help="comma separated half-sides, e.g. 64,128,256,512",
-    )
-    parser.add_argument(
-        "--schedule",
-        help="'theorem' for the built-in coupling schedule, or comma "
-        "separated couplings (one value, or one per L)",
-    )
-    parser.add_argument(
-        "--c", type=float, help="prefactor of the built-in coupling schedule"
-    )
-    parser.add_argument("--samples", type=int, help="disorder samples per L")
-    parser.add_argument(
-        "--out", help="records file (JSON lines); sidecar files share its stem"
-    )
-    parser.add_argument("--tol-eig", dest="tol_eig", type=float)
-    parser.add_argument("--tol-gp", dest="tol_gp", type=float)
-    parser.add_argument("--distribution", choices=DISTRIBUTIONS)
-    parser.add_argument("--v-max", dest="v_max", type=float)
-    parser.add_argument("--p", type=float, help="bernoulli on-probability")
-    parser.add_argument("--levels", help="comma separated level values")
-    parser.add_argument("--workers", type=int, help="worker processes (default 1)")
-    parser.add_argument("--eig-count", dest="eig_count", type=int)
+    for name, text in _FLAG_HELP.items():
+        parser.add_argument("--" + name.replace("_", "-"), help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,14 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict[str, str]:
-    options: dict[str, str] = {}
-    if args.config:
-        options.update(parse_config_text(Path(args.config).read_text()))
-    for key, value in vars(args).items():
-        if value is not None and key not in ("config", "experiment"):
-            options[key] = str(value)
-    options["experiment"] = args.experiment
-    return options
+    options = parse_config_text(Path(args.config).read_text()) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    flags.pop("config", None)
+    return options | flags  # the subcommand and the flags win
 
 
 def _write_series(path: Path, header: list[str], rows: list[list[float]]) -> None:

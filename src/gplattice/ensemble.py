@@ -26,10 +26,11 @@ statistics of disordered operators have heavy tails.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -79,14 +80,8 @@ EXPERIMENTS = ("condense", "spectrum", "scaling", "estimates", "shells")
 
 INVARIANT_SLACK = 1e-9
 
-_GEOMETRIES: dict[tuple[int, int], LatticeGeometry] = {}
-
-
-def _geometry(dim: int, half_side: int) -> LatticeGeometry:
-    key = (dim, half_side)
-    if key not in _GEOMETRIES:
-        _GEOMETRIES[key] = build_lattice(dim, half_side)
-    return _GEOMETRIES[key]
+# one geometry per (dim, L) in each process
+_geometry = functools.cache(build_lattice)
 
 
 def theorem_coupling(half_side: int, dim: int, c: float) -> float:
@@ -150,6 +145,9 @@ class ExperimentPlan:
             raise ValueError(f"l_grid must be strictly increasing, got {self.l_grid}")
         if min(self.l_grid) < 1:
             raise ValueError("every L must be >= 1")
+        if self.experiment in ("condense", "shells") and min(self.l_grid) < 2:
+            # condense takes log L (coupling, eta(L)); shells needs eps < 1 with eps L >= 1
+            raise ValueError(f"{self.experiment} needs every L >= 2")
         if self.experiment == "estimates":
             # full dense spectra of the torus and of every Neumann box
             sites = max(
@@ -169,6 +167,9 @@ class ExperimentPlan:
             raise ValueError("tolerances must be positive")
         if self.eig_count < 1:
             raise ValueError("eig_count must be >= 1")
+        smallest = (2 * min(self.l_grid) + 1) ** self.dim  # sites of the smallest torus
+        if self.experiment == "spectrum" and self.eig_count > smallest:
+            raise ValueError(f"eig_count exceeds the {smallest} sites of the smallest torus")
         if any(side < 1 for side in self.box_sides):
             raise ValueError(f"every box side must be >= 1, got {self.box_sides}")
         if any(not 0.0 < eps < 1.0 for eps in self.eps_grid):
@@ -185,8 +186,6 @@ class ExperimentPlan:
                 raise ValueError(
                     f"named schedule must be 'theorem', got {self.schedule!r}"
                 )
-            if min(self.l_grid) < 2:
-                raise ValueError("the named schedule needs every L >= 2")
         else:
             if len(self.schedule) not in (1, len(self.l_grid)):
                 raise ValueError(
@@ -217,17 +216,6 @@ class ExperimentPlan:
 # ---------------------------------------------------------------------------
 # config files (line-oriented key=value)
 
-_LIST_KEYS = {
-    "l_grid",
-    "levels",
-    "box_sides",
-    "wegner_widths",
-    "minami_widths",
-    "gap_eta_grid",
-    "eps_grid",
-}
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse key=value lines; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
@@ -242,49 +230,43 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _split(text: str, kind: type) -> tuple:
+    return tuple(kind(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+# option text -> field value, keyed by the field's annotation; comma lists
+# skip empty tokens
+_PARSERS: dict[str, Callable[[str], object]] = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "str | None": lambda text: text or None,
+    "tuple[int, ...]": lambda text: _split(text, int),
+    "tuple[float, ...]": lambda text: _split(text, float),
+    "tuple[float, ...] | None": lambda text: _split(text, float) if text else None,
+    "str | tuple[float, ...]": lambda text: text if text == "theorem" else _split(text, float),
+}
 
 
 def plan_from_options(options: dict[str, str]) -> ExperimentPlan:
-    """Build a plan from merged string options (config file plus CLI flags)."""
+    """Build a plan from merged string options (config file plus CLI flags).
+
+    Each key names an ``ExperimentPlan`` field, and its value is parsed by
+    the field's annotation; the plan then checks the values.
+    """
     if "experiment" not in options:
         raise ValueError("an experiment kind is required")
     if "seed" not in options:
         raise ValueError("a master seed is required (set seed= or pass --seed)")
-    kwargs: dict = {
-        "experiment": options["experiment"],
-        "seed": int(options["seed"]),
-    }
-    simple_int = {"dim", "samples", "workers", "eig_count"}
-    simple_float = {"c", "tol_eig", "tol_gp", "v_max", "p"}
+    annotations = {f.name: f.type for f in fields(ExperimentPlan)}
+    kwargs = {}
     for key, value in options.items():
-        if key in ("experiment", "seed"):
-            continue
-        if key == "schedule":
-            kwargs["schedule"] = (
-                "theorem" if value == "theorem" else _parse_float_tuple(value)
-            )
-        elif key == "out":
-            kwargs["out"] = value or None
-        elif key == "distribution":
-            kwargs["distribution"] = value
-        elif key in simple_int:
-            kwargs[key] = int(value)
-        elif key in simple_float:
-            kwargs[key] = float(value)
-        elif key in ("l_grid", "box_sides"):
-            kwargs[key] = _parse_int_tuple(value)
-        elif key == "levels":
-            kwargs["levels"] = _parse_float_tuple(value) if value else None
-        elif key in _LIST_KEYS:
-            kwargs[key] = _parse_float_tuple(value)
-        else:
+        if key not in annotations:
             raise ValueError(f"unknown config key {key!r}")
+        try:
+            kwargs[key] = _PARSERS[annotations[key]](value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return ExperimentPlan(**kwargs)
 
 

@@ -85,6 +85,8 @@ class RunRecord:
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
         data = json.loads(line)
+        if not isinstance(data, dict):
+            raise ValueError(f"record is not a JSON object: {line[:40]!r}")
         known = {f.name for f in fields(cls)}
         for name in DIAGNOSTICS[1:]:
             data.setdefault(name, math.nan)

@@ -232,6 +232,27 @@ def test_bad_dim_or_c_is_a_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--seed", "x"], ["--seed", "0", "--distribution", "cauchy"]]
+)
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, flags):
+    # a flag's value is checked by the plan, as the same config entry is
+    out = tmp_path / "bad.jsonl"
+    code = main(["condense", "--l-grid", "4", "--samples", "1", "--out", str(out)] + flags)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_condense_with_l_below_2_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x" / "r.jsonl"
+    argv = ["condense", "--seed", "1", "--l-grid", "1,2", "--schedule", "0.1"]
+    code = main(argv + ["--samples", "2", "--out", str(out)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_naming_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
     def no_run(plan):
         raise AssertionError("a sample ran")

@@ -95,11 +95,21 @@ def base_plan(**overrides):
         dict(dim=0),
         dict(c=-1.0),
         dict(c=float("nan")),
+        dict(l_grid=(1, 4)),
+        dict(experiment="shells", l_grid=(1, 4)),
+        dict(experiment="spectrum", l_grid=(1, 2), eig_count=4),
     ],
 )
 def test_plan_rejects_bad_options(overrides):
     with pytest.raises(ValueError):
         base_plan(**overrides)
+
+
+def test_only_condense_and_shells_need_l_above_1():
+    # the other experiments never read the coupling schedule
+    for experiment in ("spectrum", "scaling", "estimates"):
+        plan = ExperimentPlan(experiment=experiment, seed=0, l_grid=(1,))
+        assert replay_sample(plan, 0, 0).error is None, experiment
 
 
 def test_coupling_for_each_schedule_form():
@@ -120,6 +130,32 @@ def test_plan_disorder_spec_carries_seed():
 
 
 # --- config round trip -------------------------------------------------------
+
+# every field set, none to its default
+EVERY_FIELD = ExperimentPlan(
+    experiment="spectrum",
+    seed=11,
+    dim=2,
+    l_grid=(3, 5),
+    schedule=(0.25, 0.5),
+    c=2.5,
+    samples=7,
+    out="elsewhere/run.jsonl",
+    tol_eig=1e-8,
+    tol_gp=1e-7,
+    distribution="levels",
+    v_max=3.0,
+    p=0.25,
+    levels=(0.0, 1.5),
+    workers=3,
+    eig_count=4,
+    box_sides=(3, 5),
+    wegner_widths=(0.01,),
+    minami_widths=(0.03, 0.06),
+    gap_eta_grid=(0.5, 3.0),
+    eps_grid=(0.3, 0.7),
+)
+
 
 def config_text(plan):
     """key=value lines for every field of a plan that is set."""
@@ -146,11 +182,21 @@ def config_text(plan):
             wegner_widths=(0.01, 0.02),
             minami_widths=(0.005, 0.01, 0.02),
         ),
+        EVERY_FIELD,
     ],
 )
 def test_config_text_round_trips_plans(plan):
     options = parse_config_text(config_text(plan))
     assert plan_from_options(options) == plan
+
+
+def test_every_field_plan_sets_every_field():
+    # a new plan field must be added to EVERY_FIELD, so a field whose
+    # annotation has no option parser fails the round trip above
+    options = parse_config_text(config_text(EVERY_FIELD))
+    assert list(options) == [f.name for f in fields(ExperimentPlan)]
+    for f in fields(ExperimentPlan):
+        assert getattr(EVERY_FIELD, f.name) != f.default, f.name
 
 
 def test_parse_config_skips_comments_and_blanks():

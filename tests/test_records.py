@@ -157,10 +157,13 @@ def test_bad_lines_reported_with_numbers(tmp_path):
         handle.write("\n")  # blank lines are skipped silently
         handle.write('{"master_seed": 1}\n')
         handle.write(good.to_json() + "\n")
+        handle.write("[1, 2]\n")  # valid JSON, but not an object
+        handle.write("null\n")
     result = read_records(path)
     assert len(result.records) == 2
-    assert [lineno for lineno, _ in result.bad_lines] == [2, 4]
+    assert [lineno for lineno, _ in result.bad_lines] == [2, 4, 6, 7]
     assert "missing fields" in result.bad_lines[1][1]
+    assert "not a JSON object" in result.bad_lines[2][1]
 
 
 def test_unknown_field_rejected():
