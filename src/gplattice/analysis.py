@@ -1,14 +1,10 @@
 """Norm estimates, frequency-shell decompositions, and localization readouts.
 
-The central quantitative objects are two scale functions of the dimension:
+The central quantitative objects are two scale functions; in the supported
+dimensions d <= 3 they read
 
-    f(xi) = xi^(-1/4)            d <= 3      (ground-energy flatness scale)
-            xi^(-1/d) * log xi   d = 4
-            xi^(-1/d)            d >= 5
-
-    g(eps) = eps^(d/4)           d <= 3      (four-norm scale of flat fields)
-             eps * |log eps|     d = 4
-             eps                 d >= 5
+    f(xi) = xi^(-1/4)            (ground-energy flatness scale)
+    g(eps) = eps^(d/4)           (four-norm scale of flat fields)
 
 A field with unit l2 norm and kinetic form <-Delta u, u> <= eps^2 has
 ||u||_4 <= C g(eps); the shell decomposition splits its spectrum into
@@ -25,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGeometry, coordinate_norms, dft, dirichlet_energy, idft
+from .lattice import (
+    SUPPORTED_DIMS,
+    LatticeGeometry,
+    coordinate_norms,
+    dft,
+    dirichlet_energy,
+    idft,
+)
 from .gp import GPResult
 from .spectral import EigenSolution
 
@@ -42,28 +45,20 @@ def lp_norm(field: np.ndarray, p) -> float:
     raise ValueError(f"p must be 2, 4 or inf, got {p!r}")
 
 
-def f_scale(xi: float, dim: int) -> float:
-    """Flatness scale f(xi); needs xi > 1 in dimension 4."""
+def f_scale(xi: float) -> float:
+    """Flatness scale f(xi)."""
     if xi <= 0:
         raise ValueError(f"argument must be positive, got {xi}")
-    if dim <= 3:
-        return xi ** (-0.25)
-    if dim == 4:
-        if xi <= 1:
-            raise ValueError("dimension 4 needs an argument > 1 (positive log)")
-        return xi ** (-0.25) * math.log(xi)
-    return xi ** (-1.0 / dim)
+    return xi ** (-0.25)
 
 
 def g_scale(eps: float, dim: int) -> float:
     """Four-norm scale g(eps)."""
     if eps <= 0:
         raise ValueError(f"argument must be positive, got {eps}")
-    if dim <= 3:
-        return eps ** (dim / 4.0)
-    if dim == 4:
-        return eps * abs(math.log(eps))
-    return eps
+    if dim not in SUPPORTED_DIMS:
+        raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {dim}")
+    return eps ** (dim / 4.0)
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,6 @@ class ShellDecomposition:
     shell_l2: np.ndarray
     shell_sup: np.ndarray
     kinetic: float
-    growth_stat: float        # sum_k e^(2k) ||u_k||_2^2
     lattice_constant: float   # in h(gamma) >= 16 |gamma|^2 / (2L+1)^2
 
     @property
@@ -143,7 +137,6 @@ def shell_decompose(
         l2[k] = float(np.sqrt(np.sum(np.abs(coeffs[mask]) ** 2)))
         sup[k] = lp_norm(piece, math.inf)
 
-    growth = float(sum(math.e ** (2 * k) * l2[k] ** 2 for k in range(k_eps + 1)))
     side_over_l = geom.side / geom.half_side
     return ShellDecomposition(
         eps=eps,
@@ -152,24 +145,12 @@ def shell_decompose(
         shell_l2=l2,
         shell_sup=sup,
         kinetic=dirichlet_energy(geom, u),
-        growth_stat=growth,
         lattice_constant=side_over_l**2 / 16.0,
     )
 
 
-@dataclass(frozen=True)
-class FourNormReport:
-    """||u||_4 against the scale g(eps) for a low-kinetic-energy field."""
-
-    norm4: float
-    g_value: float
-    ratio: float
-
-
-def four_norm_bound_check(
-    geom: LatticeGeometry, field: np.ndarray, eps: float
-) -> FourNormReport:
-    """Compare ||u||_4 with g(eps) for a unit field with kinetic form <= eps^2."""
+def four_norm_bound_check(geom: LatticeGeometry, field: np.ndarray, eps: float) -> float:
+    """||u||_4 / g(eps) for a unit field with kinetic form <= eps^2."""
     u = np.asarray(field)
     norm = lp_norm(u, 2)
     if abs(norm - 1.0) > 1e-8:
@@ -181,9 +162,7 @@ def four_norm_bound_check(
         raise ValueError(
             f"kinetic form {kinetic} exceeds eps^2 = {eps**2}; not a scale-eps field"
         )
-    norm4 = lp_norm(u, 4)
-    g_value = g_scale(eps, geom.dim)
-    return FourNormReport(norm4=norm4, g_value=g_value, ratio=norm4 / g_value)
+    return lp_norm(u, 4) / g_scale(eps, geom.dim)
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,14 @@ _FLAG_HELP = {
     "c": "prefactor of the built-in coupling schedule",
     "samples": "disorder samples per L",
     "out": "records file (JSON lines); sidecar files share its stem",
-    "tol_eig": None,
-    "tol_gp": None,
+    "tol_eig": "eigensolver residual tolerance",
+    "tol_gp": "GP minimizer projected-gradient tolerance",
     "distribution": "one of " + ", ".join(DISTRIBUTIONS),
-    "v_max": None,
+    "v_max": "largest potential value (the disorder law's upper end)",
     "p": "bernoulli on-probability",
     "levels": "comma separated level values",
     "workers": "worker processes (default 1)",
-    "eig_count": None,
+    "eig_count": "eigenpairs a spectrum run solves for (at least 2)",
 }
 
 

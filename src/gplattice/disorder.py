@@ -4,20 +4,13 @@ Sampling is counter-based: every (master seed, L index, sample index, channel)
 tuple keys its own Philox stream, so realizations are reproducible bit for bit
 and independent of worker scheduling.  Channels separate the independent
 random inputs of one sample (potential, eigensolver start block, ...).
-
-Box partitions cut each axis into intervals with side lengths between l/2 and
-2l, which is what makes Dirichlet/Neumann bracketing of the periodic ground
-state energy work: dropping the couplings that leave a region can only lower
-the quadratic form on the Neumann side, while zero-extending a region ground
-state gives the Dirichlet upper bound.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,12 +75,10 @@ class DisorderSpec:
 
 @dataclass(frozen=True)
 class DisorderRealization:
-    """One sampled potential and the (L index, sample index) slot it fills."""
+    """One sampled potential on a torus."""
 
     geom: LatticeGeometry
     potential: np.ndarray
-    l_index: int
-    sample_index: int
 
 
 def sample_potential(
@@ -107,12 +98,7 @@ def sample_potential(
     else:
         table = np.asarray(spec.levels, dtype=float)
         values = table[rng.integers(0, table.size, n)]
-    return DisorderRealization(
-        geom=geom,
-        potential=values,
-        l_index=l_index,
-        sample_index=sample_index,
-    )
+    return DisorderRealization(geom=geom, potential=values)
 
 
 @dataclass(frozen=True)
@@ -138,33 +124,11 @@ class Region:
     def side_lengths(self) -> tuple[int, ...]:
         return tuple(length for _, length in self.intervals)
 
-    def n_sites(self) -> int:
-        out = 1
-        for length in self.side_lengths():
-            out *= length
-        return out
-
-    def with_bc(self, bc: str) -> "Region":
-        return replace(self, bc=bc)
-
     def wraps(self, geom: LatticeGeometry) -> bool:
         """True when some axis interval runs past coordinate +L."""
         return any(
             start + length - 1 > geom.half_side for start, length in self.intervals
         )
-
-    def site_indices(self, geom: LatticeGeometry) -> np.ndarray:
-        """Flat torus indices of the region's sites, in coordinate order."""
-        if self.dim != geom.dim:
-            raise ValueError(f"region is {self.dim}-dimensional, lattice is {geom.dim}")
-        positions = []
-        for start, length in self.intervals:
-            if start < -geom.half_side or start > geom.half_side:
-                raise ValueError(f"interval start {start} outside the torus")
-            coords = np.arange(start, start + length)
-            positions.append(np.mod(coords + geom.half_side, geom.side))
-        mesh = np.meshgrid(*positions, indexing="ij")
-        return np.ravel_multi_index(tuple(mesh), geom.shape).ravel()
 
 
 def whole_torus(geom: LatticeGeometry, bc: str = "periodic") -> Region:
@@ -172,42 +136,6 @@ def whole_torus(geom: LatticeGeometry, bc: str = "periodic") -> Region:
         intervals=tuple((-geom.half_side, geom.side) for _ in range(geom.dim)),
         bc=bc,
     )
-
-
-def _split_axis(side: int, half: int, box_side: int) -> list[tuple[int, int]]:
-    """Cut one axis of length 2L+1 into intervals with sides in [l/2, 2l]."""
-    if not 1 <= box_side <= side:
-        raise ValueError(f"box side must lie in [1, {side}], got {box_side}")
-    if box_side == side:
-        return [(-half, side)]
-    pieces_hi = max(1, (2 * half) // box_side)
-    pieces_lo = -(-side // (2 * box_side))  # ceil
-    pieces = min(max(round(side / box_side), pieces_lo), pieces_hi)
-    pieces = max(pieces, 1)
-    base, extra = divmod(side, pieces)
-    lengths = [base + 1] * extra + [base] * (pieces - extra)
-    out = []
-    start = -half
-    for length in lengths:
-        out.append((start, length))
-        start += length
-    return out
-
-
-def partition_into_boxes(
-    geom: LatticeGeometry, box_side: int, bc: str = "dirichlet"
-) -> list[Region]:
-    """Disjoint cover of the torus by boxes with sides between l/2 and 2l."""
-    axis_cuts = _split_axis(geom.side, geom.half_side, box_side)
-    for _, length in axis_cuts:
-        if not (box_side / 2 <= length <= 2 * box_side) and box_side != geom.side:
-            raise AssertionError(
-                f"axis cut of length {length} escapes [{box_side / 2}, {2 * box_side}]"
-            )
-    return [
-        Region(intervals=combo, bc=bc)
-        for combo in itertools.product(axis_cuts, repeat=geom.dim)
-    ]
 
 
 @functools.cache
@@ -229,8 +157,8 @@ def restrict_hamiltonian(
     diagonal 2d + V while Neumann reduces it to the in-region degree + V.  A
     periodic "restriction" must cover the whole torus.
 
-    The region's potential, in the order of :meth:`Region.site_indices`, is
-    a slice of the potential on the torus grid; a periodic region at an
+    The region's potential, in row-major order over the region's own axes,
+    is a slice of the potential on the torus grid; a periodic region at an
     offset rolls that grid per axis, and the whole torus at the origin uses
     the realization's potential as it is.  The Neumann degree depends only
     on the region's shape and is computed once per (shape, torus side).

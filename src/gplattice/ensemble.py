@@ -53,7 +53,6 @@ from .disorder import (
     FIELD_CHANNEL,
     DisorderSpec,
     Region,
-    partition_into_boxes,
     periodic_hamiltonian,
     provenance_stream,
     restrict_hamiltonian,
@@ -90,7 +89,7 @@ def theorem_coupling(half_side: int, dim: int, c: float) -> float:
         raise ValueError("the named schedule needs L >= 2 (positive log)")
     logl = math.log(half_side)
     bracket = 1.0 + logl ** (dim - 2.0 / dim)
-    return c / (half_side**dim * bracket * f_scale(logl, dim) * logl)
+    return c / (half_side**dim * bracket * f_scale(logl) * logl)
 
 
 def overlap_deficit_scale(half_side: int, dim: int, coupling: float) -> float:
@@ -99,7 +98,7 @@ def overlap_deficit_scale(half_side: int, dim: int, coupling: float) -> float:
         raise ValueError("eta(L) needs L >= 2 (positive log)")
     logl = math.log(half_side)
     bracket = 1.0 + logl ** (dim - 2.0 / dim)
-    return math.sqrt(coupling * half_side**dim * bracket * f_scale(logl, dim))
+    return math.sqrt(coupling * half_side**dim * bracket * f_scale(logl))
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ class ExperimentPlan:
 # config files (line-oriented key=value)
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse key=value lines; blank lines and # comments are skipped."""
+    """Parse key=value lines, each key once; blank lines and # comments are skipped."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -226,7 +225,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -687,7 +689,7 @@ def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
     summary names the skipped eps per L.
     """
     phi0 = eig.vectors[:, 0]
-    corpus_ratio = four_norm_bound_check(geom, phi0, default_band_scale(geom, phi0)).ratio
+    corpus_ratio = four_norm_bound_check(geom, phi0, default_band_scale(geom, phi0))
     rng = provenance_stream(plan.seed, l_index, sample_index, FIELD_CHANNEL)
     field_stats = []
     for eps_index, eps in enumerate(plan.eps_grid):
@@ -701,8 +703,8 @@ def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
         annulus_ok = dec.annulus_kinetic_stat() <= (
             dec.lattice_constant * dec.kinetic * (1 + 1e-12) + 1e-15
         )
-        report = four_norm_bound_check(geom, u, eps)
-        field_stats.append((eps_index, sup_ratio, bool(annulus_ok), report.ratio))
+        ratio = four_norm_bound_check(geom, u, eps)
+        field_stats.append((eps_index, sup_ratio, bool(annulus_ok), ratio))
     return _ground_fields(geom, eig), (corpus_ratio, field_stats)
 
 
@@ -779,23 +781,3 @@ _PIPELINES = {
     "shells": _Pipeline(lambda plan: 1, _observe_shells, _summarize_shells),
 }
 
-
-# ---------------------------------------------------------------------------
-# Neumann / periodic / Dirichlet bracketing; no experiment runs it, the
-# tests check the ordering with it
-
-def bracket_ground_energy(
-    realization, box_side: int, tol: float = 1e-10, seed=0
-) -> tuple[float, float, float]:
-    """(min Neumann, periodic, min Dirichlet) ground energies for one sample."""
-    ham = periodic_hamiltonian(realization)
-    e_per = lowest_eigenpairs(ham, 1, tol=tol, seed=seed).values[0]
-    geom = realization.geom
-    e_neu = math.inf
-    e_dir = math.inf
-    for region in partition_into_boxes(geom, box_side):
-        dir_op = restrict_hamiltonian(realization, region.with_bc("dirichlet"))
-        neu_op = restrict_hamiltonian(realization, region.with_bc("neumann"))
-        e_dir = min(e_dir, float(lowest_eigenpairs(dir_op, 1, tol=tol, seed=seed).values[0]))
-        e_neu = min(e_neu, float(lowest_eigenpairs(neu_op, 1, tol=tol, seed=seed).values[0]))
-    return e_neu, float(e_per), e_dir

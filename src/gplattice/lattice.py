@@ -131,21 +131,6 @@ def apply_neg_laplacian(geom: LatticeGeometry, field) -> np.ndarray:
     return stencil(geom.shape, geom.side, u, 2 * geom.dim * u)
 
 
-def laplace_symbol(geom: LatticeGeometry) -> np.ndarray:
-    """Fourier symbol h(gamma) of -Delta on the flat frequency grid."""
-    angles = 2.0 * np.pi * geom.coords / geom.side
-    return np.sum(2.0 - 2.0 * np.cos(angles), axis=1)
-
-
-def plane_wave(geom: LatticeGeometry, freq) -> np.ndarray:
-    """Unit-norm plane wave e^(2 pi i gamma.x / (2L+1)) for frequency gamma."""
-    gamma = np.asarray(freq, dtype=np.int64)
-    if gamma.shape != (geom.dim,):
-        raise ValueError(f"expected {geom.dim} frequency components, got {gamma.shape}")
-    phase = 2.0 * np.pi * (geom.coords @ gamma) / geom.side
-    return np.exp(1j * phase) / geom.side ** (geom.dim / 2)
-
-
 def dft(geom: LatticeGeometry, field) -> np.ndarray:
     """Unitary DFT; the coefficient of frequency gamma sits at site index gamma."""
     u = _check_field(geom, field)
@@ -171,12 +156,6 @@ def dirichlet_energy(geom: LatticeGeometry, field) -> float:
 def coordinate_norms(geom: LatticeGeometry) -> np.ndarray:
     """Euclidean norm |gamma| of every coordinate tuple (no torus wrapping)."""
     return np.sqrt((geom.coords.astype(float) ** 2).sum(axis=1))
-
-
-def torus_distances(geom: LatticeGeometry, site: int) -> np.ndarray:
-    """l1 torus distance from one site to every site."""
-    delta = np.abs(geom.coords - geom.coords[site])
-    return np.minimum(delta, geom.side - delta).sum(axis=1)
 
 
 def torus_distance(geom: LatticeGeometry, a: int, b: int) -> int:

@@ -35,10 +35,12 @@ from gplattice.analysis import (
     shell_decompose,
     trial_flat_fourier,
 )
-from gplattice.ensemble import bracket_ground_energy, record_invariant_errors
+from gplattice.ensemble import record_invariant_errors
 from gplattice.gp import gp_energy, gp_gradient
-from gplattice.lattice import laplace_symbol
 from gplattice.spectral import dense_oracle
+
+from box_bracketing import bracket_ground_energy
+from coordinate_reference import laplace_symbol
 
 WORKERS = min(8, os.cpu_count() or 1)
 FIXTURE = Path(__file__).parent / "fixtures" / "condensation_trend.json"

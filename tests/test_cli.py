@@ -244,6 +244,17 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_repeated_config_key_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_run(plan):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setattr("gplattice.cli.run_plan", no_run)
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=1\nl_grid=4\n# the last value must not win silently\nseed=2\n")
+    assert main(["condense", "--config", str(config)]) == 2
+    assert "error: config line 4: duplicate key 'seed'" in capsys.readouterr().err
+
+
 def test_condense_with_l_below_2_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "x" / "r.jsonl"
     argv = ["condense", "--seed", "1", "--l-grid", "1,2", "--schedule", "0.1"]

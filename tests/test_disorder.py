@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from gplattice import (
     restrict_hamiltonian,
     sample_potential,
 )
-from gplattice.disorder import DisorderRealization, partition_into_boxes, whole_torus
+from gplattice.disorder import whole_torus
+
+from box_bracketing import partition_into_boxes
+from coordinate_reference import site_indices
 
 
 # --- disorder spec and sampling ---------------------------------------------
@@ -90,8 +94,6 @@ def test_region_basic_accessors():
     reg = Region(intervals=((-2, 3), (0, 2)), bc="neumann")
     assert reg.dim == 2
     assert reg.side_lengths() == (3, 2)
-    assert reg.n_sites() == 6
-    assert reg.with_bc("dirichlet").bc == "dirichlet"
 
 
 def test_region_validation():
@@ -106,7 +108,7 @@ def test_region_validation():
 def test_region_site_indices_by_hand():
     geom = build_lattice(2, 2)  # 5x5, row-major over (axis0, axis1)
     reg = Region(intervals=((1, 2), (-1, 2)))
-    idx = reg.site_indices(geom)
+    idx = site_indices(reg, geom)
     expected = [
         geom.site_index((a, b)) for a in (1, 2) for b in (-1, 0)
     ]
@@ -149,7 +151,7 @@ def test_partition_covers_torus_disjointly(dim, half, box):
     geom = build_lattice(dim, half)
     box = min(box, geom.side)
     parts = partition_into_boxes(geom, box)
-    seen = np.concatenate([p.site_indices(geom) for p in parts])
+    seen = np.concatenate([site_indices(p, geom) for p in parts])
     assert len(seen) == geom.n_sites
     assert len(np.unique(seen)) == geom.n_sites
     for p in parts:
@@ -202,7 +204,7 @@ def test_neumann_below_dirichlet():
     reg = Region(intervals=((-3, 6),))
     wd = np.linalg.eigvalsh(dense_matrix(restrict_hamiltonian(real, reg)))
     wn = np.linalg.eigvalsh(
-        dense_matrix(restrict_hamiltonian(real, reg.with_bc("neumann")))
+        dense_matrix(restrict_hamiltonian(real, replace(reg, bc="neumann")))
     )
     assert (wn <= wd + 1e-12).all()
 
@@ -231,7 +233,7 @@ def test_restricted_potential_follows_sites():
     real = sample_potential(spec, geom)
     reg = Region(intervals=((-1, 3),), bc="dirichlet")
     op = restrict_hamiltonian(real, reg)
-    sites = reg.site_indices(geom)
+    sites = site_indices(reg, geom)
     np.testing.assert_array_equal(op.potential, real.potential[sites])
     mat = dense_matrix(op)
     np.testing.assert_allclose(np.diag(mat), 2.0 + real.potential[sites])
@@ -256,7 +258,7 @@ def test_restriction_takes_the_potential_at_site_indices(dim, half):
     for region in regions:
         op = restrict_hamiltonian(real, region)
         assert op.shape == region.side_lengths()
-        np.testing.assert_array_equal(op.potential, real.potential[region.site_indices(geom)])
+        np.testing.assert_array_equal(op.potential, real.potential[site_indices(region, geom)])
 
 
 def test_callers_cannot_change_the_cached_shape_data():
@@ -273,11 +275,3 @@ def test_callers_cannot_change_the_cached_shape_data():
     op.diag[:] = -7.0
     np.testing.assert_array_equal(restrict_hamiltonian(real, region).diag, diag)
     np.testing.assert_array_equal(dense_matrix(restrict_hamiltonian(real, region)), want)
-
-
-def test_realization_records_slot():
-    geom = build_lattice(1, 4)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=2)
-    real = sample_potential(spec, geom, l_index=3, sample_index=11)
-    assert isinstance(real, DisorderRealization)
-    assert (real.l_index, real.sample_index) == (3, 11)

@@ -22,7 +22,6 @@ from gplattice import (
     sample_potential,
 )
 from gplattice.ensemble import (
-    bracket_ground_energy,
     overlap_deficit_scale,
     parse_config_text,
     plan_from_options,
@@ -603,18 +602,6 @@ def test_shells_names_skipped_eps():
     assert summary.checks["eps skipped (eps L < 1) by L"] == {8: [0.1]}
     assert "eps skipped (eps L < 1) by L: {8: [0.1]}" in summary.table()
     assert [row[1] for row in summary.series["four_norm_ratio"][1]] == [0.5]
-
-
-# --- Neumann / periodic / Dirichlet bracketing --------------------------------
-
-def test_bracket_orders_ground_energies():
-    geom = build_lattice(1, 16)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=23)
-    for sample in range(3):
-        realization = sample_potential(spec, geom, 0, sample)
-        e_neu, e_per, e_dir = bracket_ground_energy(realization, 6, tol=1e-10)
-        assert e_neu <= e_per + 1e-8
-        assert e_per <= e_dir + 1e-8
 
 
 # --- public surface ------------------------------------------------------------

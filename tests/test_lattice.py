@@ -8,13 +8,10 @@ from gplattice.lattice import (
     coordinate_norms,
     dft,
     idft,
-    laplace_symbol,
-    plane_wave,
     stencil,
-    torus_distances,
 )
 
-from coordinate_reference import adjacency
+from coordinate_reference import adjacency, laplace_symbol, plane_wave, torus_distances
 
 
 def small_geometries():

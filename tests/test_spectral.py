@@ -13,7 +13,6 @@ from gplattice import (
     sample_potential,
 )
 from gplattice.disorder import EIG_CHANNEL
-from gplattice.lattice import laplace_symbol, torus_distances
 from gplattice.spectral import (
     EigenConvergenceError,
     OversizeError,
@@ -21,7 +20,12 @@ from gplattice.spectral import (
     dense_oracle,
 )
 
-from coordinate_reference import reference_matrix
+from coordinate_reference import (
+    laplace_symbol,
+    reference_matrix,
+    site_indices,
+    torus_distances,
+)
 
 SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=101)
 
@@ -109,7 +113,7 @@ def test_box_spanning_a_whole_axis_keeps_the_wrap_coupling(dim, half, intervals,
     op = restrict_hamiltonian(real, region)
     assert_matches_reference(op, reference_matrix(real, region), 2 * dim + 3, 7)
     # the box's corner is coupled to the far end of a spanning axis only
-    sites = list(region.site_indices(geom))
+    sites = list(site_indices(region, geom))
     corner = [start for start, _ in intervals]
     row = dense_matrix(op)[sites.index(geom.site_index(corner))]
     for axis, (start, length) in enumerate(intervals):
