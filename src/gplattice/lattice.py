@@ -8,8 +8,11 @@ bijection.  Axis-aligned boxes inside the torus use the same row-major
 layout on their own side lengths, so one stencil serves the torus and every
 box.  The stencil works on the flat field: along an axis of flat stride s
 the neighbours are the field shifted by +-s, and only the sites on a row
-end of that axis need a correction.  A block of fields is held one field
-per row, so each shift is one contiguous pass over the whole block.
+end of that axis need a correction.  A block of k fields is held
+site-major, the k values of one site adjacent, so the stencil sees it as
+one flat field with k trailing entries per site: each shift is one
+contiguous pass over the whole block, and the leading axis has no row
+ends inside the block.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol
@@ -85,29 +88,31 @@ def stencil(shape: tuple[int, ...], side: int, field, out: np.ndarray) -> np.nda
     """Subtract from ``out``, in place, the sum over each site's neighbours of ``field``.
 
     The box has side lengths ``shape`` on a torus of side ``side``; the whole
-    torus is the box of shape ``(side,) * d``.  ``field`` is one flat field
-    or a (k, sites) block holding one field per row, and ``out`` is a
-    C-contiguous array of the same shape, returned.  A flat field of m * sites
-    entries holds m uncoupled entries per site, trailing.  Per axis of flat
-    stride ``s`` the neighbours are two shifts of the whole flat block by
-    ``s``; on its (-1, length, s) view, whose rows run along the axis, the
-    couplings those shifts made across a row end (or from one field into
-    the next) are then added back.  An axis as long as the torus side also
-    couples its two end faces; a shorter axis drops the couplings that
-    leave the box.
+    torus is the box of shape ``(side,) * d``.  ``field`` is read in C order
+    as one flat field of k * sites entries, k uncoupled entries per site,
+    trailing: one field (k = 1) or a (sites, k) block of k fields held
+    site-major.  ``out`` is a C-contiguous array of the same shape,
+    returned.  Per axis of flat stride ``s`` the neighbours are two shifts
+    of the whole flat block by ``s``.  The leading axis spans the block,
+    so only its end faces need a fix-up; on an inner axis's (-1, length, s)
+    view, whose rows run along the axis, the couplings the shifts made
+    across a row end are added back.  An axis as long as the torus side
+    also couples its two end faces; a shorter axis drops the couplings
+    that leave the box.
     """
     u = np.ascontiguousarray(field)
     if out.shape != u.shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be C-contiguous of shape {u.shape}")
     flat, acc = u.reshape(-1), out.reshape(-1)
-    stride = u.shape[-1]
+    stride = u.size
     for length in shape:
         stride //= length
         acc[:-stride] -= flat[stride:]
         acc[stride:] -= flat[:-stride]
         if stride * length == flat.size:
-            # one row (a single field's leading axis): its faces are the ends,
-            # single sites in d = 1, where scalar updates skip the ufunc cost
+            # the leading axis is one row: its faces are the ends, single
+            # sites of a single field in d = 1, where scalar updates skip
+            # the ufunc cost
             if length == side and stride == 1:
                 acc[-1] -= flat[0]
                 acc[0] -= flat[-1]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
@@ -67,10 +67,9 @@ class RunRecord:
 
     def content_dict(self) -> dict:
         """All payload fields; excludes the diagnostics."""
-        data = asdict(self)
-        for name in DIAGNOSTICS:
-            data.pop(name)
-        return data
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in DIAGNOSTICS
+        }
 
     def content_key(self) -> tuple:
         """Hashable payload for multiset comparisons across runs."""
@@ -80,7 +79,8 @@ class RunRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        # the field values themselves: dataclasses.asdict would deep-copy each
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)})
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":

@@ -3,20 +3,24 @@
 An operator stores a per-site diagonal (kinetic part plus potential) on the
 grid of its region, the torus or a box inside it, and subtracts the
 neighbours with :func:`lattice.stencil`: two shifts of the flat field per
-axis, corrected at the row ends.  One application costs O(sites * 2d), and
-nothing is ever assembled except inside the small-instance dense oracle.
+axis, corrected at the end faces and at the row ends of inner axes.  One
+application costs O(sites * 2d), and nothing is ever assembled except
+inside the small-instance dense oracle.
 
 The iterative solver is Chebyshev-filtered subspace iteration (Zhou, Saad,
 Tiago & Chelikowsky, J. Comput. Phys. 219, 2006; Zhou & Saad, SIAM J. Matrix
 Anal. Appl. 29, 2007): a fixed-degree Chebyshev polynomial of the operator
 damps the unwanted upper spectrum of a block, which is then orthonormalized
 by one Householder QR and rotated onto its Ritz vectors.  Blocks are held
-as (k, sites) arrays, one field per row, so every field is contiguous and
-each filter step is a few passes over the flat block.  The block is at
-least 2d+3 fields wide so degenerate clusters are captured whole; the free
-first excited level has multiplicity 2d, which a single-vector iteration
-would silently split.  Residuals of returned pairs are recomputed with a
-fresh operator application before the solver accepts them.
+site-major, as C-ordered (sites, k) arrays whose k fields at one site are
+adjacent: the stencil takes such a block as one flat field, so no shift
+crosses from one field into the next, each filter step is a few passes
+over the flat block, and the QR and the Rayleigh-Ritz products take the
+block as it is.  The block is at least 2d+3 fields wide so degenerate
+clusters are captured whole; the free first excited level has
+multiplicity 2d, which a single-vector iteration would silently split.
+Residuals of returned pairs are recomputed with a fresh operator
+application before the solver accepts them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,10 @@ DENSE_LIMIT = 4096
 # Chebyshev filter degree per outer step; 20-40 all cost within 10%
 FILTER_DEGREE = 30
 # up to this many sites one Rayleigh-Ritz step on the whole space is cheaper
-# than filtering a block (measured crossover: 100-170 sites in d = 1, 2, 3)
+# than filtering a block, or about as cheap (measured crossover of the
+# site-major filter, count = 2, one CPU: 90-100 sites in d = 1, 81-121 in
+# d = 2, below 125 in d = 3); moving it would change the records of the
+# tori it moves across
 WHOLE_SPACE_LIMIT = 120
 
 
@@ -74,15 +81,15 @@ class HamiltonianOperator:
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """Apply the operator to one field or to the columns of a block."""
-        u = np.asarray(field)
+        u = np.ascontiguousarray(field)
         if u.shape[0] != self.n_sites:
             raise ValueError(
                 f"field must have leading dimension {self.n_sites}, got {u.shape}"
             )
-        # the stencil takes one field per row; a Fortran-ordered block's
-        # transpose already is one, so no copy is made
-        rows = np.ascontiguousarray(u.T)
-        return stencil(self.shape, self.geom.side, rows, self.diag * rows).T
+        # a C-ordered (n, k) block is site-major: the stencil takes it as one
+        # flat field with k trailing entries per site
+        diag = self.diag if u.ndim == 1 else self.diag[:, None]
+        return stencil(self.shape, self.geom.side, u, diag * u)
 
     def spectral_bound(self) -> float:
         """Upper bound 4d + max V on the spectrum."""
@@ -93,14 +100,13 @@ class HamiltonianOperator:
 def _hopping_pattern(shape: tuple[int, ...], side: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions and values of the off-diagonal entries of a region's matrix.
 
-    They are read off the stencil applied to the identity, passed flat with
-    its n columns trailing each site, so the stencil sees one field on the
-    grid ``shape + (n,)`` whose last axis carries no coupling.  The stencil
-    never couples a site to itself, so every entry found is off the
-    diagonal.  Both arrays are read-only: every caller shares them.
+    They are read off the stencil applied to the identity, a site-major
+    block of n fields.  The stencil never couples a site to itself, so every
+    entry found is off the diagonal.  Both arrays are read-only: every
+    caller shares them.
     """
     n = math.prod(shape)
-    hopping = stencil(shape, side, np.eye(n).reshape(-1), np.zeros(n * n))
+    hopping = stencil(shape, side, np.eye(n), np.zeros((n, n))).reshape(-1)
     positions = np.flatnonzero(hopping)
     values = hopping[positions]
     positions.setflags(write=False)
@@ -137,8 +143,8 @@ class EigenSolution:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its entry sum (or largest entry on ties) is positive."""
-    out = vectors.copy(order="K")
+    """Column-contiguous copy with each column's entry sum (or largest entry on ties) positive."""
+    out = np.array(vectors, order="F")
     for j in range(out.shape[1]):
         col = out[:, j]
         pivot = col.sum()
@@ -150,16 +156,17 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
-    """Ritz values, vectors and their images for an orthonormal basis of rows."""
-    vals, rot = np.linalg.eigh(basis @ image.T)
-    return vals, rot.T @ basis, rot.T @ image
+    """Ritz values, vectors and their images for an orthonormal basis of columns."""
+    vals, rot = np.linalg.eigh(basis.T @ image)
+    return vals, basis @ rot, image @ rot
 
 
 def _chebyshev_step(op, shifted, beta, prev, cur, scratch) -> np.ndarray:
     """Overwrite ``prev`` with ``(H - c) cur - beta * prev`` and return it.
 
-    ``shifted`` is ``op.diag - c`` and ``scratch`` a buffer shaped like the
-    (k, n) row blocks ``prev`` and ``cur``, so the step allocates nothing.
+    ``prev``, ``cur`` and the buffer ``scratch`` are C-ordered (n, k) blocks,
+    and ``shifted`` is ``op.diag - c`` repeated k times per site in the same
+    shape, so the step allocates nothing.
     """
     prev *= -beta
     np.multiply(shifted, cur, out=scratch)
@@ -167,20 +174,20 @@ def _chebyshev_step(op, shifted, beta, prev, cur, scratch) -> np.ndarray:
     return stencil(op.shape, op.geom.side, cur, prev)
 
 
-def _chebyshev_filter(op, rows, image, cut, upper) -> np.ndarray:
-    """Degree-``FILTER_DEGREE`` Chebyshev filter damping [cut, upper] on ``rows``.
+def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
+    """Degree-``FILTER_DEGREE`` Chebyshev filter damping [cut, upper] on ``block``.
 
-    ``image`` holds the rows' images under the operator.  In monic form, with
-    x = (H - center) / half, W_j = 2 (half / 2)^j T_j(x) obeys W_{j+1} =
-    (H - center) W_j - beta_j W_{j-1}, beta_1 = half^2 / 2 and beta_j =
-    half^2 / 4 after; two row blocks and one scratch block hold the whole
-    recurrence.
+    ``image`` holds the images of the block's columns under the operator.  In
+    monic form, with x = (H - center) / half, W_j = 2 (half / 2)^j T_j(x)
+    obeys W_{j+1} = (H - center) W_j - beta_j W_{j-1}, beta_1 = half^2 / 2
+    and beta_j = half^2 / 4 after; two site-major blocks, one scratch block
+    and the diagonal repeated across the block hold the whole recurrence.
     """
     half = (upper - cut) / 2.0
     center = (upper + cut) / 2.0
-    shifted = op.diag - center
-    prev = rows.copy()
+    prev = block.copy()
     cur = image - center * prev
+    shifted = np.repeat(op.diag - center, cur.shape[1]).reshape(cur.shape)
     scratch = np.empty_like(cur)
     beta = half * half / 2.0
     for _ in range(FILTER_DEGREE - 1):
@@ -202,9 +209,10 @@ def lowest_eigenpairs(
     A block of ``max(count + 4, 2d + 3)`` fields is drawn from ``seed``, so
     runs replay bit-exactly; up to ``WHOLE_SPACE_LIMIT`` sites the block
     spans the whole space and one Rayleigh-Ritz step is exact.  The block is
-    a (width, n) array, one field per row.  Each outer step applies a
-    degree-``FILTER_DEGREE`` Chebyshev filter that damps [largest Ritz
-    value, ``op.spectral_bound()``]: each step of its three-term recurrence
+    a C-ordered (n, width) array, one field per column, so the fields of one
+    site are adjacent.  Each outer step applies a degree-``FILTER_DEGREE``
+    Chebyshev filter that damps [largest Ritz value,
+    ``op.spectral_bound()``]: each step of its three-term recurrence
     overwrites the oldest iterate in place, so no block is allocated per
     step.  One Householder QR then orthonormalizes the block and a
     Rayleigh-Ritz step rotates it onto its Ritz vectors.  Leading pairs
@@ -228,29 +236,22 @@ def lowest_eigenpairs(
         max_applies = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
 
-    def apply(rows):
-        return op.apply(rows.T).T
-
-    def orthonormal_rows(rows):
-        return np.ascontiguousarray(np.linalg.qr(rows.T)[0].T)
-
-    basis = orthonormal_rows(np.random.default_rng(seed).standard_normal((n, width)).T)
-    vals, vecs, image = _rayleigh_ritz(basis, apply(basis))
+    basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
+    vals, vecs, image = _rayleigh_ritz(basis, op.apply(basis))
     used = width
     best: EigenSolution | None = None
     while True:
-        head = vecs[:count]
-        res = np.linalg.norm(image[:count] - vals[:count, None] * head, axis=1)
+        # column-contiguous copies: the residual then runs along whole fields
+        head = np.asfortranarray(vecs[:, :count])
+        res = np.linalg.norm(np.asfortranarray(image[:, :count]) - head * vals[:count], axis=0)
         if res.max() <= tol:
             # confirm with a fresh application before accepting
             used += count
-            res = np.linalg.norm(apply(head) - vals[:count, None] * head, axis=1)
+            res = np.linalg.norm(op.apply(head) - head * vals[:count], axis=0)
             if res.max() <= tol:
-                return EigenSolution(
-                    vals[:count].copy(), _fix_signs(head.T), res, used, True
-                )
+                return EigenSolution(vals[:count].copy(), _fix_signs(head), res, used, True)
         if best is None or res.max() < best.residuals.max():
-            best = EigenSolution(vals[:count].copy(), head.T, res, used, False)
+            best = EigenSolution(vals[:count].copy(), head, res, used, False)
         lock = int(np.argmin(res <= tol))   # leading converged pairs
         # a basis of the whole space is already exact up to round-off
         if width == n or used + FILTER_DEGREE * (width - lock) > max_applies:
@@ -260,13 +261,16 @@ def lowest_eigenpairs(
                 best=replace(best, vectors=_fix_signs(best.vectors)),
             )
 
-        filtered = _chebyshev_filter(op, vecs[lock:], image[lock:], vals[-1], upper)
-        # the locked fields lead the QR, so the new ones come out orthogonal
-        fresh = orthonormal_rows(np.vstack([vecs[:lock], filtered]))[lock:]
+        filtered = _chebyshev_filter(op, vecs[:, lock:], image[:, lock:], vals[-1], upper)
+        if lock:
+            # the locked fields lead the QR, so the new ones come out orthogonal
+            filtered = np.hstack([vecs[:, :lock], filtered])
+        basis = np.linalg.qr(filtered)[0]
         del filtered    # one block fewer held through the Rayleigh-Ritz step
-        vals, vecs, image = _rayleigh_ritz(
-            np.vstack([vecs[:lock], fresh]), np.vstack([image[:lock], apply(fresh)])
-        )
+        # the QR returns the locked fields up to sign; keep them and their images
+        basis[:, :lock] = vecs[:, :lock]
+        image[:, lock:] = op.apply(basis[:, lock:])
+        vals, vecs, image = _rayleigh_ritz(basis, image)
         used += FILTER_DEGREE * (width - lock)
 
 

@@ -23,6 +23,28 @@ STANDING_PLANS = {
         workers=8,
         out="runs/condensation_trend.jsonl",
     ),
+    "condensation_trend_2d": ExperimentPlan(
+        experiment="condense",
+        seed=0,
+        dim=2,
+        l_grid=(8, 16, 32, 64),
+        schedule="theorem",
+        c=1.0,
+        samples=200,
+        workers=8,
+        out="runs/condensation_trend_2d.jsonl",
+    ),
+    "condensation_trend_3d": ExperimentPlan(
+        experiment="condense",
+        seed=0,
+        dim=3,
+        l_grid=(4, 6, 8, 12),
+        schedule="theorem",
+        c=1.0,
+        samples=200,
+        workers=8,
+        out="runs/condensation_trend_3d.jsonl",
+    ),
     "groundstate_scaling": ExperimentPlan(
         experiment="scaling",
         seed=0,

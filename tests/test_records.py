@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -5,7 +6,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from gplattice import RunRecord, read_records, write_records
+from gplattice import ExperimentPlan, RunRecord, read_records, replay_sample, write_records
+from gplattice.records import DIAGNOSTICS
 
 
 def make_record(**overrides):
@@ -50,6 +52,22 @@ def test_json_round_trip_is_bit_exact():
     assert back == rec
     assert back.e0 == 0.1 + 0.2
     assert back.e1 == 1.0 / 3.0
+
+
+def test_json_matches_a_deep_copied_dict():
+    # one record of each experiment, and an error record: the whole-space
+    # solve of a 9-site torus cannot reach tol_eig = 1e-300
+    plans = [
+        ExperimentPlan(experiment=name, seed=1, l_grid=(4,), eps_grid=(0.5,))
+        for name in ("condense", "spectrum", "scaling", "estimates", "shells")
+    ]
+    plans.append(ExperimentPlan(experiment="spectrum", seed=0, l_grid=(4,), tol_eig=1e-300))
+    records = [replay_sample(plan, 0, 0) for plan in plans]
+    assert [r.error is None for r in records] == [True] * 5 + [False]
+    for rec in records:
+        assert rec.to_json() == json.dumps(dataclasses.asdict(rec))
+        want = {k: v for k, v in dataclasses.asdict(rec).items() if k not in DIAGNOSTICS}
+        assert json.dumps(rec.content_dict()) == json.dumps(want)
 
 
 def test_nan_fields_round_trip_via_content_key():

@@ -42,7 +42,7 @@ def assert_matches_reference(op, ref, columns, seed):
     """``dense_matrix(op)`` is ``ref``, and ``op.apply`` agrees with it.
 
     ``op.apply`` is checked on one field and on C- and Fortran-ordered blocks
-    of 1, 2 and ``columns`` columns.
+    of 1, 2 and ``columns`` columns; a C-ordered block's image is C-ordered.
     """
     np.testing.assert_array_equal(dense_matrix(op), ref)
     rng = np.random.default_rng(seed)
@@ -53,6 +53,8 @@ def assert_matches_reference(op, ref, columns, seed):
         for ordered in (np.ascontiguousarray, np.asfortranarray):
             got = op.apply(ordered(block))
             assert got.shape == block.shape
+            if ordered is np.ascontiguousarray:
+                assert got.flags.c_contiguous
             np.testing.assert_allclose(got, ref @ block, rtol=0, atol=1e-13)
 
 
@@ -133,14 +135,17 @@ def test_whole_torus_at_an_offset_keeps_the_stencil_exact():
 
 @pytest.mark.parametrize("dim, half", [(1, 10), (2, 4), (3, 2)])
 def test_fused_chebyshev_step_is_the_recurrence(dim, half):
-    # one in-place filter step against (H - c) W_j - beta W_{j-1} built unfused
+    # one in-place filter step on site-major (n, k) blocks, with the diagonal
+    # repeated k times per site, against (H - c) W_j - beta W_{j-1} built unfused
     ham = make_ham(dim, half)
     rng = np.random.default_rng(dim)
-    older, cur = rng.normal(size=(2, 2 * dim + 3, ham.n_sites))
+    width = 2 * dim + 3
+    older, cur = rng.normal(size=(2, ham.n_sites, width))
     center, beta = 5.5, 7.25
-    want = ham.apply(cur.T).T - center * cur - beta * older
+    want = ham.apply(cur) - center * cur - beta * older
+    shifted = np.repeat(ham.diag - center, width).reshape(cur.shape)
     prev = older.copy()
-    got = _chebyshev_step(ham, ham.diag - center, beta, prev, cur, np.empty_like(cur))
+    got = _chebyshev_step(ham, shifted, beta, prev, cur, np.empty_like(cur))
     assert got is prev
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -179,6 +184,8 @@ def test_orthonormal_output():
     sol = lowest_eigenpairs(ham, 5, tol=1e-10, seed=7)
     gram = sol.vectors.T @ sol.vectors
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-10)
+    # each returned field is contiguous, as its callers slice it by column
+    assert sol.vectors.flags.f_contiguous
 
 
 def test_degenerate_flat_potential_spectrum():
@@ -257,6 +264,7 @@ def test_budget_exhaustion_carries_best():
     assert best is not None
     assert not best.converged
     assert best.values.shape == (4,)
+    assert best.vectors.shape == (ham.n_sites, 4) and best.vectors.flags.f_contiguous
     assert np.all(np.diff(best.values) >= -1e-12)
 
 
