@@ -60,14 +60,14 @@ class DisorderSpec:
             raise ValueError(
                 f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
             )
-        if not self.v_max > 0:
-            raise ValueError(f"v_max must be positive, got {self.v_max}")
+        if not 0.0 < self.v_max < math.inf:
+            raise ValueError(f"v_max must be finite and positive, got {self.v_max}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.distribution == "levels":
             if not self.levels:
                 raise ValueError("levels distribution needs a non-empty level list")
-            if any(v < 0 or v > self.v_max for v in self.levels):
+            if any(not 0.0 <= v <= self.v_max for v in self.levels):
                 raise ValueError("levels must lie in [0, v_max]")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")

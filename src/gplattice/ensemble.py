@@ -31,7 +31,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -121,11 +121,16 @@ class ExperimentPlan:
     levels: tuple[float, ...] | None = None
     workers: int = 1
     eig_count: int = 2
-    box_sides: tuple[int, ...] = (4, 6, 8, 10)
-    wegner_widths: tuple[float, ...] = (0.02, 0.04, 0.08)
-    minami_widths: tuple[float, ...] = (0.005, 0.01, 0.02, 0.04)
-    gap_eta_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0)
-    eps_grid: tuple[float, ...] = (0.5, 0.2, 0.1)
+
+    # fixed grids, not options: Neumann box sides of the Lifshitz tail (the
+    # largest box, 10^d <= 1000 sites, is under DENSE_LIMIT in every
+    # supported d), Wegner and Minami window widths, gap-law etas, shell
+    # scales eps
+    box_sides: ClassVar[tuple[int, ...]] = (4, 6, 8, 10)
+    wegner_widths: ClassVar[tuple[float, ...]] = (0.02, 0.04, 0.08)
+    minami_widths: ClassVar[tuple[float, ...]] = (0.005, 0.01, 0.02, 0.04)
+    gap_eta_grid: ClassVar[tuple[float, ...]] = (0.25, 0.5, 1.0, 2.0, 4.0)
+    eps_grid: ClassVar[tuple[float, ...]] = (0.5, 0.1, 0.02)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -136,8 +141,8 @@ class ExperimentPlan:
             raise ValueError("seed must be non-negative")
         if self.dim not in SUPPORTED_DIMS:
             raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {self.dim}")
-        if not self.c >= 0:
-            raise ValueError(f"c must be >= 0, got {self.c}")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and >= 0, got {self.c}")
         if not self.l_grid:
             raise ValueError("l_grid must not be empty")
         if any(b <= a for a, b in zip(self.l_grid, self.l_grid[1:])):
@@ -148,11 +153,8 @@ class ExperimentPlan:
             # condense takes log L (coupling, eta(L)); shells needs eps < 1 with eps L >= 1
             raise ValueError(f"{self.experiment} needs every L >= 2")
         if self.experiment == "estimates":
-            # full dense spectra of the torus and of every Neumann box
-            sites = max(
-                (2 * max(self.l_grid) + 1) ** self.dim,
-                max(self.box_sides, default=1) ** self.dim,
-            )
+            # full dense spectra of the torus; every Neumann box is small
+            sites = (2 * max(self.l_grid) + 1) ** self.dim
             if sites > DENSE_LIMIT:
                 raise OversizeError(
                     f"estimates needs full dense spectra; {sites} sites exceeds "
@@ -162,24 +164,13 @@ class ExperimentPlan:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.tol_eig <= 0 or self.tol_gp <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.eig_count < 1:
-            raise ValueError("eig_count must be >= 1")
+        if not (0.0 < self.tol_eig < math.inf and 0.0 < self.tol_gp < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if self.eig_count < 2:
+            raise ValueError("eig_count must be >= 2")
         smallest = (2 * min(self.l_grid) + 1) ** self.dim  # sites of the smallest torus
         if self.experiment == "spectrum" and self.eig_count > smallest:
             raise ValueError(f"eig_count exceeds the {smallest} sites of the smallest torus")
-        if any(side < 1 for side in self.box_sides):
-            raise ValueError(f"every box side must be >= 1, got {self.box_sides}")
-        if any(not 0.0 < eps < 1.0 for eps in self.eps_grid):
-            raise ValueError(f"every eps must lie in (0, 1), got {self.eps_grid}")
-        if not self.wegner_widths:
-            raise ValueError("wegner_widths must not be empty")
-        widths = self.wegner_widths + self.minami_widths + self.gap_eta_grid
-        if any(not w > 0 for w in widths):
-            raise ValueError(
-                "Wegner and Minami widths and gap-law etas must be positive"
-            )
         if isinstance(self.schedule, str):
             if self.schedule != "theorem":
                 raise ValueError(
@@ -190,8 +181,8 @@ class ExperimentPlan:
                 raise ValueError(
                     "an explicit schedule needs one coupling, or one per L"
                 )
-            if any(u < 0 for u in self.schedule):
-                raise ValueError("couplings must be >= 0")
+            if any(not 0.0 <= u < math.inf for u in self.schedule):
+                raise ValueError("couplings must be finite and >= 0")
         # instantiating the disorder spec validates the distribution block
         self.disorder_spec()
 
@@ -244,7 +235,6 @@ _PARSERS: dict[str, Callable[[str], object]] = {
     "float": float,
     "str | None": lambda text: text or None,
     "tuple[int, ...]": lambda text: _split(text, int),
-    "tuple[float, ...]": lambda text: _split(text, float),
     "tuple[float, ...] | None": lambda text: _split(text, float) if text else None,
     "str | tuple[float, ...]": lambda text: text if text == "theorem" else _split(text, float),
 }
@@ -599,19 +589,22 @@ def _summarize_scaling(plan: ExperimentPlan, groups):
 # ---------------------------------------------------------------------------
 # spectral-hypothesis estimators: Wegner, Minami, Lifshitz, gap law
 
+def _window_counts(vals: np.ndarray, center: float, widths) -> np.ndarray:
+    """Levels in the closed window of each width centred on ``center``.
+
+    ``vals`` ascend: the window [lo, hi] holds the levels from the first
+    >= lo up to the last <= hi.
+    """
+    half = np.asarray(widths) / 2
+    hi = vals.searchsorted(center + half, "right")
+    return hi - vals.searchsorted(center - half, "left")
+
+
 def _observe_estimates(plan, l_index, sample_index, geom, ham, vals):
     """Gap fields, plus eigenvalue counts in windows at the band center."""
     center = (4.0 * plan.dim + plan.v_max) / 2.0
-
-    def counts(widths) -> np.ndarray:
-        # vals ascend: the closed window [lo, hi] holds the levels from the
-        # first >= lo up to the last <= hi
-        half = np.asarray(widths) / 2
-        hi = vals.searchsorted(center + half, "right")
-        return hi - vals.searchsorted(center - half, "left")
-
-    wegner = counts(plan.wegner_widths).tolist()
-    minami = (counts(plan.minami_widths) >= 2).tolist()
+    wegner = _window_counts(vals, center, plan.wegner_widths).tolist()
+    minami = (_window_counts(vals, center, plan.minami_widths) >= 2).tolist()
     fields = dict(e0=float(vals[0]), e1=float(vals[1]), gap=float(vals[1] - vals[0]))
     return fields, (wegner, minami)
 
@@ -774,7 +767,7 @@ _PIPELINES = {
         lambda plan: 2, _observe_condense, _summarize_condense, interacting=True
     ),
     "spectrum": _Pipeline(
-        lambda plan: max(2, plan.eig_count), _observe_spectrum, _summarize_spectrum
+        lambda plan: plan.eig_count, _observe_spectrum, _summarize_spectrum
     ),
     "scaling": _Pipeline(lambda plan: 1, _observe_scaling, _summarize_scaling),
     "estimates": _Pipeline(None, _observe_estimates, _summarize_estimates),

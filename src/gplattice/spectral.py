@@ -197,12 +197,7 @@ def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
 
 
 def lowest_eigenpairs(
-    op: HamiltonianOperator,
-    count: int,
-    tol: float = 1e-10,
-    *,
-    seed=0,
-    max_applies: int | None = None,
+    op: HamiltonianOperator, count: int, tol: float = 1e-10, *, seed=0
 ) -> EigenSolution:
     """Lowest ``count`` eigenpairs by Chebyshev-filtered subspace iteration.
 
@@ -221,8 +216,8 @@ def lowest_eigenpairs(
     QR.
     Pairs are accepted only after a fresh application confirms every
     residual <= ``tol``; signs are fixed only on the pairs returned.
-    ``iterations`` counts applied fields; if the budget (default
-    ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)``) would be
+    ``iterations`` counts applied fields; if the budget
+    ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)`` would be
     exceeded, :class:`EigenConvergenceError` carries the best pairs found.
     """
     n = op.n_sites
@@ -232,8 +227,7 @@ def lowest_eigenpairs(
         raise ValueError("tol must be positive")
 
     width = n if n <= WHOLE_SPACE_LIMIT else min(n, max(count + 4, 2 * op.geom.dim + 3))
-    if max_applies is None:
-        max_applies = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
+    budget = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
 
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
@@ -254,7 +248,7 @@ def lowest_eigenpairs(
             best = EigenSolution(vals[:count].copy(), head, res, used, False)
         lock = int(np.argmin(res <= tol))   # leading converged pairs
         # a basis of the whole space is already exact up to round-off
-        if width == n or used + FILTER_DEGREE * (width - lock) > max_applies:
+        if width == n or used + FILTER_DEGREE * (width - lock) > budget:
             raise EigenConvergenceError(
                 f"no convergence after {used} operator applications; "
                 f"best residuals {np.array2string(best.residuals, precision=3)}",

@@ -165,20 +165,10 @@ def test_criterion_04_record_invariants_hold_everywhere(capsys, trend_run):
             experiment="spectrum", seed=6, l_grid=(8,), schedule=(0.0,), samples=5
         ),
         ExperimentPlan(
-            experiment="estimates",
-            seed=6,
-            l_grid=(6,),
-            schedule=(0.0,),
-            samples=20,
-            box_sides=(4,),
+            experiment="estimates", seed=6, l_grid=(6,), schedule=(0.0,), samples=20
         ),
         ExperimentPlan(
-            experiment="shells",
-            seed=6,
-            l_grid=(32,),
-            schedule=(0.0,),
-            samples=2,
-            eps_grid=(0.5,),
+            experiment="shells", seed=6, l_grid=(32,), schedule=(0.0,), samples=2
         ),
         ExperimentPlan(
             experiment="scaling", seed=6, l_grid=(8, 16), schedule=(0.0,), samples=3

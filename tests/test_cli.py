@@ -1,11 +1,12 @@
 import argparse
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from gplattice import ExperimentPlan, main, read_records
-from gplattice.cli import _add_common_options, _merge_options, build_parser
+from gplattice.cli import _FLAG_HELP, _add_common_options, _merge_options, build_parser
 from gplattice.ensemble import EXPERIMENTS, parse_config_text, plan_from_options
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -73,7 +74,6 @@ STANDING_PLANS = {
         l_grid=(128, 512),
         schedule=(0.0,),
         samples=50,
-        eps_grid=(0.5, 0.1, 0.02),
         workers=8,
         out="runs/shell_calibration.jsonl",
     ),
@@ -235,6 +235,10 @@ def test_every_flag_reaches_the_plan():
         assert getattr(plan, dest) == value != getattr(default, dest), dest
 
 
+def test_every_plan_field_but_the_subcommand_is_a_flag():
+    assert set(_FLAG_HELP) == {f.name for f in fields(ExperimentPlan)} - {"experiment"}
+
+
 def test_oversize_estimates_plan_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "big.jsonl"
     argv = ["estimates", "--seed", "1", "--l-grid", "5000", "--schedule", "0"]
@@ -255,7 +259,12 @@ def test_bad_dim_or_c_is_a_usage_error(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--seed", "x"], ["--seed", "0", "--distribution", "cauchy"]]
+    "flags",
+    [
+        ["--seed", "x"],
+        ["--seed", "0", "--distribution", "cauchy"],
+        ["--seed", "0", "--tol-eig", "inf"],
+    ],
 )
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, flags):
     # a flag's value is checked by the plan, as the same config entry is
@@ -275,6 +284,18 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys, monkeypatch):
     config.write_text("seed=1\nl_grid=4\n# the last value must not win silently\nseed=2\n")
     assert main(["condense", "--config", str(config)]) == 2
     assert "error: config line 4: duplicate key 'seed'" in capsys.readouterr().err
+
+
+def test_removed_config_key_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def no_run(plan):
+        raise AssertionError("a sample ran")
+
+    monkeypatch.setattr("gplattice.cli.run_plan", no_run)
+    config = tmp_path / "run.cfg"
+    # the shell scales are a fixed grid, no longer a plan option
+    config.write_text("seed=1\nl_grid=8\neps_grid=0.5\n")
+    assert main(["shells", "--config", str(config)]) == 2
+    assert "error: unknown config key 'eps_grid'" in capsys.readouterr().err
 
 
 def test_condense_with_l_below_2_is_a_usage_error(tmp_path, capsys):
@@ -299,7 +320,7 @@ def test_out_naming_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 def test_bad_plan_value_in_config_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("seed=1\nl_grid=4\nschedule=0\nsamples=3\nbox_sides=0\n")
+    cfg.write_text("seed=1\nl_grid=4\nschedule=0\nsamples=0\n")
     out = tmp_path / "bad.jsonl"
     code = main(["estimates", "--config", str(cfg), "--out", str(out)])
     assert code == 2

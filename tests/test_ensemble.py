@@ -75,25 +75,27 @@ def base_plan(**overrides):
         dict(samples=0),
         dict(workers=0),
         dict(eig_count=0),
+        dict(eig_count=1),
         dict(tol_eig=0.0),
+        dict(tol_eig=math.inf),
+        dict(tol_eig=math.nan),
+        dict(tol_gp=math.inf),
+        dict(tol_gp=math.nan),
         dict(schedule="geometric"),
         dict(schedule=(0.1, 0.2, 0.3)),
         dict(schedule=(-0.1,)),
+        dict(schedule=(math.inf,)),
+        dict(schedule=(math.nan,)),
         dict(schedule="theorem", l_grid=(1, 4)),
         dict(distribution="cauchy"),
         dict(distribution="levels", levels=None),
-        dict(box_sides=(4, 0)),
-        dict(eps_grid=(0.5, 1.5)),
-        dict(eps_grid=(0.0,)),
-        dict(eps_grid=(1.0,)),
-        dict(wegner_widths=()),
-        dict(wegner_widths=(0.02, -0.01)),
-        dict(minami_widths=(0.0,)),
-        dict(gap_eta_grid=(1.0, -2.0)),
+        dict(distribution="levels", levels=(0.5, math.nan)),
+        dict(v_max=math.inf),
         dict(dim=4),
         dict(dim=0),
         dict(c=-1.0),
         dict(c=float("nan")),
+        dict(c=math.inf),
         dict(l_grid=(1, 4)),
         dict(experiment="shells", l_grid=(1, 4)),
         dict(experiment="spectrum", l_grid=(1, 2), eig_count=4),
@@ -148,11 +150,6 @@ EVERY_FIELD = ExperimentPlan(
     levels=(0.0, 1.5),
     workers=3,
     eig_count=4,
-    box_sides=(3, 5),
-    wegner_widths=(0.01,),
-    minami_widths=(0.03, 0.06),
-    gap_eta_grid=(0.5, 3.0),
-    eps_grid=(0.3, 0.7),
 )
 
 
@@ -175,12 +172,7 @@ def config_text(plan):
         base_plan(schedule="theorem", l_grid=(16, 32), c=0.5, out="runs/a.jsonl"),
         base_plan(distribution="bernoulli", p=0.3, v_max=2.0, workers=4),
         base_plan(distribution="levels", levels=(0.0, 0.5, 1.0)),
-        base_plan(
-            experiment="estimates",
-            box_sides=(4, 8),
-            wegner_widths=(0.01, 0.02),
-            minami_widths=(0.005, 0.01, 0.02),
-        ),
+        base_plan(experiment="estimates"),
         EVERY_FIELD,
     ],
 )
@@ -196,6 +188,14 @@ def test_every_field_plan_sets_every_field():
     assert list(options) == [f.name for f in fields(ExperimentPlan)]
     for f in fields(ExperimentPlan):
         assert getattr(EVERY_FIELD, f.name) != f.default, f.name
+
+
+def test_estimator_grids_read_on_a_plan():
+    # fixed grids, not fields; the benchmark's replay reads them off a plan
+    plan = ExperimentPlan(experiment="estimates", seed=0)
+    assert plan.box_sides == (4, 6, 8, 10)
+    assert plan.wegner_widths == (0.02, 0.04, 0.08)
+    assert plan.minami_widths == (0.005, 0.01, 0.02, 0.04)
 
 
 def test_parse_config_skips_comments_and_blanks():
@@ -368,16 +368,10 @@ SMALL_PLANS = [
         l_grid=(6,),
         schedule=(0.0,),
         samples=40,
-        box_sides=(4,),
         v_max=6.0,
     ),
     ExperimentPlan(
-        experiment="shells",
-        seed=7,
-        l_grid=(32,),
-        schedule=(0.0,),
-        samples=2,
-        eps_grid=(0.5, 0.25),
+        experiment="shells", seed=7, l_grid=(32,), schedule=(0.0,), samples=2
     ),
 ]
 
@@ -463,7 +457,6 @@ def test_estimates_runner_smoke():
         l_grid=(6,),
         schedule=(0.0,),
         samples=40,
-        box_sides=(4,),
         v_max=6.0,
     )
     result = run_plan(plan)
@@ -500,26 +493,28 @@ def spectra_and_widths(draw):
     # a width of 2 |level - center| puts a window edge exactly on that level
     on_level = [2 * abs(v - ESTIMATES_CENTER) for v in FLAT_LEVELS if v != ESTIMATES_CENTER]
     width = st.one_of(st.floats(1e-3, 5.0), st.sampled_from(on_level))
-    wegner = draw(st.lists(width, min_size=1, max_size=4))
-    minami = draw(st.lists(width, min_size=1, max_size=4))
-    edges = [ESTIMATES_CENTER + s * w / 2 for w in wegner + minami for s in (-1, 1)]
+    widths = draw(st.lists(width, min_size=1, max_size=8))
+    grids = widths + list(ESTIMATES_PLAN.wegner_widths + ESTIMATES_PLAN.minami_widths)
+    edges = [ESTIMATES_CENTER + s * w / 2 for w in grids for s in (-1, 1)]
     level = st.one_of(st.sampled_from(FLAT_LEVELS + edges), st.floats(0.0, 10.0))
     vals = np.sort(draw(st.lists(level, min_size=2, max_size=30)))
-    return vals, tuple(wegner), tuple(minami)
+    return vals, tuple(widths)
 
 
 @given(spectra_and_widths())
 def test_estimates_window_counts_match_the_mask_definition(case):
-    vals, wegner, minami = case
-    plan = replace(ESTIMATES_PLAN, wegner_widths=wegner, minami_widths=minami)
+    vals, widths = case
 
     def count(w):
         c = ESTIMATES_CENTER
         return int(((vals >= c - w / 2) & (vals <= c + w / 2)).sum())
 
+    counts = ensemble._window_counts(vals, ESTIMATES_CENTER, widths)
+    assert counts.tolist() == [count(w) for w in widths]
+    plan = ESTIMATES_PLAN
     fields, (wcounts, mhits) = ensemble._observe_estimates(plan, 0, 0, None, None, vals)
-    assert wcounts == [count(w) for w in wegner]
-    assert mhits == [count(w) >= 2 for w in minami]
+    assert wcounts == [count(w) for w in plan.wegner_widths]
+    assert mhits == [count(w) >= 2 for w in plan.minami_widths]
     assert fields["gap"] == vals[1] - vals[0]
 
 
@@ -543,46 +538,33 @@ def test_pool_workers_start_with_numpy_random_imported():
 
 
 def test_estimates_runner_refuses_oversize_grids():
-    # the torus of the largest L, and a 65^2 = 4225-site Neumann box, are both
-    # above the dense limit; either is refused before any sample runs
+    # the torus of the largest L is above the dense limit; the plan is
+    # refused before any sample runs
     with pytest.raises(OversizeError):
         ExperimentPlan(
             experiment="estimates", seed=2, l_grid=(5000,), schedule=(0.0,), samples=1
-        )
-    with pytest.raises(OversizeError):
-        ExperimentPlan(
-            experiment="estimates",
-            seed=2,
-            dim=2,
-            l_grid=(4,),
-            schedule=(0.0,),
-            samples=1,
-            box_sides=(65,),
         )
 
 
 def test_shells_runner_smoke():
     plan = ExperimentPlan(
-        experiment="shells",
-        seed=7,
-        l_grid=(32,),
-        schedule=(0.0,),
-        samples=2,
-        eps_grid=(0.5, 0.25),
+        experiment="shells", seed=7, l_grid=(32,), schedule=(0.0,), samples=2
     )
     result = run_plan(plan)
     summary = result.summary
     assert summary.n_failed == 0
+    # eps = 0.02 has 0.02 * 32 < 1 and is skipped
+    assert summary.checks["eps skipped (eps L < 1) by L"] == {32: [0.02]}
     _, four_norm = summary.series["four_norm_ratio"]
     _, sup_bound = summary.series["sup_bound"]
-    assert {row[1] for row in four_norm} == {0.5, 0.25}
+    assert {row[1] for row in four_norm} == {0.5, 0.1}
     for _, _, ratio_max, ratio_median, _, _ in four_norm:
         assert 0.0 < ratio_median <= ratio_max
     for _, _, sup_ratio_max in sup_bound:
         assert sup_ratio_max <= 1.0 + 1e-9
     assert summary.checks["annulus bound holds by (L, eps)"] == {
         (32, 0.5): True,
-        (32, 0.25): True,
+        (32, 0.1): True,
     }
     # every healthy sample gives one corpus ratio and one field per kept eps
     assert summary.n_ok == {32: 2}
@@ -591,16 +573,11 @@ def test_shells_runner_smoke():
 
 def test_shells_names_skipped_eps():
     plan = ExperimentPlan(
-        experiment="shells",
-        seed=0,
-        l_grid=(8,),
-        schedule=(0.0,),
-        samples=1,
-        eps_grid=(0.5, 0.1),
+        experiment="shells", seed=0, l_grid=(8,), schedule=(0.0,), samples=1
     )
     summary = run_plan(plan).summary
-    assert summary.checks["eps skipped (eps L < 1) by L"] == {8: [0.1]}
-    assert "eps skipped (eps L < 1) by L: {8: [0.1]}" in summary.table()
+    assert summary.checks["eps skipped (eps L < 1) by L"] == {8: [0.1, 0.02]}
+    assert "eps skipped (eps L < 1) by L: {8: [0.1, 0.02]}" in summary.table()
     assert [row[1] for row in summary.series["four_norm_ratio"][1]] == [0.5]
 
 

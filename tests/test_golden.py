@@ -40,16 +40,10 @@ GOLDEN_PLANS = {
         l_grid=(6,),
         schedule=(0.0,),
         samples=40,
-        box_sides=(4,),
         v_max=6.0,
     ),
     "shells": ExperimentPlan(
-        experiment="shells",
-        seed=7,
-        l_grid=(32,),
-        schedule=(0.0,),
-        samples=2,
-        eps_grid=(0.5, 0.25),
+        experiment="shells", seed=7, l_grid=(32,), schedule=(0.0,), samples=2
     ),
     "certificate-2d": ExperimentPlan(
         experiment="condense", seed=0, dim=2, l_grid=(8, 16), samples=2

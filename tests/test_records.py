@@ -58,7 +58,7 @@ def test_json_matches_a_deep_copied_dict():
     # one record of each experiment, and an error record: the whole-space
     # solve of a 9-site torus cannot reach tol_eig = 1e-300
     plans = [
-        ExperimentPlan(experiment=name, seed=1, l_grid=(4,), eps_grid=(0.5,))
+        ExperimentPlan(experiment=name, seed=1, l_grid=(4,))
         for name in ("condense", "spectrum", "scaling", "estimates", "shells")
     ]
     plans.append(ExperimentPlan(experiment="spectrum", seed=0, l_grid=(4,), tol_eig=1e-300))
