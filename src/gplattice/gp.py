@@ -7,7 +7,9 @@ A Riemannian Newton phase comes first.  With mu = <phi, H phi + 2U phi^3>
 and the Lagrange residual r = H phi + 2U phi^3 - mu phi, each step solves
 P (H + 6U phi^2 - mu) P d = -r for d orthogonal to phi by matrix-free
 conjugate gradients (P = 1 - phi phi^T, stopped at a relative residual of
-min(0.1, max(|r|, 1e-6))) and moves to |phi + d| / || |phi + d| ||.  A step
+min(0.1, max(|r|, 1e-6)); the search direction and its image live in two
+fixed buffers whose stencil views are taken once per solve) and moves to
+|phi + d| / || |phi + d| ||.  A step
 that would raise the energy is halved up to ``NEWTON_HALVINGS`` times; if
 none of these lowers the energy, the phase ends.  Halving matters when U is
 comparable to the spectral gap over the ground state's inverse
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _apply_updates, _stencil_updates
 from .spectral import EigenSolution, HamiltonianOperator
 
 GAP_TIE_TOL = 1e-12
@@ -96,16 +99,26 @@ def _projected_newton_direction(
     floating point on small-gap samples), after n iterations, or on a
     direction of non-positive curvature, which the projected Hessian can
     have away from the minimizer.  Every iterate is a descent direction.
+    The search direction ``p`` and its image ``ap`` are two fixed buffers:
+    the stencil's views of them are taken once, and each iteration
+    overwrites ``ap`` with ``diag * p``, the neighbour updates and ``shift *
+    p``, and updates ``p`` in place.
     """
+    h = problem.hamiltonian
     shift = 6.0 * problem.coupling * phi**2 - mu
     rhs_norm = float(np.linalg.norm(residual))
     stop = min(0.1, max(rhs_norm, CG_RTOL_FLOOR)) * rhs_norm
     d = np.zeros_like(phi)
     res = -residual
     p = res.copy()
+    ap = np.empty_like(p)
+    neighbours = _stencil_updates(h.shape, h.geom.side, p, ap)
     rr = float(res @ res)
     for _ in range(phi.size):
-        ap = problem.hamiltonian.apply(p) + shift * p
+        # ap = H p + shift * p, with H p = diag * p minus the neighbours
+        np.multiply(h.diag, p, out=ap)
+        _apply_updates(neighbours)
+        ap += shift * p
         ap -= (phi @ ap) * phi
         curvature = float(p @ ap)
         if curvature <= 0.0:
@@ -116,7 +129,8 @@ def _projected_newton_direction(
         rr_next = float(res @ res)
         if rr_next <= stop**2:
             break
-        p = res + (rr_next / rr) * p
+        p *= rr_next / rr
+        p += res
         rr = rr_next
     return d
 

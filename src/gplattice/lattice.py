@@ -12,7 +12,10 @@ end of that axis need a correction.  A block of k fields is held
 site-major, the k values of one site adjacent, so the stencil sees it as
 one flat field with k trailing entries per site: each shift is one
 contiguous pass over the whole block, and the leading axis has no row
-ends inside the block.
+ends inside the block.  The stencil is a short list of in-place updates,
+each a view of the output, a view of the input and a ufunc; a solver that
+applies it again and again to the same pair of buffers takes the views
+once and applies the list at every step.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol
@@ -84,6 +87,54 @@ def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
     return arr
 
 
+def _stencil_updates(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.ndarray):
+    """The stencil's in-place updates of ``out`` from ``field``, as (target, source, ufunc).
+
+    ``field`` and ``out`` are C-contiguous arrays of one shape, read as flat
+    fields (see :func:`stencil`).  Each target is a view of ``out`` and each
+    source a view of ``field``, so the updates stay valid while both arrays
+    keep their memory: a solver that overwrites the same pair of buffers
+    builds them once and applies them with :func:`_apply_updates` at every
+    step.  The updates are ordered as they must be applied.  Per axis of flat
+    stride ``s``, two shifts of the whole flat block by ``s`` subtract the
+    neighbours.  On the axis's (-1, length, s) view, whose rows run along
+    the axis, the couplings the shifts made across a row end are added
+    back; the leading axis spans the block in one row, so it has none.  An
+    axis as long as the torus side also couples its two end faces, in one
+    update of the [first, last] face pair from the [last, first] pair; a
+    shorter axis drops the couplings that leave the box.
+    """
+    if field.shape != out.shape or not (field.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError(
+            f"field and out must be C-contiguous of one shape, got {field.shape}, {out.shape}"
+        )
+    flat, acc = field.ravel(), out.ravel()
+    updates = []
+    stride = flat.size
+    for length in shape:
+        stride //= length
+        updates += [
+            (acc[:-stride], flat[stride:], np.subtract),
+            (acc[stride:], flat[:-stride], np.subtract),
+        ]
+        grid = flat.reshape(-1, length, stride)
+        faces = acc.reshape(grid.shape)
+        if grid.shape[0] > 1:
+            updates += [
+                (faces[:-1, -1], grid[1:, 0], np.add),
+                (faces[1:, 0], grid[:-1, -1], np.add),
+            ]
+        if length == side:
+            updates.append((faces[:, :: length - 1], grid[:, :: 1 - length], np.subtract))
+    return updates
+
+
+def _apply_updates(updates) -> None:
+    """Apply the updates of :func:`_stencil_updates` in order."""
+    for target, source, ufunc in updates:
+        ufunc(target, source, out=target)
+
+
 def stencil(shape: tuple[int, ...], side: int, field, out: np.ndarray) -> np.ndarray:
     """Subtract from ``out``, in place, the sum over each site's neighbours of ``field``.
 
@@ -92,41 +143,11 @@ def stencil(shape: tuple[int, ...], side: int, field, out: np.ndarray) -> np.nda
     as one flat field of k * sites entries, k uncoupled entries per site,
     trailing: one field (k = 1) or a (sites, k) block of k fields held
     site-major.  ``out`` is a C-contiguous array of the same shape,
-    returned.  Per axis of flat stride ``s`` the neighbours are two shifts
-    of the whole flat block by ``s``.  The leading axis spans the block,
-    so only its end faces need a fix-up; on an inner axis's (-1, length, s)
-    view, whose rows run along the axis, the couplings the shifts made
-    across a row end are added back.  An axis as long as the torus side
-    also couples its two end faces; a shorter axis drops the couplings
-    that leave the box.
+    returned.  The updates are built by :func:`_stencil_updates`, the one
+    place that holds the stencil's geometry, and applied at once; a loop
+    that applies the stencil to fixed buffers builds them once instead.
     """
-    u = np.ascontiguousarray(field)
-    if out.shape != u.shape or not out.flags.c_contiguous:
-        raise ValueError(f"out must be C-contiguous of shape {u.shape}")
-    flat, acc = u.reshape(-1), out.reshape(-1)
-    stride = u.size
-    for length in shape:
-        stride //= length
-        acc[:-stride] -= flat[stride:]
-        acc[stride:] -= flat[:-stride]
-        if stride * length == flat.size:
-            # the leading axis is one row: its faces are the ends, single
-            # sites of a single field in d = 1, where scalar updates skip
-            # the ufunc cost
-            if length == side and stride == 1:
-                acc[-1] -= flat[0]
-                acc[0] -= flat[-1]
-            elif length == side:
-                acc[-stride:] -= flat[:stride]
-                acc[:stride] -= flat[-stride:]
-            continue
-        grid = flat.reshape(-1, length, stride)
-        faces = acc.reshape(grid.shape)
-        faces[:-1, -1] += grid[1:, 0]
-        faces[1:, 0] += grid[:-1, -1]
-        if length == side:
-            faces[:, -1] -= grid[:, 0]
-            faces[:, 0] -= grid[:, -1]
+    _apply_updates(_stencil_updates(shape, side, np.ascontiguousarray(field), out))
     return out
 
 

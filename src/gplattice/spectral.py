@@ -16,7 +16,8 @@ site-major, as C-ordered (sites, k) arrays whose k fields at one site are
 adjacent: the stencil takes such a block as one flat field, so no shift
 crosses from one field into the next, each filter step is a few passes
 over the flat block, and the QR and the Rayleigh-Ritz products take the
-block as it is.  The block is at least 2d+3 fields wide so degenerate
+block as it is.  The filter recurrence rotates two fixed blocks, so it
+takes the stencil's views of them once per filter call, not once per step.  The block is at least 2d+3 fields wide so degenerate
 clusters are captured whole; the free first excited level has
 multiplicity 2d, which a single-vector iteration would silently split.
 Residuals of returned pairs are recomputed with a fresh operator
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import LatticeGeometry, stencil
+from .lattice import LatticeGeometry, _apply_updates, _stencil_updates, stencil
 
 DENSE_LIMIT = 4096
 # Chebyshev filter degree per outer step; 20-40 all cost within 10%
@@ -161,27 +162,18 @@ def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
     return vals, basis @ rot, image @ rot
 
 
-def _chebyshev_step(op, shifted, beta, prev, cur, scratch) -> np.ndarray:
-    """Overwrite ``prev`` with ``(H - c) cur - beta * prev`` and return it.
-
-    ``prev``, ``cur`` and the buffer ``scratch`` are C-ordered (n, k) blocks,
-    and ``shifted`` is ``op.diag - c`` repeated k times per site in the same
-    shape, so the step allocates nothing.
-    """
-    prev *= -beta
-    np.multiply(shifted, cur, out=scratch)
-    prev += scratch
-    return stencil(op.shape, op.geom.side, cur, prev)
-
-
 def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
     """Degree-``FILTER_DEGREE`` Chebyshev filter damping [cut, upper] on ``block``.
 
     ``image`` holds the images of the block's columns under the operator.  In
     monic form, with x = (H - center) / half, W_j = 2 (half / 2)^j T_j(x)
     obeys W_{j+1} = (H - center) W_j - beta_j W_{j-1}, beta_1 = half^2 / 2
-    and beta_j = half^2 / 4 after; two site-major blocks, one scratch block
-    and the diagonal repeated across the block hold the whole recurrence.
+    and beta_j = half^2 / 4 after.  Two site-major blocks, one scratch block
+    and the diagonal repeated across the block hold the whole recurrence:
+    each step overwrites the older block with ``(diag - center) * newer -
+    beta * older`` and then the stencil of the newer block, so the block
+    pair only ever takes two orders.  The stencil's views are built once for
+    each order, and no step allocates or builds anything.
     """
     half = (upper - cut) / 2.0
     center = (upper + cut) / 2.0
@@ -189,11 +181,19 @@ def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
     cur = image - center * prev
     shifted = np.repeat(op.diag - center, cur.shape[1]).reshape(cur.shape)
     scratch = np.empty_like(cur)
+    orders = [
+        (older, newer, _stencil_updates(op.shape, op.geom.side, newer, older))
+        for older, newer in ((prev, cur), (cur, prev))
+    ]
     beta = half * half / 2.0
-    for _ in range(FILTER_DEGREE - 1):
-        prev, cur = cur, _chebyshev_step(op, shifted, beta, prev, cur, scratch)
+    for step in range(FILTER_DEGREE - 1):
+        older, newer, updates = orders[step % 2]
+        older *= -beta
+        np.multiply(shifted, newer, out=scratch)
+        older += scratch
+        _apply_updates(updates)
         beta = half * half / 4.0
-    return cur
+    return older
 
 
 def lowest_eigenpairs(
@@ -208,14 +208,15 @@ def lowest_eigenpairs(
     site are adjacent.  Each outer step applies a degree-``FILTER_DEGREE``
     Chebyshev filter that damps [largest Ritz value,
     ``op.spectral_bound()``]: each step of its three-term recurrence
-    overwrites the oldest iterate in place, so no block is allocated per
-    step.  One Householder QR then orthonormalizes the block and a
+    overwrites the oldest iterate in place, so no block is allocated and no
+    stencil view is taken per step.  One Householder QR then orthonormalizes the block and a
     Rayleigh-Ritz step rotates it onto its Ritz vectors.  Leading pairs
     whose residual is already <= ``tol`` are locked: the filter skips them,
     so a deep isolated ground state cannot swamp the fields above it in the
     QR.
     Pairs are accepted only after a fresh application confirms every
-    residual <= ``tol``; signs are fixed only on the pairs returned.
+    residual <= ``tol``, which must be positive and finite; signs are fixed
+    only on the pairs returned.
     ``iterations`` counts applied fields; if the budget
     ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)`` would be
     exceeded, :class:`EigenConvergenceError` carries the best pairs found.
@@ -223,8 +224,8 @@ def lowest_eigenpairs(
     n = op.n_sites
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     width = n if n <= WHOLE_SPACE_LIMIT else min(n, max(count + 4, 2 * op.geom.dim + 3))
     budget = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)

@@ -211,6 +211,79 @@ def test_rejected_newton_step_falls_back_to_projected_gradient(genuine_steps, mo
         assert abs(res.energy - pg_only.energy) <= 1e-12
 
 
+def reference_newton_direction(problem, phi, residual, mu):
+    """The projected Newton CG as first written: a fresh H p, ap and p each iteration."""
+    shift = 6.0 * problem.coupling * phi**2 - mu
+    rhs_norm = float(np.linalg.norm(residual))
+    stop = min(0.1, max(rhs_norm, gp.CG_RTOL_FLOOR)) * rhs_norm
+    d = np.zeros_like(phi)
+    res = -residual
+    p = res.copy()
+    rr = float(res @ res)
+    for _ in range(phi.size):
+        ap = problem.hamiltonian.apply(p) + shift * p
+        ap -= (phi @ ap) * phi
+        curvature = float(p @ ap)
+        if curvature <= 0.0:
+            break
+        alpha = rr / curvature
+        d += alpha * p
+        res -= alpha * ap
+        rr_next = float(res @ res)
+        if rr_next <= stop**2:
+            break
+        p = res + (rr_next / rr) * p
+        rr = rr_next
+    return d
+
+
+def strongly_coupled_problem(dim, half, sample, factor, v_max):
+    """Coupling ``factor`` times gap / ipr of the linear ground state."""
+    spec = DisorderSpec(distribution="uniform", v_max=v_max, master_seed=77)
+    ham = periodic_hamiltonian(sample_potential(spec, build_lattice(dim, half), 0, sample))
+    ref = dense_oracle(ham)
+    ipr = float(np.sum(ref.vectors[:, 0] ** 4))
+    return GPProblem(ham, factor * (ref.values[1] - ref.values[0]) / ipr)
+
+
+@pytest.mark.parametrize(
+    "make, uphill",
+    [
+        (lambda: make_problem(half=12, coupling=0.3, sample=2), False),
+        (small_gap_problem, False),
+        (lambda: strongly_coupled_problem(1, 12, 3, 20.0, 1.0), True),
+        (lambda: make_problem(half=3, coupling=0.3, dim=2), False),
+        (lambda: strongly_coupled_problem(2, 4, 1, 2.0, 6.0), True),
+    ],
+    ids=["d1", "d1-small-gap", "d1-large-coupling", "d2", "d2-large-coupling"],
+)
+def test_newton_direction_on_fixed_buffers_is_the_reference(make, uphill, monkeypatch):
+    # every direction of a Newton phase, bit for bit, against the loop that
+    # allocates H p, ap and p anew each iteration
+    prob = make()
+    start = dense_oracle(prob.hamiltonian).vectors[:, 0]
+    lagrange = float(gp_gradient(prob, start) @ start)
+    hessian = dense_matrix(prob.hamiltonian) + np.diag(
+        6.0 * prob.coupling * start**2 - 0.5 * lagrange
+    )
+    proj = np.eye(start.size) - np.outer(start, start)
+    # with a large coupling the first projected Hessian has directions of
+    # negative curvature, which end the conjugate gradients early
+    assert (np.linalg.eigvalsh(proj @ hessian @ proj)[0] < -0.1) == uphill
+
+    newton = gp._projected_newton_direction
+    calls = []
+
+    def compared(problem, phi, residual, mu):
+        d = newton(problem, phi, residual, mu)
+        calls.append(np.array_equal(d, reference_newton_direction(problem, phi, residual, mu)))
+        return d
+
+    monkeypatch.setattr(gp, "_projected_newton_direction", compared)
+    assert minimize_gp(prob, init=start).converged
+    assert len(calls) >= 2 and all(calls)
+
+
 def test_certificate_fields_and_validity():
     prob = make_problem(half=16, coupling=0.002, sample=1)
     eig = lowest_eigenpairs(prob.hamiltonian, 2, tol=1e-10, seed=6)

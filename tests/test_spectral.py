@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from gplattice import (
     sample_potential,
 )
 from gplattice.disorder import EIG_CHANNEL
+from gplattice.lattice import _apply_updates, _stencil_updates, stencil
 from gplattice.spectral import (
+    FILTER_DEGREE,
     EigenConvergenceError,
     OversizeError,
-    _chebyshev_step,
+    _chebyshev_filter,
     dense_oracle,
 )
 
@@ -133,21 +137,102 @@ def test_whole_torus_at_an_offset_keeps_the_stencil_exact():
     assert_matches_reference(op, reference_matrix(real, region), 3, 0)
 
 
+def monic_chebyshev(op, block, cut, upper):
+    """The filter's monic three-term recurrence, one ``op.apply`` per step."""
+    half = (upper - cut) / 2.0
+    center = (upper + cut) / 2.0
+    prev, cur = block, op.apply(block) - center * block
+    beta = half * half / 2.0
+    for _ in range(FILTER_DEGREE - 1):
+        prev, cur = cur, op.apply(cur) - center * cur - beta * prev
+        beta = half * half / 4.0
+    return cur
+
+
+@pytest.mark.parametrize("lock", [0, 2])
 @pytest.mark.parametrize("dim, half", [(1, 10), (2, 4), (3, 2)])
-def test_fused_chebyshev_step_is_the_recurrence(dim, half):
-    # one in-place filter step on site-major (n, k) blocks, with the diagonal
-    # repeated k times per site, against (H - c) W_j - beta W_{j-1} built unfused
+def test_chebyshev_filter_is_the_monic_recurrence(dim, half, lock):
+    # the filter rotates two fixed site-major blocks with the stencil's views
+    # taken once per order; a locked prefix hands it column slices of the
+    # solver's C-ordered block and image
     ham = make_ham(dim, half)
-    rng = np.random.default_rng(dim)
+    rng = np.random.default_rng(dim + lock)
     width = 2 * dim + 3
-    older, cur = rng.normal(size=(2, ham.n_sites, width))
-    center, beta = 5.5, 7.25
-    want = ham.apply(cur) - center * cur - beta * older
-    shifted = np.repeat(ham.diag - center, width).reshape(cur.shape)
-    prev = older.copy()
-    got = _chebyshev_step(ham, shifted, beta, prev, cur, np.empty_like(cur))
-    assert got is prev
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    block = rng.normal(size=(ham.n_sites, width))
+    image = ham.apply(block)
+    kept = block.copy(), image.copy()
+    cut, upper = 2.0 * dim, ham.spectral_bound()
+    got = _chebyshev_filter(ham, block[:, lock:], image[:, lock:], cut, upper)
+    want = monic_chebyshev(ham, block[:, lock:], cut, upper)
+    assert got.shape == (ham.n_sites, width - lock) and got.flags.c_contiguous
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= 1e-13 * scale
+    # the inputs are read, never overwritten
+    np.testing.assert_array_equal(block, kept[0])
+    np.testing.assert_array_equal(image, kept[1])
+
+
+@pytest.mark.parametrize("width", [None, 5], ids=["field", "block"])
+@pytest.mark.parametrize(
+    "dim, intervals, bc",
+    [
+        (1, None, "periodic"),
+        (2, None, "periodic"),
+        (3, None, "periodic"),
+        (2, ((0, 7), (2, 7)), "periodic"),
+        (1, ((-3, 5),), "dirichlet"),
+        (2, ((-3, 7), (0, 3)), "dirichlet"),
+        (3, ((-1, 3), (0, 2), (-2, 3)), "dirichlet"),
+        (1, ((-3, 5),), "neumann"),
+        (2, ((1, 3), (-3, 7)), "neumann"),
+        (3, ((-3, 7), (0, 3), (-3, 7)), "neumann"),
+    ],
+    ids=[
+        "d1-torus", "d2-torus", "d3-torus", "d2-offset-torus",
+        "d1-dirichlet", "d2-dirichlet-spanning", "d3-dirichlet",
+        "d1-neumann", "d2-neumann-spanning", "d3-neumann-spanning",
+    ],
+)
+def test_stencil_updates_built_once_match_the_stencil(dim, intervals, bc, width):
+    # the updates are views of one (field, out) pair: refilled in place, the
+    # pair gets the same result, bit for bit, as a fresh stencil call
+    real = make_real(dim, 3, 4)
+    if intervals is None:
+        op = periodic_hamiltonian(real)
+    else:
+        op = restrict_hamiltonian(real, Region(intervals=intervals, bc=bc))
+    shape = (op.n_sites,) if width is None else (op.n_sites, width)
+    diag = op.diag if width is None else op.diag[:, None]
+    field, out = np.empty(shape), np.empty(shape)
+    updates = _stencil_updates(op.shape, op.geom.side, field, out)
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        field[...] = rng.normal(size=shape)
+        np.multiply(diag, field, out=out)
+        want = stencil(op.shape, op.geom.side, field.copy(), diag * field)
+        _apply_updates(updates)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(out, op.apply(field))
+
+
+def test_stencil_updates_need_one_c_ordered_shape():
+    shape, side = (7, 7), 7
+    block = np.zeros((49, 3))
+    with pytest.raises(ValueError):
+        _stencil_updates(shape, side, block, np.zeros((49, 2)))
+    with pytest.raises(ValueError):
+        _stencil_updates(shape, side, block, np.asfortranarray(block.copy()))
+    with pytest.raises(ValueError):
+        _stencil_updates(shape, side, block[::2], np.zeros((25, 3)))
+
+
+@pytest.mark.parametrize("dim, half, applies", [(1, 64, 728), (2, 16, 1449), (3, 6, 1331)])
+def test_applied_columns_are_pinned(dim, half, applies):
+    # a slip in the filter's buffer rotation that only slows convergence
+    # still returns converged pairs; the count of applied columns shows it
+    sol = lowest_eigenpairs(make_ham(dim, half), 2, tol=1e-10, seed=0)
+    assert sol.converged
+    assert sol.iterations == applies
 
 
 def test_iterative_matches_dense_oracle():
@@ -277,6 +362,14 @@ def test_invalid_arguments():
         lowest_eigenpairs(ham, ham.n_sites + 1)
     with pytest.raises(ValueError):
         lowest_eigenpairs(ham, 2, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [-1e-10, math.inf, math.nan])
+def test_tolerance_outside_zero_to_infinity_is_refused(tol):
+    # an infinite tolerance accepted the random start's Ritz pairs as
+    # converged; a NaN one never accepted any and spent the whole budget
+    with pytest.raises(ValueError, match="tol"):
+        lowest_eigenpairs(make_ham(1, 64), 2, tol=tol)
 
 
 def test_dense_oracle_rejects_oversize():
