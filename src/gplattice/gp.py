@@ -7,14 +7,14 @@ A Riemannian Newton phase comes first.  With mu = <phi, H phi + 2U phi^3>
 and the Lagrange residual r = H phi + 2U phi^3 - mu phi, each step solves
 P (H + 6U phi^2 - mu) P d = -r for d orthogonal to phi by matrix-free
 conjugate gradients (P = 1 - phi phi^T, stopped at a relative residual of
-min(0.1, max(|r|, 1e-6)); the search direction and its image live in two
-fixed buffers whose stencil views are taken once per solve) and moves to
-|phi + d| / || |phi + d| ||.  A step
+min(0.1, max(|r|, 1e-6))) and moves to |phi + d| / || |phi + d| ||.  A step
 that would raise the energy is halved up to ``NEWTON_HALVINGS`` times; if
 none of these lowers the energy, the phase ends.  Halving matters when U is
 comparable to the spectral gap over the ground state's inverse
 participation ratio: the linear ground state is then a saddle of the
-energy, and full steps overshoot on the way to the minimizer.
+energy, and full steps overshoot on the way to the minimizer.  The
+conjugate gradients run on two fixed buffers, whose stencil views are taken
+once per solve.
 
 Projected gradient descent then runs as check and fallback: descent on the
 sphere with Armijo backtracking on the ambient energy, where each trial
@@ -99,10 +99,8 @@ def _projected_newton_direction(
     floating point on small-gap samples), after n iterations, or on a
     direction of non-positive curvature, which the projected Hessian can
     have away from the minimizer.  Every iterate is a descent direction.
-    The search direction ``p`` and its image ``ap`` are two fixed buffers:
-    the stencil's views of them are taken once, and each iteration
-    overwrites ``ap`` with ``diag * p``, the neighbour updates and ``shift *
-    p``, and updates ``p`` in place.
+    The search direction ``p`` and its image ``ap`` are fixed buffers whose
+    stencil views are taken once; each iteration overwrites both in place.
     """
     h = problem.hamiltonian
     shift = 6.0 * problem.coupling * phi**2 - mu

@@ -17,9 +17,10 @@ adjacent: the stencil takes such a block as one flat field, so no shift
 crosses from one field into the next, each filter step is a few passes
 over the flat block, and the QR and the Rayleigh-Ritz products take the
 block as it is.  The filter recurrence rotates two fixed blocks, so it
-takes the stencil's views of them once per filter call, not once per step.  The block is at least 2d+3 fields wide so degenerate
-clusters are captured whole; the free first excited level has
-multiplicity 2d, which a single-vector iteration would silently split.
+takes the stencil's views of them once per filter call, not once per
+step.  The block is at least 2d+3 fields wide so degenerate clusters are
+captured whole; the free first excited level has multiplicity 2d, which a
+single-vector iteration would silently split.
 Residuals of returned pairs are recomputed with a fresh operator
 application before the solver accepts them.
 """
@@ -169,11 +170,10 @@ def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
     monic form, with x = (H - center) / half, W_j = 2 (half / 2)^j T_j(x)
     obeys W_{j+1} = (H - center) W_j - beta_j W_{j-1}, beta_1 = half^2 / 2
     and beta_j = half^2 / 4 after.  Two site-major blocks, one scratch block
-    and the diagonal repeated across the block hold the whole recurrence:
-    each step overwrites the older block with ``(diag - center) * newer -
-    beta * older`` and then the stencil of the newer block, so the block
-    pair only ever takes two orders.  The stencil's views are built once for
-    each order, and no step allocates or builds anything.
+    and the diagonal repeated across the block hold the whole recurrence.
+    Each step overwrites the older block with ``(diag - center) * newer -
+    beta * older`` minus the newer block's neighbours, so the pair takes
+    only two orders, and the stencil's views are built once for each.
     """
     half = (upper - cut) / 2.0
     center = (upper + cut) / 2.0
@@ -209,8 +209,9 @@ def lowest_eigenpairs(
     Chebyshev filter that damps [largest Ritz value,
     ``op.spectral_bound()``]: each step of its three-term recurrence
     overwrites the oldest iterate in place, so no block is allocated and no
-    stencil view is taken per step.  One Householder QR then orthonormalizes the block and a
-    Rayleigh-Ritz step rotates it onto its Ritz vectors.  Leading pairs
+    stencil view is taken per step.  One Householder QR then
+    orthonormalizes the block and a Rayleigh-Ritz step rotates it onto its
+    Ritz vectors.  Leading pairs
     whose residual is already <= ``tol`` are locked: the filter skips them,
     so a deep isolated ground state cannot swamp the fields above it in the
     QR.
