@@ -18,7 +18,7 @@ from .lattice import LatticeGeometry, stencil
 from .spectral import HamiltonianOperator
 
 DISTRIBUTIONS = ("uniform", "bernoulli", "levels")
-BOUNDARY_CONDITIONS = ("periodic", "dirichlet", "neumann")
+BOUNDARY_CONDITIONS = ("dirichlet", "neumann")
 
 # channel ids for the per-sample random streams; they key the provenance
 # streams, so an id that falls out of use is not given to another channel
@@ -103,7 +103,7 @@ def sample_potential(
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned box: per-axis (start coordinate, length) plus boundary tag."""
+    """Axis-aligned box: per-axis (start coordinate, length), Dirichlet or Neumann."""
 
     intervals: tuple[tuple[int, int], ...]
     bc: str = "dirichlet"
@@ -131,13 +131,6 @@ class Region:
         )
 
 
-def whole_torus(geom: LatticeGeometry, bc: str = "periodic") -> Region:
-    return Region(
-        intervals=tuple((-geom.half_side, geom.side) for _ in range(geom.dim)),
-        bc=bc,
-    )
-
-
 @functools.cache
 def _neumann_degree(shape: tuple[int, ...], side: int) -> np.ndarray:
     """In-region neighbour count of every site of a box (read-only, shared)."""
@@ -150,26 +143,20 @@ def _neumann_degree(shape: tuple[int, ...], side: int) -> np.ndarray:
 def restrict_hamiltonian(
     realization: DisorderRealization, region: Region
 ) -> HamiltonianOperator:
-    """Restrict -Delta + V to a region under the region's boundary condition.
+    """Restrict -Delta + V to a box under its Dirichlet or Neumann condition.
 
-    Both restrictions drop the couplings that leave the region, so an axis
-    that spans the whole torus keeps its wrap coupling; Dirichlet keeps the
-    diagonal 2d + V while Neumann reduces it to the in-region degree + V.  A
-    periodic "restriction" must cover the whole torus.
+    Both restrictions drop the couplings that leave the box, so an axis that
+    spans the whole torus keeps its wrap coupling; Dirichlet keeps the
+    diagonal 2d + V while Neumann reduces it to the in-box degree + V.
 
-    The region's potential, in row-major order over the region's own axes,
-    is a slice of the potential on the torus grid; a periodic region at an
-    offset rolls that grid per axis, and the whole torus at the origin uses
-    the realization's potential as it is.  The Neumann degree depends only
-    on the region's shape and is computed once per (shape, torus side).
+    The box's potential, in row-major order over the box's own axes, is a
+    slice of the potential on the torus grid.  The Neumann degree depends
+    only on the box's shape and is computed once per (shape, torus side).
     """
     geom = realization.geom
     shape = region.side_lengths()
-    if region.bc == "periodic":
-        if shape != geom.shape:
-            raise ValueError("periodic boundary requires the whole torus")
-    elif region.wraps(geom):
-        raise ValueError("Dirichlet/Neumann regions must not wrap around the torus")
+    if region.wraps(geom):
+        raise ValueError("regions must not wrap around the torus")
     if region.dim != geom.dim:
         raise ValueError(f"region is {region.dim}-dimensional, lattice is {geom.dim}")
     offsets = tuple(start + geom.half_side for start, _ in region.intervals)
@@ -177,12 +164,7 @@ def restrict_hamiltonian(
         raise ValueError(f"an interval of {region.intervals} starts outside the torus")
 
     grid = realization.potential.reshape(geom.shape)
-    if region.bc != "periodic":
-        pot = grid[tuple(slice(o, o + n) for o, n in zip(offsets, shape))].reshape(-1)
-    elif any(offsets):
-        pot = np.roll(grid, [-o for o in offsets], axis=tuple(range(geom.dim))).reshape(-1)
-    else:
-        pot = realization.potential
+    pot = grid[tuple(slice(o, o + n) for o, n in zip(offsets, shape))].reshape(-1)
     if region.bc == "neumann":
         diag = _neumann_degree(shape, geom.side) + pot
     else:
@@ -195,4 +177,7 @@ def restrict_hamiltonian(
 
 def periodic_hamiltonian(realization: DisorderRealization) -> HamiltonianOperator:
     """-Delta + V on the full torus."""
-    return restrict_hamiltonian(realization, whole_torus(realization.geom))
+    geom, pot = realization.geom, realization.potential
+    return HamiltonianOperator(
+        geom=geom, diag=2.0 * geom.dim + pot, shape=geom.shape, potential=pot, bc="periodic"
+    )

@@ -485,7 +485,7 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
     fields = _pair_fields(geom, eig)
     fields.update(
         e_gp=gp.energy,
-        overlap=cert.overlap,
+        overlap=cert.pi0_norm,
         cert_valid=cert.valid,
         cert_margin=cert.margin,
         pi0_norm=cert.pi0_norm,

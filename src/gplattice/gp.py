@@ -1,31 +1,36 @@
 """Gross-Pitaevskii energy on the unit sphere and its minimizer.
 
 The functional is E[phi] = <H phi, phi> + U sum_x phi(x)^4 with U >= 0,
-minimized over real unit vectors.  The minimizer runs in two phases.
+minimized over real unit vectors.  The minimizer is one loop: each iteration
+evaluates the gradient once, tests convergence, and takes one step.
 
-A Riemannian Newton phase comes first.  With mu = <phi, H phi + 2U phi^3>
-and the Lagrange residual r = H phi + 2U phi^3 - mu phi, each step solves
+Steps are Riemannian Newton steps at first.  With mu = <phi, H phi + 2U phi^3>
+and the Lagrange residual r = H phi + 2U phi^3 - mu phi, a step solves
 P (H + 6U phi^2 - mu) P d = -r for d orthogonal to phi by matrix-free
 conjugate gradients (P = 1 - phi phi^T, stopped at a relative residual of
 min(0.1, max(|r|, 1e-6))) and moves to |phi + d| / || |phi + d| ||.  A step
-that would raise the energy is halved up to ``NEWTON_HALVINGS`` times; if
-none of these lowers the energy, the phase ends.  Halving matters when U is
-comparable to the spectral gap over the ground state's inverse
-participation ratio: the linear ground state is then a saddle of the
-energy, and full steps overshoot on the way to the minimizer.  The
+that would raise the energy is halved up to ``NEWTON_HALVINGS`` times.  The
 conjugate gradients run on two fixed buffers, whose stencil views are taken
-once per solve.
+once per solve.  Halving matters where the linear ground state phi0 is a
+saddle of the energy (the projected Hessian there has a negative
+direction) and full steps overshoot.  Along an excited state psi of H that
+Hessian has curvature (e_psi - e0) - 2U ipr + 6U sum phi0^2 psi^2, with
+ipr = sum phi0^4, so phi0 is a saddle once 2U ipr exceeds the gap to a low
+state that phi0 barely overlaps.  U ipr comparable to the gap is not enough
+by itself: the first excited state may overlap phi0 enough to keep every
+curvature positive.
 
-Projected gradient descent then runs as check and fallback: descent on the
-sphere with Armijo backtracking on the ambient energy, where each trial
-iterate is replaced by its entrywise modulus (which never raises the energy)
-and renormalized.  Convergence always means that this loop saw a
-sphere-projected gradient norm of at most ``g_tol``; after a successful
-Newton phase it sees it at its first iteration.  Iterates stay nonnegative,
-the energy trace holds the energy after every accepted step of either phase
-and is monotone, and ``iterations`` counts Newton plus gradient steps.
-Started from the single-particle ground state, the zero-coupling problem
-converges immediately.
+Once a Newton step fails (a zero direction, or no halving lowers the
+energy) or ``NEWTON_MAX_STEPS`` have been taken, the loop takes projected
+gradient steps instead: descent on the sphere with Armijo backtracking on
+the ambient energy, where each trial iterate is replaced by its entrywise
+modulus (which never raises the energy) and renormalized.  The loop has
+converged when the sphere-projected gradient norm is at most ``g_tol`` and,
+once a gradient step has been taken, the last relative energy decrease is
+at most ``E_TOL``.  Iterates stay nonnegative, the energy trace holds the
+energy after every accepted step and is monotone, and ``iterations`` counts
+Newton plus gradient steps.  Started from the single-particle ground state,
+the zero-coupling problem converges immediately.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ NOISE_FLOOR = 8.0 * np.finfo(float).eps
 NEWTON_MAX_STEPS = 50
 NEWTON_HALVINGS = 10
 CG_RTOL_FLOOR = 1e-6
-# the gradient loop's energy-change test and its step cap
+# the energy-change test once gradient steps run, and their cap
 E_TOL = 1e-12
 MAX_ITER = 200_000
 
@@ -133,54 +138,15 @@ def _projected_newton_direction(
     return d
 
 
-def _newton_phase(
-    problem: GPProblem, phi: np.ndarray, energy: float, g_tol: float, trace: list
-) -> tuple[np.ndarray, float, int]:
-    """Riemannian Newton steps from a unit ``phi`` while the energy does not rise.
-
-    Returns the last accepted iterate, its energy and the number of accepted
-    steps; each accepted energy is appended to ``trace``.  The phase ends when
-    the projected gradient meets ``g_tol`` (measured as the gradient loop
-    measures it), when no halving of a step lowers the energy, or after
-    ``NEWTON_MAX_STEPS`` steps.  A full step whose energy rise is rounding
-    noise is accepted and recorded at the unchanged energy, as the gradient
-    loop does, since near the minimizer the decrease falls below one ulp.
-    """
-    for steps in range(NEWTON_MAX_STEPS):
-        grad = gp_gradient(problem, phi)
-        lagrange = float(grad @ phi)
-        tangent = grad - lagrange * phi
-        if np.linalg.norm(tangent) <= g_tol:
-            return phi, energy, steps
-        d = _projected_newton_direction(problem, phi, 0.5 * tangent, 0.5 * lagrange)
-        if not d.any():
-            return phi, energy, steps
-        noise = NOISE_FLOOR * max(abs(energy), 1.0)
-        for halvings in range(NEWTON_HALVINGS + 1):
-            cand = np.abs(phi + d)
-            cand /= np.linalg.norm(cand)
-            cand_energy = gp_energy(problem, cand)
-            if cand_energy <= energy:
-                break
-            if halvings == 0 and cand_energy <= energy + noise:
-                # the full step's decrease is below what the energy resolves
-                cand_energy = energy
-                break
-            d *= 0.5
-        else:
-            return phi, energy, steps
-        phi, energy = cand, cand_energy
-        trace.append(energy)
-    return phi, energy, NEWTON_MAX_STEPS
-
-
 def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) -> GPResult:
-    """Minimize the energy over the unit sphere: Newton steps, then projected gradient.
+    """Minimize the energy over the unit sphere: one loop of Newton, then gradient, steps.
 
-    The start is ``|init|``, normalized.  Convergence requires the
-    sphere-projected gradient norm to fall below ``g_tol`` with the relative
-    energy decrease below ``E_TOL`` (the latter is not tested at the gradient
-    loop's first iteration).  ``MAX_ITER`` caps the gradient steps only.
+    The start is ``|init|``, normalized.  Each iteration evaluates the
+    gradient once and stops when the sphere-projected gradient norm is at
+    most ``g_tol`` and, once a gradient step has been taken, the last
+    relative energy decrease is at most ``E_TOL``.  Otherwise it takes a
+    Newton step, until one fails or ``NEWTON_MAX_STEPS`` have been taken, and
+    a projected-gradient step from then on; ``MAX_ITER`` caps the latter.
     """
     h = problem.hamiltonian
     coupling = problem.coupling
@@ -192,27 +158,55 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
 
     energy = gp_energy(problem, phi)
     trace = [energy]
-    phi, energy, newton_steps = _newton_phase(problem, phi, energy, g_tol, trace)
     vmax = float(h.potential.max(initial=0.0))
-    step = 1.0 / (
-        2.0 * (4.0 * h.geom.dim + vmax) + 12.0 * coupling * float(np.max(phi**2))
-    )
     # largest step that is stable for any unit iterate (||phi||_inf <= 1);
     # near the floor, energy differences drop below one ulp and the Armijo
     # test turns into noise, so sub-noise moves at this step are accepted
     step_safe = 1.0 / (2.0 * (4.0 * h.geom.dim + vmax) + 12.0 * coupling)
 
-    grad_norm = np.inf
-    iterations = 0
+    newton = True
+    newton_steps = gradient_steps = 0
     converged = False
-    last_drop = np.inf
-
-    for iterations in range(MAX_ITER + 1):
+    last_drop = 0.0
+    while True:
         grad = gp_gradient(problem, phi)
-        tangent = grad - (grad @ phi) * phi
+        lagrange = float(grad @ phi)
+        tangent = grad - lagrange * phi
         grad_norm = float(np.linalg.norm(tangent))
-        if grad_norm <= g_tol and (iterations == 0 or last_drop <= E_TOL):
+        if grad_norm <= g_tol and last_drop <= E_TOL:
             converged = True
+            break
+        noise = NOISE_FLOOR * max(abs(energy), 1.0)
+
+        if newton and newton_steps < NEWTON_MAX_STEPS:
+            d = _projected_newton_direction(problem, phi, 0.5 * tangent, 0.5 * lagrange)
+            accepted = False
+            # a zero direction is a failed step
+            for halvings in range(NEWTON_HALVINGS + 1 if d.any() else 0):
+                cand = np.abs(phi + d)
+                cand /= np.linalg.norm(cand)
+                cand_energy = gp_energy(problem, cand)
+                # a full step whose rise is rounding noise is accepted at the
+                # unchanged energy: near the minimizer the decrease falls
+                # below what the energy resolves
+                accepted = cand_energy <= energy or (
+                    halvings == 0 and cand_energy <= energy + noise
+                )
+                if accepted:
+                    break
+                d *= 0.5
+            if accepted:
+                phi, energy = cand, min(cand_energy, energy)
+                trace.append(energy)
+                newton_steps += 1
+                continue
+        if newton:
+            # hand-over: the gradient step size starts from this iterate
+            newton = False
+            step = 1.0 / (
+                2.0 * (4.0 * h.geom.dim + vmax) + 12.0 * coupling * float(np.max(phi**2))
+            )
+        if gradient_steps == MAX_ITER:
             break
 
         trial = step
@@ -226,9 +220,7 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
                 if cand_energy <= energy - 1e-4 * trial * grad_norm**2:
                     accepted = True
                     break
-                if trial <= step_safe and cand_energy <= energy + NOISE_FLOOR * max(
-                    abs(energy), 1.0
-                ):
+                if trial <= step_safe and cand_energy <= energy + noise:
                     cand_energy = min(cand_energy, energy)
                     accepted = True
                     break
@@ -241,6 +233,7 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         last_drop = (energy - cand_energy) / max(abs(energy), 1e-300)
         phi, energy = cand, cand_energy
         trace.append(energy)
+        gradient_steps += 1
         step = min(max(trial * 2.0, step_safe), 1e6)
 
     return GPResult(
@@ -248,7 +241,7 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         energy=energy,
         trace=np.asarray(trace),
         grad_norm=grad_norm,
-        iterations=newton_steps + iterations,
+        iterations=newton_steps + gradient_steps,
         converged=converged,
     )
 
@@ -264,15 +257,11 @@ class CondensationCertificate:
     e1 ||(1-pi0) phi||^2 gives for a unit phi; ``margin`` is right side minus
     left side.  The flag is False when the GP energy reaches e1 or the
     spectral gap is below resolution, in which case the inequality says
-    nothing.
+    nothing.  ``pi0_norm`` = ||pi0 phi|| is the overlap |<phi0, phi>|.
     """
 
-    e0: float
-    e1: float
-    e_gp: float
     pi0_norm: float
     orth_norm: float
-    overlap: float
     valid: bool
     margin: float
 
@@ -296,12 +285,5 @@ def certificate(
     valid = e1 > e_gp and (e1 - e0) >= GAP_TIE_TOL
     margin = (e_gp - e0) * pi0_norm**2 - (e1 - e_gp) * orth_norm**2
     return CondensationCertificate(
-        e0=e0,
-        e1=e1,
-        e_gp=e_gp,
-        pi0_norm=pi0_norm,
-        orth_norm=orth_norm,
-        overlap=pi0_norm,
-        valid=valid,
-        margin=margin,
+        pi0_norm=pi0_norm, orth_norm=orth_norm, valid=valid, margin=margin
     )

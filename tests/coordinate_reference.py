@@ -9,8 +9,6 @@ Fourier symbol of -Delta come from the coordinates of ``geom.coords``.
 
 import numpy as np
 
-from gplattice.disorder import whole_torus
-
 
 def torus_distances(geom, site: int) -> np.ndarray:
     """l1 torus distance from one site to every site."""
@@ -52,12 +50,12 @@ def adjacency(geom, sites) -> np.ndarray:
 def reference_matrix(realization, region=None) -> np.ndarray:
     """-Delta + V on ``region`` (default: the torus) under its boundary condition.
 
-    Periodic and Dirichlet keep the diagonal 2d + V; Neumann has the count of
-    in-region neighbours + V.
+    The torus and Dirichlet boxes keep the diagonal 2d + V; Neumann has the
+    count of in-region neighbours + V.
     """
     geom = realization.geom
-    region = whole_torus(geom) if region is None else region
-    sites = site_indices(region, geom)
+    sites = np.arange(geom.n_sites) if region is None else site_indices(region, geom)
     adj = adjacency(geom, sites)
-    kinetic = adj.sum(axis=1) if region.bc == "neumann" else 2.0 * geom.dim
+    neumann = region is not None and region.bc == "neumann"
+    kinetic = adj.sum(axis=1) if neumann else 2.0 * geom.dim
     return np.diag(kinetic + realization.potential[sites]) - adj

@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +9,10 @@ from gplattice import (
     Region,
     build_lattice,
     dense_matrix,
-    periodic_hamiltonian,
     provenance_stream,
     restrict_hamiltonian,
     sample_potential,
 )
-from gplattice.disorder import whole_torus
 
 from box_bracketing import partition_into_boxes
 from coordinate_reference import site_indices
@@ -119,7 +116,7 @@ def test_region_wrap_detection():
     geom = build_lattice(1, 3)
     assert not Region(intervals=((2, 2),)).wraps(geom)
     assert Region(intervals=((3, 2),)).wraps(geom)
-    assert whole_torus(geom).wraps(geom) is False
+    assert not Region(intervals=((-3, 7),)).wraps(geom)
 
 
 def test_partition_example_sides():
@@ -214,17 +211,10 @@ def test_restriction_rejects_wrapping_and_partial_periodic():
     real = _flat_realization(geom)
     with pytest.raises(ValueError):
         restrict_hamiltonian(real, Region(intervals=((2, 3),), bc="dirichlet"))
-    with pytest.raises(ValueError):
-        restrict_hamiltonian(real, Region(intervals=((0, 2),), bc="periodic"))
-
-
-def test_periodic_restriction_of_whole_torus_matches():
-    geom = build_lattice(1, 4)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=8)
-    real = sample_potential(spec, geom)
-    via_region = restrict_hamiltonian(real, whole_torus(geom))
-    direct = periodic_hamiltonian(real)
-    np.testing.assert_allclose(dense_matrix(via_region), dense_matrix(direct))
+    # the torus itself is periodic_hamiltonian, never a periodic box
+    for intervals in (((0, 2),), ((-3, 7),)):
+        with pytest.raises(ValueError):
+            restrict_hamiltonian(real, Region(intervals=intervals, bc="periodic"))
 
 
 def test_restricted_potential_follows_sites():
@@ -241,8 +231,8 @@ def test_restricted_potential_follows_sites():
 
 @pytest.mark.parametrize("dim, half", [(1, 6), (2, 3), (3, 2)])
 def test_restriction_takes_the_potential_at_site_indices(dim, half):
-    # site_indices is the oracle for the sliced (boxes) and rolled (periodic
-    # regions at an offset) potential; box sides run up to the torus side
+    # site_indices is the oracle for the sliced potential; box sides run up
+    # to the torus side
     geom = build_lattice(dim, half)
     real = sample_potential(DisorderSpec(master_seed=4), geom, 0, dim)
     regions = [
@@ -250,10 +240,6 @@ def test_restriction_takes_the_potential_at_site_indices(dim, half):
         for box in range(1, geom.side + 1)
         for bc in ("dirichlet", "neumann")
         for region in partition_into_boxes(geom, box, bc)
-    ]
-    regions += [
-        Region(intervals=tuple((start, geom.side) for start in starts), bc="periodic")
-        for starts in itertools.product(range(-half, half + 1), repeat=dim)
     ]
     for region in regions:
         op = restrict_hamiltonian(real, region)

@@ -138,9 +138,11 @@ def test_minimizer_against_scipy_composite():
 
 
 def small_gap_problem():
-    # the smallest gap of 60 samples at L=16, with U * ipr = gap: the linear
-    # ground state is a saddle of the energy, and the minimizer mixes in the
-    # first excited state (overlap about 0.966)
+    # the smallest gap of 60 samples at L=16, with U * ipr = gap: the
+    # minimizer mixes in the first excited state (overlap about 0.966), but
+    # the linear ground state is no saddle of the energy, because that state
+    # overlaps it (the projected Hessian at phi0 is >= 9.25e-3 off phi0); it
+    # turns into one between 20 and 50 times this coupling
     geom = build_lattice(1, 16)
     ham = periodic_hamiltonian(sample_potential(SPEC, geom, 0, 27))
     ref = dense_oracle(ham)
@@ -172,7 +174,7 @@ def test_newton_start_matches_tight_gradient_solve(make, monkeypatch):
     res = minimize_gp(prob, init=init)
     tight = projected_gradient_only(prob, init, monkeypatch, g_tol=1e-12)
     assert res.converged and tight.converged
-    # the Newton phase did the work; projected gradient alone needs hundreds
+    # Newton steps did the work; projected gradient alone needs hundreds
     assert res.iterations <= 10 < tight.iterations
     assert np.all(np.diff(res.trace) <= 0)
     assert abs(res.energy - tight.energy) <= 1e-12
@@ -258,7 +260,7 @@ def strongly_coupled_problem(dim, half, sample, factor, v_max):
     ids=["d1", "d1-small-gap", "d1-large-coupling", "d2", "d2-large-coupling"],
 )
 def test_newton_direction_on_fixed_buffers_is_the_reference(make, uphill, monkeypatch):
-    # every direction of a Newton phase, bit for bit, against the loop that
+    # every Newton direction of a solve, bit for bit, against the loop that
     # allocates H p, ap and p anew each iteration
     prob = make()
     start = dense_oracle(prob.hamiltonian).vectors[:, 0]
@@ -284,16 +286,52 @@ def test_newton_direction_on_fixed_buffers_is_the_reference(make, uphill, monkey
     assert len(calls) >= 2 and all(calls)
 
 
+@pytest.mark.parametrize(
+    "make, flat, newton_steps, iterations, energy",
+    [
+        (lambda: strongly_coupled_problem(1, 16, 5, 5.0, 1.0), False, 2, 298, 0.6218038638081673),
+        (lambda: strongly_coupled_problem(2, 4, 1, 2.0, 6.0), True, 11, 13, 2.4251579402402097),
+    ],
+    ids=["d1-phi0", "d2-flat"],
+)
+def test_gradient_steps_finish_where_a_genuine_newton_step_fails(
+    make, flat, newton_steps, iterations, energy, monkeypatch
+):
+    # with a large coupling a Newton direction can be one that no halving
+    # makes acceptable; projected gradient steps then finish the solve
+    prob = make()
+    n = prob.hamiltonian.n_sites
+    init = np.ones(n) if flat else dense_oracle(prob.hamiltonian).vectors[:, 0]
+    tight = projected_gradient_only(prob, init, monkeypatch, g_tol=1e-12)
+    newton = gp._projected_newton_direction
+    calls = []
+
+    def counted(problem, phi, residual, mu):
+        calls.append(residual)
+        return newton(problem, phi, residual, mu)
+
+    monkeypatch.setattr(gp, "_projected_newton_direction", counted)
+    res = minimize_gp(prob, init=init)
+    assert res.converged
+    # every direction but the last was taken
+    assert len(calls) == newton_steps + 1
+    assert res.iterations == iterations
+    assert res.energy == energy
+    assert len(res.trace) == iterations + 1
+    assert np.all(np.diff(res.trace) <= 0)
+    assert abs(res.energy - tight.energy) <= 1e-12
+
+
 def test_certificate_fields_and_validity():
     prob = make_problem(half=16, coupling=0.002, sample=1)
     eig = lowest_eigenpairs(prob.hamiltonian, 2, tol=1e-10, seed=6)
     gp = minimize_gp(prob, init=eig.vectors[:, 0])
     cert = certificate(prob, eig, gp)
-    assert cert.e0 <= cert.e_gp
-    assert cert.overlap == pytest.approx(cert.pi0_norm)
+    assert eig.values[0] <= gp.energy
+    assert cert.pi0_norm == pytest.approx(abs(eig.vectors[:, 0] @ gp.phi))
     assert abs(cert.pi0_norm**2 + cert.orth_norm**2 - 1.0) <= 1e-10
     if cert.valid:
-        assert cert.e1 > cert.e_gp
+        assert eig.values[1] > gp.energy
         assert cert.margin >= -1e-9
 
 
@@ -303,7 +341,7 @@ def test_certificate_invalid_when_energy_reaches_gap():
     eig = lowest_eigenpairs(prob.hamiltonian, 2, tol=1e-10, seed=8)
     gp = minimize_gp(prob, init=eig.vectors[:, 0])
     cert = certificate(prob, eig, gp)
-    assert gp.energy > cert.e1
+    assert gp.energy > eig.values[1]
     assert not cert.valid
 
 
