@@ -214,7 +214,10 @@ def gap_and_overlap(
 def default_band_scale(geom: LatticeGeometry, field: np.ndarray) -> float:
     """Scale eps for a physical field: sqrt of its kinetic form, clipped to >= 1/L."""
     eps = math.sqrt(max(dirichlet_energy(geom, field), 0.0))
-    return min(max(eps, 1.0 / geom.half_side), 0.999)
+    floor = 1.0 / geom.half_side
+    if floor * geom.half_side < 1:  # (1/L) * L rounds below 1 for some L, e.g. 49
+        floor = math.nextafter(floor, 1.0)
+    return min(max(eps, floor), 0.999)
 
 
 def random_low_energy_field(

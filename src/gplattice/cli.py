@@ -29,8 +29,8 @@ from .records import write_records
 
 _EXPERIMENT_HELP = {
     "condense": "ground state, interacting minimizer, and certificate per sample",
-    "spectrum": "low-lying eigenvalues, gaps, and localization centers",
-    "scaling": "ground-state energy against L, normalized by (log L)^(2/d)",
+    "spectrum": "low-lying eigenvalues, gaps, localization centers, and the "
+    "ground-energy scaling in L",
     "estimates": "Wegner / Minami / Lifshitz / gap-law Monte Carlo estimators",
     "shells": "frequency-shell bounds and four-norm calibration",
 }

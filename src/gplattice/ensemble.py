@@ -75,7 +75,7 @@ from .spectral import (
     lowest_eigenpairs,
 )
 
-EXPERIMENTS = ("condense", "spectrum", "scaling", "estimates", "shells")
+EXPERIMENTS = ("condense", "spectrum", "estimates", "shells")
 
 INVARIANT_SLACK = 1e-9
 
@@ -523,7 +523,7 @@ def _summarize_condense(plan: ExperimentPlan, groups):
 
 
 # ---------------------------------------------------------------------------
-# spectrum runs (no interaction): gaps, centers, gap law
+# spectrum runs (no interaction): ground-energy scaling, gaps, centers, gap law
 
 def _observe_spectrum(plan, l_index, sample_index, geom, ham, eig):
     return _pair_fields(geom, eig), None
@@ -534,56 +534,40 @@ CENTER_LAMBDA = 8.0
 
 
 def _summarize_spectrum(plan: ExperimentPlan, groups):
-    gap, law, centers = [], [], []
+    e0, gap, law, centers = [], [], [], []
     for half_side, group in zip(plan.l_grid, groups):
+        logl = math.log(max(half_side, 2))
+        med, q25, q75 = _quantiles(np.array([r.e0 for r, _ in group]))
+        e0.append([half_side, med, q25, q75, med * logl ** (2.0 / plan.dim)])
         gaps = np.array([r.gap for r, _ in group])
         dists = np.array([r.center_dist for r, _ in group], dtype=float)
         gap.append([half_side, *_quantiles(gaps)])
         law += _gap_law(plan, half_side, gaps)
-        close = dists <= CENTER_LAMBDA * math.log(max(half_side, 2))
         median_dist = float(np.median(dists)) if dists.size else math.nan
-        centers.append([half_side, median_dist, _fraction(close)])
+        centers.append([half_side, median_dist, _fraction(dists <= CENTER_LAMBDA * logl)])
     series = {
+        "e0": (QUANTILE_COLUMNS + ["normalized"], e0),
         "gap": (QUANTILE_COLUMNS, gap),
         "gap_law": (GAP_LAW_COLUMNS, law),
         "center_distance": (["half_side", "median_dist", "fraction_close"], centers),
     }
-    return series, {}
+    # the paper's law e0 ~ (log L)^(-2/d): the normalized medians stay in a band
+    normalized = [row[4] for row in e0 if math.isfinite(row[4])]
+    band_min = min(normalized) if normalized else math.nan
+    band_max = max(normalized) if normalized else math.nan
+    checks = {
+        "normalized band (min, max)": (band_min, band_max),
+        "normalized band ratio": (
+            band_max / band_min if normalized and band_min > 0 else math.nan
+        ),
+    }
+    return series, checks
 
 
 def _gap_law(plan: ExperimentPlan, half_side: int, gaps: np.ndarray) -> list[list]:
     """Rows (L, eta, P[gap <= eta L^-d]) for each eta of the plan's grid."""
     scale = half_side ** (-plan.dim)
     return [[half_side, eta, _fraction(gaps <= eta * scale)] for eta in plan.gap_eta_grid]
-
-
-# ---------------------------------------------------------------------------
-# ground-state scaling runs
-
-def _observe_scaling(plan, l_index, sample_index, geom, ham, eig):
-    return _ground_fields(geom, eig), None
-
-
-def _summarize_scaling(plan: ExperimentPlan, groups):
-    rows = []
-    for half_side, group in zip(plan.l_grid, groups):
-        med, q25, q75 = _quantiles(np.array([r.e0 for r, _ in group]))
-        norm = med * math.log(max(half_side, 2)) ** (2.0 / plan.dim)
-        rows.append([half_side, med, q25, q75, norm])
-    normalized = [row[4] for row in rows if math.isfinite(row[4])]
-    band_min = min(normalized) if normalized else math.nan
-    band_max = max(normalized) if normalized else math.nan
-    flat_bad = sum(
-        1 for group in groups for r, _ in group if r.kinetic > r.e0 + INVARIANT_SLACK
-    )
-    checks = {
-        "normalized band (min, max)": (band_min, band_max),
-        "normalized band ratio": (
-            band_max / band_min if normalized and band_min > 0 else math.nan
-        ),
-        "flatness violations": flat_bad,
-    }
-    return {"e0": (QUANTILE_COLUMNS + ["normalized"], rows)}, checks
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +753,6 @@ _PIPELINES = {
     "spectrum": _Pipeline(
         lambda plan: plan.eig_count, _observe_spectrum, _summarize_spectrum
     ),
-    "scaling": _Pipeline(lambda plan: 1, _observe_scaling, _summarize_scaling),
     "estimates": _Pipeline(None, _observe_estimates, _summarize_estimates),
     "shells": _Pipeline(lambda plan: 1, _observe_shells, _summarize_shells),
 }

@@ -1,5 +1,6 @@
 import argparse
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -47,7 +48,7 @@ STANDING_PLANS = {
         out="runs/condensation_trend_3d.jsonl",
     ),
     "groundstate_scaling": ExperimentPlan(
-        experiment="scaling",
+        experiment="spectrum",
         seed=0,
         dim=1,
         l_grid=(32, 64, 128, 256, 512),
@@ -94,9 +95,13 @@ def test_missing_seed_is_a_usage_error(capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_unknown_subcommand_rejected():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["anneal", "--seed", "1"])
+def test_unknown_subcommand_rejected(capsys):
+    # scaling runs are spectrum runs, so "scaling" names no subcommand either
+    for name in ("anneal", "scaling"):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--seed", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_bad_config_line_reported(tmp_path, capsys):
@@ -189,6 +194,13 @@ def test_configs_are_the_standing_plans():
         options = parse_config_text((CONFIGS / f"{name}.cfg").read_text())
         options["experiment"] = expected.experiment
         assert plan_from_options(options) == expected, name
+
+
+def test_config_usage_comments_name_their_plan():
+    usage = re.compile(r"^#   gplattice (\S+) --config configs/(\S+)$", re.MULTILINE)
+    for name, plan in STANDING_PLANS.items():
+        comments = usage.findall((CONFIGS / f"{name}.cfg").read_text())
+        assert comments == [(plan.experiment, f"{name}.cfg")], name
 
 
 @pytest.mark.parametrize("name", sorted(STANDING_PLANS))

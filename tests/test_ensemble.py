@@ -108,7 +108,7 @@ def test_plan_rejects_bad_options(overrides):
 
 def test_only_condense_and_shells_need_l_above_1():
     # the other experiments never read the coupling schedule
-    for experiment in ("spectrum", "scaling", "estimates"):
+    for experiment in ("spectrum", "estimates"):
         plan = ExperimentPlan(experiment=experiment, seed=0, l_grid=(1,))
         assert replay_sample(plan, 0, 0).error is None, experiment
 
@@ -360,9 +360,6 @@ SMALL_PLANS = [
         experiment="spectrum", seed=11, l_grid=(5,), schedule=(0.0,), samples=4
     ),
     ExperimentPlan(
-        experiment="scaling", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=2
-    ),
-    ExperimentPlan(
         experiment="estimates",
         seed=2,
         l_grid=(6,),
@@ -398,7 +395,7 @@ def test_worker_count_does_not_change_records():
 
 @pytest.mark.parametrize(
     "plan, stage",
-    [(SMALL_PLANS[3], "dense_matrix"), (SMALL_PLANS[4], "random_low_energy_field")],
+    [(SMALL_PLANS[2], "dense_matrix"), (SMALL_PLANS[3], "random_low_energy_field")],
     ids=["estimates", "shells"],
 )
 def test_failures_become_error_records(plan, stage, monkeypatch):
@@ -425,29 +422,29 @@ def test_failures_become_error_records(plan, stage, monkeypatch):
 
 def test_spectrum_runner_smoke():
     plan = ExperimentPlan(
-        experiment="spectrum", seed=11, l_grid=(5,), schedule=(0.0,), samples=4
+        experiment="spectrum", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
     )
     result = run_plan(plan)
+    assert result.invariant_violations == []
     assert all(math.isfinite(r.gap) and r.gap >= 0 for r in result.records)
     assert all(math.isnan(r.e_gp) for r in result.records)
     assert all(r.center_dist >= 0 for r in result.records)
     series = result.summary.series
-    assert set(series) == {"gap", "gap_law", "center_distance"}
-    assert len(series["gap_law"][1]) == len(plan.gap_eta_grid)
+    assert set(series) == {"e0", "gap", "gap_law", "center_distance"}
+    assert len(series["gap_law"][1]) == len(plan.l_grid) * len(plan.gap_eta_grid)
 
-
-def test_scaling_runner_smoke():
-    plan = ExperimentPlan(
-        experiment="scaling", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
-    )
-    result = run_plan(plan)
+    # the ground-energy law: medians normalized by (log L)^(2/d) stay in a band
+    header, rows = series["e0"]
+    assert header == ["half_side", "median", "q25", "q75", "normalized"]
+    assert [row[0] for row in rows] == list(plan.l_grid)
+    for half_side, med, q25, q75, norm in rows:
+        assert q25 <= med <= q75
+        assert norm == med * math.log(half_side) ** 2
     checks = result.summary.checks
-    band_min, _ = checks["normalized band (min, max)"]
-    assert checks["normalized band ratio"] >= 1.0
-    assert math.isfinite(band_min) and band_min > 0
-    assert checks["flatness violations"] == 0
-    header, rows = result.summary.series["e0"]
-    assert len(rows) == 2
+    band_min, band_max = checks["normalized band (min, max)"]
+    assert 0 < band_min == min(row[4] for row in rows)
+    assert band_max == max(row[4] for row in rows)
+    assert checks["normalized band ratio"] == band_max / band_min >= 1.0
 
 
 def test_estimates_runner_smoke():
@@ -579,6 +576,15 @@ def test_shells_names_skipped_eps():
     assert summary.checks["eps skipped (eps L < 1) by L"] == {8: [0.1, 0.02]}
     assert "eps skipped (eps L < 1) by L: {8: [0.1, 0.02]}" in summary.table()
     assert [row[1] for row in summary.series["four_norm_ratio"][1]] == [0.5]
+
+
+def test_shells_flat_ground_state_at_l_49_is_healthy():
+    # the nearly flat phi0 clips its band scale to 1/L, and (1/49) * 49
+    # rounds to 0.9999999999999999; the clipped scale must still pass eps L >= 1
+    plan = ExperimentPlan(
+        experiment="shells", seed=0, l_grid=(49,), schedule=(0.0,), samples=1, v_max=1e-3
+    )
+    assert replay_sample(plan, 0, 0).error is None
 
 
 # --- public surface ------------------------------------------------------------

@@ -31,8 +31,9 @@ GOLDEN_PLANS = {
     "spectrum": ExperimentPlan(
         experiment="spectrum", seed=11, l_grid=(5,), schedule=(0.0,), samples=4
     ),
+    # the ground-energy scaling grid: its e0 series spans two sizes
     "scaling": ExperimentPlan(
-        experiment="scaling", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
+        experiment="spectrum", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
     ),
     "estimates": ExperimentPlan(
         experiment="estimates",

@@ -6,7 +6,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from gplattice import ExperimentPlan, RunRecord, read_records, replay_sample, write_records
+from gplattice import (
+    EXPERIMENTS,
+    ExperimentPlan,
+    RunRecord,
+    read_records,
+    replay_sample,
+    write_records,
+)
 from gplattice.records import DIAGNOSTICS
 
 
@@ -59,11 +66,11 @@ def test_json_matches_a_deep_copied_dict():
     # solve of a 9-site torus cannot reach tol_eig = 1e-300
     plans = [
         ExperimentPlan(experiment=name, seed=1, l_grid=(4,))
-        for name in ("condense", "spectrum", "scaling", "estimates", "shells")
+        for name in EXPERIMENTS
     ]
     plans.append(ExperimentPlan(experiment="spectrum", seed=0, l_grid=(4,), tol_eig=1e-300))
     records = [replay_sample(plan, 0, 0) for plan in plans]
-    assert [r.error is None for r in records] == [True] * 5 + [False]
+    assert [r.error is None for r in records] == [True] * len(EXPERIMENTS) + [False]
     for rec in records:
         assert rec.to_json() == json.dumps(dataclasses.asdict(rec))
         want = {k: v for k, v in dataclasses.asdict(rec).items() if k not in DIAGNOSTICS}
