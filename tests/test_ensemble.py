@@ -422,19 +422,28 @@ def test_failures_become_error_records(plan, stage, monkeypatch):
 
 def test_spectrum_runner_smoke():
     plan = ExperimentPlan(
-        experiment="spectrum", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
+        experiment="spectrum", seed=11, l_grid=(5,), schedule=(0.0,), samples=4
     )
     result = run_plan(plan)
-    assert result.invariant_violations == []
     assert all(math.isfinite(r.gap) and r.gap >= 0 for r in result.records)
     assert all(math.isnan(r.e_gp) for r in result.records)
     assert all(r.center_dist >= 0 for r in result.records)
     series = result.summary.series
     assert set(series) == {"e0", "gap", "gap_law", "center_distance"}
-    assert len(series["gap_law"][1]) == len(plan.l_grid) * len(plan.gap_eta_grid)
+    assert len(series["gap_law"][1]) == len(plan.gap_eta_grid)
+
+
+def test_scaling_runner_smoke():
+    # ground-energy scaling runs are spectrum runs over several sizes
+    plan = ExperimentPlan(
+        experiment="spectrum", seed=5, l_grid=(8, 16), schedule=(0.0,), samples=4
+    )
+    result = run_plan(plan)
+    # the flatness test kinetic <= e0 is one of the record invariants
+    assert result.invariant_violations == []
 
     # the ground-energy law: medians normalized by (log L)^(2/d) stay in a band
-    header, rows = series["e0"]
+    header, rows = result.summary.series["e0"]
     assert header == ["half_side", "median", "q25", "q75", "normalized"]
     assert [row[0] for row in rows] == list(plan.l_grid)
     for half_side, med, q25, q75, norm in rows:
@@ -442,7 +451,7 @@ def test_spectrum_runner_smoke():
         assert norm == med * math.log(half_side) ** 2
     checks = result.summary.checks
     band_min, band_max = checks["normalized band (min, max)"]
-    assert 0 < band_min == min(row[4] for row in rows)
+    assert math.isfinite(band_min) and 0 < band_min == min(row[4] for row in rows)
     assert band_max == max(row[4] for row in rows)
     assert checks["normalized band ratio"] == band_max / band_min >= 1.0
 
