@@ -211,13 +211,15 @@ def gap_and_overlap(
     )
 
 
-def default_band_scale(geom: LatticeGeometry, field: np.ndarray) -> float:
-    """Scale eps for a physical field: sqrt of its kinetic form, clipped to >= 1/L."""
-    eps = math.sqrt(max(dirichlet_energy(geom, field), 0.0))
-    floor = 1.0 / geom.half_side
-    if floor * geom.half_side < 1:  # (1/L) * L rounds below 1 for some L, e.g. 49
+def default_band_scale(half_side: int, kinetic: float) -> float:
+    """Scale eps of a field with kinetic form ``kinetic``: its square root, at least 1/L.
+
+    So eps L >= 1, and kinetic <= eps^2 up to rounding.
+    """
+    floor = 1.0 / half_side
+    if floor * half_side < 1:  # (1/L) * L rounds below 1 for some L, e.g. 49
         floor = math.nextafter(floor, 1.0)
-    return min(max(eps, floor), 0.999)
+    return max(math.sqrt(max(kinetic, 0.0)), floor)
 
 
 def random_low_energy_field(

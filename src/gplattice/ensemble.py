@@ -9,6 +9,8 @@ bit and can be sharded over workers without changing a single record.
 Every experiment runs through one sample function, which draws the potential,
 solves for the spectrum, and turns any failure into an error record; an
 experiment adds only its observable and its summary (see ``_PIPELINES``).
+A sample's only output is its record, so a summary is a function of the plan
+and the records (``summarize``).
 
 The named coupling schedule scales the interaction as
 
@@ -356,7 +358,7 @@ def _fraction(mask: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the shared sample pipeline: one provenance slot in, one record plus side data out
+# the shared sample pipeline: one provenance slot in, one record out
 
 @dataclass(frozen=True)
 class _Pipeline:
@@ -364,10 +366,9 @@ class _Pipeline:
 
     ``eig_count`` gives the number of lowest eigenpairs to solve for, or is
     None for a full dense spectrum.  ``observe(plan, l_index, sample_index,
-    geom, ham, eig)`` returns the record fields and the side data the
-    summary needs; ``summarize(plan, groups)`` gets the healthy (record,
-    side data) pairs grouped per L and returns the ``Summary`` series and
-    checks.
+    geom, ham, eig)`` returns the record fields, everything the summary
+    reads of the sample; ``summarize(plan, groups)`` gets the healthy
+    records grouped per L and returns the ``Summary`` series and checks.
     """
 
     eig_count: Callable[[ExperimentPlan], int] | None
@@ -376,11 +377,11 @@ class _Pipeline:
     interacting: bool = False
 
 
-def _sample(task: tuple[ExperimentPlan, int, int]) -> tuple[RunRecord, object]:
+def _sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
     """Draw, solve and observe one (plan, L index, sample index) slot.
 
     A failure anywhere after the record's base fields becomes an error
-    record with no side data.
+    record.
     """
     plan, l_index, sample_index = task
     pipeline = _PIPELINES[plan.experiment]
@@ -412,37 +413,40 @@ def _sample(task: tuple[ExperimentPlan, int, int]) -> tuple[RunRecord, object]:
                 eig_applies=eig.iterations, eig_residual_max=float(eig.residuals.max())
             )
         base["t_eig"] = time.perf_counter() - eig_start
-        fields, side = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)
+        fields = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)
     except (EigenConvergenceError, RuntimeError, ValueError) as exc:
-        record = RunRecord(**base, error=str(exc), wall_time=time.perf_counter() - start)
-        return record, None
-    return RunRecord(**base, **fields, wall_time=time.perf_counter() - start), side
+        return RunRecord(**base, error=str(exc), wall_time=time.perf_counter() - start)
+    return RunRecord(**base, **fields, wall_time=time.perf_counter() - start)
 
 
 def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunRecord:
     """Replay a single record of any experiment from its provenance."""
-    return _sample((plan, l_index, sample_index))[0]
+    return _sample((plan, l_index, sample_index))
+
+
+def summarize(plan: ExperimentPlan, records: list[RunRecord]) -> Summary:
+    """The plan's summary of its records, healthy ones grouped per L."""
+    groups: list[list[RunRecord]] = [[] for _ in plan.l_grid]
+    for record in records:
+        if record.error is None:
+            groups[record.l_index].append(record)
+    series, checks = _PIPELINES[plan.experiment].summarize(plan, groups)
+    n_ok = {half_side: len(group) for half_side, group in zip(plan.l_grid, groups)}
+    return Summary(series, checks, n_ok, len(records) - sum(n_ok.values()))
 
 
 def run_plan(plan: ExperimentPlan) -> ExperimentResult:
-    """Run every (L, sample) slot of a plan and summarize the healthy records."""
+    """Run every (L, sample) slot of a plan and summarize its records."""
     tasks = [
         (plan, l_index, sample)
         for l_index in range(len(plan.l_grid))
         for sample in range(plan.samples)
     ]
-    outputs = _parallel_map(_sample, tasks, plan.workers)
-    records = [record for record, _ in outputs]
-    groups: list[list[tuple[RunRecord, object]]] = [[] for _ in plan.l_grid]
-    for record, side in outputs:
-        if record.error is None:
-            groups[record.l_index].append((record, side))
-    series, checks = _PIPELINES[plan.experiment].summarize(plan, groups)
-    n_ok = {half_side: len(group) for half_side, group in zip(plan.l_grid, groups)}
+    records = _parallel_map(_sample, tasks, plan.workers)
     return ExperimentResult(
         plan=plan,
         records=records,
-        summary=Summary(series, checks, n_ok, len(records) - sum(n_ok.values())),
+        summary=summarize(plan, records),
         invariant_violations=[e for r in records for e in record_invariant_errors(r)],
     )
 
@@ -495,16 +499,16 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
         gp_grad_norm=gp.grad_norm,
         t_gp=t_gp,
     )
-    return fields, None
+    return fields
 
 
 def _summarize_condense(plan: ExperimentPlan, groups):
     overlap, gap, fraction = [], [], []
     for l_index, (half_side, group) in enumerate(zip(plan.l_grid, groups)):
-        overlaps = np.array([r.overlap for r, _ in group])
+        overlaps = np.array([r.overlap for r in group])
         eta = overlap_deficit_scale(half_side, plan.dim, plan.coupling_for(l_index))
         overlap.append([half_side, *_quantiles(overlaps)])
-        gap.append([half_side, *_quantiles(np.array([r.gap for r, _ in group]))])
+        gap.append([half_side, *_quantiles(np.array([r.gap for r in group]))])
         fraction.append([half_side, _fraction(overlaps >= 1.0 - eta), eta])
     series = {
         "overlap": (QUANTILE_COLUMNS, overlap),
@@ -526,7 +530,7 @@ def _summarize_condense(plan: ExperimentPlan, groups):
 # spectrum runs (no interaction): ground-energy scaling, gaps, centers, gap law
 
 def _observe_spectrum(plan, l_index, sample_index, geom, ham, eig):
-    return _pair_fields(geom, eig), None
+    return _pair_fields(geom, eig)
 
 
 # localization centers at most CENTER_LAMBDA * log L apart count as close
@@ -537,10 +541,10 @@ def _summarize_spectrum(plan: ExperimentPlan, groups):
     e0, gap, law, centers = [], [], [], []
     for half_side, group in zip(plan.l_grid, groups):
         logl = math.log(max(half_side, 2))
-        med, q25, q75 = _quantiles(np.array([r.e0 for r, _ in group]))
+        med, q25, q75 = _quantiles(np.array([r.e0 for r in group]))
         e0.append([half_side, med, q25, q75, med * logl ** (2.0 / plan.dim)])
-        gaps = np.array([r.gap for r, _ in group])
-        dists = np.array([r.center_dist for r, _ in group], dtype=float)
+        gaps = np.array([r.gap for r in group])
+        dists = np.array([r.center_dist for r in group], dtype=float)
         gap.append([half_side, *_quantiles(gaps)])
         law += _gap_law(plan, half_side, gaps)
         median_dist = float(np.median(dists)) if dists.size else math.nan
@@ -585,12 +589,19 @@ def _window_counts(vals: np.ndarray, center: float, widths) -> np.ndarray:
 
 
 def _observe_estimates(plan, l_index, sample_index, geom, ham, vals):
-    """Gap fields, plus eigenvalue counts in windows at the band center."""
+    """Gap fields and the level counts in windows at the band center.
+
+    The windows are ``wegner_widths + minami_widths``; a Minami hit is a
+    count of at least 2.
+    """
     center = (4.0 * plan.dim + plan.v_max) / 2.0
-    wegner = _window_counts(vals, center, plan.wegner_widths).tolist()
-    minami = (_window_counts(vals, center, plan.minami_widths) >= 2).tolist()
-    fields = dict(e0=float(vals[0]), e1=float(vals[1]), gap=float(vals[1] - vals[0]))
-    return fields, (wegner, minami)
+    widths = plan.wegner_widths + plan.minami_widths
+    return dict(
+        e0=float(vals[0]),
+        e1=float(vals[1]),
+        gap=float(vals[1] - vals[0]),
+        window_counts=tuple(_window_counts(vals, center, widths).tolist()),
+    )
 
 
 def _box_ground_sample(task: tuple[ExperimentPlan, int, int]) -> float:
@@ -613,16 +624,17 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
     wegner, minami, law = [], [], []
     minami_slopes: dict[int, float] = {}
     widths = np.asarray(plan.wegner_widths)
+    n_windows = widths.size + len(plan.minami_widths)
     for half_side, group in zip(plan.l_grid, groups):
-        wcounts = np.array([side[0] for _, side in group], dtype=float)
-        mhits = np.array([side[1] for _, side in group], dtype=float)
+        # the reshape keeps the window axis when every sample of this L failed
+        counts = np.array([r.window_counts for r in group], dtype=float)
+        counts = counts.reshape(len(group), n_windows)
 
-        # the reshape keeps the width axis when every sample of this L failed
-        means = wcounts.reshape(len(group), widths.size).mean(axis=0)
+        means = counts[:, : widths.size].mean(axis=0)
         slope = float((widths * means).sum() / (widths**2).sum())
         wegner += [[half_side, w, m, slope * w] for w, m in zip(widths, means)]
 
-        probs = mhits.reshape(len(group), len(plan.minami_widths)).mean(axis=0)
+        probs = (counts[:, widths.size :] >= 2).mean(axis=0)
         minami += [[half_side, w, prob] for w, prob in zip(plan.minami_widths, probs)]
         positive = [(w, p) for w, p in zip(plan.minami_widths, probs) if p > 0]
         if len(positive) >= 2:
@@ -634,7 +646,7 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
         else:
             minami_slopes[half_side] = math.nan
 
-        law += _gap_law(plan, half_side, np.array([r.gap for r, _ in group]))
+        law += _gap_law(plan, half_side, np.array([r.gap for r in group]))
 
     box_tasks = [
         (plan, side_index, s)
@@ -660,29 +672,37 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
 # shell / four-norm calibration
 
 def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
-    """Ground-state fields and four-norm ratio, plus one random field per eps.
+    """Ground-state fields, plus one random field's statistics per kept eps.
 
     An eps with eps * L < 1 has no shell to sample and is skipped; the
-    summary names the skipped eps per L.
+    summary names the skipped eps per L.  The corpus ratio of phi0 needs
+    no field of its own: it is ``ipr**0.25 / g(eps)`` at the band scale of
+    ``kinetic``.
     """
-    phi0 = eig.vectors[:, 0]
-    corpus_ratio = four_norm_bound_check(geom, phi0, default_band_scale(geom, phi0))
     rng = provenance_stream(plan.seed, l_index, sample_index, FIELD_CHANNEL)
-    field_stats = []
-    for eps_index, eps in enumerate(plan.eps_grid):
-        if eps * geom.half_side < 1:
-            continue
+    four_norm, sup, annulus = [], [], []
+    for eps in _kept_eps(plan, geom.half_side):
         u = random_low_energy_field(geom, eps, rng)
         dec = shell_decompose(geom, u, eps)
         ratios = dec.sup_bound_ratios(plan.dim)
         finite = ratios[np.isfinite(ratios)]
-        sup_ratio = float(finite.max()) if finite.size else math.nan
+        sup.append(float(finite.max()) if finite.size else math.nan)
         annulus_ok = dec.annulus_kinetic_stat() <= (
             dec.lattice_constant * dec.kinetic * (1 + 1e-12) + 1e-15
         )
-        ratio = four_norm_bound_check(geom, u, eps)
-        field_stats.append((eps_index, sup_ratio, bool(annulus_ok), ratio))
-    return _ground_fields(geom, eig), (corpus_ratio, field_stats)
+        annulus.append(bool(annulus_ok))
+        four_norm.append(four_norm_bound_check(geom, u, eps))
+    return dict(
+        _ground_fields(geom, eig),
+        field_four_norm_ratio=tuple(four_norm),
+        field_sup_ratio=tuple(sup),
+        field_annulus_ok=tuple(annulus),
+    )
+
+
+def _kept_eps(plan: ExperimentPlan, half_side: int) -> list[float]:
+    """The shell scales with a shell to sample at L: eps L >= 1."""
+    return [eps for eps in plan.eps_grid if eps * half_side >= 1]
 
 
 def _summarize_shells(plan: ExperimentPlan, groups):
@@ -692,9 +712,7 @@ def _summarize_shells(plan: ExperimentPlan, groups):
         geom = _geometry(plan.dim, half_side)
         skipped[half_side] = [eps for eps in plan.eps_grid if eps * half_side < 1]
         trial_ratios = []
-        for eps_index, eps in enumerate(plan.eps_grid):
-            if eps * half_side < 1:
-                continue
+        for j, eps in enumerate(_kept_eps(plan, half_side)):
             delta = trial_delta_background(geom, eps)
             delta_unit = delta / lp_norm(delta, 2)
             delta_ratio = lp_norm(delta_unit, 4) / g_scale(eps, plan.dim)
@@ -702,10 +720,9 @@ def _summarize_shells(plan: ExperimentPlan, groups):
             flat_ratio = lp_norm(flat, 4) / g_scale(eps, plan.dim)
             trial_ratios += [delta_ratio, flat_ratio]
 
-            stats = [s for _, side in group for s in side[1] if s[0] == eps_index]
-            if not stats:
+            if not group:
                 continue
-            ratios = np.array([s[3] for s in stats])
+            ratios = np.array([r.field_four_norm_ratio[j] for r in group])
             four_norm.append(
                 [
                     half_side,
@@ -716,10 +733,13 @@ def _summarize_shells(plan: ExperimentPlan, groups):
                     flat_ratio,
                 ]
             )
-            sup_bound.append([half_side, eps, float(np.nanmax([s[1] for s in stats]))])
-            annulus_ok[half_side, eps] = all(s[2] for s in stats)
+            sup = float(np.nanmax([r.field_sup_ratio[j] for r in group]))
+            sup_bound.append([half_side, eps, sup])
+            annulus_ok[half_side, eps] = all(r.field_annulus_ok[j] for r in group)
 
-        corpus = np.array([side[0] for _, side in group])
+        # ||phi0||_4 / g(eps) at phi0's band scale
+        scales = [default_band_scale(half_side, r.kinetic) for r in group]
+        corpus = np.array([r.ipr**0.25 / g_scale(e, plan.dim) for r, e in zip(group, scales)])
         trial_scale = max(trial_ratios) if trial_ratios else math.nan
         corpus_max = float(corpus.max()) if corpus.size else math.nan
         corpus_median = float(np.median(corpus)) if corpus.size else math.nan

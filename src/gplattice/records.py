@@ -2,11 +2,15 @@
 
 One record per sample, one JSON object per line, floats serialized with
 shortest-round-trip precision so reading a stream back reproduces every
-numeric field exactly.  The diagnostics (``wall_time``, the GP minimizer's
-final gradient, the eigensolver's applied columns and largest residual, and
-the seconds spent in the eigensolve and in the GP minimization) are
-bookkeeping, not payload: record content comparisons (and the
-determinism guarantees) exclude them, and a stream written before a
+numeric field exactly.  A record holds everything a summary reads, so a
+summary is a function of the plan and the records: ``estimates`` records
+carry their window counts, ``shells`` records their random-field statistics,
+one entry per kept eps, and a stream written before those fields existed
+reads back with them empty.  The diagnostics (``wall_time``, the GP
+minimizer's final gradient, the eigensolver's applied columns and largest
+residual, and the seconds spent in the eigensolve and in the GP
+minimization) are bookkeeping, not payload: record content comparisons (and
+the determinism guarantees) exclude them, and a stream written before a
 diagnostic existed reads back with it set to NaN.
 """
 
@@ -22,6 +26,13 @@ from typing import NamedTuple
 # read back as NaN from streams written without them
 DIAGNOSTICS = (
     "wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max", "t_eig", "t_gp"
+)
+
+# tuple payload fields by element type; all but the centers read back empty
+# from streams written without them
+_TUPLES = dict(
+    center0=int, center1=int, window_counts=int,
+    field_four_norm_ratio=float, field_sup_ratio=float, field_annulus_ok=bool,
 )
 
 
@@ -57,6 +68,13 @@ class RunRecord:
     center_dist: int = -1
     gp_iterations: int = 0
     gp_converged: bool = False
+    # estimates: levels in each window of wegner_widths + minami_widths
+    window_counts: tuple[int, ...] = ()
+    # shells, one entry per kept eps: ||u||_4 / g(eps), the largest shell sup
+    # ratio (NaN when no shell is populated), and the annulus bound's verdict
+    field_four_norm_ratio: tuple[float, ...] = ()
+    field_sup_ratio: tuple[float, ...] = ()
+    field_annulus_ok: tuple[bool, ...] = ()
     error: str | None = None
     wall_time: float = 0.0
     gp_grad_norm: float = math.nan
@@ -90,20 +108,24 @@ class RunRecord:
         known = {f.name for f in fields(cls)}
         for name in DIAGNOSTICS[1:]:
             data.setdefault(name, math.nan)
+        for name in list(_TUPLES)[2:]:
+            data.setdefault(name, ())
         missing = known - data.keys()
         if missing:
             raise ValueError(f"record is missing fields {sorted(missing)}")
         extra = data.keys() - known
         if extra:
             raise ValueError(f"record has unknown fields {sorted(extra)}")
-        data["center0"] = tuple(int(c) for c in data["center0"])
-        data["center1"] = tuple(int(c) for c in data["center1"])
+        for name, kind in _TUPLES.items():
+            data[name] = tuple(kind(v) for v in data[name])
         return cls(**data)
 
 
 def _hashable(value):
     if isinstance(value, float) and math.isnan(value):
         return "nan"
+    if isinstance(value, tuple):
+        return tuple(_hashable(v) for v in value)
     return value
 
 

@@ -248,9 +248,16 @@ def test_flat_fourier_trial_ratio_bounded_below():
 
 
 def test_default_band_scale_brackets():
+    # strong disorder (v_max = 20) gives phi0 a kinetic form above 1; eps follows it
     geom = build_lattice(1, 32)
-    ham = periodic_hamiltonian(sample_potential(SPEC, geom, 0, 2))
-    phi0 = lowest_eigenpairs(ham, 1, tol=1e-10, seed=1).vectors[:, 0]
-    eps = default_band_scale(geom, phi0)
-    assert 1.0 / geom.half_side <= eps <= 0.999
-    assert dirichlet_energy(geom, phi0) <= eps**2 * (1 + 1e-9)
+    for v_max in (1.0, 20.0):
+        spec = DisorderSpec(distribution="uniform", v_max=v_max, master_seed=55)
+        ham = periodic_hamiltonian(sample_potential(spec, geom, 0, 2))
+        phi0 = lowest_eigenpairs(ham, 1, tol=1e-10, seed=1).vectors[:, 0]
+        kinetic = dirichlet_energy(geom, phi0)
+        eps = default_band_scale(geom.half_side, kinetic)
+        assert eps >= 1.0 / geom.half_side
+        assert kinetic <= eps**2 * (1 + 1e-12)
+        assert (kinetic > 1.0) == (v_max > 1.0)
+        # phi0 is a scale-eps field: the four-norm check accepts it
+        assert four_norm_bound_check(geom, phi0, eps) == lp_norm(phi0, 4) / g_scale(eps, 1)

@@ -518,7 +518,10 @@ def test_estimates_window_counts_match_the_mask_definition(case):
     counts = ensemble._window_counts(vals, ESTIMATES_CENTER, widths)
     assert counts.tolist() == [count(w) for w in widths]
     plan = ESTIMATES_PLAN
-    fields, (wcounts, mhits) = ensemble._observe_estimates(plan, 0, 0, None, None, vals)
+    fields = ensemble._observe_estimates(plan, 0, 0, None, None, vals)
+    n_wegner = len(plan.wegner_widths)
+    wcounts = list(fields["window_counts"][:n_wegner])
+    mhits = [c >= 2 for c in fields["window_counts"][n_wegner:]]
     assert wcounts == [count(w) for w in plan.wegner_widths]
     assert mhits == [count(w) >= 2 for w in plan.minami_widths]
     assert fields["gap"] == vals[1] - vals[0]
@@ -574,6 +577,10 @@ def test_shells_runner_smoke():
     }
     # every healthy sample gives one corpus ratio and one field per kept eps
     assert summary.n_ok == {32: 2}
+    for rec in result.records:
+        assert len(rec.field_four_norm_ratio) == len(rec.field_sup_ratio) == 2
+        assert rec.field_annulus_ok == (True, True)
+        assert rec.window_counts == ()
     assert summary.checks["corpus max within 3x trial scale by L"] == {32: True}
 
 
@@ -594,6 +601,16 @@ def test_shells_flat_ground_state_at_l_49_is_healthy():
         experiment="shells", seed=0, l_grid=(49,), schedule=(0.0,), samples=1, v_max=1e-3
     )
     assert replay_sample(plan, 0, 0).error is None
+
+
+def test_shells_strong_disorder_samples_are_healthy():
+    # phi0's kinetic form exceeds 1 here (1.73, 1.05, 1.25 for samples 0, 1
+    # and 3); its band scale follows it instead of clipping below 1
+    plan = ExperimentPlan(experiment="shells", seed=0, l_grid=(32,), v_max=20, samples=4)
+    result = run_plan(plan)
+    assert [r.error for r in result.records] == [None] * 4
+    assert result.summary.n_ok == {32: 4}
+    assert result.summary.checks["corpus max within 3x trial scale by L"] == {32: True}
 
 
 # --- public surface ------------------------------------------------------------

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from gplattice import ExperimentPlan, run_plan
+from gplattice import ExperimentPlan, ExperimentResult, read_records, run_plan
 from gplattice.cli import write_outputs
+from gplattice.ensemble import summarize
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden_records.json"
 FLOAT_TOL = 1e-12
@@ -116,6 +117,24 @@ def test_summary_text_shows_every_series(name, tmp_path):
         header, *rows = path.read_text().splitlines()
         series = path.name[len("run.") : -len(".dat")]
         assert blocks[series] == (header.split()[1:], len(rows)), series
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+def test_summary_rebuilds_from_the_records_file(name, tmp_path):
+    # a summary is a function of the plan and the records: summarizing the
+    # records read back from the file reproduces the run's own output
+    plan = replace(GOLDEN_PLANS[name], out=str(tmp_path / "run.jsonl"))
+    run_paths = write_outputs(run_plan(plan))
+    read = read_records(tmp_path / "run.jsonl")
+    assert read.bad_lines == []
+    rebuilt = replace(plan, out=str(tmp_path / "rebuilt.jsonl"))
+    result = ExperimentResult(rebuilt, read.records, summarize(plan, read.records), [])
+    rebuilt_paths = write_outputs(result)
+    assert [p.name.replace("run.", "", 1) for p in run_paths] == [
+        p.name.replace("rebuilt.", "", 1) for p in rebuilt_paths
+    ]
+    for run_path, rebuilt_path in zip(run_paths, rebuilt_paths):
+        assert rebuilt_path.read_bytes() == run_path.read_bytes(), run_path.name
 
 
 def merge_snapshot(fresh: dict, archived: dict | None, name: str) -> list[tuple]:

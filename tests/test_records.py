@@ -77,14 +77,63 @@ def test_json_matches_a_deep_copied_dict():
         assert json.dumps(rec.content_dict()) == json.dumps(want)
 
 
-def test_nan_fields_round_trip_via_content_key():
-    rec = make_record(e1=math.nan, gap=math.nan, cert_valid=False)
+def test_nan_fields_round_trip_via_content_key(tmp_path):
+    rec = make_record(
+        e1=math.nan,
+        gap=math.nan,
+        cert_valid=False,
+        field_four_norm_ratio=(0.5, 0.6),
+        field_sup_ratio=(0.25, float("nan")),
+        field_annulus_ok=(True, False),
+    )
     back = RunRecord.from_json(rec.to_json())
     # NaN != NaN, so dataclass equality cannot hold; the content key is the
-    # intended comparison and maps NaN to a stable token.
+    # intended comparison and maps NaN to a stable token, inside tuples too.
     assert back != rec
     assert back.content_key() == rec.content_key()
     assert ("gap", "nan") in back.content_key()
+    assert ("field_sup_ratio", (0.25, "nan")) in back.content_key()
+
+    path = tmp_path / "run.jsonl"
+    write_records(path, [rec])
+    [read] = read_records(path).records
+    assert read.content_key() == rec.content_key()
+    assert read.field_annulus_ok == (True, False)
+
+
+# a shells line as written before the window counts and field statistics
+# were record payload
+PRE_PAYLOAD_LINE = (
+    '{"master_seed": 0, "l_index": 0, "sample_index": 0, "dim": 1, "half_side": 8, '
+    '"coupling": 0.0, "e0": 0.48111245515400536, "e1": NaN, "e_gp": NaN, '
+    '"overlap": NaN, "gap": NaN, "ipr": 0.08608800804453312, '
+    '"kinetic": 0.03084319948771897, "cert_valid": false, "cert_margin": NaN, '
+    '"pi0_norm": NaN, "orth_norm": NaN, "center0": [-2], "center1": [], '
+    '"center_dist": -1, "gp_iterations": 0, "gp_converged": false, "error": null, '
+    '"wall_time": 0.01913531400350621, "gp_grad_norm": NaN, "eig_applies": 18, '
+    '"eig_residual_max": 2.4047347260703216e-15, "t_eig": 0.0009479639993514866, '
+    '"t_gp": NaN}'
+)
+
+
+def test_line_without_the_later_payload_reads_back_empty(tmp_path):
+    rec = RunRecord.from_json(PRE_PAYLOAD_LINE)
+    assert rec.e0 == 0.48111245515400536 and rec.center0 == (-2,)
+    assert rec.window_counts == ()
+    assert rec.field_four_norm_ratio == rec.field_sup_ratio == rec.field_annulus_ok == ()
+    assert RunRecord.from_json(rec.to_json()) == rec
+
+    # a line lacking any older payload field is still refused
+    path = tmp_path / "old.jsonl"
+    data = json.loads(PRE_PAYLOAD_LINE)
+    lines = [PRE_PAYLOAD_LINE]
+    for name in ("e0", "kinetic", "center1", "error"):
+        lines.append(json.dumps({k: v for k, v in data.items() if k != name}))
+    path.write_text("\n".join(lines) + "\n")
+    result = read_records(path)
+    assert len(result.records) == 1
+    assert [lineno for lineno, _ in result.bad_lines] == [2, 3, 4, 5]
+    assert all("missing fields" in message for _, message in result.bad_lines)
 
 
 def test_wall_time_excluded_from_content():
