@@ -620,6 +620,14 @@ def _box_ground_sample(task: tuple[ExperimentPlan, int, int]) -> float:
     return float(np.linalg.eigvalsh(dense_matrix(box))[0])
 
 
+def _payload(group, name: str, size: int) -> list[tuple]:
+    """Each record's tuple field ``name``, refused unless it has ``size`` entries."""
+    values = [getattr(r, name) for r in group]
+    if any(len(v) != size for v in values):
+        raise ValueError(f"records lack the {size}-entry {name} payload this plan reads")
+    return values
+
+
 def _summarize_estimates(plan: ExperimentPlan, groups):
     wegner, minami, law = [], [], []
     minami_slopes: dict[int, float] = {}
@@ -627,7 +635,7 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
     n_windows = widths.size + len(plan.minami_widths)
     for half_side, group in zip(plan.l_grid, groups):
         # the reshape keeps the window axis when every sample of this L failed
-        counts = np.array([r.window_counts for r in group], dtype=float)
+        counts = np.array(_payload(group, "window_counts", n_windows), dtype=float)
         counts = counts.reshape(len(group), n_windows)
 
         means = counts[:, : widths.size].mean(axis=0)
@@ -712,7 +720,12 @@ def _summarize_shells(plan: ExperimentPlan, groups):
         geom = _geometry(plan.dim, half_side)
         skipped[half_side] = [eps for eps in plan.eps_grid if eps * half_side < 1]
         trial_ratios = []
-        for j, eps in enumerate(_kept_eps(plan, half_side)):
+        kept = _kept_eps(plan, half_side)
+        field_ratios, field_sups, field_annuli = (
+            _payload(group, name, len(kept))
+            for name in ("field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok")
+        )
+        for j, eps in enumerate(kept):
             delta = trial_delta_background(geom, eps)
             delta_unit = delta / lp_norm(delta, 2)
             delta_ratio = lp_norm(delta_unit, 4) / g_scale(eps, plan.dim)
@@ -722,7 +735,7 @@ def _summarize_shells(plan: ExperimentPlan, groups):
 
             if not group:
                 continue
-            ratios = np.array([r.field_four_norm_ratio[j] for r in group])
+            ratios = np.array([r[j] for r in field_ratios])
             four_norm.append(
                 [
                     half_side,
@@ -733,9 +746,9 @@ def _summarize_shells(plan: ExperimentPlan, groups):
                     flat_ratio,
                 ]
             )
-            sup = float(np.nanmax([r.field_sup_ratio[j] for r in group]))
+            sup = float(np.nanmax([r[j] for r in field_sups]))
             sup_bound.append([half_side, eps, sup])
-            annulus_ok[half_side, eps] = all(r.field_annulus_ok[j] for r in group)
+            annulus_ok[half_side, eps] = all(r[j] for r in field_annuli)
 
         # ||phi0||_4 / g(eps) at phi0's band scale
         scales = [default_band_scale(half_side, r.kinetic) for r in group]

@@ -1,36 +1,37 @@
 """Gross-Pitaevskii energy on the unit sphere and its minimizer.
 
 The functional is E[phi] = <H phi, phi> + U sum_x phi(x)^4 with U >= 0,
-minimized over real unit vectors.  The minimizer is one loop: each iteration
-evaluates the gradient once, tests convergence, and takes one step.
+minimized over real unit vectors by Riemannian trust-region Newton steps
+(Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+2008, ch. 7).  Each iteration evaluates the gradient once, tests
+convergence (sphere-projected gradient norm at most ``g_tol``), and takes
+one step.  With mu = <phi, H phi + 2U phi^3> and the Lagrange residual
+r = H phi + 2U phi^3 - mu phi, the step solves
+P (H + 6U phi^2 - mu) P d = -r for d orthogonal to phi by truncated
+conjugate gradients (Steihaug-Toint; P = 1 - phi phi^T, stopped at a
+relative residual of min(0.1, max(|r|, 1e-6))), which end on the
+trust-region boundary when a step would leave it or meets non-positive
+curvature.  The candidate |phi + d| / || |phi + d| || is accepted when its
+energy is no higher (up to rounding noise for a step inside the radius),
+and the radius shrinks or grows with the ratio of actual to predicted
+decrease.  The conjugate gradients run on two fixed buffers, whose stencil
+views are taken once per solve.  While every full Newton step lies inside
+the radius and lowers the energy, the iterates are plain Newton's.
 
-Steps are Riemannian Newton steps at first.  With mu = <phi, H phi + 2U phi^3>
-and the Lagrange residual r = H phi + 2U phi^3 - mu phi, a step solves
-P (H + 6U phi^2 - mu) P d = -r for d orthogonal to phi by matrix-free
-conjugate gradients (P = 1 - phi phi^T, stopped at a relative residual of
-min(0.1, max(|r|, 1e-6))) and moves to |phi + d| / || |phi + d| ||.  A step
-that would raise the energy is halved up to ``NEWTON_HALVINGS`` times.  The
-conjugate gradients run on two fixed buffers, whose stencil views are taken
-once per solve.  Halving matters where the linear ground state phi0 is a
-saddle of the energy (the projected Hessian there has a negative
-direction) and full steps overshoot.  Along an excited state psi of H that
-Hessian has curvature (e_psi - e0) - 2U ipr + 6U sum phi0^2 psi^2, with
-ipr = sum phi0^4, so phi0 is a saddle once 2U ipr exceeds the gap to a low
-state that phi0 barely overlaps.  U ipr comparable to the gap is not enough
+The linear ground state phi0 can be a saddle of the energy (the projected
+Hessian there has a negative direction), and plain Newton steps from phi0
+can converge to a nearby saddle; boundary steps along negative curvature
+leave it.  Along an excited state psi of H that Hessian has curvature
+(e_psi - e0) - 2U ipr + 6U sum phi0^2 psi^2, with ipr = sum phi0^4, so
+phi0 is a saddle once 2U ipr exceeds the gap to a low state that phi0
+barely overlaps.  U ipr comparable to the gap is not enough
 by itself: the first excited state may overlap phi0 enough to keep every
 curvature positive.
 
-Once a Newton step fails (a zero direction, or no halving lowers the
-energy) or ``NEWTON_MAX_STEPS`` have been taken, the loop takes projected
-gradient steps instead: descent on the sphere with Armijo backtracking on
-the ambient energy, where each trial iterate is replaced by its entrywise
-modulus (which never raises the energy) and renormalized.  The loop has
-converged when the sphere-projected gradient norm is at most ``g_tol`` and,
-once a gradient step has been taken, the last relative energy decrease is
-at most ``E_TOL``.  Iterates stay nonnegative, the energy trace holds the
-energy after every accepted step and is monotone, and ``iterations`` counts
-Newton plus gradient steps.  Started from the single-particle ground state,
-the zero-coupling problem converges immediately.
+Iterates stay nonnegative, the energy trace holds the energy after every
+accepted step and is monotone, and ``iterations`` counts accepted steps.
+Started from the single-particle ground state, the zero-coupling problem
+converges immediately.
 """
 
 from __future__ import annotations
@@ -45,14 +46,11 @@ from .spectral import EigenSolution, HamiltonianOperator
 GAP_TIE_TOL = 1e-12
 # relative energy change below which the energy test is rounding noise
 NOISE_FLOOR = 8.0 * np.finfo(float).eps
-# Newton converges in two or three steps near the minimizer; escaping a
-# saddle at the linear ground state took up to 20 on the trend plans
-NEWTON_MAX_STEPS = 50
-NEWTON_HALVINGS = 10
 CG_RTOL_FLOOR = 1e-6
-# the energy-change test once gradient steps run, and their cap
-E_TOL = 1e-12
-MAX_ITER = 200_000
+# a step this short no longer moves a unit field; the cap counts accepted
+# and rejected steps
+RADIUS_FLOOR = np.finfo(float).eps
+MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -95,28 +93,36 @@ class GPResult:
 
 
 def _projected_newton_direction(
-    problem: GPProblem, phi: np.ndarray, residual: np.ndarray, mu: float
-) -> np.ndarray:
-    """Solve P (H + 6U phi^2 - mu) P d = -residual for d orthogonal to phi.
+    problem: GPProblem, phi: np.ndarray, residual: np.ndarray, mu: float, radius: float
+) -> tuple[np.ndarray, float, bool]:
+    """Truncated CG for P (H + 6U phi^2 - mu) P d = -residual inside |d| <= radius.
 
-    Conjugate gradients stop at a relative residual of min(0.1, |residual|),
-    floored at ``CG_RTOL_FLOOR`` (tighter targets are out of reach in
-    floating point on small-gap samples), after n iterations, or on a
-    direction of non-positive curvature, which the projected Hessian can
-    have away from the minimizer.  Every iterate is a descent direction.
-    The search direction ``p`` and its image ``ap`` are fixed buffers whose
-    stencil views are taken once; each iteration overwrites both in place.
+    Returns the step d (orthogonal to phi), the energy drop the quadratic
+    model predicts for it, and whether it ends on the boundary.  Conjugate
+    gradients stop at a relative residual of min(0.1, |residual|), floored at
+    ``CG_RTOL_FLOOR`` (tighter targets are out of reach in floating point on
+    small-gap samples), or after n iterations.  A step that would leave the
+    ball, or a direction of non-positive curvature, is followed to the
+    boundary instead (Steihaug-Toint).  |d|^2 comes from the recurrences
+    for d.p and p.p, and the model from the CG scalars, so neither costs a
+    vector operation.  The search direction ``p`` and its image ``ap`` are
+    fixed buffers whose stencil views are taken once; each iteration
+    overwrites both in place.
     """
     h = problem.hamiltonian
     shift = 6.0 * problem.coupling * phi**2 - mu
     rhs_norm = float(np.linalg.norm(residual))
     stop = min(0.1, max(rhs_norm, CG_RTOL_FLOOR)) * rhs_norm
     d = np.zeros_like(phi)
-    res = -residual
+    # the residual's rounding leaves a part along phi of order eps |gradient|;
+    # as |residual| falls, A applied to that part swamps the true curvature
+    res = (phi @ residual) * phi - residual
     p = res.copy()
     ap = np.empty_like(p)
     neighbours = _stencil_updates(h.shape, h.geom.side, p, ap)
     rr = float(res @ res)
+    # |d|^2, d.p, p.p, and the model <residual, d> + <d, A d> / 2
+    dd, dp, pp, model = 0.0, 0.0, rr, 0.0
     for _ in range(phi.size):
         # ap = H p + shift * p, with H p = diag * p minus the neighbours
         np.multiply(h.diag, p, out=ap)
@@ -124,33 +130,41 @@ def _projected_newton_direction(
         ap += shift * p
         ap -= (phi @ ap) * phi
         curvature = float(p @ ap)
-        if curvature <= 0.0:
-            break
-        alpha = rr / curvature
+        if curvature > 0.0:
+            alpha = rr / curvature
+            dd_next = dd + alpha * (2.0 * dp + alpha * pp)
+        if curvature <= 0.0 or dd_next >= radius**2:
+            tau = (np.sqrt(dp**2 + pp * max(radius**2 - dd, 0.0)) - dp) / pp
+            d += tau * p
+            model += tau * (0.5 * tau * curvature - rr)
+            return d, -2.0 * model, True
         d += alpha * p
+        model -= 0.5 * alpha * rr
         res -= alpha * ap
         rr_next = float(res @ res)
         if rr_next <= stop**2:
             break
-        p *= rr_next / rr
+        beta = rr_next / rr
+        dd, dp, pp = dd_next, beta * (dp + alpha * pp), rr_next + beta**2 * pp
+        p *= beta
         p += res
         rr = rr_next
-    return d
+    return d, -2.0 * model, False
 
 
 def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) -> GPResult:
-    """Minimize the energy over the unit sphere: one loop of Newton, then gradient, steps.
+    """Minimize the energy over the unit sphere by trust-region Newton steps.
 
     The start is ``|init|``, normalized.  Each iteration evaluates the
     gradient once and stops when the sphere-projected gradient norm is at
-    most ``g_tol`` and, once a gradient step has been taken, the last
-    relative energy decrease is at most ``E_TOL``.  Otherwise it takes a
-    Newton step, until one fails or ``NEWTON_MAX_STEPS`` have been taken, and
-    a projected-gradient step from then on; ``MAX_ITER`` caps the latter.
+    most ``g_tol``.  Otherwise it solves for a step inside the radius,
+    evaluates the energy at the retracted candidate, and accepts the step
+    or shrinks the radius.  The loop gives up, unconverged, once the radius
+    falls below ``RADIUS_FLOOR`` or after ``MAX_STEPS`` steps.
     """
-    h = problem.hamiltonian
-    coupling = problem.coupling
     phi = np.abs(np.asarray(init, dtype=float))
+    if not np.isfinite(phi).all():
+        raise ValueError("initial field must be finite")
     norm = np.linalg.norm(phi)
     if norm == 0:
         raise ValueError("initial field must be nonzero")
@@ -158,90 +172,40 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
 
     energy = gp_energy(problem, phi)
     trace = [energy]
-    vmax = float(h.potential.max(initial=0.0))
-    # largest step that is stable for any unit iterate (||phi||_inf <= 1);
-    # near the floor, energy differences drop below one ulp and the Armijo
-    # test turns into noise, so sub-noise moves at this step are accepted
-    step_safe = 1.0 / (2.0 * (4.0 * h.geom.dim + vmax) + 12.0 * coupling)
-
-    newton = True
-    newton_steps = gradient_steps = 0
-    converged = False
-    last_drop = 0.0
-    while True:
+    radius = 1.0
+    for step in range(MAX_STEPS + 1):
         grad = gp_gradient(problem, phi)
         lagrange = float(grad @ phi)
         tangent = grad - lagrange * phi
         grad_norm = float(np.linalg.norm(tangent))
-        if grad_norm <= g_tol and last_drop <= E_TOL:
-            converged = True
+        converged = grad_norm <= g_tol
+        if converged or step == MAX_STEPS or radius < RADIUS_FLOOR:
             break
-        noise = NOISE_FLOOR * max(abs(energy), 1.0)
-
-        if newton and newton_steps < NEWTON_MAX_STEPS:
-            d = _projected_newton_direction(problem, phi, 0.5 * tangent, 0.5 * lagrange)
-            accepted = False
-            # a zero direction is a failed step
-            for halvings in range(NEWTON_HALVINGS + 1 if d.any() else 0):
-                cand = np.abs(phi + d)
-                cand /= np.linalg.norm(cand)
-                cand_energy = gp_energy(problem, cand)
-                # a full step whose rise is rounding noise is accepted at the
-                # unchanged energy: near the minimizer the decrease falls
-                # below what the energy resolves
-                accepted = cand_energy <= energy or (
-                    halvings == 0 and cand_energy <= energy + noise
-                )
-                if accepted:
-                    break
-                d *= 0.5
-            if accepted:
-                phi, energy = cand, min(cand_energy, energy)
-                trace.append(energy)
-                newton_steps += 1
-                continue
-        if newton:
-            # hand-over: the gradient step size starts from this iterate
-            newton = False
-            step = 1.0 / (
-                2.0 * (4.0 * h.geom.dim + vmax) + 12.0 * coupling * float(np.max(phi**2))
-            )
-        if gradient_steps == MAX_ITER:
-            break
-
-        trial = step
-        accepted = False
-        for _ in range(70):
-            cand = np.abs(phi - trial * tangent)
-            cnorm = np.linalg.norm(cand)
-            if cnorm > 0:
-                cand = cand / cnorm
-                cand_energy = gp_energy(problem, cand)
-                if cand_energy <= energy - 1e-4 * trial * grad_norm**2:
-                    accepted = True
-                    break
-                if trial <= step_safe and cand_energy <= energy + noise:
-                    cand_energy = min(cand_energy, energy)
-                    accepted = True
-                    break
-            trial *= 0.5
-        if not accepted:
-            # descent has hit machine precision
-            converged = grad_norm <= g_tol
-            break
-
-        last_drop = (energy - cand_energy) / max(abs(energy), 1e-300)
-        phi, energy = cand, cand_energy
-        trace.append(energy)
-        gradient_steps += 1
-        step = min(max(trial * 2.0, step_safe), 1e6)
+        d, predicted, boundary = _projected_newton_direction(
+            problem, phi, 0.5 * tangent, 0.5 * lagrange, radius
+        )
+        cand = np.abs(phi + d)
+        cand /= np.linalg.norm(cand)
+        cand_energy = gp_energy(problem, cand)
+        rho = (energy - cand_energy) / predicted
+        if rho < 0.25:
+            radius = 0.25 * float(np.linalg.norm(d))
+        elif rho > 0.75 and boundary:
+            radius = min(2.0 * radius, 2.0)
+        # an interior step whose rise is rounding noise is accepted at the
+        # unchanged energy: near the minimizer the decrease falls below what
+        # the energy resolves
+        noise = 0.0 if boundary else NOISE_FLOOR * max(abs(energy), 1.0)
+        if cand_energy <= energy + noise:
+            phi, energy = cand, min(cand_energy, energy)
+            trace.append(energy)
 
     return GPResult(
         phi=phi,
         energy=energy,
         trace=np.asarray(trace),
         grad_norm=grad_norm,
-        iterations=newton_steps + gradient_steps,
+        iterations=len(trace) - 1,
         converged=converged,
     )
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -17,18 +18,21 @@ from gplattice import (
     build_lattice,
     dense_matrix,
     periodic_hamiltonian,
+    read_records,
     replay_sample,
     run_plan,
     sample_potential,
+    write_records,
 )
 from gplattice.ensemble import (
     overlap_deficit_scale,
     parse_config_text,
     plan_from_options,
     record_invariant_errors,
+    summarize,
     theorem_coupling,
 )
-from gplattice import ensemble
+from gplattice import ensemble, gp
 from gplattice.spectral import OversizeError
 
 
@@ -333,9 +337,10 @@ def test_certificate_plan_has_no_invariant_violations():
     assert result.invariant_violations == []
 
 
-# samples on which projected gradient descent alone ran into its 200000-step
-# cap ("minimizer stalled"): master seed 2022, L=64, sample 0 of the trend
-# benchmark plan, and slot (L index 0, sample 184) of the acceptance trend plan
+# samples on which an earlier minimizer, projected gradient descent alone,
+# ran into its step cap ("minimizer stalled"): master seed 2022, L=64, sample
+# 0 of the trend benchmark plan, and slot (L index 0, sample 184) of the
+# acceptance trend plan
 TREND_GRID = dict(experiment="condense", dim=1, l_grid=(64, 128, 256, 512), c=1.0)
 
 
@@ -351,6 +356,44 @@ def test_formerly_stalled_samples_are_healthy(seed, l_index, sample_index):
     assert rec.gp_grad_norm <= plan.tol_gp
     assert rec.cert_valid and rec.cert_margin >= 0.0
     assert record_invariant_errors(rec) == []
+
+
+def test_minimizer_stall_becomes_an_error_record(monkeypatch):
+    # slot (L index 1, sample 0) needs three trust-region steps, the others two
+    monkeypatch.setattr(gp, "MAX_STEPS", 2)
+    result = run_plan(base_plan())
+    failed = [r for r in result.records if r.error is not None]
+    assert [(r.l_index, r.sample_index) for r in failed] == [(1, 0)]
+    assert failed[0].error.startswith("minimizer stalled")
+    assert result.summary.n_failed == 1
+    assert result.summary.n_ok == {4: 3, 6: 2}
+
+
+FIELD_PAYLOAD = ("field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok")
+
+
+@pytest.mark.parametrize(
+    "experiment, l_grid, payload",
+    [("estimates", (3,), ("window_counts",)), ("shells", (8,), FIELD_PAYLOAD)],
+    ids=["estimates", "shells"],
+)
+def test_summarize_names_a_payload_missing_from_older_records(
+    experiment, l_grid, payload, tmp_path
+):
+    # records written before the payload fields existed read back with them
+    # empty; the summary refuses them by name instead of a numpy error
+    plan = ExperimentPlan(experiment=experiment, seed=2, l_grid=l_grid, samples=2)
+    path = tmp_path / "old.jsonl"
+    write_records(path, run_plan(plan).records)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for data in lines:
+        for key in payload:
+            del data[key]
+    path.write_text("".join(json.dumps(data) + "\n" for data in lines))
+    read = read_records(path)
+    assert read.bad_lines == [] and len(read.records) == 2
+    with pytest.raises(ValueError, match=payload[0]):
+        summarize(plan, read.records)
 
 
 # one small plan per experiment, at the sizes of the smoke tests below

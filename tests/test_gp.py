@@ -15,7 +15,9 @@ from gplattice import (
 )
 from gplattice import gp
 from gplattice.gp import gp_energy, gp_gradient
+from gplattice.ensemble import theorem_coupling
 from gplattice.spectral import dense_oracle
+from gp_reference import projected_gradient_descent
 
 SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=77)
 
@@ -36,6 +38,19 @@ def test_problem_validation():
     ham = periodic_hamiltonian(sample_potential(SPEC, geom))
     with pytest.raises(ValueError):
         GPProblem(ham, -0.1)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(0.0, "nonzero"), (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite")],
+    ids=["zero", "nan", "inf", "-inf"],
+)
+def test_minimizer_refuses_a_zero_or_non_finite_init(bad, message):
+    prob = make_problem(half=4)
+    init = np.zeros(prob.hamiltonian.n_sites)
+    init[3] = bad
+    with pytest.raises(ValueError, match=message):
+        minimize_gp(prob, init=init)
 
 
 def test_energy_and_gradient_closed_form_on_two_modes():
@@ -151,12 +166,6 @@ def small_gap_problem():
     return GPProblem(ham, gap / float(np.sum(ref.vectors[:, 0] ** 4)))
 
 
-def projected_gradient_only(problem, init, monkeypatch, **kwargs):
-    with monkeypatch.context() as patch:
-        patch.setattr(gp, "NEWTON_MAX_STEPS", 0)
-        return minimize_gp(problem, init=init, **kwargs)
-
-
 @pytest.mark.parametrize(
     "make",
     [
@@ -167,12 +176,12 @@ def projected_gradient_only(problem, init, monkeypatch, **kwargs):
     ],
     ids=["d1", "d2", "d3", "d1-small-gap"],
 )
-def test_newton_start_matches_tight_gradient_solve(make, monkeypatch):
+def test_newton_start_matches_tight_gradient_solve(make):
     prob = make()
     ref = dense_oracle(prob.hamiltonian)
     init = ref.vectors[:, 0]
     res = minimize_gp(prob, init=init)
-    tight = projected_gradient_only(prob, init, monkeypatch, g_tol=1e-12)
+    tight = projected_gradient_descent(prob, init, g_tol=1e-12)
     assert res.converged and tight.converged
     # Newton steps did the work; projected gradient alone needs hundreds
     assert res.iterations <= 10 < tight.iterations
@@ -182,61 +191,69 @@ def test_newton_start_matches_tight_gradient_solve(make, monkeypatch):
 
 
 @pytest.mark.parametrize("genuine_steps", [0, 1])
-def test_rejected_newton_step_falls_back_to_projected_gradient(genuine_steps, monkeypatch):
+def test_rejected_step_leaves_phi_and_shrinks_radius(genuine_steps, monkeypatch):
     prob = make_problem(half=12, coupling=0.3, sample=2)
     init = dense_oracle(prob.hamiltonian).vectors[:, 0]
-    pg_only = projected_gradient_only(prob, init, monkeypatch)
+    plain = minimize_gp(prob, init=init)
     newton = gp._projected_newton_direction
     calls = []
 
-    def genuine_then_uphill(problem, phi, residual, mu):
-        # an ascent direction, which no halving makes acceptable
-        calls.append(residual)
-        if len(calls) <= genuine_steps:
-            return newton(problem, phi, residual, mu)
-        return 10.0 * residual
+    def genuine_then_uphill(problem, phi, residual, mu, radius):
+        calls.append((phi, radius))
+        if len(calls) != genuine_steps + 1:
+            return newton(problem, phi, residual, mu, radius)
+        # an ascent step to the boundary, claimed to lower the energy
+        return residual * (radius / np.linalg.norm(residual)), 1.0, True
 
     monkeypatch.setattr(gp, "_projected_newton_direction", genuine_then_uphill)
     res = minimize_gp(prob, init=init)
-    assert len(calls) == genuine_steps + 1
+    (phi_rejected, radius_rejected), (phi_next, radius_next) = calls[genuine_steps:][:2]
+    assert np.array_equal(phi_next, phi_rejected)
+    assert radius_next == pytest.approx(radius_rejected / 4.0, rel=1e-12)
     assert res.converged
     assert np.all(np.diff(res.trace) <= 0)
     assert res.trace[-1] == res.energy
-    # one trace entry per accepted Newton or gradient step, plus the start
-    assert len(res.trace) == res.iterations + 1
-    if genuine_steps == 0:
-        # the rejected step left the start untouched
-        assert np.array_equal(res.phi, pg_only.phi)
-        assert np.array_equal(res.trace, pg_only.trace)
-    else:
-        assert res.trace[1] < res.trace[0]
-        assert abs(res.energy - pg_only.energy) <= 1e-12
+    # one trace entry per accepted step, plus the start; the rejected step
+    # left none
+    assert len(res.trace) == res.iterations + 1 <= len(calls)
+    assert np.array_equal(res.trace[: genuine_steps + 1], plain.trace[: genuine_steps + 1])
+    assert abs(res.energy - plain.energy) <= 1e-12
 
 
-def reference_newton_direction(problem, phi, residual, mu):
-    """The projected Newton CG as first written: a fresh H p, ap and p each iteration."""
+def reference_newton_direction(problem, phi, residual, mu, radius):
+    """The truncated CG as first written: a fresh H p, ap and p each iteration."""
     shift = 6.0 * problem.coupling * phi**2 - mu
     rhs_norm = float(np.linalg.norm(residual))
     stop = min(0.1, max(rhs_norm, gp.CG_RTOL_FLOOR)) * rhs_norm
     d = np.zeros_like(phi)
-    res = -residual
+    res = (phi @ residual) * phi - residual
     p = res.copy()
     rr = float(res @ res)
+    dd, dp, pp, model = 0.0, 0.0, rr, 0.0
     for _ in range(phi.size):
         ap = problem.hamiltonian.apply(p) + shift * p
         ap -= (phi @ ap) * phi
         curvature = float(p @ ap)
-        if curvature <= 0.0:
-            break
-        alpha = rr / curvature
+        if curvature > 0.0:
+            alpha = rr / curvature
+            dd_next = dd + alpha * (2.0 * dp + alpha * pp)
+        if curvature <= 0.0 or dd_next >= radius**2:
+            # to the boundary: the root tau >= 0 of |d + tau p| = radius
+            tau = (np.sqrt(dp**2 + pp * max(radius**2 - dd, 0.0)) - dp) / pp
+            d += tau * p
+            model += tau * (0.5 * tau * curvature - rr)
+            return d, -2.0 * model, True
         d += alpha * p
+        model -= 0.5 * alpha * rr
         res -= alpha * ap
         rr_next = float(res @ res)
         if rr_next <= stop**2:
             break
-        p = res + (rr_next / rr) * p
+        beta = rr_next / rr
+        dd, dp, pp = dd_next, beta * (dp + alpha * pp), rr_next + beta**2 * pp
+        p = res + beta * p
         rr = rr_next
-    return d
+    return d, -2.0 * model, False
 
 
 def strongly_coupled_problem(dim, half, sample, factor, v_max):
@@ -276,50 +293,83 @@ def test_newton_direction_on_fixed_buffers_is_the_reference(make, uphill, monkey
     newton = gp._projected_newton_direction
     calls = []
 
-    def compared(problem, phi, residual, mu):
-        d = newton(problem, phi, residual, mu)
-        calls.append(np.array_equal(d, reference_newton_direction(problem, phi, residual, mu)))
-        return d
+    def compared(problem, phi, residual, mu, radius):
+        out = newton(problem, phi, residual, mu, radius)
+        ref = reference_newton_direction(problem, phi, residual, mu, radius)
+        calls.append((np.array_equal(out[0], ref[0]) and out[1:] == ref[1:], out[2]))
+        return out
 
     monkeypatch.setattr(gp, "_projected_newton_direction", compared)
     assert minimize_gp(prob, init=start).converged
-    assert len(calls) >= 2 and all(calls)
+    assert len(calls) >= 2 and all(same for same, _ in calls)
+    # negative curvature sends the first step to the trust-region boundary
+    assert any(boundary for _, boundary in calls) == uphill
 
 
 @pytest.mark.parametrize(
-    "make, flat, newton_steps, iterations, energy",
+    "make, flat, steps, iterations, energy",
     [
-        (lambda: strongly_coupled_problem(1, 16, 5, 5.0, 1.0), False, 2, 298, 0.6218038638081673),
-        (lambda: strongly_coupled_problem(2, 4, 1, 2.0, 6.0), True, 11, 13, 2.4251579402402097),
+        (lambda: strongly_coupled_problem(1, 16, 5, 5.0, 1.0), False, 8, 7, 0.6218038638081679),
+        (lambda: strongly_coupled_problem(2, 4, 1, 2.0, 6.0), True, 6, 6, 2.4251579402402093),
     ],
     ids=["d1-phi0", "d2-flat"],
 )
-def test_gradient_steps_finish_where_a_genuine_newton_step_fails(
-    make, flat, newton_steps, iterations, energy, monkeypatch
+def test_trust_region_finishes_where_full_newton_steps_fail(
+    make, flat, steps, iterations, energy, monkeypatch
 ):
-    # with a large coupling a Newton direction can be one that no halving
-    # makes acceptable; projected gradient steps then finish the solve
+    # with a large coupling full Newton steps overshoot here (halving them
+    # failed); the first step ends on the trust-region boundary, and
+    # boundary steps and radius updates finish the solve
     prob = make()
     n = prob.hamiltonian.n_sites
     init = np.ones(n) if flat else dense_oracle(prob.hamiltonian).vectors[:, 0]
-    tight = projected_gradient_only(prob, init, monkeypatch, g_tol=1e-12)
+    tight = projected_gradient_descent(prob, init, g_tol=1e-12)
     newton = gp._projected_newton_direction
-    calls = []
+    boundary = []
 
-    def counted(problem, phi, residual, mu):
-        calls.append(residual)
-        return newton(problem, phi, residual, mu)
+    def counted(problem, phi, residual, mu, radius):
+        out = newton(problem, phi, residual, mu, radius)
+        boundary.append(out[2])
+        return out
 
     monkeypatch.setattr(gp, "_projected_newton_direction", counted)
     res = minimize_gp(prob, init=init)
     assert res.converged
-    # every direction but the last was taken
-    assert len(calls) == newton_steps + 1
+    assert boundary[0] and len(boundary) == steps
     assert res.iterations == iterations
     assert res.energy == energy
     assert len(res.trace) == iterations + 1
     assert np.all(np.diff(res.trace) <= 0)
     assert abs(res.energy - tight.energy) <= 1e-12
+
+
+@pytest.mark.parametrize("factor", [1e3, 1e4, 1e5], ids=["1e3", "1e4", "1e5"])
+def test_strong_coupling_solves_take_few_steps(factor, monkeypatch):
+    # d=1, L=64, master seed 0, from phi0: at these multiples of the theorem
+    # coupling the minimizer spreads over several wells (halved Newton steps
+    # with a projected-gradient fallback took up to 1491 iterations at 1e5)
+    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=0)
+    geom = build_lattice(1, 64)
+    coupling = factor * theorem_coupling(64, 1, 1.0)
+    newton = gp._projected_newton_direction
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return newton(*args)
+
+    monkeypatch.setattr(gp, "_projected_newton_direction", counted)
+    for sample in range(10):
+        ham = periodic_hamiltonian(sample_potential(spec, geom, 0, sample))
+        prob = GPProblem(ham, coupling)
+        phi0 = dense_oracle(ham).vectors[:, 0]
+        calls.clear()
+        res = minimize_gp(prob, init=phi0)
+        ref = projected_gradient_descent(prob, phi0)
+        assert res.converged and ref.converged
+        # accepted plus rejected steps
+        assert len(calls) <= 100
+        assert abs(res.energy - ref.energy) <= 1e-12 * ref.energy
 
 
 def test_certificate_fields_and_validity():
