@@ -17,7 +17,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .disorder import DISTRIBUTIONS
 from .ensemble import (
     EXPERIMENTS,
     ExperimentResult,
@@ -45,12 +44,7 @@ _FLAG_HELP = {
     "c": "prefactor of the built-in coupling schedule",
     "samples": "disorder samples per L",
     "out": "records file (JSON lines); sidecar files share its stem",
-    "tol_eig": "eigensolver residual tolerance",
-    "tol_gp": "GP minimizer projected-gradient tolerance",
-    "distribution": "one of " + ", ".join(DISTRIBUTIONS),
-    "v_max": "largest potential value (the disorder law's upper end)",
-    "p": "bernoulli on-probability",
-    "levels": "comma separated level values",
+    "v_max": "upper end of the uniform potential law on [0, v_max]",
     "workers": "worker processes (default 1)",
     "eig_count": "eigenpairs a spectrum run solves for (at least 2)",
 }

@@ -1,9 +1,11 @@
 """Random on-site potentials and sub-box restrictions of the Hamiltonian.
 
-Sampling is counter-based: every (master seed, L index, sample index, channel)
-tuple keys its own Philox stream, so realizations are reproducible bit for bit
-and independent of worker scheduling.  Channels separate the independent
-random inputs of one sample (potential, eigensolver start block, ...).
+The potential is iid per site, uniform on [0, v_max], the one law the
+experiments use.  Sampling is counter-based: every (master seed, L index,
+sample index, channel) tuple keys its own Philox stream, so realizations are
+reproducible bit for bit and independent of worker scheduling.  Channels
+separate the independent random inputs of one sample (potential, eigensolver
+start block, ...).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 from .lattice import LatticeGeometry, stencil
 from .spectral import HamiltonianOperator
 
-DISTRIBUTIONS = ("uniform", "bernoulli", "levels")
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann")
 
 # channel ids for the per-sample random streams; they key the provenance
@@ -42,33 +43,14 @@ def provenance_stream(
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Distribution of the iid on-site potential.
+    """The iid on-site potential, uniform on [0, v_max], and its master seed."""
 
-    ``uniform`` draws from [0, v_max], ``bernoulli`` puts mass p on v_max and
-    1-p on 0, ``levels`` picks uniformly from an explicit list of values in
-    [0, v_max].
-    """
-
-    distribution: str = "uniform"
     v_max: float = 1.0
-    p: float = 0.5
-    levels: tuple[float, ...] | None = None
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(
-                f"distribution must be one of {DISTRIBUTIONS}, got {self.distribution!r}"
-            )
         if not 0.0 < self.v_max < math.inf:
             raise ValueError(f"v_max must be finite and positive, got {self.v_max}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.distribution == "levels":
-            if not self.levels:
-                raise ValueError("levels distribution needs a non-empty level list")
-            if any(not 0.0 <= v <= self.v_max for v in self.levels):
-                raise ValueError("levels must lie in [0, v_max]")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
 
@@ -90,15 +72,7 @@ def sample_potential(
 ) -> DisorderRealization:
     """Draw the iid potential for one (L index, sample index) slot."""
     rng = provenance_stream(spec.master_seed, l_index, sample_index, channel)
-    n = geom.n_sites
-    if spec.distribution == "uniform":
-        values = spec.v_max * rng.random(n)
-    elif spec.distribution == "bernoulli":
-        values = spec.v_max * (rng.random(n) < spec.p).astype(float)
-    else:
-        table = np.asarray(spec.levels, dtype=float)
-        values = table[rng.integers(0, table.size, n)]
-    return DisorderRealization(geom=geom, potential=values)
+    return DisorderRealization(geom, spec.v_max * rng.random(geom.n_sites))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Experiment plans, the shared sample pipeline, and per-experiment summaries.
 
 A plan fixes everything a run needs: lattice dimension, the L grid, the
-coupling schedule, sample counts, tolerances, the disorder law, and the
+coupling schedule, sample counts, the potential's upper end v_max, and the
 master seed.  Each sample re-derives its random streams from the provenance
 triple (master seed, L index, sample index), so a run is reproducible bit for
 bit and can be sharded over workers without changing a single record.
@@ -115,19 +115,16 @@ class ExperimentPlan:
     c: float = 1.0
     samples: int = 100
     out: str | None = None
-    tol_eig: float = 1e-10
-    tol_gp: float = 1e-9
-    distribution: str = "uniform"
     v_max: float = 1.0
-    p: float = 0.5
-    levels: tuple[float, ...] | None = None
     workers: int = 1
     eig_count: int = 2
 
-    # fixed grids, not options: Neumann box sides of the Lifshitz tail (the
-    # largest box, 10^d <= 1000 sites, is under DENSE_LIMIT in every
-    # supported d), Wegner and Minami window widths, gap-law etas, shell
-    # scales eps
+    # constants, not options: the eigensolver residual and GP projected
+    # gradient tolerances, Neumann box sides of the Lifshitz tail (the largest
+    # box, 10^d <= 1000 sites, is under DENSE_LIMIT in every supported d),
+    # Wegner and Minami window widths, gap-law etas, shell scales eps
+    tol_eig: ClassVar[float] = 1e-10
+    tol_gp: ClassVar[float] = 1e-9
     box_sides: ClassVar[tuple[int, ...]] = (4, 6, 8, 10)
     wegner_widths: ClassVar[tuple[float, ...]] = (0.02, 0.04, 0.08)
     minami_widths: ClassVar[tuple[float, ...]] = (0.005, 0.01, 0.02, 0.04)
@@ -166,8 +163,6 @@ class ExperimentPlan:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not (0.0 < self.tol_eig < math.inf and 0.0 < self.tol_gp < math.inf):
-            raise ValueError("tolerances must be finite and positive")
         if self.eig_count < 2:
             raise ValueError("eig_count must be >= 2")
         smallest = (2 * min(self.l_grid) + 1) ** self.dim  # sites of the smallest torus
@@ -185,7 +180,7 @@ class ExperimentPlan:
                 )
             if any(not 0.0 <= u < math.inf for u in self.schedule):
                 raise ValueError("couplings must be finite and >= 0")
-        # instantiating the disorder spec validates the distribution block
+        # instantiating the disorder spec checks v_max
         self.disorder_spec()
 
     def coupling_for(self, l_index: int) -> float:
@@ -196,13 +191,7 @@ class ExperimentPlan:
         return float(self.schedule[l_index])
 
     def disorder_spec(self) -> DisorderSpec:
-        return DisorderSpec(
-            distribution=self.distribution,
-            v_max=self.v_max,
-            p=self.p,
-            levels=self.levels,
-            master_seed=self.seed,
-        )
+        return DisorderSpec(v_max=self.v_max, master_seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +226,6 @@ _PARSERS: dict[str, Callable[[str], object]] = {
     "float": float,
     "str | None": lambda text: text or None,
     "tuple[int, ...]": lambda text: _split(text, int),
-    "tuple[float, ...] | None": lambda text: _split(text, float) if text else None,
     "str | tuple[float, ...]": lambda text: text if text == "theorem" else _split(text, float),
 }
 

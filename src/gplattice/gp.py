@@ -3,9 +3,9 @@
 The functional is E[phi] = <H phi, phi> + U sum_x phi(x)^4 with U >= 0,
 minimized over real unit vectors by Riemannian trust-region Newton steps
 (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
-2008, ch. 7).  Each iteration evaluates the gradient once, tests
-convergence (sphere-projected gradient norm at most ``g_tol``), and takes
-one step.  With mu = <phi, H phi + 2U phi^3> and the Lagrange residual
+2008, ch. 7).  Each iteration tests convergence (sphere-projected gradient
+norm at most ``g_tol``) and takes one step; the gradient moves only with an
+accepted step.  With mu = <phi, H phi + 2U phi^3> and the Lagrange residual
 r = H phi + 2U phi^3 - mu phi, the step solves
 P (H + 6U phi^2 - mu) P d = -r for d orthogonal to phi by truncated
 conjugate gradients (Steihaug-Toint; P = 1 - phi phi^T, stopped at a
@@ -155,12 +155,14 @@ def _projected_newton_direction(
 def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) -> GPResult:
     """Minimize the energy over the unit sphere by trust-region Newton steps.
 
-    The start is ``|init|``, normalized.  Each iteration evaluates the
-    gradient once and stops when the sphere-projected gradient norm is at
-    most ``g_tol``.  Otherwise it solves for a step inside the radius,
-    evaluates the energy at the retracted candidate, and accepts the step
-    or shrinks the radius.  The loop gives up, unconverged, once the radius
-    falls below ``RADIUS_FLOOR`` or after ``MAX_STEPS`` steps.
+    The start is ``|init|``, normalized.  Each iteration stops when the
+    sphere-projected gradient norm is at most ``g_tol``.  Otherwise it
+    solves for a step inside the radius, evaluates the energy at the
+    retracted candidate, and accepts the step or shrinks the radius.  Outside
+    the conjugate gradients H is applied once per candidate: the gradient at
+    an accepted candidate reuses the energy test's H phi, and a rejected step
+    keeps the gradient it had.  The loop gives up, unconverged, once the
+    radius falls below ``RADIUS_FLOOR`` or after ``MAX_STEPS`` steps.
     """
     phi = np.abs(np.asarray(init, dtype=float))
     if not np.isfinite(phi).all():
@@ -170,14 +172,17 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         raise ValueError("initial field must be nonzero")
     phi = phi / norm
 
-    energy = gp_energy(problem, phi)
+    hphi = problem.hamiltonian.apply(phi)
+    energy = float(phi @ hphi + problem.coupling * np.sum(phi**4))
     trace = [energy]
     radius = 1.0
+    moved = True
     for step in range(MAX_STEPS + 1):
-        grad = gp_gradient(problem, phi)
-        lagrange = float(grad @ phi)
-        tangent = grad - lagrange * phi
-        grad_norm = float(np.linalg.norm(tangent))
+        if moved:
+            grad = 2.0 * hphi + 4.0 * problem.coupling * phi**3
+            lagrange = float(grad @ phi)
+            tangent = grad - lagrange * phi
+            grad_norm = float(np.linalg.norm(tangent))
         converged = grad_norm <= g_tol
         if converged or step == MAX_STEPS or radius < RADIUS_FLOOR:
             break
@@ -186,7 +191,8 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         )
         cand = np.abs(phi + d)
         cand /= np.linalg.norm(cand)
-        cand_energy = gp_energy(problem, cand)
+        cand_hphi = problem.hamiltonian.apply(cand)
+        cand_energy = float(cand @ cand_hphi + problem.coupling * np.sum(cand**4))
         rho = (energy - cand_energy) / predicted
         if rho < 0.25:
             radius = 0.25 * float(np.linalg.norm(d))
@@ -196,8 +202,9 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         # unchanged energy: near the minimizer the decrease falls below what
         # the energy resolves
         noise = 0.0 if boundary else NOISE_FLOOR * max(abs(energy), 1.0)
-        if cand_energy <= energy + noise:
-            phi, energy = cand, min(cand_energy, energy)
+        moved = cand_energy <= energy + noise
+        if moved:
+            phi, hphi, energy = cand, cand_hphi, min(cand_energy, energy)
             trace.append(energy)
 
     return GPResult(

@@ -5,9 +5,12 @@ matrix by applying that stencil to the identity, so comparing the two checks
 nothing.  This reference knows no grid layout: two sites of a region are
 coupled exactly when their torus distance is 1, and plane waves and the
 Fourier symbol of -Delta come from the coordinates of ``geom.coords``.
+A flat potential shifts that symbol by its constant value.
 """
 
 import numpy as np
+
+from gplattice.disorder import DisorderRealization
 
 
 def torus_distances(geom, site: int) -> np.ndarray:
@@ -40,6 +43,11 @@ def site_indices(region, geom) -> np.ndarray:
         positions.append(np.mod(coords + geom.half_side, geom.side))
     mesh = np.meshgrid(*positions, indexing="ij")
     return np.ravel_multi_index(tuple(mesh), geom.shape).ravel()
+
+
+def flat_realization(geom, value=0.0):
+    """The constant potential ``value`` on the torus."""
+    return DisorderRealization(geom, np.full(geom.n_sites, float(value)))
 
 
 def adjacency(geom, sites) -> np.ndarray:

@@ -41,7 +41,7 @@ from gplattice.gp import gp_energy, gp_gradient
 from gplattice.spectral import dense_oracle
 
 from box_bracketing import bracket_ground_energy
-from coordinate_reference import laplace_symbol
+from coordinate_reference import flat_realization, laplace_symbol
 
 WORKERS = min(8, os.cpu_count() or 1)
 FIXTURE = Path(__file__).parent / "fixtures" / "condensation_trend.json"
@@ -80,7 +80,7 @@ def test_criterion_01_interaction_free_minimizer_recovers_ground_state(capsys):
     worst_ediff = 0.0
     for dim, half in [(1, 64), (2, 8)]:
         geom = build_lattice(dim, half)
-        spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=0)
+        spec = DisorderSpec(v_max=1.0, master_seed=0)
         for sample in range(50):
             ham = periodic_hamiltonian(sample_potential(spec, geom, 0, sample))
             init = lowest_eigenpairs(ham, 1, tol=1e-10, seed=sample).vectors[:, 0]
@@ -101,7 +101,7 @@ def test_criterion_01_interaction_free_minimizer_recovers_ground_state(capsys):
 
 
 def test_criterion_02_iterative_eigensolver_agrees_with_dense(capsys):
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=1)
+    spec = DisorderSpec(v_max=1.0, master_seed=1)
     roster = [(1, 40), (2, 7), (3, 3), (1, 500), (2, 15)]
     worst = 0.0
     for dim, half in roster:
@@ -116,10 +116,7 @@ def test_criterion_02_iterative_eigensolver_agrees_with_dense(capsys):
     symbol_worst = 0.0
     for dim, half in [(1, 64), (2, 5), (3, 2)]:
         geom = build_lattice(dim, half)
-        flat = DisorderSpec(
-            distribution="levels", v_max=1.0, levels=(0.0,), master_seed=0
-        )
-        ham = periodic_hamiltonian(sample_potential(flat, geom))
+        ham = periodic_hamiltonian(flat_realization(geom))
         dense = dense_oracle(ham)
         expected = np.sort(laplace_symbol(geom).ravel())
         symbol_worst = max(
@@ -137,7 +134,7 @@ def test_criterion_02_iterative_eigensolver_agrees_with_dense(capsys):
 
 def test_criterion_03_boundary_condition_bracketing(capsys):
     geom = build_lattice(1, 32)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=2)
+    spec = DisorderSpec(v_max=1.0, master_seed=2)
     violations = 0
     checks = 0
     for sample in range(50):
@@ -278,7 +275,7 @@ def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
 
 def test_criterion_07_gradient_matches_finite_differences(capsys):
     geom = build_lattice(1, 16)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=3)
+    spec = DisorderSpec(v_max=1.0, master_seed=3)
     rng = np.random.default_rng(9)
     worst = 0.0
     for probe in range(50):

@@ -29,9 +29,9 @@ from gplattice.analysis import (
 )
 from gplattice.spectral import dense_oracle
 
-from coordinate_reference import plane_wave
+from coordinate_reference import flat_realization, plane_wave
 
-SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=55)
+SPEC = DisorderSpec(v_max=1.0, master_seed=55)
 
 
 # --- scale functions ---------------------------------------------------------
@@ -206,8 +206,7 @@ def test_gap_and_overlap_matches_dense_recomputation():
 
 def test_gap_and_overlap_flat_potential_values():
     geom = build_lattice(1, 8)
-    flat = DisorderSpec(distribution="levels", v_max=1.0, levels=(0.0,), master_seed=0)
-    ham = periodic_hamiltonian(sample_potential(flat, geom))
+    ham = periodic_hamiltonian(flat_realization(geom))
     eig = lowest_eigenpairs(ham, 2, tol=1e-12, seed=2)
     gp = minimize_gp(GPProblem(ham, 0.0), init=eig.vectors[:, 0])
     rep = gap_and_overlap(geom, eig, gp)
@@ -251,7 +250,7 @@ def test_default_band_scale_brackets():
     # strong disorder (v_max = 20) gives phi0 a kinetic form above 1; eps follows it
     geom = build_lattice(1, 32)
     for v_max in (1.0, 20.0):
-        spec = DisorderSpec(distribution="uniform", v_max=v_max, master_seed=55)
+        spec = DisorderSpec(v_max=v_max, master_seed=55)
         ham = periodic_hamiltonian(sample_potential(spec, geom, 0, 2))
         phi0 = lowest_eigenpairs(ham, 1, tol=1e-10, seed=1).vectors[:, 0]
         kinetic = dirichlet_energy(geom, phi0)

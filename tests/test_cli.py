@@ -224,12 +224,7 @@ def test_every_flag_reaches_the_plan():
         "c": ("2.5", 2.5),
         "samples": ("7", 7),
         "out": ("elsewhere/run.jsonl", "elsewhere/run.jsonl"),
-        "tol_eig": ("1e-8", 1e-8),
-        "tol_gp": ("1e-7", 1e-7),
-        "distribution": ("levels", "levels"),
         "v_max": ("3", 3.0),
-        "p": ("0.25", 0.25),
-        "levels": ("0,1.5", (0.0, 1.5)),
         "workers": ("3", 3),
         "eig_count": ("4", 4),
     }
@@ -274,8 +269,8 @@ def test_bad_dim_or_c_is_a_usage_error(tmp_path, capsys, flags):
     "flags",
     [
         ["--seed", "x"],
-        ["--seed", "0", "--distribution", "cauchy"],
-        ["--seed", "0", "--tol-eig", "inf"],
+        ["--seed", "0", "--v-max", "inf"],
+        ["--seed", "0", "--eig-count", "1"],
     ],
 )
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, flags):
@@ -298,16 +293,33 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "error: config line 4: duplicate key 'seed'" in capsys.readouterr().err
 
 
-def test_removed_config_key_is_a_usage_error(tmp_path, capsys, monkeypatch):
+# former plan options: the shell scales are a fixed grid, the tolerances are
+# constants, and the potential is always uniform on [0, v_max]
+REMOVED_OPTIONS = {
+    "eps_grid": "0.5",
+    "tol_eig": "1e-8",
+    "tol_gp": "1e-7",
+    "distribution": "uniform",
+    "p": "0.25",
+    "levels": "0,1.5",
+}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_OPTIONS))
+def test_removed_config_key_is_a_usage_error(key, tmp_path, capsys, monkeypatch):
     def no_run(plan):
         raise AssertionError("a sample ran")
 
     monkeypatch.setattr("gplattice.cli.run_plan", no_run)
+    value = REMOVED_OPTIONS[key]
     config = tmp_path / "run.cfg"
-    # the shell scales are a fixed grid, no longer a plan option
-    config.write_text("seed=1\nl_grid=8\neps_grid=0.5\n")
+    config.write_text(f"seed=1\nl_grid=8\n{key}={value}\n")
     assert main(["shells", "--config", str(config)]) == 2
-    assert "error: unknown config key 'eps_grid'" in capsys.readouterr().err
+    assert f"error: unknown config key {key!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["shells", "--seed", "1", "--l-grid", "8", "--" + key.replace("_", "-"), value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_condense_with_l_below_2_is_a_usage_error(tmp_path, capsys):

@@ -15,52 +15,24 @@ from gplattice import (
 )
 
 from box_bracketing import partition_into_boxes
-from coordinate_reference import site_indices
+from coordinate_reference import flat_realization, site_indices
 
 
 # --- disorder spec and sampling ---------------------------------------------
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        DisorderSpec(distribution="gaussian")
+        DisorderSpec(v_max=0.0)
     with pytest.raises(ValueError):
-        DisorderSpec(distribution="uniform", v_max=0.0)
-    with pytest.raises(ValueError):
-        DisorderSpec(distribution="bernoulli", p=1.5)
-    with pytest.raises(ValueError):
-        DisorderSpec(distribution="levels", levels=())
-    with pytest.raises(ValueError):
-        DisorderSpec(distribution="levels", v_max=1.0, levels=(0.5, 2.0))
-    with pytest.raises(ValueError):
-        DisorderSpec(distribution="uniform", master_seed=-1)
+        DisorderSpec(master_seed=-1)
 
 
 def test_uniform_sample_bounds():
     geom = build_lattice(1, 100)
-    spec = DisorderSpec(distribution="uniform", v_max=0.7, master_seed=1)
+    spec = DisorderSpec(v_max=0.7, master_seed=1)
     v = sample_potential(spec, geom).potential
     assert v.shape == (geom.n_sites,)
     assert v.min() >= 0.0 and v.max() < 0.7
-
-
-def test_bernoulli_sample_values():
-    geom = build_lattice(1, 200)
-    spec = DisorderSpec(distribution="bernoulli", v_max=2.0, p=0.3, master_seed=1)
-    v = sample_potential(spec, geom).potential
-    assert set(np.unique(v)) <= {0.0, 2.0}
-    frac = float((v == 2.0).mean())
-    assert 0.2 < frac < 0.4
-    all_on = DisorderSpec(distribution="bernoulli", v_max=2.0, p=1.0, master_seed=1)
-    assert (sample_potential(all_on, geom).potential == 2.0).all()
-
-
-def test_levels_sample_values():
-    geom = build_lattice(1, 100)
-    spec = DisorderSpec(
-        distribution="levels", v_max=1.0, levels=(0.0, 0.25, 1.0), master_seed=2
-    )
-    v = sample_potential(spec, geom).potential
-    assert set(np.unique(v)) <= {0.0, 0.25, 1.0}
 
 
 def test_provenance_reproducible_and_disjoint():
@@ -75,7 +47,7 @@ def test_provenance_reproducible_and_disjoint():
 
 def test_sample_potential_keyed_by_slot():
     geom = build_lattice(1, 20)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=3)
+    spec = DisorderSpec(v_max=1.0, master_seed=3)
     v00 = sample_potential(spec, geom, 0, 0).potential
     v00_again = sample_potential(spec, geom, 0, 0).potential
     v01 = sample_potential(spec, geom, 0, 1).potential
@@ -169,24 +141,17 @@ def test_partition_count_bound_for_small_boxes(half, box):
 
 # --- restricted operators -----------------------------------------------------
 
-def _flat_realization(geom, value=0.0):
-    spec = DisorderSpec(
-        distribution="levels", v_max=max(value, 1.0), levels=(value,), master_seed=0
-    )
-    return sample_potential(spec, geom)
-
-
 def test_dirichlet_two_site_block():
     # the classic check: sites {1, 3} of the 5-torus keep diagonal 2d
     geom = build_lattice(1, 2)
-    real = _flat_realization(geom)
+    real = flat_realization(geom)
     op = restrict_hamiltonian(real, Region(intervals=((1, 2),), bc="dirichlet"))
     np.testing.assert_allclose(dense_matrix(op), [[2.0, -1.0], [-1.0, 2.0]])
 
 
 def test_neumann_block_has_constant_kernel():
     geom = build_lattice(2, 3)
-    real = _flat_realization(geom)
+    real = flat_realization(geom)
     op = restrict_hamiltonian(real, Region(intervals=((-1, 3), (0, 2)), bc="neumann"))
     ones = np.ones(op.n_sites)
     np.testing.assert_allclose(op.apply(ones), 0.0, atol=1e-14)
@@ -196,7 +161,7 @@ def test_neumann_block_has_constant_kernel():
 
 def test_neumann_below_dirichlet():
     geom = build_lattice(1, 10)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=6)
+    spec = DisorderSpec(v_max=1.0, master_seed=6)
     real = sample_potential(spec, geom)
     reg = Region(intervals=((-3, 6),))
     wd = np.linalg.eigvalsh(dense_matrix(restrict_hamiltonian(real, reg)))
@@ -208,7 +173,7 @@ def test_neumann_below_dirichlet():
 
 def test_restriction_rejects_wrapping_and_partial_periodic():
     geom = build_lattice(1, 3)
-    real = _flat_realization(geom)
+    real = flat_realization(geom)
     with pytest.raises(ValueError):
         restrict_hamiltonian(real, Region(intervals=((2, 3),), bc="dirichlet"))
     # the torus itself is periodic_hamiltonian, never a periodic box
@@ -219,7 +184,7 @@ def test_restriction_rejects_wrapping_and_partial_periodic():
 
 def test_restricted_potential_follows_sites():
     geom = build_lattice(1, 5)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=12)
+    spec = DisorderSpec(v_max=1.0, master_seed=12)
     real = sample_potential(spec, geom)
     reg = Region(intervals=((-1, 3),), bc="dirichlet")
     op = restrict_hamiltonian(real, reg)

@@ -21,7 +21,6 @@ from gplattice import (
     read_records,
     replay_sample,
     run_plan,
-    sample_potential,
     write_records,
 )
 from gplattice.ensemble import (
@@ -34,6 +33,8 @@ from gplattice.ensemble import (
 )
 from gplattice import ensemble, gp
 from gplattice.spectral import OversizeError
+
+from coordinate_reference import flat_realization
 
 
 # --- coupling schedule -------------------------------------------------------
@@ -80,20 +81,17 @@ def base_plan(**overrides):
         dict(workers=0),
         dict(eig_count=0),
         dict(eig_count=1),
-        dict(tol_eig=0.0),
-        dict(tol_eig=math.inf),
-        dict(tol_eig=math.nan),
-        dict(tol_gp=math.inf),
-        dict(tol_gp=math.nan),
         dict(schedule="geometric"),
+        dict(schedule=()),
+        dict(schedule=(0.1, math.nan)),
         dict(schedule=(0.1, 0.2, 0.3)),
         dict(schedule=(-0.1,)),
         dict(schedule=(math.inf,)),
         dict(schedule=(math.nan,)),
         dict(schedule="theorem", l_grid=(1, 4)),
-        dict(distribution="cauchy"),
-        dict(distribution="levels", levels=None),
-        dict(distribution="levels", levels=(0.5, math.nan)),
+        dict(v_max=0.0),
+        dict(v_max=-1.0),
+        dict(v_max=math.nan),
         dict(v_max=math.inf),
         dict(dim=4),
         dict(dim=0),
@@ -103,6 +101,10 @@ def base_plan(**overrides):
         dict(l_grid=(1, 4)),
         dict(experiment="shells", l_grid=(1, 4)),
         dict(experiment="spectrum", l_grid=(1, 2), eig_count=4),
+        # 4097, 4225 and 4913 sites, past the dense limit of 4096
+        dict(experiment="estimates", l_grid=(2048,)),
+        dict(experiment="estimates", dim=2, l_grid=(32,)),
+        dict(experiment="estimates", dim=3, l_grid=(8,)),
     ],
 )
 def test_plan_rejects_bad_options(overrides):
@@ -127,11 +129,8 @@ def test_coupling_for_each_schedule_form():
 
 
 def test_plan_disorder_spec_carries_seed():
-    plan = base_plan(distribution="bernoulli", p=0.25, v_max=3.0)
-    spec = plan.disorder_spec()
-    assert spec.master_seed == plan.seed
-    assert spec.distribution == "bernoulli"
-    assert spec.p == 0.25 and spec.v_max == 3.0
+    plan = base_plan(v_max=3.0)
+    assert plan.disorder_spec() == DisorderSpec(v_max=3.0, master_seed=plan.seed)
 
 
 # --- config round trip -------------------------------------------------------
@@ -146,12 +145,7 @@ EVERY_FIELD = ExperimentPlan(
     c=2.5,
     samples=7,
     out="elsewhere/run.jsonl",
-    tol_eig=1e-8,
-    tol_gp=1e-7,
-    distribution="levels",
     v_max=3.0,
-    p=0.25,
-    levels=(0.0, 1.5),
     workers=3,
     eig_count=4,
 )
@@ -174,8 +168,8 @@ def config_text(plan):
     [
         base_plan(),
         base_plan(schedule="theorem", l_grid=(16, 32), c=0.5, out="runs/a.jsonl"),
-        base_plan(distribution="bernoulli", p=0.3, v_max=2.0, workers=4),
-        base_plan(distribution="levels", levels=(0.0, 0.5, 1.0)),
+        base_plan(v_max=2.0, workers=4),
+        base_plan(experiment="spectrum", dim=3, l_grid=(2, 3), eig_count=5),
         base_plan(experiment="estimates"),
         EVERY_FIELD,
     ],
@@ -195,11 +189,14 @@ def test_every_field_plan_sets_every_field():
 
 
 def test_estimator_grids_read_on_a_plan():
-    # fixed grids, not fields; the benchmark's replay reads them off a plan
+    # fixed grids and tolerances, not fields; the benchmark's replay reads
+    # them off a plan
     plan = ExperimentPlan(experiment="estimates", seed=0)
     assert plan.box_sides == (4, 6, 8, 10)
     assert plan.wegner_widths == (0.02, 0.04, 0.08)
     assert plan.minami_widths == (0.005, 0.01, 0.02, 0.04)
+    assert (plan.tol_eig, plan.tol_gp) == (1e-10, 1e-9)
+    assert len(fields(ExperimentPlan)) == 11
 
 
 def test_parse_config_skips_comments_and_blanks():
@@ -525,11 +522,7 @@ ESTIMATES_PLAN = ExperimentPlan(
 )
 ESTIMATES_CENTER = (4.0 * ESTIMATES_PLAN.dim + ESTIMATES_PLAN.v_max) / 2.0
 # the flat potential 3 on the 9-site ring: its levels in [3, 7] come in pairs
-FLAT_RING = periodic_hamiltonian(
-    sample_potential(
-        DisorderSpec(distribution="levels", v_max=6.0, levels=(3.0,)), build_lattice(1, 4)
-    )
-)
+FLAT_RING = periodic_hamiltonian(flat_realization(build_lattice(1, 4), 3.0))
 FLAT_LEVELS = np.linalg.eigvalsh(dense_matrix(FLAT_RING)).tolist()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -16,10 +18,10 @@ from gplattice import (
 from gplattice import gp
 from gplattice.gp import gp_energy, gp_gradient
 from gplattice.ensemble import theorem_coupling
-from gplattice.spectral import dense_oracle
+from gplattice.spectral import HamiltonianOperator, dense_oracle
 from gp_reference import projected_gradient_descent
 
-SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=77)
+SPEC = DisorderSpec(v_max=1.0, master_seed=77)
 
 
 def make_problem(half=12, coupling=0.1, sample=0, dim=1):
@@ -258,7 +260,7 @@ def reference_newton_direction(problem, phi, residual, mu, radius):
 
 def strongly_coupled_problem(dim, half, sample, factor, v_max):
     """Coupling ``factor`` times gap / ipr of the linear ground state."""
-    spec = DisorderSpec(distribution="uniform", v_max=v_max, master_seed=77)
+    spec = DisorderSpec(v_max=v_max, master_seed=77)
     ham = periodic_hamiltonian(sample_potential(spec, build_lattice(dim, half), 0, sample))
     ref = dense_oracle(ham)
     ipr = float(np.sum(ref.vectors[:, 0] ** 4))
@@ -343,12 +345,46 @@ def test_trust_region_finishes_where_full_newton_steps_fail(
     assert abs(res.energy - tight.energy) <= 1e-12
 
 
+@dataclasses.dataclass(frozen=True)
+class CountingOperator(HamiltonianOperator):
+    """The same operator; counts calls of ``apply`` in ``applies[0]``."""
+
+    applies: list = dataclasses.field(default_factory=lambda: [0])
+
+    def apply(self, field):
+        self.applies[0] += 1
+        return super().apply(field)
+
+
+def test_one_operator_application_per_candidate(monkeypatch):
+    # the d1-phi0 solve above rejects one of its eight steps; the conjugate
+    # gradients apply the stencil to their own buffers, so every call of
+    # ``apply`` is the start's or a candidate's energy test
+    prob = strongly_coupled_problem(1, 16, 5, 5.0, 1.0)
+    ham = prob.hamiltonian
+    counting = CountingOperator(
+        **{f.name: getattr(ham, f.name) for f in dataclasses.fields(ham)}
+    )
+    newton = gp._projected_newton_direction
+    candidates = []
+
+    def counted(*args):
+        candidates.append(None)
+        return newton(*args)
+
+    monkeypatch.setattr(gp, "_projected_newton_direction", counted)
+    res = minimize_gp(GPProblem(counting, prob.coupling), init=dense_oracle(ham).vectors[:, 0])
+    assert res.converged and res.iterations < len(candidates)
+    assert res.energy == 0.6218038638081679
+    assert counting.applies[0] == 1 + len(candidates)
+
+
 @pytest.mark.parametrize("factor", [1e3, 1e4, 1e5], ids=["1e3", "1e4", "1e5"])
 def test_strong_coupling_solves_take_few_steps(factor, monkeypatch):
     # d=1, L=64, master seed 0, from phi0: at these multiples of the theorem
     # coupling the minimizer spreads over several wells (halved Newton steps
     # with a projected-gradient fallback took up to 1491 iterations at 1e5)
-    spec = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=0)
+    spec = DisorderSpec(v_max=1.0, master_seed=0)
     geom = build_lattice(1, 64)
     coupling = factor * theorem_coupling(64, 1, 1.0)
     newton = gp._projected_newton_direction

@@ -25,13 +25,14 @@ from gplattice.spectral import (
 )
 
 from coordinate_reference import (
+    flat_realization,
     laplace_symbol,
     reference_matrix,
     site_indices,
     torus_distances,
 )
 
-SPEC = DisorderSpec(distribution="uniform", v_max=1.0, master_seed=101)
+SPEC = DisorderSpec(v_max=1.0, master_seed=101)
 
 
 def make_real(dim, half, sample=0):
@@ -265,8 +266,7 @@ def test_orthonormal_output():
 def test_degenerate_flat_potential_spectrum():
     # V = 0: eigenvalues are the symbol values, most of them doubly degenerate
     geom = build_lattice(1, 16)
-    spec = DisorderSpec(distribution="levels", v_max=1.0, levels=(0.0,), master_seed=0)
-    ham = periodic_hamiltonian(sample_potential(spec, geom, 0, 0))
+    ham = periodic_hamiltonian(flat_realization(geom))
     assert float(np.abs(ham.potential).max()) == 0.0
     symbol = np.sort(laplace_symbol(geom))
     sol = lowest_eigenpairs(ham, 5, tol=1e-10, seed=3)
@@ -278,8 +278,7 @@ def test_degenerate_flat_potential_spectrum():
 @pytest.mark.parametrize("dim, half", [(2, 6), (3, 3)])
 def test_degenerate_flat_potential_keeps_the_2d_fold_level(dim, half):
     geom = build_lattice(dim, half)
-    spec = DisorderSpec(distribution="levels", v_max=1.0, levels=(0.0,), master_seed=0)
-    ham = periodic_hamiltonian(sample_potential(spec, geom, 0, 0))
+    ham = periodic_hamiltonian(flat_realization(geom))
     symbol = np.sort(laplace_symbol(geom))
     count = 2 * dim + 1
     sol = lowest_eigenpairs(ham, count, tol=1e-10, seed=3)
