@@ -11,7 +11,9 @@ A field with unit l2 norm and kinetic form <-Delta u, u> <= eps^2 has
 frequency annuli |gamma| in [e^(k-1) eps L, e^k eps L) whose sup norms obey
 ||u_k||_inf <= ||u_k||_2 (e^k eps)^(d/2), which is where that bound comes
 from.  Two explicit trial families (a delta spike on a flat background, and
-a flat Fourier window) witness that g(eps) cannot be improved.
+a flat Fourier window) witness that g(eps) cannot be improved.  Norms are
+numpy's, and a localization center is the first peak site in the lattice's
+site order, which is lexicographic in the coordinates.
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ from .lattice import (
 )
 from .gp import GPResult
 from .spectral import EigenSolution
-
-
-def lp_norm(field: np.ndarray, p) -> float:
-    """l2, l4 or sup norm of a field."""
-    u = np.abs(np.asarray(field))
-    if p == 2:
-        return float(np.sqrt(np.sum(u**2)))
-    if p == 4:
-        return float(np.sum(u**4) ** 0.25)
-    if p == math.inf or p == np.inf:
-        return float(u.max(initial=0.0))
-    raise ValueError(f"p must be 2, 4 or inf, got {p!r}")
 
 
 def f_scale(xi: float) -> float:
@@ -78,17 +68,18 @@ class ShellDecomposition:
     shell_sup: np.ndarray
     kinetic: float
     lattice_constant: float   # in h(gamma) >= 16 |gamma|^2 / (2L+1)^2
+    dim: int
 
     @property
     def count(self) -> int:
         return len(self.shells)
 
-    def sup_bound_ratios(self, dim: int) -> np.ndarray:
+    def sup_bound_ratios(self) -> np.ndarray:
         """||u_k||_inf / (||u_k||_2 (e^k eps)^(d/2)) for k >= 1 (nan if empty)."""
         out = np.full(self.count, np.nan)
         for k in range(1, self.count):
             if self.shell_l2[k] > 0:
-                bound = self.shell_l2[k] * (math.e**k * self.eps) ** (dim / 2.0)
+                bound = self.shell_l2[k] * (math.e**k * self.eps) ** (self.dim / 2.0)
                 out[k] = self.shell_sup[k] / bound
         return out
 
@@ -100,18 +91,23 @@ class ShellDecomposition:
         return total
 
 
-def shell_decompose(
-    geom: LatticeGeometry, field: np.ndarray, eps: float
-) -> ShellDecomposition:
-    """Split a unit field into frequency shells at scale eps (0 < eps < 1, eps L >= 1)."""
+def _check_scale(geom: LatticeGeometry, eps: float) -> None:
+    """Refuse a shell scale outside 0 < eps < 1 or with eps L < 1."""
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if eps * geom.half_side < 1:
         raise ValueError(
             f"eps*L must be >= 1, got {eps * geom.half_side} (eps={eps}, L={geom.half_side})"
         )
+
+
+def shell_decompose(
+    geom: LatticeGeometry, field: np.ndarray, eps: float
+) -> ShellDecomposition:
+    """Split a unit field into frequency shells at scale eps (0 < eps < 1, eps L >= 1)."""
+    _check_scale(geom, eps)
     u = np.asarray(field)
-    norm = lp_norm(u, 2)
+    norm = np.linalg.norm(u)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"field must have unit l2 norm, got {norm}")
 
@@ -135,7 +131,7 @@ def shell_decompose(
             piece = piece.real
         shells.append(piece)
         l2[k] = float(np.sqrt(np.sum(np.abs(coeffs[mask]) ** 2)))
-        sup[k] = lp_norm(piece, math.inf)
+        sup[k] = np.abs(piece).max()
 
     side_over_l = geom.side / geom.half_side
     return ShellDecomposition(
@@ -146,13 +142,14 @@ def shell_decompose(
         shell_sup=sup,
         kinetic=dirichlet_energy(geom, u),
         lattice_constant=side_over_l**2 / 16.0,
+        dim=geom.dim,
     )
 
 
 def four_norm_bound_check(geom: LatticeGeometry, field: np.ndarray, eps: float) -> float:
     """||u||_4 / g(eps) for a unit field with kinetic form <= eps^2."""
     u = np.asarray(field)
-    norm = lp_norm(u, 2)
+    norm = np.linalg.norm(u)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"field must have unit l2 norm, got {norm}")
     if eps * geom.half_side < 1:
@@ -162,7 +159,7 @@ def four_norm_bound_check(geom: LatticeGeometry, field: np.ndarray, eps: float) 
         raise ValueError(
             f"kinetic form {kinetic} exceeds eps^2 = {eps**2}; not a scale-eps field"
         )
-    return lp_norm(u, 4) / g_scale(eps, geom.dim)
+    return float(np.linalg.norm(u, 4)) / g_scale(eps, geom.dim)
 
 
 @dataclass(frozen=True)
@@ -175,15 +172,11 @@ class LocalizationReport:
 def localization_center(geom: LatticeGeometry, field: np.ndarray) -> LocalizationReport:
     """Locate the peak of |u|.
 
-    Ties at the maximum resolve to the lexicographically smallest coordinate
-    tuple.
+    Ties resolve to the first peak site in site order, which is the
+    lexicographically smallest coordinate tuple.
     """
-    u = np.abs(np.asarray(field, dtype=float))
-    peak = u.max()
-    tied = np.flatnonzero(u == peak)
-    order = np.lexsort(geom.coords[tied].T[::-1])
-    center_site = int(tied[order[0]])
-    return LocalizationReport(center=geom.coordinate(center_site))
+    site = int(np.argmax(np.abs(np.asarray(field, dtype=float))))
+    return LocalizationReport(center=geom.coordinate(site))
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,8 @@ class GapOverlapReport:
 def gap_and_overlap(
     geom: LatticeGeometry, eig: EigenSolution, gp: GPResult
 ) -> GapOverlapReport:
-    """Bundle the observables every condensation record carries."""
+    """Gap, overlap, kinetic form and IPR of a solved sample; no pipeline calls
+    it, and it is kept only for the traced replay in ``perfbench/measure.py``."""
     if eig.values.size < 2:
         raise ValueError("need the two lowest eigenpairs")
     phi0 = eig.vectors[:, 0]
@@ -231,10 +225,7 @@ def random_low_energy_field(
     mixed in with a weight small enough to keep the total under eps^2 while
     still populating the high-frequency shells.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if eps * geom.half_side < 1:
-        raise ValueError(f"eps*L must be >= 1, got {eps * geom.half_side}")
+    _check_scale(geom, eps)
     radius = coordinate_norms(geom)
     cutoff = eps * geom.half_side / (math.pi * math.sqrt(2.0))
     low_mask = radius < max(cutoff, 0.5)  # always keeps the zero frequency
@@ -275,10 +266,7 @@ def trial_delta_background(geom: LatticeGeometry, eps: float) -> np.ndarray:
 
 def trial_flat_fourier(geom: LatticeGeometry, eps: float) -> np.ndarray:
     """Unit field with a flat Fourier window on |gamma| <= eps L."""
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if eps * geom.half_side < 1:
-        raise ValueError(f"eps*L must be >= 1, got {eps * geom.half_side}")
+    _check_scale(geom, eps)
     window = coordinate_norms(geom) <= eps * geom.half_side
     coeffs = window / math.sqrt(window.sum())
     return idft(geom, coeffs).real

@@ -43,7 +43,6 @@ from .analysis import (
     four_norm_bound_check,
     g_scale,
     localization_center,
-    lp_norm,
     random_low_energy_field,
     shell_decompose,
     trial_delta_background,
@@ -345,6 +344,11 @@ def _fraction(mask: np.ndarray) -> float:
     return float(np.mean(mask)) if mask.size else math.nan
 
 
+def _column_means(rows: np.ndarray) -> np.ndarray:
+    """Mean of each column; NaN for every column when there are no rows."""
+    return rows.mean(axis=0) if len(rows) else np.full(rows.shape[1], math.nan)
+
+
 # ---------------------------------------------------------------------------
 # the shared sample pipeline: one provenance slot in, one record out
 
@@ -626,11 +630,11 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
         counts = np.array(_payload(group, "window_counts", n_windows), dtype=float)
         counts = counts.reshape(len(group), n_windows)
 
-        means = counts[:, : widths.size].mean(axis=0)
+        means = _column_means(counts[:, : widths.size])
         slope = float((widths * means).sum() / (widths**2).sum())
         wegner += [[half_side, w, m, slope * w] for w, m in zip(widths, means)]
 
-        probs = (counts[:, widths.size :] >= 2).mean(axis=0)
+        probs = _column_means(counts[:, widths.size :] >= 2)
         minami += [[half_side, w, prob] for w, prob in zip(plan.minami_widths, probs)]
         positive = [(w, p) for w, p in zip(plan.minami_widths, probs) if p > 0]
         if len(positive) >= 2:
@@ -680,7 +684,7 @@ def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
     for eps in _kept_eps(plan, geom.half_side):
         u = random_low_energy_field(geom, eps, rng)
         dec = shell_decompose(geom, u, eps)
-        ratios = dec.sup_bound_ratios(plan.dim)
+        ratios = dec.sup_bound_ratios()
         finite = ratios[np.isfinite(ratios)]
         sup.append(float(finite.max()) if finite.size else math.nan)
         annulus_ok = dec.annulus_kinetic_stat() <= (
@@ -715,10 +719,10 @@ def _summarize_shells(plan: ExperimentPlan, groups):
         )
         for j, eps in enumerate(kept):
             delta = trial_delta_background(geom, eps)
-            delta_unit = delta / lp_norm(delta, 2)
-            delta_ratio = lp_norm(delta_unit, 4) / g_scale(eps, plan.dim)
+            delta_unit = delta / np.linalg.norm(delta)
+            delta_ratio = float(np.linalg.norm(delta_unit, 4)) / g_scale(eps, plan.dim)
             flat = trial_flat_fourier(geom, eps)
-            flat_ratio = lp_norm(flat, 4) / g_scale(eps, plan.dim)
+            flat_ratio = float(np.linalg.norm(flat, 4)) / g_scale(eps, plan.dim)
             trial_ratios += [delta_ratio, flat_ratio]
 
             if not group:

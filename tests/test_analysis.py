@@ -21,7 +21,6 @@ from gplattice.analysis import (
     f_scale,
     four_norm_bound_check,
     g_scale,
-    lp_norm,
     random_low_energy_field,
     shell_decompose,
     trial_delta_background,
@@ -55,21 +54,6 @@ def test_g_scale_refuses_unsupported_dims():
     for dim in (4, 5):
         with pytest.raises(ValueError):
             g_scale(0.1, dim)
-
-
-# --- norms ---------------------------------------------------------------------
-
-def test_lp_norm_constant_and_delta():
-    geom = build_lattice(2, 2)
-    const = np.full(geom.n_sites, geom.n_sites ** -0.5)
-    assert lp_norm(const, 2) == pytest.approx(1.0)
-    assert lp_norm(const, 4) ** 4 == pytest.approx(1.0 / geom.n_sites)
-    delta = np.zeros(geom.n_sites)
-    delta[3] = 1.0
-    for p in (2, 4, np.inf):
-        assert lp_norm(delta, p) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        lp_norm(const, 3)
 
 
 # --- shell decomposition --------------------------------------------------------
@@ -107,15 +91,32 @@ def test_shell_reconstruction_and_orthogonality():
     assert float(np.sum(dec.shell_l2**2)) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda geom, eps: shell_decompose(geom, plane_wave(geom, (0,)).real, eps),
+        lambda geom, eps: random_low_energy_field(geom, eps, np.random.default_rng(0)),
+        trial_flat_fourier,
+    ],
+    ids=["shell_decompose", "random_low_energy_field", "trial_flat_fourier"],
+)
+def test_shell_scale_refusals(make):
+    geom = build_lattice(1, 16)
+    for eps in (0.0, 1.0, 1.5, 0.05):  # the last has eps * L < 1
+        with pytest.raises(ValueError, match="eps"):
+            make(geom, eps)
+    make(geom, 0.5)
+    # the four-norm check refuses only eps * L < 1 (see its own test):
+    # phi0 of a strongly disordered sample has eps > 1
+    u = np.full(geom.n_sites, geom.n_sites**-0.5)
+    assert four_norm_bound_check(geom, u, 1.5) > 0
+
+
 def test_shell_decompose_validates_input():
     geom = build_lattice(1, 16)
     u = plane_wave(geom, (0,)).real
     with pytest.raises(ValueError):
-        shell_decompose(geom, u, 0.01)  # eps * L < 1
-    with pytest.raises(ValueError):
         shell_decompose(geom, 2.0 * u, 0.5)  # not unit norm
-    with pytest.raises(ValueError):
-        shell_decompose(geom, u, 1.5)
 
 
 def test_sup_bounds_and_kinetic_stat_on_low_energy_fields():
@@ -125,7 +126,7 @@ def test_sup_bounds_and_kinetic_stat_on_low_energy_fields():
         for _ in range(20):
             u = random_low_energy_field(geom, eps, rng)
             dec = shell_decompose(geom, u, eps)
-            ratios = dec.sup_bound_ratios(1)
+            ratios = dec.sup_bound_ratios()
             finite = ratios[np.isfinite(ratios)]
             assert (finite <= 1.0 + 1e-9).all()
             stat = dec.annulus_kinetic_stat()
@@ -177,6 +178,20 @@ def test_localization_tie_breaks_lexicographically():
     u[geom.site_index((0, 0))] = 0.1
     rep = localization_center(geom, u)
     assert rep.center == (1, -2)
+    # ties of either sign on a random background, in every dimension
+    cases = [
+        [(5,), (-4,), (2,)],
+        [(2, -1), (-3, 4), (-3, 5)],
+        [(1, 0, -2), (1, -3, 4), (-2, 5, 5), (-2, 5, -1)],
+    ]
+    rng = np.random.default_rng(0)
+    for tied in cases:
+        geom = build_lattice(len(tied[0]), 5)
+        for sign in (1, -1):
+            u = rng.uniform(-0.5, 0.5, geom.n_sites)
+            for j, coord in enumerate(tied):
+                u[geom.site_index(coord)] = 0.9 * sign * (-1) ** j
+            assert localization_center(geom, u).center == min(tied)
 
 
 def test_localization_of_delta_is_its_site():
@@ -232,8 +247,8 @@ def test_delta_background_trial_norms():
     n = geom.n_sites
     eps = 0.2  # eps^2 >= 1/n holds here
     u = trial_delta_background(geom, eps)
-    assert lp_norm(u, 4) >= eps
-    assert 1.0 <= lp_norm(u, 2) <= 1.0 + eps
+    assert np.linalg.norm(u, 4) >= eps
+    assert 1.0 <= np.linalg.norm(u) <= 1.0 + eps
     assert dirichlet_energy(geom, u) <= 2.0 * eps**2 + 1e-12
 
 
@@ -241,8 +256,8 @@ def test_flat_fourier_trial_ratio_bounded_below():
     geom = build_lattice(1, 256)
     for eps in (0.5, 0.1, 0.05):
         u = trial_flat_fourier(geom, eps)
-        assert abs(lp_norm(u, 2) - 1.0) <= 1e-10
-        ratio = lp_norm(u, 4) / g_scale(eps, 1)
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-10
+        ratio = np.linalg.norm(u, 4) / g_scale(eps, 1)
         assert ratio >= 0.1
 
 
@@ -259,4 +274,4 @@ def test_default_band_scale_brackets():
         assert kinetic <= eps**2 * (1 + 1e-12)
         assert (kinetic > 1.0) == (v_max > 1.0)
         # phi0 is a scale-eps field: the four-norm check accepts it
-        assert four_norm_bound_check(geom, phi0, eps) == lp_norm(phi0, 4) / g_scale(eps, 1)
+        assert four_norm_bound_check(geom, phi0, eps) == np.linalg.norm(phi0, 4) / g_scale(eps, 1)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -515,6 +516,29 @@ def test_estimates_runner_smoke():
     for side, prob in summary.series["lifshitz"][1]:
         assert 0.0 <= prob <= 1.0
     assert len(summary.series["gap_law"][1]) == len(plan.gap_eta_grid)
+
+
+def test_estimates_summary_of_an_all_failed_l_is_nan_and_quiet():
+    # numpy warns on the mean of an empty slice; an L with no healthy
+    # sample gets NaN rows without one
+    plan = ExperimentPlan(
+        experiment="estimates", seed=2, l_grid=(3, 4), samples=3, v_max=6.0
+    )
+    records = [
+        replace(r, error="injected failure") if r.half_side == 4 else r
+        for r in run_plan(plan).records
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = summarize(plan, records)
+    assert summary.n_ok == {3: 3, 4: 0} and summary.n_failed == 3
+    for name, value_columns in (("wegner", slice(2, 4)), ("minami", slice(2, 3))):
+        rows = summary.series[name][1]
+        for row in rows:
+            values = np.array(row[value_columns], dtype=float)
+            assert np.isnan(values).all() == (row[0] == 4), (name, row)
+    slopes = summary.checks["Minami log-log slope by L"]
+    assert math.isnan(slopes[4])
 
 
 ESTIMATES_PLAN = ExperimentPlan(
