@@ -28,7 +28,6 @@ statistics of disordered operators have heavy tails.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -70,8 +69,6 @@ from .lattice import (
 from .records import RunRecord
 from .spectral import (
     DENSE_LIMIT,
-    EigenConvergenceError,
-    OversizeError,
     dense_matrix,
     lowest_eigenpairs,
 )
@@ -79,9 +76,6 @@ from .spectral import (
 EXPERIMENTS = ("condense", "spectrum", "estimates", "shells")
 
 INVARIANT_SLACK = 1e-9
-
-# one geometry per (dim, L) in each process
-_geometry = functools.cache(build_lattice)
 
 
 def theorem_coupling(half_side: int, dim: int, c: float) -> float:
@@ -154,7 +148,7 @@ class ExperimentPlan:
             # full dense spectra of the torus; every Neumann box is small
             sites = (2 * max(self.l_grid) + 1) ** self.dim
             if sites > DENSE_LIMIT:
-                raise OversizeError(
+                raise ValueError(
                     f"estimates needs full dense spectra; {sites} sites exceeds "
                     f"the {DENSE_LIMIT}-site dense limit"
                 )
@@ -378,7 +372,7 @@ def _sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
     plan, l_index, sample_index = task
     pipeline = _PIPELINES[plan.experiment]
     half_side = plan.l_grid[l_index]
-    geom = _geometry(plan.dim, half_side)
+    geom = build_lattice(plan.dim, half_side)
     base = dict(
         master_seed=plan.seed,
         l_index=l_index,
@@ -406,7 +400,7 @@ def _sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
             )
         base["t_eig"] = time.perf_counter() - eig_start
         fields = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)
-    except (EigenConvergenceError, RuntimeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         return RunRecord(**base, error=str(exc), wall_time=time.perf_counter() - start)
     return RunRecord(**base, **fields, wall_time=time.perf_counter() - start)
 
@@ -600,7 +594,7 @@ def _box_ground_sample(task: tuple[ExperimentPlan, int, int]) -> float:
     """Neumann ground energy of a side-l box with freshly sampled potential."""
     plan, side_index, sample_index = task
     side = plan.box_sides[side_index]
-    geom = _geometry(plan.dim, side)  # host torus of side 2l+1 holds the box
+    geom = build_lattice(plan.dim, side)  # host torus of side 2l+1 holds the box
     realization = sample_potential(
         plan.disorder_spec(), geom, side_index, sample_index, channel=BOX_CHANNEL
     )
@@ -709,7 +703,7 @@ def _summarize_shells(plan: ExperimentPlan, groups):
     four_norm, sup_bound, corpus_rows = [], [], []
     skipped, annulus_ok, within_3x = {}, {}, {}
     for half_side, group in zip(plan.l_grid, groups):
-        geom = _geometry(plan.dim, half_side)
+        geom = build_lattice(plan.dim, half_side)
         skipped[half_side] = [eps for eps in plan.eps_grid if eps * half_side < 1]
         trial_ratios = []
         kept = _kept_eps(plan, half_side)

@@ -14,8 +14,8 @@ trust-region boundary when a step would leave it or meets non-positive
 curvature.  The candidate |phi + d| / || |phi + d| || is accepted when its
 energy is no higher (up to rounding noise for a step inside the radius),
 and the radius shrinks or grows with the ratio of actual to predicted
-decrease.  The conjugate gradients run on two fixed buffers, whose stencil
-views are taken once per solve.  While every full Newton step lies inside
+decrease.  The conjugate gradients run on two fixed buffers, bound to the
+stencil once per solve.  While every full Newton step lies inside
 the radius and lowers the energy, the iterates are plain Newton's.
 
 The linear ground state phi0 can be a saddle of the energy (the projected
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _apply_updates, _stencil_updates
+from .lattice import bind_stencil
 from .spectral import EigenSolution, HamiltonianOperator
 
 GAP_TIE_TOL = 1e-12
@@ -106,8 +106,9 @@ def _projected_newton_direction(
     boundary instead (Steihaug-Toint).  |d|^2 comes from the recurrences
     for d.p and p.p, and the model from the CG scalars, so neither costs a
     vector operation.  The search direction ``p`` and its image ``ap`` are
-    fixed buffers whose stencil views are taken once; each iteration
-    overwrites both in place.
+    fixed buffers, bound to the stencil once; each iteration overwrites both
+    in place.  A NaN curvature is not positive, so it also ends on the
+    boundary, with a NaN model.
     """
     h = problem.hamiltonian
     shift = 6.0 * problem.coupling * phi**2 - mu
@@ -119,21 +120,21 @@ def _projected_newton_direction(
     res = (phi @ residual) * phi - residual
     p = res.copy()
     ap = np.empty_like(p)
-    neighbours = _stencil_updates(h.shape, h.geom.side, p, ap)
+    neighbours = bind_stencil(h.shape, h.geom.side, p, ap)
     rr = float(res @ res)
     # |d|^2, d.p, p.p, and the model <residual, d> + <d, A d> / 2
     dd, dp, pp, model = 0.0, 0.0, rr, 0.0
     for _ in range(phi.size):
         # ap = H p + shift * p, with H p = diag * p minus the neighbours
         np.multiply(h.diag, p, out=ap)
-        _apply_updates(neighbours)
+        neighbours()
         ap += shift * p
         ap -= (phi @ ap) * phi
         curvature = float(p @ ap)
         if curvature > 0.0:
             alpha = rr / curvature
             dd_next = dd + alpha * (2.0 * dp + alpha * pp)
-        if curvature <= 0.0 or dd_next >= radius**2:
+        if not curvature > 0.0 or dd_next >= radius**2:
             tau = (np.sqrt(dp**2 + pp * max(radius**2 - dd, 0.0)) - dp) / pp
             d += tau * p
             model += tau * (0.5 * tau * curvature - rr)
@@ -162,7 +163,8 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
     the conjugate gradients H is applied once per candidate: the gradient at
     an accepted candidate reuses the energy test's H phi, and a rejected step
     keeps the gradient it had.  The loop gives up, unconverged, once the
-    radius falls below ``RADIUS_FLOOR`` or after ``MAX_STEPS`` steps.
+    radius falls below ``RADIUS_FLOOR``, after ``MAX_STEPS`` steps, or when
+    the model predicts no decrease, which only an overflowed model does.
     """
     phi = np.abs(np.asarray(init, dtype=float))
     if not np.isfinite(phi).all():
@@ -189,6 +191,8 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         d, predicted, boundary = _projected_newton_direction(
             problem, phi, 0.5 * tangent, 0.5 * lagrange, radius
         )
+        if not predicted > 0.0:
+            break
         cand = np.abs(phi + d)
         cand /= np.linalg.norm(cand)
         cand_hphi = problem.hamiltonian.apply(cand)

@@ -1,21 +1,23 @@
 """Periodic lattice geometry and the discrete Laplacian it carries.
 
 Sites form the cube {-L, ..., L}^d with opposite faces identified, so every
-site has exactly 2d neighbours.  Fields are flat numpy arrays indexed site by
-site; internally coordinate c sits at axis position c + L and the axes are
-raveled in row-major order, which gives a fixed site <-> multi-index
-bijection.  Axis-aligned boxes inside the torus use the same row-major
-layout on their own side lengths, so one stencil serves the torus and every
-box.  The stencil works on the flat field: along an axis of flat stride s
-the neighbours are the field shifted by +-s, and only the sites on a row
-end of that axis need a correction.  A block of k fields is held
-site-major, the k values of one site adjacent, so the stencil sees it as
-one flat field with k trailing entries per site: each shift is one
-contiguous pass over the whole block, and the leading axis has no row
-ends inside the block.  The stencil is a short list of in-place updates,
-each a view of the output, a view of the input and a ufunc; a solver that
-applies it again and again to the same pair of buffers takes the views
-once and applies the list at every step.
+site has exactly 2d neighbours.  A geometry is the pair (d, L) alone: the
+side 2L+1, the site count, the grid shape and every site's coordinates are
+derived from it, so two geometries of one (d, L) are equal.  Fields are flat
+numpy arrays indexed site by site; internally coordinate c sits at axis
+position c + L and the axes are raveled in row-major order, which gives a
+fixed site <-> multi-index bijection.  Axis-aligned boxes inside the torus
+use the same row-major layout on their own side lengths, so one stencil
+serves the torus and every box.  The stencil works on the flat field: along
+an axis of flat stride s the neighbours are the field shifted by +-s, and
+only the sites on a row end of that axis need a correction.  A block of k
+fields is held site-major, the k values of one site adjacent, so the stencil
+sees it as one flat field with k trailing entries per site: each shift is
+one contiguous pass over the whole block, and the leading axis has no row
+ends inside the block.  The stencil is a short list of in-place updates, each
+a view of the output, a view of the input and a ufunc; a solver that applies
+it again and again to the same pair of buffers binds them once
+(:func:`bind_stencil`) and calls the binding at every step.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol
@@ -38,13 +40,18 @@ SUPPORTED_DIMS = (1, 2, 3)
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Torus geometry: dimensions and site coordinates."""
+    """Torus {-L..L}^d: the dimension d and the half side L, nothing derived."""
 
     dim: int
     half_side: int
-    side: int
-    n_sites: int
-    coords: np.ndarray      # (n_sites, dim) int, each coordinate in [-L, L]
+
+    @property
+    def side(self) -> int:
+        return 2 * self.half_side + 1
+
+    @property
+    def n_sites(self) -> int:
+        return self.side**self.dim
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,7 +65,8 @@ class LatticeGeometry:
         return int(np.ravel_multi_index(tuple(pos), self.shape))
 
     def coordinate(self, index: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.coords[index])
+        """Coordinate tuple of a site, each entry in [-L, L]."""
+        return tuple(int(p) - self.half_side for p in np.unravel_index(index, self.shape))
 
 
 def build_lattice(dim: int, half_side: int) -> LatticeGeometry:
@@ -67,15 +75,7 @@ def build_lattice(dim: int, half_side: int) -> LatticeGeometry:
         raise ValueError(f"dim must be one of {SUPPORTED_DIMS}, got {dim}")
     if half_side < 1:
         raise ValueError(f"half_side must be >= 1, got {half_side}")
-    side = 2 * half_side + 1
-    shape = (side,) * dim
-    n_sites = side**dim
-
-    axes = np.indices(shape).reshape(dim, n_sites)
-    coords = (axes.T - half_side).astype(np.int64)
-    return LatticeGeometry(
-        dim=dim, half_side=half_side, side=side, n_sites=n_sites, coords=coords
-    )
+    return LatticeGeometry(dim=dim, half_side=half_side)
 
 
 def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
@@ -87,22 +87,22 @@ def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
     return arr
 
 
-def _stencil_updates(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.ndarray):
-    """The stencil's in-place updates of ``out`` from ``field``, as (target, source, ufunc).
+def bind_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.ndarray):
+    """The stencil of ``field`` into ``out``, bound once: a call subtracts the neighbours.
 
     ``field`` and ``out`` are C-contiguous arrays of one shape, read as flat
-    fields (see :func:`stencil`).  Each target is a view of ``out`` and each
-    source a view of ``field``, so the updates stay valid while both arrays
-    keep their memory: a solver that overwrites the same pair of buffers
-    builds them once and applies them with :func:`_apply_updates` at every
-    step.  The updates are ordered as they must be applied.  Per axis of flat
-    stride ``s``, two shifts of the whole flat block by ``s`` subtract the
-    neighbours.  On the axis's (-1, length, s) view, whose rows run along
-    the axis, the couplings the shifts made across a row end are added
-    back; the leading axis spans the block in one row, so it has none.  An
-    axis as long as the torus side also couples its two end faces, in one
-    update of the [first, last] face pair from the [last, first] pair; a
-    shorter axis drops the couplings that leave the box.
+    fields (see :func:`stencil`).  The binding is a list of in-place updates,
+    each a view of ``out``, a view of ``field`` and a ufunc, so it stays
+    valid while both arrays keep their memory: a solver that overwrites the
+    same pair of buffers binds them once and calls the binding at every
+    step.  The updates are applied in order.  Per axis of flat stride ``s``,
+    two shifts of the whole flat block by ``s`` subtract the neighbours.  On
+    the axis's (-1, length, s) view, whose rows run along the axis, the
+    couplings the shifts made across a row end are added back; the leading
+    axis spans the block in one row, so it has none.  An axis as long as the
+    torus side also couples its two end faces, in one update of the
+    [first, last] face pair from the [last, first] pair; a shorter axis drops
+    the couplings that leave the box.
     """
     if field.shape != out.shape or not (field.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError(
@@ -126,13 +126,12 @@ def _stencil_updates(shape: tuple[int, ...], side: int, field: np.ndarray, out: 
             ]
         if length == side:
             updates.append((faces[:, :: length - 1], grid[:, :: 1 - length], np.subtract))
-    return updates
 
+    def apply() -> None:
+        for target, source, ufunc in updates:
+            ufunc(target, source, out=target)
 
-def _apply_updates(updates) -> None:
-    """Apply the updates of :func:`_stencil_updates` in order."""
-    for target, source, ufunc in updates:
-        ufunc(target, source, out=target)
+    return apply
 
 
 def stencil(shape: tuple[int, ...], side: int, field, out: np.ndarray) -> np.ndarray:
@@ -143,11 +142,11 @@ def stencil(shape: tuple[int, ...], side: int, field, out: np.ndarray) -> np.nda
     as one flat field of k * sites entries, k uncoupled entries per site,
     trailing: one field (k = 1) or a (sites, k) block of k fields held
     site-major.  ``out`` is a C-contiguous array of the same shape,
-    returned.  The updates are built by :func:`_stencil_updates`, the one
-    place that holds the stencil's geometry, and applied at once; a loop
-    that applies the stencil to fixed buffers builds them once instead.
+    returned.  :func:`bind_stencil`, the one place that holds the stencil's
+    geometry, binds the pair and the binding is applied at once; a loop that
+    applies the stencil to fixed buffers binds them once instead.
     """
-    _apply_updates(_stencil_updates(shape, side, np.ascontiguousarray(field), out))
+    bind_stencil(shape, side, np.ascontiguousarray(field), out)()
     return out
 
 
@@ -181,10 +180,11 @@ def dirichlet_energy(geom: LatticeGeometry, field) -> float:
 
 def coordinate_norms(geom: LatticeGeometry) -> np.ndarray:
     """Euclidean norm |gamma| of every coordinate tuple (no torus wrapping)."""
-    return np.sqrt((geom.coords.astype(float) ** 2).sum(axis=1))
+    table = np.indices(geom.shape).reshape(geom.dim, -1) - geom.half_side
+    return np.sqrt((table.astype(float) ** 2).sum(axis=0))
 
 
 def torus_distance(geom: LatticeGeometry, a: int, b: int) -> int:
     """l1 torus distance between two sites."""
-    delta = np.abs(geom.coords[a] - geom.coords[b])
+    delta = np.abs(np.subtract(geom.coordinate(a), geom.coordinate(b)))
     return int(np.minimum(delta, geom.side - delta).sum())

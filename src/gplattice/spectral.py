@@ -17,9 +17,9 @@ adjacent: the stencil takes such a block as one flat field, so no shift
 crosses from one field into the next, each filter step is a few passes
 over the flat block, and the QR and the Rayleigh-Ritz products take the
 block as it is.  The filter recurrence rotates two fixed blocks, so it
-takes the stencil's views of them once per filter call, not once per
-step.  The block is at least 2d+3 fields wide so degenerate clusters are
-captured whole; the free first excited level has multiplicity 2d, which a
+binds the stencil to them once per filter call, not once per step.  The
+block is at least 2d+3 fields wide so degenerate clusters are captured
+whole; the free first excited level has multiplicity 2d, which a
 single-vector iteration would silently split.
 Residuals of returned pairs are recomputed with a fresh operator
 application before the solver accepts them.
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGeometry, _apply_updates, _stencil_updates, stencil
+from .lattice import LatticeGeometry, bind_stencil, stencil
 
 DENSE_LIMIT = 4096
 # Chebyshev filter degree per outer step; 20-40 all cost within 10%
@@ -46,16 +46,8 @@ FILTER_DEGREE = 30
 WHOLE_SPACE_LIMIT = 120
 
 
-class OversizeError(ValueError):
-    """Instance too large for the dense path."""
-
-
 class EigenConvergenceError(RuntimeError):
-    """Raised when the iteration budget runs out; carries the best solution."""
-
-    def __init__(self, message: str, best: "EigenSolution"):
-        super().__init__(message)
-        self.best = best
+    """Raised when the iteration budget runs out; names the best residuals."""
 
 
 @dataclass(frozen=True)
@@ -141,7 +133,6 @@ class EigenSolution:
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: int         # operator applications spent
-    converged: bool
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -173,7 +164,7 @@ def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
     and the diagonal repeated across the block hold the whole recurrence.
     Each step overwrites the older block with ``(diag - center) * newer -
     beta * older`` minus the newer block's neighbours, so the pair takes
-    only two orders, and the stencil's views are built once for each.
+    only two orders, and the stencil is bound once for each.
     """
     half = (upper - cut) / 2.0
     center = (upper + cut) / 2.0
@@ -182,16 +173,16 @@ def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
     shifted = np.repeat(op.diag - center, cur.shape[1]).reshape(cur.shape)
     scratch = np.empty_like(cur)
     orders = [
-        (older, newer, _stencil_updates(op.shape, op.geom.side, newer, older))
+        (older, newer, bind_stencil(op.shape, op.geom.side, newer, older))
         for older, newer in ((prev, cur), (cur, prev))
     ]
     beta = half * half / 2.0
     for step in range(FILTER_DEGREE - 1):
-        older, newer, updates = orders[step % 2]
+        older, newer, neighbours = orders[step % 2]
         older *= -beta
         np.multiply(shifted, newer, out=scratch)
         older += scratch
-        _apply_updates(updates)
+        neighbours()
         beta = half * half / 4.0
     return older
 
@@ -220,7 +211,8 @@ def lowest_eigenpairs(
     only on the pairs returned.
     ``iterations`` counts applied fields; if the budget
     ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)`` would be
-    exceeded, :class:`EigenConvergenceError` carries the best pairs found.
+    exceeded, :class:`EigenConvergenceError` names the smallest residuals
+    found.
     """
     n = op.n_sites
     if not 1 <= count <= n:
@@ -235,7 +227,7 @@ def lowest_eigenpairs(
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
     vals, vecs, image = _rayleigh_ritz(basis, op.apply(basis))
     used = width
-    best: EigenSolution | None = None
+    best = None     # residuals of the step whose largest residual is smallest
     while True:
         # column-contiguous copies: the residual then runs along whole fields
         head = np.asfortranarray(vecs[:, :count])
@@ -245,16 +237,15 @@ def lowest_eigenpairs(
             used += count
             res = np.linalg.norm(op.apply(head) - head * vals[:count], axis=0)
             if res.max() <= tol:
-                return EigenSolution(vals[:count].copy(), _fix_signs(head), res, used, True)
-        if best is None or res.max() < best.residuals.max():
-            best = EigenSolution(vals[:count].copy(), head, res, used, False)
+                return EigenSolution(vals[:count].copy(), _fix_signs(head), res, used)
+        if best is None or res.max() < best.max():
+            best = res
         lock = int(np.argmin(res <= tol))   # leading converged pairs
         # a basis of the whole space is already exact up to round-off
         if width == n or used + FILTER_DEGREE * (width - lock) > budget:
             raise EigenConvergenceError(
                 f"no convergence after {used} operator applications; "
-                f"best residuals {np.array2string(best.residuals, precision=3)}",
-                best=replace(best, vectors=_fix_signs(best.vectors)),
+                f"best residuals {np.array2string(best, precision=3)}"
             )
 
         filtered = _chebyshev_filter(op, vecs[:, lock:], image[:, lock:], vals[-1], upper)
@@ -274,11 +265,9 @@ def dense_oracle(op: HamiltonianOperator) -> EigenSolution:
     """Full dense diagonalization; the independent check for the iterative path."""
     n = op.n_sites
     if n > DENSE_LIMIT:
-        raise OversizeError(f"dense oracle limited to {DENSE_LIMIT} sites, got {n}")
+        raise ValueError(f"dense oracle limited to {DENSE_LIMIT} sites, got {n}")
     mat = dense_matrix(op)
     vals, vecs = np.linalg.eigh(mat)
     vecs = _fix_signs(vecs)
     res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    return EigenSolution(
-        values=vals, vectors=vecs, residuals=res, iterations=0, converged=True
-    )
+    return EigenSolution(values=vals, vectors=vecs, residuals=res, iterations=0)

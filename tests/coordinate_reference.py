@@ -4,24 +4,37 @@ The program applies every operator as a stencil and assembles its dense
 matrix by applying that stencil to the identity, so comparing the two checks
 nothing.  This reference knows no grid layout: two sites of a region are
 coupled exactly when their torus distance is 1, and plane waves and the
-Fourier symbol of -Delta come from the coordinates of ``geom.coords``.
-A flat potential shifts that symbol by its constant value.
+Fourier symbol of -Delta come from the site coordinates, tabulated here from
+``np.indices`` and sharing no code with the geometry.  A flat potential
+shifts that symbol by its constant value.
 """
+
+import functools
 
 import numpy as np
 
 from gplattice.disorder import DisorderRealization
 
 
+@functools.cache
+def coordinates(geom) -> np.ndarray:
+    """(sites, d) table of site coordinates in [-L, L], rows in C order of the grid."""
+    grid = np.indices((2 * geom.half_side + 1,) * geom.dim)
+    table = grid.reshape(geom.dim, -1).T - geom.half_side
+    table.setflags(write=False)
+    return table
+
+
 def torus_distances(geom, site: int) -> np.ndarray:
     """l1 torus distance from one site to every site."""
-    delta = np.abs(geom.coords - geom.coords[site])
+    table = coordinates(geom)
+    delta = np.abs(table - table[site])
     return np.minimum(delta, geom.side - delta).sum(axis=1)
 
 
 def laplace_symbol(geom) -> np.ndarray:
     """Fourier symbol h(gamma) = 2d - 2 sum_j cos(2 pi gamma_j / (2L+1)) per site."""
-    angles = 2.0 * np.pi * geom.coords / geom.side
+    angles = 2.0 * np.pi * coordinates(geom) / geom.side
     return np.sum(2.0 - 2.0 * np.cos(angles), axis=1)
 
 
@@ -29,7 +42,7 @@ def plane_wave(geom, freq) -> np.ndarray:
     """Unit-norm plane wave e^(2 pi i gamma.x / (2L+1)) for frequency gamma."""
     gamma = np.asarray(freq, dtype=np.int64)
     assert gamma.shape == (geom.dim,), gamma.shape
-    phase = 2.0 * np.pi * (geom.coords @ gamma) / geom.side
+    phase = 2.0 * np.pi * (coordinates(geom) @ gamma) / geom.side
     return np.exp(1j * phase) / geom.side ** (geom.dim / 2)
 
 
@@ -39,8 +52,8 @@ def site_indices(region, geom) -> np.ndarray:
     positions = []
     for start, length in region.intervals:
         assert -geom.half_side <= start <= geom.half_side, start
-        coords = np.arange(start, start + length)
-        positions.append(np.mod(coords + geom.half_side, geom.side))
+        axis = np.arange(start, start + length)
+        positions.append(np.mod(axis + geom.half_side, geom.side))
     mesh = np.meshgrid(*positions, indexing="ij")
     return np.ravel_multi_index(tuple(mesh), geom.shape).ravel()
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -33,7 +34,6 @@ from gplattice.ensemble import (
     theorem_coupling,
 )
 from gplattice import ensemble, gp
-from gplattice.spectral import OversizeError
 
 from coordinate_reference import flat_realization
 
@@ -367,6 +367,24 @@ def test_minimizer_stall_becomes_an_error_record(monkeypatch):
     assert result.summary.n_ok == {4: 3, 6: 2}
 
 
+@pytest.mark.parametrize(
+    "coupling", [dict(c=1e150), dict(c=1e200), dict(schedule=(1e300,))],
+    ids=["c-1e150", "c-1e200", "u-1e300"],
+)
+def test_overflowing_coupling_becomes_an_error_record(coupling):
+    # the model's curvature overflows: to inf, so it predicts no decrease,
+    # or to NaN, which is neither positive nor non-positive; both crashed
+    # the run instead of ending the solve unconverged
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = run_plan(
+            ExperimentPlan(experiment="condense", seed=0, l_grid=(4,), samples=1, **coupling)
+        )
+    [record] = result.records
+    assert record.error.startswith("minimizer stalled")
+    assert result.summary.n_failed == 1
+
+
 FIELD_PAYLOAD = ("field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok")
 
 
@@ -609,7 +627,7 @@ def test_pool_workers_start_with_numpy_random_imported():
 def test_estimates_runner_refuses_oversize_grids():
     # the torus of the largest L is above the dense limit; the plan is
     # refused before any sample runs
-    with pytest.raises(OversizeError):
+    with pytest.raises(ValueError, match="dense limit"):
         ExperimentPlan(
             experiment="estimates", seed=2, l_grid=(5000,), schedule=(0.0,), samples=1
         )
@@ -692,3 +710,20 @@ def test_package_namespace_keeps_what_callers_use():
     assert used <= set(gplattice.__all__)
     for name in gplattice.__all__:
         assert hasattr(gplattice, name), name
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a name with a leading underscore belongs to the module that defines it
+    package = Path(ensemble.__file__).parent
+    crossings = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "gplattice"
+            ):
+                crossings += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert crossings == []

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +13,13 @@ from gplattice.lattice import (
     stencil,
 )
 
-from coordinate_reference import adjacency, laplace_symbol, plane_wave, torus_distances
+from coordinate_reference import (
+    adjacency,
+    coordinates,
+    laplace_symbol,
+    plane_wave,
+    torus_distances,
+)
 
 
 def small_geometries():
@@ -27,8 +35,21 @@ def test_geometry_counts_and_shape():
     assert geom.side == 7
     assert geom.n_sites == 49
     assert geom.shape == (7, 7)
-    assert geom.coords.shape == (49, 2)
-    assert geom.coords.min() == -3 and geom.coords.max() == 3
+
+
+@pytest.mark.parametrize("dim, half", [(1, 6), (2, 3), (3, 2)])
+def test_geometry_is_its_dim_and_half_side(dim, half):
+    geom = build_lattice(dim, half)
+    assert [f.name for f in fields(geom)] == ["dim", "half_side"]
+    # a plain value: equal (dim, L) give equal geometries, usable as keys
+    assert geom == build_lattice(dim, half)
+    assert hash(geom) == hash(build_lattice(dim, half))
+    assert {geom: 1}[build_lattice(dim, half)] == 1
+    assert geom != build_lattice(dim, half + 1)
+    table = coordinates(geom)
+    assert table.min() == -half and table.max() == half
+    for index, row in enumerate(table):
+        assert geom.coordinate(index) == tuple(row)
 
 
 def test_site_indexing_centered_layout():
