@@ -483,6 +483,7 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
         gp_iterations=gp.iterations,
         gp_converged=gp.converged,
         gp_grad_norm=gp.grad_norm,
+        gp_applies=gp.applies,
         t_gp=t_gp,
     )
     return fields

@@ -8,15 +8,19 @@ norm at most ``g_tol``) and takes one step; the gradient moves only with an
 accepted step.  With mu = <phi, H phi + 2U phi^3> and the Lagrange residual
 r = H phi + 2U phi^3 - mu phi, the step solves
 P (H + 6U phi^2 - mu) P d = -r for d orthogonal to phi by truncated
-conjugate gradients (Steihaug-Toint; P = 1 - phi phi^T, stopped at a
-relative residual of min(0.1, max(|r|, 1e-6))), which end on the
+conjugate gradients (Steihaug-Toint; P = 1 - phi phi^T), which end on the
 trust-region boundary when a step would leave it or meets non-positive
-curvature.  The candidate |phi + d| / || |phi + d| || is accepted when its
-energy is no higher (up to rounding noise for a step inside the radius),
-and the radius shrinks or grows with the ratio of actual to predicted
-decrease.  The conjugate gradients run on two fixed buffers, bound to the
-stencil once per solve.  While every full Newton step lies inside
-the radius and lowers the energy, the iterates are plain Newton's.
+curvature, and otherwise stop at a residual of max(min(0.1, |r|) |r|,
+g_tol / 8): the gradient is 2r, so the model's gradient after the step is
+at most g_tol / 4, and no iteration is spent below what the convergence
+test resolves (inexact Newton; Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982).  The candidate |phi + d| / || |phi + d| || is
+accepted when its energy is no higher (up to rounding noise for a step
+inside the radius), and the radius shrinks or grows with the ratio of
+actual to predicted decrease.  The conjugate gradients run on two fixed
+buffers, bound to the stencil once per solve.  While every full Newton
+step lies inside the radius and lowers the energy, the iterates are plain
+Newton's.
 
 The linear ground state phi0 can be a saddle of the energy (the projected
 Hessian there has a negative direction), and plain Newton steps from phi0
@@ -29,7 +33,9 @@ by itself: the first excited state may overlap phi0 enough to keep every
 curvature positive.
 
 Iterates stay nonnegative, the energy trace holds the energy after every
-accepted step and is monotone, and ``iterations`` counts accepted steps.
+accepted step and is monotone, ``iterations`` counts accepted steps, and
+``applies`` counts operator applications: the start's, one per candidate
+and one per conjugate-gradient iteration.
 Started from the single-particle ground state, the zero-coupling problem
 converges immediately.
 """
@@ -46,7 +52,6 @@ from .spectral import EigenSolution, HamiltonianOperator
 GAP_TIE_TOL = 1e-12
 # relative energy change below which the energy test is rounding noise
 NOISE_FLOOR = 8.0 * np.finfo(float).eps
-CG_RTOL_FLOOR = 1e-6
 # a step this short no longer moves a unit field; the cap counts accepted
 # and rejected steps
 RADIUS_FLOOR = np.finfo(float).eps
@@ -90,22 +95,29 @@ class GPResult:
     grad_norm: float
     iterations: int
     converged: bool
+    applies: int
 
 
 def _projected_newton_direction(
-    problem: GPProblem, phi: np.ndarray, residual: np.ndarray, mu: float, radius: float
-) -> tuple[np.ndarray, float, bool]:
+    problem: GPProblem,
+    phi: np.ndarray,
+    residual: np.ndarray,
+    mu: float,
+    radius: float,
+    g_tol: float,
+) -> tuple[np.ndarray, float, bool, int]:
     """Truncated CG for P (H + 6U phi^2 - mu) P d = -residual inside |d| <= radius.
 
     Returns the step d (orthogonal to phi), the energy drop the quadratic
-    model predicts for it, and whether it ends on the boundary.  Conjugate
-    gradients stop at a relative residual of min(0.1, |residual|), floored at
-    ``CG_RTOL_FLOOR`` (tighter targets are out of reach in floating point on
-    small-gap samples), or after n iterations.  A step that would leave the
-    ball, or a direction of non-positive curvature, is followed to the
-    boundary instead (Steihaug-Toint).  |d|^2 comes from the recurrences
-    for d.p and p.p, and the model from the CG scalars, so neither costs a
-    vector operation.  The search direction ``p`` and its image ``ap`` are
+    model predicts for it, whether it ends on the boundary, and the number
+    of iterations (one operator application each).  ``residual`` is half
+    the projected gradient, so conjugate gradients stop at a residual of
+    min(0.1, |residual|) |residual| (quadratic convergence of the outer
+    steps) or g_tol / 8, whichever is larger, or after n iterations.  A
+    step that would leave the ball, or a direction of non-positive
+    curvature, is followed to the boundary instead (Steihaug-Toint).  |d|^2
+    comes from the recurrences for d.p and p.p, and the model from the CG
+    scalars, so neither costs a vector operation.  The search direction ``p`` and its image ``ap`` are
     fixed buffers, bound to the stencil once; each iteration overwrites both
     in place.  A NaN curvature is not positive, so it also ends on the
     boundary, with a NaN model.
@@ -113,7 +125,7 @@ def _projected_newton_direction(
     h = problem.hamiltonian
     shift = 6.0 * problem.coupling * phi**2 - mu
     rhs_norm = float(np.linalg.norm(residual))
-    stop = min(0.1, max(rhs_norm, CG_RTOL_FLOOR)) * rhs_norm
+    stop = max(min(0.1, rhs_norm) * rhs_norm, g_tol / 8.0)
     d = np.zeros_like(phi)
     # the residual's rounding leaves a part along phi of order eps |gradient|;
     # as |residual| falls, A applied to that part swamps the true curvature
@@ -124,7 +136,7 @@ def _projected_newton_direction(
     rr = float(res @ res)
     # |d|^2, d.p, p.p, and the model <residual, d> + <d, A d> / 2
     dd, dp, pp, model = 0.0, 0.0, rr, 0.0
-    for _ in range(phi.size):
+    for iteration in range(1, phi.size + 1):
         # ap = H p + shift * p, with H p = diag * p minus the neighbours
         np.multiply(h.diag, p, out=ap)
         neighbours()
@@ -138,7 +150,7 @@ def _projected_newton_direction(
             tau = (np.sqrt(dp**2 + pp * max(radius**2 - dd, 0.0)) - dp) / pp
             d += tau * p
             model += tau * (0.5 * tau * curvature - rr)
-            return d, -2.0 * model, True
+            return d, -2.0 * model, True, iteration
         d += alpha * p
         model -= 0.5 * alpha * rr
         res -= alpha * ap
@@ -150,7 +162,7 @@ def _projected_newton_direction(
         p *= beta
         p += res
         rr = rr_next
-    return d, -2.0 * model, False
+    return d, -2.0 * model, False, iteration
 
 
 def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) -> GPResult:
@@ -174,42 +186,48 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         raise ValueError("initial field must be nonzero")
     phi = phi / norm
 
-    hphi = problem.hamiltonian.apply(phi)
-    energy = float(phi @ hphi + problem.coupling * np.sum(phi**4))
-    trace = [energy]
-    radius = 1.0
-    moved = True
-    for step in range(MAX_STEPS + 1):
-        if moved:
-            grad = 2.0 * hphi + 4.0 * problem.coupling * phi**3
-            lagrange = float(grad @ phi)
-            tangent = grad - lagrange * phi
-            grad_norm = float(np.linalg.norm(tangent))
-        converged = grad_norm <= g_tol
-        if converged or step == MAX_STEPS or radius < RADIUS_FLOOR:
-            break
-        d, predicted, boundary = _projected_newton_direction(
-            problem, phi, 0.5 * tangent, 0.5 * lagrange, radius
-        )
-        if not predicted > 0.0:
-            break
-        cand = np.abs(phi + d)
-        cand /= np.linalg.norm(cand)
-        cand_hphi = problem.hamiltonian.apply(cand)
-        cand_energy = float(cand @ cand_hphi + problem.coupling * np.sum(cand**4))
-        rho = (energy - cand_energy) / predicted
-        if rho < 0.25:
-            radius = 0.25 * float(np.linalg.norm(d))
-        elif rho > 0.75 and boundary:
-            radius = min(2.0 * radius, 2.0)
-        # an interior step whose rise is rounding noise is accepted at the
-        # unchanged energy: near the minimizer the decrease falls below what
-        # the energy resolves
-        noise = 0.0 if boundary else NOISE_FLOOR * max(abs(energy), 1.0)
-        moved = cand_energy <= energy + noise
-        if moved:
-            phi, hphi, energy = cand, cand_hphi, min(cand_energy, energy)
-            trace.append(energy)
+    # an overflowing coupling ends the solve unconverged through the tests
+    # below; numpy's overflow warnings on the way would add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        hphi = problem.hamiltonian.apply(phi)
+        energy = float(phi @ hphi + problem.coupling * np.sum(phi**4))
+        trace = [energy]
+        applies = 1
+        radius = 1.0
+        moved = True
+        for step in range(MAX_STEPS + 1):
+            if moved:
+                grad = 2.0 * hphi + 4.0 * problem.coupling * phi**3
+                lagrange = float(grad @ phi)
+                tangent = grad - lagrange * phi
+                grad_norm = float(np.linalg.norm(tangent))
+            converged = grad_norm <= g_tol
+            if converged or step == MAX_STEPS or radius < RADIUS_FLOOR:
+                break
+            d, predicted, boundary, cg_iterations = _projected_newton_direction(
+                problem, phi, 0.5 * tangent, 0.5 * lagrange, radius, g_tol
+            )
+            applies += cg_iterations
+            if not predicted > 0.0:
+                break
+            cand = np.abs(phi + d)
+            cand /= np.linalg.norm(cand)
+            cand_hphi = problem.hamiltonian.apply(cand)
+            applies += 1
+            cand_energy = float(cand @ cand_hphi + problem.coupling * np.sum(cand**4))
+            rho = (energy - cand_energy) / predicted
+            if rho < 0.25:
+                radius = 0.25 * float(np.linalg.norm(d))
+            elif rho > 0.75 and boundary:
+                radius = min(2.0 * radius, 2.0)
+            # an interior step whose rise is rounding noise is accepted at the
+            # unchanged energy: near the minimizer the decrease falls below what
+            # the energy resolves
+            noise = 0.0 if boundary else NOISE_FLOOR * max(abs(energy), 1.0)
+            moved = cand_energy <= energy + noise
+            if moved:
+                phi, hphi, energy = cand, cand_hphi, min(cand_energy, energy)
+                trace.append(energy)
 
     return GPResult(
         phi=phi,
@@ -218,6 +236,7 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         grad_norm=grad_norm,
         iterations=len(trace) - 1,
         converged=converged,
+        applies=applies,
     )
 
 

@@ -7,11 +7,11 @@ summary is a function of the plan and the records: ``estimates`` records
 carry their window counts, ``shells`` records their random-field statistics,
 one entry per kept eps, and a stream written before those fields existed
 reads back with them empty.  The diagnostics (``wall_time``, the GP
-minimizer's final gradient, the eigensolver's applied columns and largest
-residual, and the seconds spent in the eigensolve and in the GP
-minimization) are bookkeeping, not payload: record content comparisons (and
-the determinism guarantees) exclude them, and a stream written before a
-diagnostic existed reads back with it set to NaN.
+minimizer's final gradient and operator applications, the eigensolver's
+applied columns and largest residual, and the seconds spent in the
+eigensolve and in the GP minimization) are bookkeeping, not payload: record
+content comparisons (and the determinism guarantees) exclude them, and a
+stream written before a diagnostic existed reads back with it set to NaN.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from typing import NamedTuple
 # bookkeeping fields, kept out of content comparisons; all but wall_time
 # read back as NaN from streams written without them
 DIAGNOSTICS = (
-    "wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max", "t_eig", "t_gp"
+    "wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max", "t_eig", "t_gp",
+    "gp_applies",
 )
 
 # tuple payload fields by element type; all but the centers read back empty
@@ -82,6 +83,7 @@ class RunRecord:
     eig_residual_max: float = math.nan
     t_eig: float = math.nan             # seconds in the eigensolve
     t_gp: float = math.nan              # seconds in minimize_gp
+    gp_applies: float = math.nan        # operator applications in minimize_gp
 
     def content_dict(self) -> dict:
         """All payload fields; excludes the diagnostics."""

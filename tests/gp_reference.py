@@ -25,6 +25,7 @@ def projected_gradient_descent(
     phi = phi / np.linalg.norm(phi)
     energy = gp_energy(problem, phi)
     trace = [energy]
+    applies = 1
     vmax = float(h.potential.max(initial=0.0))
     # largest step that is stable for any unit iterate (||phi||_inf <= 1);
     # near the floor, energy differences drop below one ulp and the Armijo
@@ -35,6 +36,7 @@ def projected_gradient_descent(
     converged = False
     while True:
         grad = gp_gradient(problem, phi)
+        applies += 1
         tangent = grad - float(grad @ phi) * phi
         grad_norm = float(np.linalg.norm(tangent))
         if grad_norm <= g_tol and last_drop <= e_tol:
@@ -51,6 +53,7 @@ def projected_gradient_descent(
             if cnorm > 0:
                 cand = cand / cnorm
                 cand_energy = gp_energy(problem, cand)
+                applies += 1
                 if cand_energy <= energy - 1e-4 * trial * grad_norm**2:
                     accepted = True
                     break
@@ -75,4 +78,5 @@ def projected_gradient_descent(
         grad_norm=grad_norm,
         iterations=len(trace) - 1,
         converged=converged,
+        applies=applies,
     )

@@ -303,6 +303,7 @@ def test_records_carry_eigensolver_diagnostics(small_condense):
     plan, result = small_condense
     for rec in result.records:
         assert isinstance(rec.eig_applies, int) and rec.eig_applies > 0
+        assert isinstance(rec.gp_applies, int) and rec.gp_applies > 0
         assert 0.0 < rec.eig_residual_max <= plan.tol_eig
         # the two stage times are parts of the sample's wall time
         assert 0.0 < rec.t_eig and 0.0 < rec.t_gp
@@ -311,6 +312,27 @@ def test_records_carry_eigensolver_diagnostics(small_condense):
     rec = replay_sample(ExperimentPlan(experiment="estimates", seed=2, l_grid=(6,)), 0, 0)
     assert math.isnan(rec.eig_applies) and math.isnan(rec.eig_residual_max)
     assert 0.0 < rec.t_eig < rec.wall_time and math.isnan(rec.t_gp)
+    assert math.isnan(rec.gp_applies)
+
+
+# summed gp_applies of samples 0-4 per L of the seed-0 trend grid, measured
+# with the Newton CG stopped at g_tol / 8
+TREND_HEAD_APPLIES = 1053
+
+
+def test_trend_solves_stop_the_conjugate_gradients_at_the_gradient_test():
+    # the Newton solves end at the tolerance the gradient test asks for; CG
+    # stopped only by a relative residual floored at 1e-6 took 1632 here
+    plan = ExperimentPlan(
+        experiment="condense", seed=0, l_grid=(64, 128, 256, 512), schedule="theorem"
+    )
+    records = [
+        replay_sample(plan, l_index, sample_index)
+        for l_index in range(len(plan.l_grid))
+        for sample_index in range(5)
+    ]
+    assert all(r.error is None and r.gp_grad_norm <= plan.tol_gp for r in records)
+    assert sum(r.gp_applies for r in records) <= 1.05 * TREND_HEAD_APPLIES
 
 
 def test_condense_summary_shape(small_condense):
@@ -374,9 +396,10 @@ def test_minimizer_stall_becomes_an_error_record(monkeypatch):
 def test_overflowing_coupling_becomes_an_error_record(coupling):
     # the model's curvature overflows: to inf, so it predicts no decrease,
     # or to NaN, which is neither positive nor non-positive; both crashed
-    # the run instead of ending the solve unconverged
+    # the run instead of ending the solve unconverged.  No overflow warning
+    # leaves the solve, so a run with warnings as errors writes the record too
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         result = run_plan(
             ExperimentPlan(experiment="condense", seed=0, l_grid=(4,), samples=1, **coupling)
         )

@@ -200,12 +200,12 @@ def test_rejected_step_leaves_phi_and_shrinks_radius(genuine_steps, monkeypatch)
     newton = gp._projected_newton_direction
     calls = []
 
-    def genuine_then_uphill(problem, phi, residual, mu, radius):
+    def genuine_then_uphill(problem, phi, residual, mu, radius, g_tol):
         calls.append((phi, radius))
         if len(calls) != genuine_steps + 1:
-            return newton(problem, phi, residual, mu, radius)
+            return newton(problem, phi, residual, mu, radius, g_tol)
         # an ascent step to the boundary, claimed to lower the energy
-        return residual * (radius / np.linalg.norm(residual)), 1.0, True
+        return residual * (radius / np.linalg.norm(residual)), 1.0, True, 0
 
     monkeypatch.setattr(gp, "_projected_newton_direction", genuine_then_uphill)
     res = minimize_gp(prob, init=init)
@@ -222,17 +222,17 @@ def test_rejected_step_leaves_phi_and_shrinks_radius(genuine_steps, monkeypatch)
     assert abs(res.energy - plain.energy) <= 1e-12
 
 
-def reference_newton_direction(problem, phi, residual, mu, radius):
+def reference_newton_direction(problem, phi, residual, mu, radius, g_tol):
     """The truncated CG as first written: a fresh H p, ap and p each iteration."""
     shift = 6.0 * problem.coupling * phi**2 - mu
     rhs_norm = float(np.linalg.norm(residual))
-    stop = min(0.1, max(rhs_norm, gp.CG_RTOL_FLOOR)) * rhs_norm
+    stop = max(min(0.1, rhs_norm) * rhs_norm, g_tol / 8.0)
     d = np.zeros_like(phi)
     res = (phi @ residual) * phi - residual
     p = res.copy()
     rr = float(res @ res)
     dd, dp, pp, model = 0.0, 0.0, rr, 0.0
-    for _ in range(phi.size):
+    for iteration in range(1, phi.size + 1):
         ap = problem.hamiltonian.apply(p) + shift * p
         ap -= (phi @ ap) * phi
         curvature = float(p @ ap)
@@ -244,7 +244,7 @@ def reference_newton_direction(problem, phi, residual, mu, radius):
             tau = (np.sqrt(dp**2 + pp * max(radius**2 - dd, 0.0)) - dp) / pp
             d += tau * p
             model += tau * (0.5 * tau * curvature - rr)
-            return d, -2.0 * model, True
+            return d, -2.0 * model, True, iteration
         d += alpha * p
         model -= 0.5 * alpha * rr
         res -= alpha * ap
@@ -255,7 +255,7 @@ def reference_newton_direction(problem, phi, residual, mu, radius):
         dd, dp, pp = dd_next, beta * (dp + alpha * pp), rr_next + beta**2 * pp
         p = res + beta * p
         rr = rr_next
-    return d, -2.0 * model, False
+    return d, -2.0 * model, False, iteration
 
 
 def strongly_coupled_problem(dim, half, sample, factor, v_max):
@@ -295,9 +295,9 @@ def test_newton_direction_on_fixed_buffers_is_the_reference(make, uphill, monkey
     newton = gp._projected_newton_direction
     calls = []
 
-    def compared(problem, phi, residual, mu, radius):
-        out = newton(problem, phi, residual, mu, radius)
-        ref = reference_newton_direction(problem, phi, residual, mu, radius)
+    def compared(problem, phi, residual, mu, radius, g_tol):
+        out = newton(problem, phi, residual, mu, radius, g_tol)
+        ref = reference_newton_direction(problem, phi, residual, mu, radius, g_tol)
         calls.append((np.array_equal(out[0], ref[0]) and out[1:] == ref[1:], out[2]))
         return out
 
@@ -311,7 +311,7 @@ def test_newton_direction_on_fixed_buffers_is_the_reference(make, uphill, monkey
 @pytest.mark.parametrize(
     "make, flat, steps, iterations, energy",
     [
-        (lambda: strongly_coupled_problem(1, 16, 5, 5.0, 1.0), False, 8, 7, 0.6218038638081679),
+        (lambda: strongly_coupled_problem(1, 16, 5, 5.0, 1.0), False, 8, 7, 0.6218038638081678),
         (lambda: strongly_coupled_problem(2, 4, 1, 2.0, 6.0), True, 6, 6, 2.4251579402402093),
     ],
     ids=["d1-phi0", "d2-flat"],
@@ -329,8 +329,8 @@ def test_trust_region_finishes_where_full_newton_steps_fail(
     newton = gp._projected_newton_direction
     boundary = []
 
-    def counted(problem, phi, residual, mu, radius):
-        out = newton(problem, phi, residual, mu, radius)
+    def counted(problem, phi, residual, mu, radius, g_tol):
+        out = newton(problem, phi, residual, mu, radius, g_tol)
         boundary.append(out[2])
         return out
 
@@ -366,17 +366,20 @@ def test_one_operator_application_per_candidate(monkeypatch):
         **{f.name: getattr(ham, f.name) for f in dataclasses.fields(ham)}
     )
     newton = gp._projected_newton_direction
-    candidates = []
+    cg_iterations = []
 
     def counted(*args):
-        candidates.append(None)
-        return newton(*args)
+        out = newton(*args)
+        cg_iterations.append(out[3])
+        return out
 
     monkeypatch.setattr(gp, "_projected_newton_direction", counted)
     res = minimize_gp(GPProblem(counting, prob.coupling), init=dense_oracle(ham).vectors[:, 0])
-    assert res.converged and res.iterations < len(candidates)
-    assert res.energy == 0.6218038638081679
-    assert counting.applies[0] == 1 + len(candidates)
+    assert res.converged and res.iterations < len(cg_iterations)
+    assert res.energy == 0.6218038638081678
+    assert counting.applies[0] == 1 + len(cg_iterations)
+    # the result counts those and one stencil application per CG iteration
+    assert res.applies == counting.applies[0] + sum(cg_iterations)
 
 
 @pytest.mark.parametrize("factor", [1e3, 1e4, 1e5], ids=["1e3", "1e4", "1e5"])

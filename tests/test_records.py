@@ -48,6 +48,7 @@ def make_record(**overrides):
         eig_residual_max=2.7416428968939688e-12,
         t_eig=0.0421,
         t_gp=0.0036,
+        gp_applies=66,
     )
     base.update(overrides)
     return RunRecord(**base)
@@ -123,7 +124,9 @@ def test_line_without_the_later_payload_reads_back_empty(tmp_path):
     assert rec.e0 == 0.48111245515400536 and rec.center0 == (-2,)
     assert rec.window_counts == ()
     assert rec.field_four_norm_ratio == rec.field_sup_ratio == rec.field_annulus_ok == ()
-    assert RunRecord.from_json(rec.to_json()) == rec
+    # the same text again; == would see the defaulted gp_applies NaN differ
+    # from the NaN json reads back
+    assert RunRecord.from_json(rec.to_json()).to_json() == rec.to_json()
 
     # a line lacking any older payload field is still refused
     path = tmp_path / "old.jsonl"
@@ -205,6 +208,24 @@ def test_stage_times_are_diagnostics(tmp_path):
     back = result.records[0]
     assert math.isnan(back.t_eig) and math.isnan(back.t_gp)
     assert back.content_key() == rec.content_key()
+
+
+def test_gp_applies_is_a_diagnostic(tmp_path):
+    rec = make_record(gp_applies=123)
+    back = RunRecord.from_json(rec.to_json())
+    assert back == rec and back.gp_applies == 123
+    assert "gp_applies" not in rec.content_dict()
+    assert rec.content_key() == make_record(gp_applies=math.nan).content_key()
+
+    # a line written before the count existed reads back NaN
+    data = json.loads(rec.to_json())
+    del data["gp_applies"]
+    path = tmp_path / "old.jsonl"
+    path.write_text(json.dumps(data) + "\n")
+    result = read_records(path)
+    assert result.bad_lines == []
+    assert math.isnan(result.records[0].gp_applies)
+    assert result.records[0].content_key() == rec.content_key()
 
 
 def test_write_then_read(tmp_path):
