@@ -1,4 +1,4 @@
-"""Norm estimates, frequency-shell decompositions, and localization readouts.
+"""Norm estimates, frequency-shell statistics, and localization readouts.
 
 The central quantitative objects are two scale functions; in the supported
 dimensions d <= 3 they read
@@ -7,13 +7,17 @@ dimensions d <= 3 they read
     g(eps) = eps^(d/4)           (four-norm scale of flat fields)
 
 A field with unit l2 norm and kinetic form <-Delta u, u> <= eps^2 has
-||u||_4 <= C g(eps); the shell decomposition splits its spectrum into
-frequency annuli |gamma| in [e^(k-1) eps L, e^k eps L) whose sup norms obey
-||u_k||_inf <= ||u_k||_2 (e^k eps)^(d/2), which is where that bound comes
-from.  Two explicit trial families (a delta spike on a flat background, and
-a flat Fourier window) witness that g(eps) cannot be improved.  Norms are
-numpy's, and a localization center is the first peak site in the lattice's
-site order, which is lexicographic in the coordinates.
+||u||_4 <= C g(eps).  The bound comes from splitting its spectrum into
+frequency shells |gamma| in [e^(k-1) eps L, e^k eps L) whose sup norms obey
+||u_k||_inf <= ||u_k||_2 (e^k eps)^(d/2) and whose l2 norms the kinetic form
+controls.  ``shell_norms`` gives each shell's l2 and sup norm, and
+``shell_statistics`` the three numbers a ``shells`` record keeps per eps:
+||u||_4 / g(eps), the largest shell sup ratio, and the annulus bound's
+verdict, from one transform and one kinetic form.  Two explicit trial
+families (a delta spike on a flat background, and a flat Fourier window)
+witness that g(eps) cannot be improved.  Norms are numpy's, and a
+localization center is the first peak site in the lattice's site order,
+which is lexicographic in the coordinates.
 """
 
 from __future__ import annotations
@@ -51,46 +55,6 @@ def g_scale(eps: float, dim: int) -> float:
     return eps ** (dim / 4.0)
 
 
-@dataclass(frozen=True)
-class ShellDecomposition:
-    """Frequency-annulus split of a field.
-
-    Shell 0 holds frequencies |gamma| < eps L, shell k the annulus
-    [e^(k-1) eps L, e^k eps L), and the last shell k_eps (the first index
-    with e^k eps >= 1) absorbs everything from e^(k_eps - 1) eps L outward,
-    so the shells partition frequency space exactly.
-    """
-
-    eps: float
-    k_eps: int
-    shells: list[np.ndarray]
-    shell_l2: np.ndarray
-    shell_sup: np.ndarray
-    kinetic: float
-    lattice_constant: float   # in h(gamma) >= 16 |gamma|^2 / (2L+1)^2
-    dim: int
-
-    @property
-    def count(self) -> int:
-        return len(self.shells)
-
-    def sup_bound_ratios(self) -> np.ndarray:
-        """||u_k||_inf / (||u_k||_2 (e^k eps)^(d/2)) for k >= 1 (nan if empty)."""
-        out = np.full(self.count, np.nan)
-        for k in range(1, self.count):
-            if self.shell_l2[k] > 0:
-                bound = self.shell_l2[k] * (math.e**k * self.eps) ** (self.dim / 2.0)
-                out[k] = self.shell_sup[k] / bound
-        return out
-
-    def annulus_kinetic_stat(self) -> float:
-        """sum_{k>=1} e^(2k-2) eps^2 ||u_k||_2^2, controlled by the kinetic form."""
-        total = 0.0
-        for k in range(1, self.count):
-            total += math.e ** (2 * k - 2) * self.eps**2 * self.shell_l2[k] ** 2
-        return total
-
-
 def _check_scale(geom: LatticeGeometry, eps: float) -> None:
     """Refuse a shell scale outside 0 < eps < 1 or with eps L < 1."""
     if not 0 < eps < 1:
@@ -101,65 +65,58 @@ def _check_scale(geom: LatticeGeometry, eps: float) -> None:
         )
 
 
-def shell_decompose(
-    geom: LatticeGeometry, field: np.ndarray, eps: float
-) -> ShellDecomposition:
-    """Split a unit field into frequency shells at scale eps (0 < eps < 1, eps L >= 1)."""
+def shell_norms(
+    geom: LatticeGeometry, u: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """l2 and sup norms of a unit real field's k_eps + 1 frequency shells.
+
+    Shell 0 holds frequencies |gamma| < eps L, shell k the annulus
+    [e^(k-1) eps L, e^k eps L), and the last shell k_eps (the first index
+    with e^k eps >= 1) everything from e^(k_eps - 1) eps L outward, so the
+    shells partition frequency space and the l2 norms square-sum to 1.
+    """
     _check_scale(geom, eps)
-    u = np.asarray(field)
     norm = np.linalg.norm(u)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"field must have unit l2 norm, got {norm}")
-
     k_eps = math.ceil(-math.log(eps))
+    edges = [0.0] + [math.e**k * eps * geom.half_side for k in range(k_eps)] + [np.inf]
     coeffs = dft(geom, u)
     radius = coordinate_norms(geom)
-    real_input = not np.iscomplexobj(u)
-
-    edges = [0.0, eps * geom.half_side]
-    for k in range(1, k_eps):
-        edges.append(math.e**k * eps * geom.half_side)
-    edges.append(np.inf)
-
-    shells: list[np.ndarray] = []
-    l2 = np.zeros(k_eps + 1)
-    sup = np.zeros(k_eps + 1)
+    l2, sup = np.zeros(k_eps + 1), np.zeros(k_eps + 1)
     for k in range(k_eps + 1):
         mask = (radius >= edges[k]) & (radius < edges[k + 1])
-        piece = idft(geom, np.where(mask, coeffs, 0.0))
-        if real_input:
-            piece = piece.real
-        shells.append(piece)
-        l2[k] = float(np.sqrt(np.sum(np.abs(coeffs[mask]) ** 2)))
-        sup[k] = np.abs(piece).max()
-
-    side_over_l = geom.side / geom.half_side
-    return ShellDecomposition(
-        eps=eps,
-        k_eps=k_eps,
-        shells=shells,
-        shell_l2=l2,
-        shell_sup=sup,
-        kinetic=dirichlet_energy(geom, u),
-        lattice_constant=side_over_l**2 / 16.0,
-        dim=geom.dim,
-    )
+        l2[k] = np.sqrt(np.sum(np.abs(coeffs[mask]) ** 2))
+        sup[k] = np.abs(idft(geom, np.where(mask, coeffs, 0.0)).real).max()
+    return l2, sup
 
 
-def four_norm_bound_check(geom: LatticeGeometry, field: np.ndarray, eps: float) -> float:
-    """||u||_4 / g(eps) for a unit field with kinetic form <= eps^2."""
-    u = np.asarray(field)
-    norm = np.linalg.norm(u)
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"field must have unit l2 norm, got {norm}")
-    if eps * geom.half_side < 1:
-        raise ValueError(f"eps*L must be >= 1, got {eps * geom.half_side}")
+def shell_statistics(
+    geom: LatticeGeometry, u: np.ndarray, eps: float
+) -> tuple[float, float, bool]:
+    """``(four_norm_ratio, sup_ratio, annulus_ok)`` of a unit field with kinetic form <= eps^2.
+
+    ``four_norm_ratio`` is ||u||_4 / g(eps); ``sup_ratio`` the largest
+    ||u_k||_inf / (||u_k||_2 (e^k eps)^(d/2)) over the populated shells
+    k >= 1 (NaN when there is none); ``annulus_ok`` whether
+    sum_{k>=1} e^(2k-2) eps^2 ||u_k||_2^2 stays under the kinetic form
+    times (2L+1)^2 / (16 L^2), the constant in h(gamma) >= 16 |gamma|^2 / (2L+1)^2.
+    """
+    l2, sup = shell_norms(geom, u, eps)
     kinetic = dirichlet_energy(geom, u)
     if kinetic > eps**2 * (1 + 1e-12):
         raise ValueError(
             f"kinetic form {kinetic} exceeds eps^2 = {eps**2}; not a scale-eps field"
         )
-    return float(np.linalg.norm(u, 4)) / g_scale(eps, geom.dim)
+    ratios, annulus = [], 0.0
+    for k in range(1, len(l2)):
+        annulus += math.e ** (2 * k - 2) * eps**2 * l2[k] ** 2
+        if l2[k] > 0:
+            ratios.append(sup[k] / (l2[k] * (math.e**k * eps) ** (geom.dim / 2.0)))
+    sup_ratio = max((r for r in ratios if math.isfinite(r)), default=math.nan)
+    bound = (geom.side / geom.half_side) ** 2 / 16.0 * kinetic * (1 + 1e-12) + 1e-15
+    four_norm_ratio = float(np.linalg.norm(u, 4)) / g_scale(eps, geom.dim)
+    return four_norm_ratio, float(sup_ratio), bool(annulus <= bound)
 
 
 @dataclass(frozen=True)

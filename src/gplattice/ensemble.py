@@ -39,11 +39,10 @@ import numpy as np
 from .analysis import (
     default_band_scale,
     f_scale,
-    four_norm_bound_check,
     g_scale,
     localization_center,
     random_low_energy_field,
-    shell_decompose,
+    shell_statistics,
     trial_delta_background,
     trial_flat_fourier,
 )
@@ -675,23 +674,15 @@ def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
     ``kinetic``.
     """
     rng = provenance_stream(plan.seed, l_index, sample_index, FIELD_CHANNEL)
-    four_norm, sup, annulus = [], [], []
-    for eps in _kept_eps(plan, geom.half_side):
-        u = random_low_energy_field(geom, eps, rng)
-        dec = shell_decompose(geom, u, eps)
-        ratios = dec.sup_bound_ratios()
-        finite = ratios[np.isfinite(ratios)]
-        sup.append(float(finite.max()) if finite.size else math.nan)
-        annulus_ok = dec.annulus_kinetic_stat() <= (
-            dec.lattice_constant * dec.kinetic * (1 + 1e-12) + 1e-15
-        )
-        annulus.append(bool(annulus_ok))
-        four_norm.append(four_norm_bound_check(geom, u, eps))
+    stats = [
+        shell_statistics(geom, random_low_energy_field(geom, eps, rng), eps)
+        for eps in _kept_eps(plan, geom.half_side)
+    ]
     return dict(
         _ground_fields(geom, eig),
-        field_four_norm_ratio=tuple(four_norm),
-        field_sup_ratio=tuple(sup),
-        field_annulus_ok=tuple(annulus),
+        field_four_norm_ratio=tuple(s[0] for s in stats),
+        field_sup_ratio=tuple(s[1] for s in stats),
+        field_annulus_ok=tuple(s[2] for s in stats),
     )
 
 
@@ -705,9 +696,9 @@ def _summarize_shells(plan: ExperimentPlan, groups):
     skipped, annulus_ok, within_3x = {}, {}, {}
     for half_side, group in zip(plan.l_grid, groups):
         geom = build_lattice(plan.dim, half_side)
-        skipped[half_side] = [eps for eps in plan.eps_grid if eps * half_side < 1]
-        trial_ratios = []
         kept = _kept_eps(plan, half_side)
+        skipped[half_side] = [eps for eps in plan.eps_grid if eps not in kept]
+        trial_ratios = []
         field_ratios, field_sups, field_annuli = (
             _payload(group, name, len(kept))
             for name in ("field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok")
@@ -723,16 +714,8 @@ def _summarize_shells(plan: ExperimentPlan, groups):
             if not group:
                 continue
             ratios = np.array([r[j] for r in field_ratios])
-            four_norm.append(
-                [
-                    half_side,
-                    eps,
-                    float(ratios.max()),
-                    float(np.median(ratios)),
-                    delta_ratio,
-                    flat_ratio,
-                ]
-            )
+            row = [half_side, eps, float(ratios.max()), float(np.median(ratios))]
+            four_norm.append(row + [delta_ratio, flat_ratio])
             sup = float(np.nanmax([r[j] for r in field_sups]))
             sup_bound.append([half_side, eps, sup])
             annulus_ok[half_side, eps] = all(r[j] for r in field_annuli)
@@ -753,10 +736,7 @@ def _summarize_shells(plan: ExperimentPlan, groups):
             four_norm,
         ),
         "sup_bound": (["half_side", "eps", "sup_ratio_max"], sup_bound),
-        "corpus": (
-            ["half_side", "corpus_max", "corpus_median", "trial_scale"],
-            corpus_rows,
-        ),
+        "corpus": (["half_side", "corpus_max", "corpus_median", "trial_scale"], corpus_rows),
     }
     checks = {
         "eps skipped (eps L < 1) by L": skipped,

@@ -36,6 +36,10 @@ _TUPLES = dict(
     field_four_norm_ratio=float, field_sup_ratio=float, field_annulus_ok=bool,
 )
 
+# json's constants; NaN is the math.nan object the defaults hold, so a record
+# equals its own round trip (tuple comparison checks identity before ==)
+_CONSTANTS = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -104,14 +108,14 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
-        data = json.loads(line)
+        data = json.loads(line, parse_constant=_CONSTANTS.__getitem__)
         if not isinstance(data, dict):
             raise ValueError(f"record is not a JSON object: {line[:40]!r}")
         known = {f.name for f in fields(cls)}
         for name in DIAGNOSTICS[1:]:
             data.setdefault(name, math.nan)
         for name in list(_TUPLES)[2:]:
-            data.setdefault(name, ())
+            data.setdefault(name, [])
         missing = known - data.keys()
         if missing:
             raise ValueError(f"record is missing fields {sorted(missing)}")
@@ -119,8 +123,17 @@ class RunRecord:
         if extra:
             raise ValueError(f"record has unknown fields {sorted(extra)}")
         for name, kind in _TUPLES.items():
-            data[name] = tuple(kind(v) for v in data[name])
+            value = data[name]
+            if not isinstance(value, list) or not all(_is_entry(kind, v) for v in value):
+                raise ValueError(f"{name} must be a list of {kind.__name__}s, got {value!r}")
+            data[name] = tuple(kind(v) for v in value)
         return cls(**data)
+
+
+def _is_entry(kind: type, value) -> bool:
+    # bools only in a bool field; ints, or for a float field ints and floats, elsewhere
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
 
 
 def _hashable(value):

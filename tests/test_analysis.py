@@ -19,10 +19,10 @@ from gplattice import (
 from gplattice.analysis import (
     default_band_scale,
     f_scale,
-    four_norm_bound_check,
     g_scale,
     random_low_energy_field,
-    shell_decompose,
+    shell_norms,
+    shell_statistics,
     trial_delta_background,
     trial_flat_fourier,
 )
@@ -56,49 +56,47 @@ def test_g_scale_refuses_unsupported_dims():
             g_scale(0.1, dim)
 
 
-# --- shell decomposition --------------------------------------------------------
+# --- frequency shells ------------------------------------------------------------
 
 def test_plane_wave_lives_in_shell_zero():
     geom = build_lattice(1, 32)
-    u = plane_wave(geom, (0,)).real
-    dec = shell_decompose(geom, u, 0.25)
-    assert dec.shell_l2[0] == pytest.approx(1.0, abs=1e-12)
-    assert float(np.sum(dec.shell_l2[1:] ** 2)) < 1e-24
+    l2, sup = shell_norms(geom, plane_wave(geom, (0,)).real, 0.25)
+    assert l2[0] == pytest.approx(1.0, abs=1e-12)
+    assert sup[0] == pytest.approx(geom.n_sites**-0.5, abs=1e-12)
+    assert float(np.sum(l2[1:] ** 2)) < 1e-24
 
 
 def test_shell_count_tracks_eps():
     geom = build_lattice(1, 64)
     u = plane_wave(geom, (0,)).real
-    for eps, expected in [(0.5, 1), (0.2, 2), (0.1, 3), (0.05, 3), (0.02, 4)]:
-        dec = shell_decompose(geom, u, eps)
-        assert dec.k_eps == expected
-        assert dec.count == expected + 1
-        assert -math.log(eps) <= dec.k_eps < -math.log(eps) + 1.0
+    for eps, k_eps in [(0.5, 1), (0.2, 2), (0.1, 3), (0.05, 3), (0.02, 4)]:
+        l2, sup = shell_norms(geom, u, eps)
+        assert len(l2) == len(sup) == k_eps + 1
+        assert -math.log(eps) <= k_eps < -math.log(eps) + 1.0
 
 
-def test_shell_reconstruction_and_orthogonality():
-    geom = build_lattice(1, 48)
+@pytest.mark.parametrize("dim, half_side", [(1, 48), (2, 12), (3, 6)])
+def test_shell_norms_partition_a_generic_field(dim, half_side):
+    # a random field has mass at every frequency, so its squared shell norms
+    # sum to 1 only if the shells cover frequency space without overlap
+    geom = build_lattice(dim, half_side)
     rng = np.random.default_rng(2)
     u = rng.normal(size=geom.n_sites)
     u /= np.linalg.norm(u)
-    dec = shell_decompose(geom, u, 0.2)
-    pieces = np.array(dec.shells)
-    total = pieces.sum(axis=0)
-    assert float(np.abs(total - u).max()) <= 1e-12
-    gram = pieces @ pieces.T
-    off = gram - np.diag(np.diag(gram))
-    assert float(np.abs(off).max()) <= 1e-12
-    assert float(np.sum(dec.shell_l2**2)) == pytest.approx(1.0, abs=1e-10)
+    l2, sup = shell_norms(geom, u, 0.2)
+    assert float(np.sum(l2**2)) == pytest.approx(1.0, abs=1e-10)
+    assert (sup <= l2 * (1 + 1e-12)).all()  # ||u_k||_inf <= ||u_k||_2
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda geom, eps: shell_decompose(geom, plane_wave(geom, (0,)).real, eps),
+        lambda geom, eps: shell_norms(geom, plane_wave(geom, (0,)).real, eps),
+        lambda geom, eps: shell_statistics(geom, plane_wave(geom, (0,)).real, eps),
         lambda geom, eps: random_low_energy_field(geom, eps, np.random.default_rng(0)),
         trial_flat_fourier,
     ],
-    ids=["shell_decompose", "random_low_energy_field", "trial_flat_fourier"],
+    ids=["shell_norms", "shell_statistics", "random_low_energy_field", "trial_flat_fourier"],
 )
 def test_shell_scale_refusals(make):
     geom = build_lattice(1, 16)
@@ -106,17 +104,13 @@ def test_shell_scale_refusals(make):
         with pytest.raises(ValueError, match="eps"):
             make(geom, eps)
     make(geom, 0.5)
-    # the four-norm check refuses only eps * L < 1 (see its own test):
-    # phi0 of a strongly disordered sample has eps > 1
-    u = np.full(geom.n_sites, geom.n_sites**-0.5)
-    assert four_norm_bound_check(geom, u, 1.5) > 0
 
 
-def test_shell_decompose_validates_input():
+def test_shell_norms_validates_input():
     geom = build_lattice(1, 16)
     u = plane_wave(geom, (0,)).real
-    with pytest.raises(ValueError):
-        shell_decompose(geom, 2.0 * u, 0.5)  # not unit norm
+    with pytest.raises(ValueError, match="unit l2 norm"):
+        shell_norms(geom, 2.0 * u, 0.5)
 
 
 def test_sup_bounds_and_kinetic_stat_on_low_energy_fields():
@@ -125,25 +119,24 @@ def test_sup_bounds_and_kinetic_stat_on_low_energy_fields():
     for eps in (0.5, 0.1):
         for _ in range(20):
             u = random_low_energy_field(geom, eps, rng)
-            dec = shell_decompose(geom, u, eps)
-            ratios = dec.sup_bound_ratios()
-            finite = ratios[np.isfinite(ratios)]
-            assert (finite <= 1.0 + 1e-9).all()
-            stat = dec.annulus_kinetic_stat()
-            assert stat <= dec.lattice_constant * dec.kinetic * (1 + 1e-12) + 1e-15
-            assert dec.kinetic <= eps**2 * (1 + 1e-12)
+            four_norm, sup_ratio, annulus_ok = shell_statistics(geom, u, eps)
+            assert sup_ratio <= 1.0 + 1e-9
+            assert annulus_ok
+            assert four_norm == float(np.linalg.norm(u, 4)) / g_scale(eps, 1)
 
 
 def test_annulus_stat_matches_manual_sum():
+    # the sup ratio and annulus verdict, recomputed from the shell norms
     geom = build_lattice(1, 64)
     rng = np.random.default_rng(4)
     u = random_low_energy_field(geom, 0.2, rng)
-    dec = shell_decompose(geom, u, 0.2)
-    annulus = sum(
-        math.exp(2 * k - 2) * 0.2**2 * dec.shell_l2[k] ** 2
-        for k in range(1, dec.count)
-    )
-    assert dec.annulus_kinetic_stat() == pytest.approx(annulus, rel=1e-12)
+    l2, sup = shell_norms(geom, u, 0.2)
+    annulus = sum(math.exp(2 * k - 2) * 0.2**2 * l2[k] ** 2 for k in range(1, len(l2)))
+    bound = (geom.side / geom.half_side) ** 2 / 16 * dirichlet_energy(geom, u)
+    sup_ratio = max(sup[k] / (l2[k] * math.sqrt(math.e**k * 0.2)) for k in range(1, len(l2)))
+    _, got_sup_ratio, annulus_ok = shell_statistics(geom, u, 0.2)
+    assert got_sup_ratio == pytest.approx(sup_ratio, rel=1e-12)
+    assert 0 < annulus < bound and annulus_ok
 
 
 # --- four-norm bound -------------------------------------------------------------
@@ -151,21 +144,29 @@ def test_annulus_stat_matches_manual_sum():
 def test_four_norm_report_on_constant_field():
     geom = build_lattice(1, 32)
     u = np.full(geom.n_sites, geom.n_sites ** -0.5)
-    ratio = four_norm_bound_check(geom, u, 0.25)
+    ratio, _, annulus_ok = shell_statistics(geom, u, 0.25)
     assert ratio == pytest.approx(geom.n_sites**-0.25 / g_scale(0.25, 1))
+    assert annulus_ok
 
 
 def test_four_norm_preconditions_reported():
+    # the first failing check raises, in the order scale, unit norm, kinetic
+    # form, with the text a shells error record keeps
     geom = build_lattice(1, 32)
-    u = np.full(geom.n_sites, geom.n_sites ** -0.5)
-    with pytest.raises(ValueError):
-        four_norm_bound_check(geom, 2.0 * u, 0.25)
-    with pytest.raises(ValueError):
-        four_norm_bound_check(geom, u, 0.01)
+    flat = np.full(geom.n_sites, geom.n_sites ** -0.5)
     spiky = np.zeros(geom.n_sites)
-    spiky[0] = 1.0  # kinetic energy 2, far above eps^2
-    with pytest.raises(ValueError):
-        four_norm_bound_check(geom, spiky, 0.25)
+    spiky[0] = 1.0  # kinetic form 2, far above eps^2
+    cases = [
+        (flat, 0.0, "eps must lie in (0, 1), got 0.0"),
+        (flat, 1.5, "eps must lie in (0, 1), got 1.5"),
+        (2.0 * spiky, 0.01, "eps*L must be >= 1, got 0.32 (eps=0.01, L=32)"),
+        (2.0 * spiky, 0.25, "field must have unit l2 norm, got 2.0"),
+        (spiky, 0.25, "kinetic form 2.0 exceeds eps^2 = 0.0625; not a scale-eps field"),
+    ]
+    for field, eps, message in cases:
+        with pytest.raises(ValueError) as refused:
+            shell_statistics(geom, field, eps)
+        assert str(refused.value) == message
 
 
 # --- localization reports ---------------------------------------------------------
@@ -273,5 +274,6 @@ def test_default_band_scale_brackets():
         assert eps >= 1.0 / geom.half_side
         assert kinetic <= eps**2 * (1 + 1e-12)
         assert (kinetic > 1.0) == (v_max > 1.0)
-        # phi0 is a scale-eps field: the four-norm check accepts it
-        assert four_norm_bound_check(geom, phi0, eps) == np.linalg.norm(phi0, 4) / g_scale(eps, 1)
+        if eps < 1:  # phi0 is a scale-eps field: the shell statistics accept it
+            four_norm = shell_statistics(geom, phi0, eps)[0]
+            assert four_norm == np.linalg.norm(phi0, 4) / g_scale(eps, 1)

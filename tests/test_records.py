@@ -90,7 +90,8 @@ def test_nan_fields_round_trip_via_content_key(tmp_path):
         field_annulus_ok=(True, False),
     )
     back = RunRecord.from_json(rec.to_json())
-    # NaN != NaN, so dataclass equality cannot hold; the content key is the
+    # every NaN reads back as math.nan, and float("nan") is another object
+    # with NaN != NaN, so dataclass equality fails; the content key is the
     # intended comparison and maps NaN to a stable token, inside tuples too.
     assert back != rec
     assert back.content_key() == rec.content_key()
@@ -124,9 +125,7 @@ def test_line_without_the_later_payload_reads_back_empty(tmp_path):
     assert rec.e0 == 0.48111245515400536 and rec.center0 == (-2,)
     assert rec.window_counts == ()
     assert rec.field_four_norm_ratio == rec.field_sup_ratio == rec.field_annulus_ok == ()
-    # the same text again; == would see the defaulted gp_applies NaN differ
-    # from the NaN json reads back
-    assert RunRecord.from_json(rec.to_json()).to_json() == rec.to_json()
+    assert RunRecord.from_json(rec.to_json()) == rec
 
     # a line lacking any older payload field is still refused
     path = tmp_path / "old.jsonl"
@@ -226,6 +225,38 @@ def test_gp_applies_is_a_diagnostic(tmp_path):
     assert result.bad_lines == []
     assert math.isnan(result.records[0].gp_applies)
     assert result.records[0].content_key() == rec.content_key()
+
+
+def test_defaulted_record_equals_its_round_trip():
+    # the NaN defaults are math.nan, and so is every NaN read back
+    rec = RunRecord(master_seed=0, l_index=0, sample_index=0, dim=1, half_side=4, coupling=0.0)
+    back = RunRecord.from_json(rec.to_json())
+    assert back == rec and back.e0 is math.nan
+
+
+def test_malformed_tuple_fields_reported(tmp_path):
+    # a tuple field is a JSON list of its element type; a string is not
+    # iterated, and a non-bool entry is not coerced to a bool
+    data = json.loads(make_record().to_json())
+    path = tmp_path / "run.jsonl"
+    lines = [json.dumps(data)]
+    for name, value in [
+        ("center0", "12"),
+        ("window_counts", "7"),
+        ("field_annulus_ok", ["no"]),
+        ("center1", [True]),
+        ("window_counts", [7.0]),
+        ("field_sup_ratio", [False]),
+    ]:
+        lines.append(json.dumps(dict(data, **{name: value})))
+    lines.append(json.dumps(dict(data, window_counts=[7], field_sup_ratio=[1, 0.5, math.nan])))
+    path.write_text("\n".join(lines) + "\n")
+    result = read_records(path)
+    assert [lineno for lineno, _ in result.bad_lines] == [2, 3, 4, 5, 6, 7]
+    assert all("must be a list of" in message for _, message in result.bad_lines)
+    last = result.records[-1]
+    assert last.window_counts == (7,) and last.field_sup_ratio[:2] == (1.0, 0.5)
+    assert type(last.field_sup_ratio[0]) is float and math.isnan(last.field_sup_ratio[2])
 
 
 def test_write_then_read(tmp_path):
