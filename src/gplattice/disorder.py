@@ -144,14 +144,12 @@ def restrict_hamiltonian(
     else:
         diag = 2.0 * geom.dim + pot
 
-    return HamiltonianOperator(
-        geom=geom, diag=diag, shape=shape, potential=pot, bc=region.bc
-    )
+    return HamiltonianOperator(geom=geom, diag=diag, shape=shape, potential=pot)
 
 
 def periodic_hamiltonian(realization: DisorderRealization) -> HamiltonianOperator:
     """-Delta + V on the full torus."""
     geom, pot = realization.geom, realization.potential
     return HamiltonianOperator(
-        geom=geom, diag=2.0 * geom.dim + pot, shape=geom.shape, potential=pot, bc="periodic"
+        geom=geom, diag=2.0 * geom.dim + pot, shape=geom.shape, potential=pot
     )

@@ -6,9 +6,10 @@ master seed.  Each sample re-derives its random streams from the provenance
 triple (master seed, L index, sample index), so a run is reproducible bit for
 bit and can be sharded over workers without changing a single record.
 
-Every experiment runs through one sample function, which draws the potential,
-solves for the spectrum, and turns any failure into an error record; an
-experiment adds only its observable and its summary (see ``_PIPELINES``).
+Every experiment runs through one sample function, ``replay_sample``, which
+draws the potential, solves for the spectrum, and turns any failure into an
+error record; ``run_plan`` maps it over the plan's slots, and an experiment
+adds only its observable and its summary (see ``_PIPELINES``).
 A sample's only output is its record, so a summary is a function of the plan
 and the records (``summarize``).
 
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import product
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -310,16 +311,19 @@ class ExperimentResult:
     invariant_violations: list[str]
 
 
-def _parallel_map(fn: Callable, tasks: list[tuple], workers: int) -> list:
-    if workers <= 1:
-        return [fn(task) for task in tasks]
+def _parallel_map(fn: Callable, plan: ExperimentPlan, slots: list[tuple[int, int]]) -> list:
+    """``fn(plan, index, sample)`` for each (index, sample) slot, in order."""
+    if plan.workers <= 1:
+        return [fn(plan, index, sample) for index, sample in slots]
     # numpy imports numpy.random lazily; importing it before the fork spares
     # every worker the import on its first sample
     import numpy.random  # noqa: F401
+    from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+    indices, samples = zip(*slots)
+    chunk = max(1, len(slots) // (8 * plan.workers))
+    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        return list(pool.map(fn, [plan] * len(slots), indices, samples, chunksize=chunk))
 
 
 def _quantiles(values: np.ndarray) -> tuple[float, float, float]:
@@ -362,13 +366,13 @@ class _Pipeline:
     interacting: bool = False
 
 
-def _sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
+def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunRecord:
     """Draw, solve and observe one (plan, L index, sample index) slot.
 
-    A failure anywhere after the record's base fields becomes an error
-    record.
+    ``run_plan`` maps this over the plan's slots, so any record of any
+    experiment replays from its provenance.  A failure anywhere after the
+    record's base fields becomes an error record.
     """
-    plan, l_index, sample_index = task
     pipeline = _PIPELINES[plan.experiment]
     half_side = plan.l_grid[l_index]
     geom = build_lattice(plan.dim, half_side)
@@ -404,15 +408,22 @@ def _sample(task: tuple[ExperimentPlan, int, int]) -> RunRecord:
     return RunRecord(**base, **fields, wall_time=time.perf_counter() - start)
 
 
-def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunRecord:
-    """Replay a single record of any experiment from its provenance."""
-    return _sample((plan, l_index, sample_index))
-
-
 def summarize(plan: ExperimentPlan, records: list[RunRecord]) -> Summary:
-    """The plan's summary of its records, healthy ones grouped per L."""
+    """The plan's summary of its records, healthy ones grouped per L.
+
+    Each record, error records included, must fill a distinct slot of the
+    plan, with the plan's seed, dim and L; slots may stay empty.
+    """
+    open_slots = {
+        (plan.seed, l_index, sample): half_side
+        for l_index, half_side in enumerate(plan.l_grid)
+        for sample in range(plan.samples)
+    }
     groups: list[list[RunRecord]] = [[] for _ in plan.l_grid]
     for record in records:
+        slot = (record.master_seed, record.l_index, record.sample_index)
+        if record.dim != plan.dim or open_slots.pop(slot, None) != record.half_side:
+            raise ValueError(f"record {slot} is not a distinct slot of this plan")
         if record.error is None:
             groups[record.l_index].append(record)
     series, checks = _PIPELINES[plan.experiment].summarize(plan, groups)
@@ -422,12 +433,8 @@ def summarize(plan: ExperimentPlan, records: list[RunRecord]) -> Summary:
 
 def run_plan(plan: ExperimentPlan) -> ExperimentResult:
     """Run every (L, sample) slot of a plan and summarize its records."""
-    tasks = [
-        (plan, l_index, sample)
-        for l_index in range(len(plan.l_grid))
-        for sample in range(plan.samples)
-    ]
-    records = _parallel_map(_sample, tasks, plan.workers)
+    slots = list(product(range(len(plan.l_grid)), range(plan.samples)))
+    records = _parallel_map(replay_sample, plan, slots)
     return ExperimentResult(
         plan=plan,
         records=records,
@@ -590,9 +597,8 @@ def _observe_estimates(plan, l_index, sample_index, geom, ham, vals):
     )
 
 
-def _box_ground_sample(task: tuple[ExperimentPlan, int, int]) -> float:
+def _box_ground_sample(plan: ExperimentPlan, side_index: int, sample_index: int) -> float:
     """Neumann ground energy of a side-l box with freshly sampled potential."""
-    plan, side_index, sample_index = task
     side = plan.box_sides[side_index]
     geom = build_lattice(plan.dim, side)  # host torus of side 2l+1 holds the box
     realization = sample_potential(
@@ -642,12 +648,8 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
 
         law += _gap_law(plan, half_side, np.array([r.gap for r in group]))
 
-    box_tasks = [
-        (plan, side_index, s)
-        for side_index in range(len(plan.box_sides))
-        for s in range(plan.samples)
-    ]
-    energies = np.array(_parallel_map(_box_ground_sample, box_tasks, plan.workers))
+    slots = list(product(range(len(plan.box_sides)), range(plan.samples)))
+    energies = np.array(_parallel_map(_box_ground_sample, plan, slots))
     lifshitz = [
         [side, float(np.mean(row <= side**-2.0))]
         for side, row in zip(plan.box_sides, energies.reshape(-1, plan.samples))

@@ -29,12 +29,15 @@ DIAGNOSTICS = (
     "gp_applies",
 )
 
-# tuple payload fields by element type; all but the centers read back empty
-# from streams written without them
-_TUPLES = dict(
-    center0=int, center1=int, window_counts=int,
-    field_four_norm_ratio=float, field_sup_ratio=float, field_annulus_ok=bool,
+# payload fields that read back empty from streams written without them
+_LATE_PAYLOADS = (
+    "window_counts", "field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok",
 )
+
+# the JSON values a field of each annotation takes: an int field takes no
+# bool, a float field an int too (kept as it is, so a record equals its own
+# round trip), a bool field only a bool; tuple fields take lists of those
+_KINDS = {"int": int, "float": float, "bool": bool, "str | None": (str, type(None))}
 
 # json's constants; NaN is the math.nan object the defaults hold, so a record
 # equals its own round trip (tuple comparison checks identity before ==)
@@ -111,22 +114,29 @@ class RunRecord:
         data = json.loads(line, parse_constant=_CONSTANTS.__getitem__)
         if not isinstance(data, dict):
             raise ValueError(f"record is not a JSON object: {line[:40]!r}")
-        known = {f.name for f in fields(cls)}
+        annotations = {f.name: f.type for f in fields(cls)}
         for name in DIAGNOSTICS[1:]:
             data.setdefault(name, math.nan)
-        for name in list(_TUPLES)[2:]:
+        for name in _LATE_PAYLOADS:
             data.setdefault(name, [])
-        missing = known - data.keys()
+        missing = annotations.keys() - data.keys()
         if missing:
             raise ValueError(f"record is missing fields {sorted(missing)}")
-        extra = data.keys() - known
+        extra = data.keys() - annotations.keys()
         if extra:
             raise ValueError(f"record has unknown fields {sorted(extra)}")
-        for name, kind in _TUPLES.items():
+        for name, annotation in annotations.items():
             value = data[name]
-            if not isinstance(value, list) or not all(_is_entry(kind, v) for v in value):
-                raise ValueError(f"{name} must be a list of {kind.__name__}s, got {value!r}")
-            data[name] = tuple(kind(v) for v in value)
+            if annotation.startswith("tuple["):
+                kind = _KINDS[annotation[len("tuple["):-len(", ...]")]]
+                if not isinstance(value, list) or not all(_is_entry(kind, v) for v in value):
+                    raise ValueError(f"{name} must be a list of {kind.__name__}s, got {value!r}")
+                data[name] = tuple(kind(v) for v in value)
+            elif not _is_entry(_KINDS[annotation], value):
+                raise ValueError(f"{name} must be a JSON {annotation}, got {value!r}")
+        slot = (data["master_seed"], data["l_index"], data["sample_index"])
+        if min(slot) < 0:
+            raise ValueError(f"record slot {slot} has a negative entry")
         return cls(**data)
 
 

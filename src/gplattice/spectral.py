@@ -57,17 +57,17 @@ class HamiltonianOperator:
     The operator is a stencil on the region's grid of side lengths
     ``shape``.  An axis as long as the torus side keeps the coupling between
     its end faces; on a shorter axis the couplings that leave the region are
-    dropped.  Boundary conventions: periodic and Dirichlet keep the full
-    diagonal 2d + V, the Neumann restriction reduces it to the in-region
-    degree + V so that the region-constant vector is in the kernel whenever
-    V vanishes.
+    dropped.  So the operator is periodic exactly when ``shape`` is the
+    torus's ``geom.shape``.  Boundary conventions: periodic and Dirichlet
+    keep the full diagonal 2d + V, the Neumann restriction reduces it to the
+    in-region degree + V so that the region-constant vector is in the kernel
+    whenever V vanishes.
     """
 
     geom: LatticeGeometry
     diag: np.ndarray        # kinetic diagonal + potential (n,)
     shape: tuple[int, ...]  # the region's side lengths
     potential: np.ndarray   # (n,)
-    bc: str
 
     @property
     def n_sites(self) -> int:

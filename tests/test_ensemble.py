@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -435,6 +436,28 @@ def test_summarize_names_a_payload_missing_from_older_records(
         summarize(plan, read.records)
 
 
+def test_summarize_refuses_records_that_are_not_a_distinct_slot_of_the_plan():
+    # each foreign record stands in for the run's last one, so only its own
+    # fields (or a repeated slot) can refuse it
+    plan = ExperimentPlan(experiment="spectrum", seed=4, l_grid=(4, 6), samples=2)
+    *records, last = run_plan(plan).records
+    other_seed = run_plan(replace(plan, seed=5)).records
+    for foreign in [
+        other_seed[0],
+        replace(last, l_index=-1),
+        replace(last, l_index=2),
+        replace(last, half_side=4),
+        replace(last, sample_index=2),
+        replace(last, dim=2),
+        replace(records[0], error="injected failure"),
+    ]:
+        slot = (foreign.master_seed, foreign.l_index, foreign.sample_index)
+        with pytest.raises(ValueError, match=re.escape(str(slot))):
+            summarize(plan, records + [foreign])
+    # missing slots are allowed
+    assert summarize(plan, records[1:]).n_ok == {4: 1, 6: 1}
+
+
 # one small plan per experiment, at the sizes of the smoke tests below
 SMALL_PLANS = [
     base_plan(l_grid=(4,), samples=4),
@@ -628,13 +651,8 @@ def test_estimates_window_counts_match_the_mask_definition(case):
     assert fields["gap"] == vals[1] - vals[0]
 
 
-def test_pool_workers_start_with_numpy_random_imported():
-    # numpy.random is imported lazily; a worker forked without it pays the
-    # import on its first sample.  Each task is evaluated in a worker.
-    code = (
-        "from gplattice.ensemble import _parallel_map\n"
-        "print(_parallel_map(eval, [\"'numpy.random' in __import__('sys').modules\"] * 4, 2))"
-    )
+def fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports gplattice."""
     src = str(Path(ensemble.__file__).parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -644,7 +662,30 @@ def test_pool_workers_start_with_numpy_random_imported():
         check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == str([True] * 4)
+    return out.stdout.strip()
+
+
+def test_pool_workers_start_with_numpy_random_imported():
+    # numpy.random is imported lazily; a worker forked without it pays the
+    # import on its first sample.  Each slot is evaluated in a worker, and
+    # the results come back in slot order.
+    code = (
+        "import sys\n"
+        "from gplattice import ExperimentPlan\n"
+        "from gplattice.ensemble import _parallel_map\n"
+        "def probe(plan, index, sample):\n"
+        "    return plan.seed, index, sample, 'numpy.random' in sys.modules\n"
+        "plan = ExperimentPlan(experiment='spectrum', seed=9, workers=2)\n"
+        "print(_parallel_map(probe, plan, [(0, 0), (1, 0), (0, 1), (2, 3)]))"
+    )
+    slots = [(0, 0), (1, 0), (0, 1), (2, 3)]
+    assert fresh_interpreter(code) == str([(9, i, s, True) for i, s in slots])
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a run with workers > 1 needs the pool and multiprocessing
+    code = "import sys, gplattice\nprint('concurrent.futures.process' in sys.modules)"
+    assert fresh_interpreter(code) == "False"
 
 
 def test_estimates_runner_refuses_oversize_grids():

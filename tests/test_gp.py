@@ -7,12 +7,14 @@ from scipy import optimize
 from gplattice import (
     DisorderSpec,
     GPProblem,
+    Region,
     build_lattice,
     certificate,
     dense_matrix,
     lowest_eigenpairs,
     minimize_gp,
     periodic_hamiltonian,
+    restrict_hamiltonian,
     sample_potential,
 )
 from gplattice import gp
@@ -40,6 +42,23 @@ def test_problem_validation():
     ham = periodic_hamiltonian(sample_potential(SPEC, geom))
     with pytest.raises(ValueError):
         GPProblem(ham, -0.1)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("dim, half", [(1, 5), (2, 3)])
+def test_a_region_covering_the_torus_is_the_periodic_operator(dim, half, bc):
+    # an axis as long as the torus side keeps its wrap coupling, so a box
+    # of the whole torus is the periodic operator, and the GP problem takes it
+    real = sample_potential(SPEC, build_lattice(dim, half), 0, 2)
+    full = (-half, 2 * half + 1)
+    whole = restrict_hamiltonian(real, Region((full,) * dim, bc=bc))
+    ham = periodic_hamiltonian(real)
+    assert np.array_equal(whole.diag, ham.diag)
+    assert np.array_equal(dense_matrix(whole), dense_matrix(ham))
+    assert GPProblem(whole, 0.1).hamiltonian is whole
+    smaller = Region(((-half, 2 * half),) + (full,) * (dim - 1), bc=bc)
+    with pytest.raises(ValueError, match="posed on the periodic torus"):
+        GPProblem(restrict_hamiltonian(real, smaller), 0.1)
 
 
 @pytest.mark.parametrize(

@@ -259,6 +259,33 @@ def test_malformed_tuple_fields_reported(tmp_path):
     assert type(last.field_sup_ratio[0]) is float and math.isnan(last.field_sup_ratio[2])
 
 
+def test_mistyped_scalar_fields_reported(tmp_path):
+    # a scalar field takes the JSON type of its annotation: no bool for an
+    # int or a float, no number for a bool, a string or null for the error;
+    # the provenance slot is non-negative
+    data = json.loads(make_record().to_json())
+    path = tmp_path / "run.jsonl"
+    lines = [json.dumps(data)]
+    for name, value in [
+        ("e0", "abc"),
+        ("l_index", -1),
+        ("l_index", True),
+        ("gp_iterations", 2.5),
+        ("cert_valid", 1),
+        ("half_side", "4"),
+        ("error", 5),
+    ]:
+        lines.append(json.dumps(dict(data, **{name: value})))
+    lines.append(json.dumps(dict(data, e0=1, error="solver failed")))
+    path.write_text("\n".join(lines) + "\n")
+    result = read_records(path)
+    assert [lineno for lineno, _ in result.bad_lines] == [2, 3, 4, 5, 6, 7, 8]
+    # an int in a float field is kept as it is, so the record round-trips
+    last = result.records[-1]
+    assert type(last.e0) is int and last.error == "solver failed"
+    assert RunRecord.from_json(last.to_json()) == last
+
+
 def test_write_then_read(tmp_path):
     path = tmp_path / "run.jsonl"
     recs = [make_record(sample_index=i) for i in range(5)]
