@@ -30,6 +30,7 @@ statistics of disordered operators have heavy tails.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, fields
 from itertools import product
@@ -313,7 +314,11 @@ class ExperimentResult:
 
 def _parallel_map(fn: Callable, plan: ExperimentPlan, slots: list[tuple[int, int]]) -> list:
     """``fn(plan, index, sample)`` for each (index, sample) slot, in order."""
-    if plan.workers <= 1:
+    # a fork pool starts all of its processes at the first submit, so start
+    # no more than there are slots and usable CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(plan.workers, len(slots), cpus or 1)
+    if workers <= 1:
         return [fn(plan, index, sample) for index, sample in slots]
     # numpy imports numpy.random lazily; importing it before the fork spares
     # every worker the import on its first sample
@@ -321,8 +326,8 @@ def _parallel_map(fn: Callable, plan: ExperimentPlan, slots: list[tuple[int, int
     from concurrent.futures import ProcessPoolExecutor
 
     indices, samples = zip(*slots)
-    chunk = max(1, len(slots) // (8 * plan.workers))
-    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+    chunk = max(1, len(slots) // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, [plan] * len(slots), indices, samples, chunksize=chunk))
 
 
@@ -484,10 +489,8 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
         overlap=cert.pi0_norm,
         cert_valid=cert.valid,
         cert_margin=cert.margin,
-        pi0_norm=cert.pi0_norm,
         orth_norm=cert.orth_norm,
         gp_iterations=gp.iterations,
-        gp_converged=gp.converged,
         gp_grad_norm=gp.grad_norm,
         gp_applies=gp.applies,
         t_gp=t_gp,

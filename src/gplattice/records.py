@@ -5,13 +5,12 @@ shortest-round-trip precision so reading a stream back reproduces every
 numeric field exactly.  A record holds everything a summary reads, so a
 summary is a function of the plan and the records: ``estimates`` records
 carry their window counts, ``shells`` records their random-field statistics,
-one entry per kept eps, and a stream written before those fields existed
-reads back with them empty.  The diagnostics (``wall_time``, the GP
-minimizer's final gradient and operator applications, the eigensolver's
-applied columns and largest residual, and the seconds spent in the
-eigensolve and in the GP minimization) are bookkeeping, not payload: record
-content comparisons (and the determinism guarantees) exclude them, and a
-stream written before a diagnostic existed reads back with it set to NaN.
+one entry per kept eps.  The diagnostics (``wall_time``, the GP minimizer's
+final gradient and operator applications, the eigensolver's applied columns
+and largest residual, and the seconds spent in the eigensolve and in the GP
+minimization) are bookkeeping, not payload: record content comparisons (and
+the determinism guarantees) exclude them.  A records file is read by the
+version that wrote it: a line with a missing or unknown field is a bad line.
 """
 
 from __future__ import annotations
@@ -22,16 +21,10 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
-# bookkeeping fields, kept out of content comparisons; all but wall_time
-# read back as NaN from streams written without them
+# bookkeeping fields, kept out of content comparisons
 DIAGNOSTICS = (
     "wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max", "t_eig", "t_gp",
     "gp_applies",
-)
-
-# payload fields that read back empty from streams written without them
-_LATE_PAYLOADS = (
-    "window_counts", "field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok",
 )
 
 # the JSON values a field of each annotation takes: an int field takes no
@@ -69,13 +62,11 @@ class RunRecord:
     kinetic: float = math.nan
     cert_valid: bool = False
     cert_margin: float = math.nan
-    pi0_norm: float = math.nan
     orth_norm: float = math.nan
     center0: tuple[int, ...] = ()
     center1: tuple[int, ...] = ()
     center_dist: int = -1
     gp_iterations: int = 0
-    gp_converged: bool = False
     # estimates: levels in each window of wegner_widths + minami_widths
     window_counts: tuple[int, ...] = ()
     # shells, one entry per kept eps: ||u||_4 / g(eps), the largest shell sup
@@ -115,10 +106,6 @@ class RunRecord:
         if not isinstance(data, dict):
             raise ValueError(f"record is not a JSON object: {line[:40]!r}")
         annotations = {f.name: f.type for f in fields(cls)}
-        for name in DIAGNOSTICS[1:]:
-            data.setdefault(name, math.nan)
-        for name in _LATE_PAYLOADS:
-            data.setdefault(name, [])
         missing = annotations.keys() - data.keys()
         if missing:
             raise ValueError(f"record is missing fields {sorted(missing)}")

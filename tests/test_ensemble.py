@@ -1,5 +1,4 @@
 import ast
-import json
 import math
 import os
 import re
@@ -21,10 +20,8 @@ from gplattice import (
     build_lattice,
     dense_matrix,
     periodic_hamiltonian,
-    read_records,
     replay_sample,
     run_plan,
-    write_records,
 )
 from gplattice.ensemble import (
     overlap_deficit_scale,
@@ -297,7 +294,7 @@ def test_condense_records_carry_provenance_and_physics(small_condense):
         assert rec.coupling == plan.coupling_for(rec.l_index)
         assert rec.e0 <= rec.e_gp <= rec.e0 + rec.coupling * rec.ipr + 1e-9
         assert 0.0 <= rec.overlap <= 1.0 + 1e-10
-        assert rec.gp_converged
+        assert math.isfinite(rec.e_gp)
 
 
 def test_records_carry_eigensolver_diagnostics(small_condense):
@@ -373,7 +370,7 @@ TREND_GRID = dict(experiment="condense", dim=1, l_grid=(64, 128, 256, 512), c=1.
 def test_formerly_stalled_samples_are_healthy(seed, l_index, sample_index):
     plan = ExperimentPlan(seed=seed, samples=sample_index + 1, **TREND_GRID)
     rec = replay_sample(plan, l_index, sample_index)
-    assert rec.error is None and rec.gp_converged
+    assert rec.error is None and math.isfinite(rec.e_gp)
     assert rec.gp_grad_norm <= plan.tol_gp
     assert rec.cert_valid and rec.cert_margin >= 0.0
     assert record_invariant_errors(rec) == []
@@ -417,23 +414,14 @@ FIELD_PAYLOAD = ("field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok")
     [("estimates", (3,), ("window_counts",)), ("shells", (8,), FIELD_PAYLOAD)],
     ids=["estimates", "shells"],
 )
-def test_summarize_names_a_payload_missing_from_older_records(
-    experiment, l_grid, payload, tmp_path
-):
-    # records written before the payload fields existed read back with them
-    # empty; the summary refuses them by name instead of a numpy error
+def test_summarize_names_a_payload_missing_from_older_records(experiment, l_grid, payload):
+    # records without their payload are refused by name instead of a numpy error
     plan = ExperimentPlan(experiment=experiment, seed=2, l_grid=l_grid, samples=2)
-    path = tmp_path / "old.jsonl"
-    write_records(path, run_plan(plan).records)
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    for data in lines:
-        for key in payload:
-            del data[key]
-    path.write_text("".join(json.dumps(data) + "\n" for data in lines))
-    read = read_records(path)
-    assert read.bad_lines == [] and len(read.records) == 2
+    records = [
+        replace(rec, **{key: () for key in payload}) for rec in run_plan(plan).records
+    ]
     with pytest.raises(ValueError, match=payload[0]):
-        summarize(plan, read.records)
+        summarize(plan, records)
 
 
 def test_summarize_refuses_records_that_are_not_a_distinct_slot_of_the_plan():
@@ -668,9 +656,11 @@ def fresh_interpreter(code: str) -> str:
 def test_pool_workers_start_with_numpy_random_imported():
     # numpy.random is imported lazily; a worker forked without it pays the
     # import on its first sample.  Each slot is evaluated in a worker, and
-    # the results come back in slot order.
+    # the results come back in slot order.  Two usable CPUs, so that the
+    # pool runs on a one-CPU host too.
     code = (
-        "import sys\n"
+        "import os, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "from gplattice import ExperimentPlan\n"
         "from gplattice.ensemble import _parallel_map\n"
         "def probe(plan, index, sample):\n"
@@ -680,6 +670,42 @@ def test_pool_workers_start_with_numpy_random_imported():
     )
     slots = [(0, 0), (1, 0), (0, 1), (2, 3)]
     assert fresh_interpreter(code) == str([(9, i, s, True) for i, s in slots])
+
+
+@pytest.mark.parametrize(
+    "workers, n_slots, cpus, started",
+    [(8, 1, 8, []), (800, 40, 2, [2]), (3, 2, 4, [2]), (2, 1000, 2, [2]), (4, 5, 1, [])],
+    ids=["one-slot", "cpu-bound", "slot-bound", "estimates-pool", "one-cpu"],
+)
+def test_pool_starts_no_more_workers_than_slots_or_cpus(
+    workers, n_slots, cpus, started, monkeypatch
+):
+    # a fork pool starts all max_workers processes at the first submit; the
+    # stand-in records its size and maps serially
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    plan = ExperimentPlan(experiment="spectrum", seed=9, workers=workers)
+    slots = [(0, sample) for sample in range(n_slots)]
+    out = ensemble._parallel_map(lambda plan, index, sample: (index, sample), plan, slots)
+    assert out == slots
+    assert sizes == started
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -34,13 +34,11 @@ def make_record(**overrides):
         kinetic=0.05,
         cert_valid=True,
         cert_margin=2e-7,
-        pi0_norm=0.99,
-        orth_norm=math.sqrt(1 - 0.99**2),
+        orth_norm=math.sqrt(1 - 0.999999999**2),
         center0=(4,),
         center1=(-3,),
         center_dist=7,
         gp_iterations=512,
-        gp_converged=True,
         error=None,
         wall_time=1.25,
         gp_grad_norm=3.5e-10,
@@ -105,39 +103,33 @@ def test_nan_fields_round_trip_via_content_key(tmp_path):
     assert read.field_annulus_ok == (True, False)
 
 
-# a shells line as written before the window counts and field statistics
-# were record payload
-PRE_PAYLOAD_LINE = (
-    '{"master_seed": 0, "l_index": 0, "sample_index": 0, "dim": 1, "half_side": 8, '
-    '"coupling": 0.0, "e0": 0.48111245515400536, "e1": NaN, "e_gp": NaN, '
-    '"overlap": NaN, "gap": NaN, "ipr": 0.08608800804453312, '
-    '"kinetic": 0.03084319948771897, "cert_valid": false, "cert_margin": NaN, '
-    '"pi0_norm": NaN, "orth_norm": NaN, "center0": [-2], "center1": [], '
-    '"center_dist": -1, "gp_iterations": 0, "gp_converged": false, "error": null, '
-    '"wall_time": 0.01913531400350621, "gp_grad_norm": NaN, "eig_applies": 18, '
-    '"eig_residual_max": 2.4047347260703216e-15, "t_eig": 0.0009479639993514866, '
-    '"t_gp": NaN}'
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pi0_norm", 0.999999999),
+        ("gp_converged", True),
+        ("gp_applies", None),
+        ("t_gp", None),
+        ("window_counts", None),
+    ],
+    ids=["pi0_norm-added", "gp_converged-added", "no-gp_applies", "no-t_gp", "no-window_counts"],
 )
-
-
-def test_line_without_the_later_payload_reads_back_empty(tmp_path):
-    rec = RunRecord.from_json(PRE_PAYLOAD_LINE)
-    assert rec.e0 == 0.48111245515400536 and rec.center0 == (-2,)
-    assert rec.window_counts == ()
-    assert rec.field_four_norm_ratio == rec.field_sup_ratio == rec.field_annulus_ok == ()
-    assert RunRecord.from_json(rec.to_json()) == rec
-
-    # a line lacking any older payload field is still refused
-    path = tmp_path / "old.jsonl"
-    data = json.loads(PRE_PAYLOAD_LINE)
-    lines = [PRE_PAYLOAD_LINE]
-    for name in ("e0", "kinetic", "center1", "error"):
-        lines.append(json.dumps({k: v for k, v in data.items() if k != name}))
-    path.write_text("\n".join(lines) + "\n")
+def test_line_of_another_schema_is_a_bad_line(field, value, tmp_path):
+    # a records file is read by the version that wrote it: a line with a
+    # field added (a value) or removed (None) is bad, and names the field
+    rec = make_record()
+    data = json.loads(rec.to_json())
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    path = tmp_path / "run.jsonl"
+    path.write_text(rec.to_json() + "\n" + json.dumps(data) + "\n")
     result = read_records(path)
-    assert len(result.records) == 1
-    assert [lineno for lineno, _ in result.bad_lines] == [2, 3, 4, 5]
-    assert all("missing fields" in message for _, message in result.bad_lines)
+    assert result.records == [rec]
+    [(lineno, message)] = result.bad_lines
+    assert lineno == 2
+    assert f"{'missing' if value is None else 'unknown'} fields [{field!r}]" in message
 
 
 def test_wall_time_excluded_from_content():
@@ -148,25 +140,15 @@ def test_wall_time_excluded_from_content():
     assert "wall_time" not in a.content_dict()
 
 
-def test_gp_grad_norm_is_a_diagnostic(tmp_path):
+def test_gp_grad_norm_is_a_diagnostic():
     rec = make_record(gp_grad_norm=9.87654321e-10)
     back = RunRecord.from_json(rec.to_json())
     assert back == rec and back.gp_grad_norm == 9.87654321e-10
     assert "gp_grad_norm" not in rec.content_dict()
     assert rec.content_key() == make_record(gp_grad_norm=1e-3).content_key()
 
-    # a stream written before the field existed still loads, with NaN
-    path = tmp_path / "old.jsonl"
-    data = json.loads(rec.to_json())
-    del data["gp_grad_norm"]
-    path.write_text(json.dumps(data) + "\n")
-    result = read_records(path)
-    assert result.bad_lines == []
-    assert math.isnan(result.records[0].gp_grad_norm)
-    assert result.records[0].content_key() == rec.content_key()
 
-
-def test_eigensolver_diagnostics_round_trip(tmp_path):
+def test_eigensolver_diagnostics_round_trip():
     rec = make_record(eig_applies=4213, eig_residual_max=8.123456789e-11)
     back = RunRecord.from_json(rec.to_json())
     assert back == rec
@@ -174,57 +156,21 @@ def test_eigensolver_diagnostics_round_trip(tmp_path):
     assert not {"eig_applies", "eig_residual_max"} & rec.content_dict().keys()
     assert rec.content_key() == make_record(eig_applies=7, eig_residual_max=1.0).content_key()
 
-    # a line written before the solver diagnostics existed reads back NaN
-    data = json.loads(rec.to_json())
-    del data["eig_applies"], data["eig_residual_max"]
-    old = json.dumps(data)
-    data.pop("gp_grad_norm")
-    older = json.dumps(data)
-    path = tmp_path / "old.jsonl"
-    path.write_text(old + "\n" + older + "\n")
-    result = read_records(path)
-    assert result.bad_lines == []
-    for back in result.records:
-        assert math.isnan(back.eig_applies) and math.isnan(back.eig_residual_max)
-        assert back.content_key() == rec.content_key()
-    assert math.isnan(result.records[1].gp_grad_norm)
 
-
-def test_stage_times_are_diagnostics(tmp_path):
+def test_stage_times_are_diagnostics():
     rec = make_record(t_eig=0.123456789, t_gp=9.87e-4)
     back = RunRecord.from_json(rec.to_json())
     assert back == rec and (back.t_eig, back.t_gp) == (0.123456789, 9.87e-4)
     assert not {"t_eig", "t_gp"} & rec.content_dict().keys()
     assert rec.content_key() == make_record(t_eig=5.0, t_gp=math.nan).content_key()
 
-    # a line written before the stage times existed reads back NaN
-    data = json.loads(rec.to_json())
-    del data["t_eig"], data["t_gp"]
-    path = tmp_path / "old.jsonl"
-    path.write_text(json.dumps(data) + "\n")
-    result = read_records(path)
-    assert result.bad_lines == []
-    back = result.records[0]
-    assert math.isnan(back.t_eig) and math.isnan(back.t_gp)
-    assert back.content_key() == rec.content_key()
 
-
-def test_gp_applies_is_a_diagnostic(tmp_path):
+def test_gp_applies_is_a_diagnostic():
     rec = make_record(gp_applies=123)
     back = RunRecord.from_json(rec.to_json())
     assert back == rec and back.gp_applies == 123
     assert "gp_applies" not in rec.content_dict()
     assert rec.content_key() == make_record(gp_applies=math.nan).content_key()
-
-    # a line written before the count existed reads back NaN
-    data = json.loads(rec.to_json())
-    del data["gp_applies"]
-    path = tmp_path / "old.jsonl"
-    path.write_text(json.dumps(data) + "\n")
-    result = read_records(path)
-    assert result.bad_lines == []
-    assert math.isnan(result.records[0].gp_applies)
-    assert result.records[0].content_key() == rec.content_key()
 
 
 def test_defaulted_record_equals_its_round_trip():
