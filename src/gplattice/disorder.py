@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGeometry, stencil
+from .lattice import LatticeGeometry, bind_stencil
 from .spectral import HamiltonianOperator
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann")
@@ -109,7 +109,8 @@ class Region:
 def _neumann_degree(shape: tuple[int, ...], side: int) -> np.ndarray:
     """In-region neighbour count of every site of a box (read-only, shared)."""
     n = math.prod(shape)
-    degree = -stencil(shape, side, np.ones(n), np.zeros(n))
+    degree = np.zeros(n)
+    bind_stencil(shape, side, -np.ones(n), degree)()  # subtracts -1 per neighbour
     degree.setflags(write=False)
     return degree
 

@@ -14,10 +14,11 @@ only the sites on a row end of that axis need a correction.  A block of k
 fields is held site-major, the k values of one site adjacent, so the stencil
 sees it as one flat field with k trailing entries per site: each shift is
 one contiguous pass over the whole block, and the leading axis has no row
-ends inside the block.  The stencil is a short list of in-place updates, each
-a view of the output, a view of the input and a ufunc; a solver that applies
-it again and again to the same pair of buffers binds them once
-(:func:`bind_stencil`) and calls the binding at every step.
+ends inside the block.  :func:`bind_stencil` binds a pair of buffers to the
+stencil's short list of in-place updates, each a view of the output, a view
+of the input and a ufunc; a one-shot application calls the binding once, and
+a solver that applies the stencil again and again to the same pair calls it
+at every step.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol
@@ -90,19 +91,23 @@ def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
 def bind_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.ndarray):
     """The stencil of ``field`` into ``out``, bound once: a call subtracts the neighbours.
 
-    ``field`` and ``out`` are C-contiguous arrays of one shape, read as flat
-    fields (see :func:`stencil`).  The binding is a list of in-place updates,
-    each a view of ``out``, a view of ``field`` and a ufunc, so it stays
-    valid while both arrays keep their memory: a solver that overwrites the
-    same pair of buffers binds them once and calls the binding at every
-    step.  The updates are applied in order.  Per axis of flat stride ``s``,
-    two shifts of the whole flat block by ``s`` subtract the neighbours.  On
-    the axis's (-1, length, s) view, whose rows run along the axis, the
-    couplings the shifts made across a row end are added back; the leading
-    axis spans the block in one row, so it has none.  An axis as long as the
-    torus side also couples its two end faces, in one update of the
-    [first, last] face pair from the [last, first] pair; a shorter axis drops
-    the couplings that leave the box.
+    The box has side lengths ``shape`` on a torus of side ``side``; the whole
+    torus is the box of shape ``(side,) * d``.  ``field`` and ``out`` are
+    C-contiguous arrays of one shape, read in C order as one flat field of
+    k * sites entries, k uncoupled entries per site, trailing: one field
+    (k = 1) or a (sites, k) block of k fields held site-major.  The binding
+    is a list of in-place updates, each a view of ``out``, a view of
+    ``field`` and a ufunc, so it stays valid while both arrays keep their
+    memory: a one-shot application fills ``out`` and calls the binding at
+    once, and a solver that overwrites the same pair of buffers binds them
+    once and calls the binding at every step.  The updates are applied in
+    order.  Per axis of flat stride ``s``, two shifts of the whole flat block
+    by ``s`` subtract the neighbours.  On the axis's (-1, length, s) view,
+    whose rows run along the axis, the couplings the shifts made across a row
+    end are added back; the leading axis spans the block in one row, so it
+    has none.  An axis as long as the torus side also couples its two end
+    faces, in one update of the [first, last] face pair from the [last,
+    first] pair; a shorter axis drops the couplings that leave the box.
     """
     if field.shape != out.shape or not (field.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError(
@@ -134,26 +139,12 @@ def bind_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.n
     return apply
 
 
-def stencil(shape: tuple[int, ...], side: int, field, out: np.ndarray) -> np.ndarray:
-    """Subtract from ``out``, in place, the sum over each site's neighbours of ``field``.
-
-    The box has side lengths ``shape`` on a torus of side ``side``; the whole
-    torus is the box of shape ``(side,) * d``.  ``field`` is read in C order
-    as one flat field of k * sites entries, k uncoupled entries per site,
-    trailing: one field (k = 1) or a (sites, k) block of k fields held
-    site-major.  ``out`` is a C-contiguous array of the same shape,
-    returned.  :func:`bind_stencil`, the one place that holds the stencil's
-    geometry, binds the pair and the binding is applied at once; a loop that
-    applies the stencil to fixed buffers binds them once instead.
-    """
-    bind_stencil(shape, side, np.ascontiguousarray(field), out)()
-    return out
-
-
 def apply_neg_laplacian(geom: LatticeGeometry, field) -> np.ndarray:
     """Apply -Delta site-wise: 2d u(x) minus the sum over the 2d neighbours."""
     u = np.ascontiguousarray(_check_field(geom, field))
-    return stencil(geom.shape, geom.side, u, 2 * geom.dim * u)
+    out = 2 * geom.dim * u
+    bind_stencil(geom.shape, geom.side, u, out)()
+    return out
 
 
 def dft(geom: LatticeGeometry, field) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 An operator stores a per-site diagonal (kinetic part plus potential) on the
 grid of its region, the torus or a box inside it, and subtracts the
-neighbours with :func:`lattice.stencil`: two shifts of the flat field per
-axis, corrected at the end faces and at the row ends of inner axes.  One
-application costs O(sites * 2d), and nothing is ever assembled except
+neighbours with :func:`lattice.bind_stencil`: two shifts of the flat field
+per axis, corrected at the end faces and at the row ends of inner axes.
+One application costs O(sites * 2d), and nothing is ever assembled except
 inside the small-instance dense oracle.
 
 The iterative solver is Chebyshev-filtered subspace iteration (Zhou, Saad,
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGeometry, bind_stencil, stencil
+from .lattice import LatticeGeometry, bind_stencil
 
 DENSE_LIMIT = 4096
 # Chebyshev filter degree per outer step; 20-40 all cost within 10%
@@ -82,8 +82,9 @@ class HamiltonianOperator:
             )
         # a C-ordered (n, k) block is site-major: the stencil takes it as one
         # flat field with k trailing entries per site
-        diag = self.diag if u.ndim == 1 else self.diag[:, None]
-        return stencil(self.shape, self.geom.side, u, diag * u)
+        out = (self.diag if u.ndim == 1 else self.diag[:, None]) * u
+        bind_stencil(self.shape, self.geom.side, u, out)()
+        return out
 
     def spectral_bound(self) -> float:
         """Upper bound 4d + max V on the spectrum."""
@@ -100,7 +101,8 @@ def _hopping_pattern(shape: tuple[int, ...], side: int) -> tuple[np.ndarray, np.
     caller shares them.
     """
     n = math.prod(shape)
-    hopping = stencil(shape, side, np.eye(n), np.zeros((n, n))).reshape(-1)
+    hopping = np.zeros(n * n)
+    bind_stencil(shape, side, np.eye(n), hopping.reshape(n, n))()
     positions = np.flatnonzero(hopping)
     values = hopping[positions]
     positions.setflags(write=False)
@@ -127,25 +129,12 @@ def dense_matrix(op: HamiltonianOperator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Lowest eigenpairs: ascending values, orthonormal columns, residuals."""
+    """Lowest eigenpairs: ascending values, orthonormal columns up to sign, residuals."""
 
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: int         # operator applications spent
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Column-contiguous copy with each column's entry sum (or largest entry on ties) positive."""
-    out = np.array(vectors, order="F")
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        pivot = col.sum()
-        if abs(pivot) < 1e-8:
-            pivot = col[int(np.argmax(np.abs(col)))]
-        if pivot < 0:
-            out[:, j] = -col
-    return out
 
 
 def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
@@ -207,8 +196,8 @@ def lowest_eigenpairs(
     so a deep isolated ground state cannot swamp the fields above it in the
     QR.
     Pairs are accepted only after a fresh application confirms every
-    residual <= ``tol``, which must be positive and finite; signs are fixed
-    only on the pairs returned.
+    residual <= ``tol``, which must be positive and finite; vectors are
+    returned up to sign.
     ``iterations`` counts applied fields; if the budget
     ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)`` would be
     exceeded, :class:`EigenConvergenceError` names the smallest residuals
@@ -229,7 +218,8 @@ def lowest_eigenpairs(
     used = width
     best = None     # residuals of the step whose largest residual is smallest
     while True:
-        # column-contiguous copies: the residual then runs along whole fields
+        # column-contiguous copies: the residual, and every caller of the
+        # returned head, then run along whole fields
         head = np.asfortranarray(vecs[:, :count])
         res = np.linalg.norm(np.asfortranarray(image[:, :count]) - head * vals[:count], axis=0)
         if res.max() <= tol:
@@ -237,7 +227,7 @@ def lowest_eigenpairs(
             used += count
             res = np.linalg.norm(op.apply(head) - head * vals[:count], axis=0)
             if res.max() <= tol:
-                return EigenSolution(vals[:count].copy(), _fix_signs(head), res, used)
+                return EigenSolution(vals[:count].copy(), head, res, used)
         if best is None or res.max() < best.max():
             best = res
         lock = int(np.argmin(res <= tol))   # leading converged pairs
@@ -268,6 +258,5 @@ def dense_oracle(op: HamiltonianOperator) -> EigenSolution:
         raise ValueError(f"dense oracle limited to {DENSE_LIMIT} sites, got {n}")
     mat = dense_matrix(op)
     vals, vecs = np.linalg.eigh(mat)
-    vecs = _fix_signs(vecs)
     res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
     return EigenSolution(values=vals, vectors=vecs, residuals=res, iterations=0)

@@ -486,6 +486,33 @@ def test_worker_count_does_not_change_records():
         np.testing.assert_equal(serial.summary.checks, pooled.summary.checks)
 
 
+@pytest.mark.parametrize("flip", [slice(None), slice(1, 2)], ids=["every column", "column 1"])
+def test_records_do_not_read_eigenvector_signs(flip, monkeypatch):
+    # eigenvectors come up to sign: the GP starts from |phi0|, the certificate
+    # and the kinetic form are even in phi0, and centers read |u|
+    slots = [
+        (base_plan(l_grid=(64,), schedule="theorem", samples=1), 0, 0),
+        (base_plan(l_grid=(64,), schedule=(0.5,), samples=1), 0, 0),
+        (base_plan(dim=2, l_grid=(8,), schedule="theorem", samples=1), 0, 0),
+        (SMALL_PLANS[1], 0, 2),
+        (ExperimentPlan(experiment="spectrum", seed=5, l_grid=(40,), samples=1), 0, 0),
+        (SMALL_PLANS[3], 0, 1),
+    ]
+    want = [replay_sample(plan, *slot).content_key() for plan, *slot in slots]
+    solve = ensemble.lowest_eigenpairs
+
+    def flip_signs(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        signs = np.ones(sol.vectors.shape[1])
+        signs[flip] = -1.0
+        return replace(sol, vectors=sol.vectors * signs)
+
+    monkeypatch.setattr(ensemble, "lowest_eigenpairs", flip_signs)
+    got = [replay_sample(plan, *slot) for plan, *slot in slots]
+    assert all(rec.error is None for rec in got)
+    assert [rec.content_key() for rec in got] == want
+
+
 @pytest.mark.parametrize(
     "plan, stage",
     [(SMALL_PLANS[2], "dense_matrix"), (SMALL_PLANS[3], "random_low_energy_field")],
