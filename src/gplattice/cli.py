@@ -39,9 +39,9 @@ _FLAG_HELP = {
     "seed": "master seed (required here or in the config)",
     "dim": "lattice dimension (1, 2, or 3)",
     "l_grid": "comma separated half-sides, e.g. 64,128,256,512",
-    "schedule": "'theorem' for the built-in coupling schedule, or comma "
-    "separated couplings (one value, or one per L)",
-    "c": "prefactor of the built-in coupling schedule",
+    "schedule": "condense only: 'theorem' for the built-in coupling schedule, "
+    "or comma separated couplings (one value, or one per L)",
+    "c": "condense only: prefactor of the built-in coupling schedule",
     "samples": "disorder samples per L",
     "out": "records file (JSON lines); sidecar files share its stem",
     "v_max": "upper end of the uniform potential law on [0, v_max]",

@@ -91,19 +91,6 @@ class Region:
             if length < 1:
                 raise ValueError(f"interval length must be >= 1, got {length}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.intervals)
-
-    def side_lengths(self) -> tuple[int, ...]:
-        return tuple(length for _, length in self.intervals)
-
-    def wraps(self, geom: LatticeGeometry) -> bool:
-        """True when some axis interval runs past coordinate +L."""
-        return any(
-            start + length - 1 > geom.half_side for start, length in self.intervals
-        )
-
 
 @functools.cache
 def _neumann_degree(shape: tuple[int, ...], side: int) -> np.ndarray:
@@ -124,19 +111,19 @@ def restrict_hamiltonian(
     spans the whole torus keeps its wrap coupling; Dirichlet keeps the
     diagonal 2d + V while Neumann reduces it to the in-box degree + V.
 
-    The box's potential, in row-major order over the box's own axes, is a
-    slice of the potential on the torus grid.  The Neumann degree depends
-    only on the box's shape and is computed once per (shape, torus side).
+    The box must lie inside the torus without wrapping: each axis's offset
+    start + L and length n must satisfy 0 <= offset <= 2L + 1 - n.  The
+    box's potential, in row-major order over the box's own axes, is a slice
+    of the potential on the torus grid.  The Neumann degree depends only on
+    the box's shape and is computed once per (shape, torus side).
     """
     geom = realization.geom
-    shape = region.side_lengths()
-    if region.wraps(geom):
-        raise ValueError("regions must not wrap around the torus")
-    if region.dim != geom.dim:
-        raise ValueError(f"region is {region.dim}-dimensional, lattice is {geom.dim}")
+    shape = tuple(length for _, length in region.intervals)
     offsets = tuple(start + geom.half_side for start, _ in region.intervals)
-    if any(not 0 <= offset < geom.side for offset in offsets):
-        raise ValueError(f"an interval of {region.intervals} starts outside the torus")
+    if len(shape) != geom.dim:
+        raise ValueError(f"region is {len(shape)}-dimensional, lattice is {geom.dim}")
+    if any(not 0 <= o <= geom.side - n for o, n in zip(offsets, shape)):
+        raise ValueError(f"region {region.intervals} does not lie inside the torus")
 
     grid = realization.potential.reshape(geom.shape)
     pot = grid[tuple(slice(o, o + n) for o, n in zip(offsets, shape))].reshape(-1)

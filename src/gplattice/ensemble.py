@@ -249,20 +249,20 @@ def plan_from_options(options: dict[str, str]) -> ExperimentPlan:
 # ---------------------------------------------------------------------------
 # per-record invariants
 
-def record_invariant_errors(record: RunRecord, slack: float = INVARIANT_SLACK) -> list[str]:
-    """Violations of the bounds every healthy record must satisfy."""
+def record_invariant_errors(record: RunRecord) -> list[str]:
+    """Violations, by more than ``INVARIANT_SLACK``, of the bounds of a healthy record."""
     if record.error is not None:
         return []
     errs = []
     tag = f"(L_index={record.l_index}, sample={record.sample_index})"
     if math.isfinite(record.e_gp):
-        if record.e0 > record.e_gp + slack:
+        if record.e0 > record.e_gp + INVARIANT_SLACK:
             errs.append(f"e0 > e_gp {tag}")
-        if record.e_gp > record.e0 + record.coupling * record.ipr + slack:
+        if record.e_gp > record.e0 + record.coupling * record.ipr + INVARIANT_SLACK:
             errs.append(f"e_gp above the ground-state trial bound {tag}")
-    if math.isfinite(record.kinetic) and record.kinetic > record.e0 + slack:
+    if math.isfinite(record.kinetic) and record.kinetic > record.e0 + INVARIANT_SLACK:
         errs.append(f"kinetic form of phi0 exceeds e0 {tag}")
-    if record.cert_valid and record.cert_margin < -slack:
+    if record.cert_valid and record.cert_margin < -INVARIANT_SLACK:
         errs.append(f"certificate inequality violated {tag}")
     return errs
 

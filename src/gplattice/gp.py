@@ -75,17 +75,14 @@ class GPProblem:
             raise ValueError("the interacting problem is posed on the periodic torus")
 
 
-def gp_energy(problem: GPProblem, phi: np.ndarray) -> float:
-    """Ambient energy <H phi, phi> + U ||phi||_4^4."""
-    phi = np.asarray(phi, dtype=float)
-    hphi = problem.hamiltonian.apply(phi)
+def gp_energy(problem: GPProblem, phi: np.ndarray, hphi: np.ndarray) -> float:
+    """Ambient energy <H phi, phi> + U ||phi||_4^4, given ``hphi`` = H phi."""
     return float(phi @ hphi + problem.coupling * np.sum(phi**4))
 
 
-def gp_gradient(problem: GPProblem, phi: np.ndarray) -> np.ndarray:
-    """Ambient gradient 2 H phi + 4 U phi^3."""
-    phi = np.asarray(phi, dtype=float)
-    return 2.0 * problem.hamiltonian.apply(phi) + 4.0 * problem.coupling * phi**3
+def gp_gradient(problem: GPProblem, phi: np.ndarray, hphi: np.ndarray) -> np.ndarray:
+    """Ambient gradient 2 H phi + 4 U phi^3, given ``hphi`` = H phi."""
+    return 2.0 * hphi + 4.0 * problem.coupling * phi**3
 
 
 @dataclass
@@ -174,12 +171,13 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
     The start is ``|init|``, normalized.  Each iteration stops when the
     sphere-projected gradient norm is at most ``g_tol``.  Otherwise it
     solves for a step inside the radius, evaluates the energy at the
-    retracted candidate, and accepts the step or shrinks the radius.  Outside
-    the conjugate gradients H is applied once per candidate: the gradient at
-    an accepted candidate reuses the energy test's H phi, and a rejected step
-    keeps the gradient it had.  The loop gives up, unconverged, once the
-    radius falls below ``RADIUS_FLOOR``, after ``MAX_STEPS`` steps, or when
-    the model predicts no decrease, which only an overflowed model does.
+    retracted candidate, and accepts the step or shrinks the radius.  The
+    energy and gradient are :func:`gp_energy` and :func:`gp_gradient`, and
+    outside the conjugate gradients H is applied once per candidate: the
+    gradient at an accepted candidate reuses the energy test's H phi, and a
+    rejected step keeps the gradient it had.  The loop gives up, unconverged,
+    once the radius falls below ``RADIUS_FLOOR``, after ``MAX_STEPS`` steps,
+    or when the model predicts no decrease, which only an overflowed model does.
     """
     phi = np.abs(np.asarray(init, dtype=float))
     if not np.isfinite(phi).all():
@@ -193,14 +191,14 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
     # below; numpy's overflow warnings on the way would add nothing
     with np.errstate(over="ignore", invalid="ignore"):
         hphi = problem.hamiltonian.apply(phi)
-        energy = float(phi @ hphi + problem.coupling * np.sum(phi**4))
+        energy = gp_energy(problem, phi, hphi)
         trace = [energy]
         applies = 1
         radius = 1.0
         moved = True
         for step in range(MAX_STEPS + 1):
             if moved:
-                grad = 2.0 * hphi + 4.0 * problem.coupling * phi**3
+                grad = gp_gradient(problem, phi, hphi)
                 lagrange = float(grad @ phi)
                 tangent = grad - lagrange * phi
                 grad_norm = float(np.linalg.norm(tangent))
@@ -217,7 +215,7 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
             cand /= np.linalg.norm(cand)
             cand_hphi = problem.hamiltonian.apply(cand)
             applies += 1
-            cand_energy = float(cand @ cand_hphi + problem.coupling * np.sum(cand**4))
+            cand_energy = gp_energy(problem, cand, cand_hphi)
             rho = (energy - cand_energy) / predicted
             if rho < 0.25:
                 radius = 0.25 * float(np.linalg.norm(d))

@@ -139,14 +139,6 @@ def bind_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.n
     return apply
 
 
-def apply_neg_laplacian(geom: LatticeGeometry, field) -> np.ndarray:
-    """Apply -Delta site-wise: 2d u(x) minus the sum over the 2d neighbours."""
-    u = np.ascontiguousarray(_check_field(geom, field))
-    out = 2 * geom.dim * u
-    bind_stencil(geom.shape, geom.side, u, out)()
-    return out
-
-
 def dft(geom: LatticeGeometry, field) -> np.ndarray:
     """Unitary DFT; the coefficient of frequency gamma sits at site index gamma."""
     u = _check_field(geom, field)
@@ -163,9 +155,11 @@ def idft(geom: LatticeGeometry, coeffs) -> np.ndarray:
 
 
 def dirichlet_energy(geom: LatticeGeometry, field) -> float:
-    """Quadratic form <-Delta u, u>; zero exactly on constants."""
+    """Quadratic form <-Delta u, u>, (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y)."""
     u = _check_field(geom, field)
-    v = apply_neg_laplacian(geom, u)
+    v = 2 * geom.dim * u
+    # the stencil needs C order; vdot keeps u's strides, which fix its summation order
+    bind_stencil(geom.shape, geom.side, np.ascontiguousarray(u), v)()
     return float(np.real(np.vdot(u, v)))
 
 

@@ -48,7 +48,7 @@ def plane_wave(geom, freq) -> np.ndarray:
 
 def site_indices(region, geom) -> np.ndarray:
     """Flat torus indices of a region's sites, in coordinate order."""
-    assert region.dim == geom.dim, (region.dim, geom.dim)
+    assert len(region.intervals) == geom.dim, (region.intervals, geom.dim)
     positions = []
     for start, length in region.intervals:
         assert -geom.half_side <= start <= geom.half_side, start

@@ -15,6 +15,14 @@ import numpy as np
 from gplattice.gp import NOISE_FLOOR, GPResult, gp_energy, gp_gradient
 
 
+def energy_at(problem, phi) -> float:
+    return gp_energy(problem, phi, problem.hamiltonian.apply(phi))
+
+
+def gradient_at(problem, phi) -> np.ndarray:
+    return gp_gradient(problem, phi, problem.hamiltonian.apply(phi))
+
+
 def projected_gradient_descent(
     problem, init, *, g_tol=1e-9, e_tol=1e-12, max_steps=200_000
 ) -> GPResult:
@@ -23,7 +31,7 @@ def projected_gradient_descent(
     coupling = problem.coupling
     phi = np.abs(np.asarray(init, dtype=float))
     phi = phi / np.linalg.norm(phi)
-    energy = gp_energy(problem, phi)
+    energy = energy_at(problem, phi)
     trace = [energy]
     applies = 1
     vmax = float(h.potential.max(initial=0.0))
@@ -35,7 +43,7 @@ def projected_gradient_descent(
     last_drop = 0.0
     converged = False
     while True:
-        grad = gp_gradient(problem, phi)
+        grad = gradient_at(problem, phi)
         applies += 1
         tangent = grad - float(grad @ phi) * phi
         grad_norm = float(np.linalg.norm(tangent))
@@ -52,7 +60,7 @@ def projected_gradient_descent(
             cnorm = np.linalg.norm(cand)
             if cnorm > 0:
                 cand = cand / cnorm
-                cand_energy = gp_energy(problem, cand)
+                cand_energy = energy_at(problem, cand)
                 applies += 1
                 if cand_energy <= energy - 1e-4 * trial * grad_norm**2:
                     accepted = True

@@ -52,7 +52,6 @@ STANDING_PLANS = {
         seed=0,
         dim=1,
         l_grid=(32, 64, 128, 256, 512),
-        schedule=(0.0,),
         samples=200,
         workers=8,
         out="runs/groundstate_scaling.jsonl",
@@ -62,7 +61,6 @@ STANDING_PLANS = {
         seed=0,
         dim=1,
         l_grid=(32,),
-        schedule=(0.0,),
         samples=10_000,
         v_max=6.0,
         workers=8,
@@ -73,7 +71,6 @@ STANDING_PLANS = {
         seed=0,
         dim=1,
         l_grid=(128, 512),
-        schedule=(0.0,),
         samples=50,
         workers=8,
         out="runs/shell_calibration.jsonl",

@@ -61,8 +61,8 @@ def test_sample_potential_keyed_by_slot():
 
 def test_region_basic_accessors():
     reg = Region(intervals=((-2, 3), (0, 2)), bc="neumann")
-    assert reg.dim == 2
-    assert reg.side_lengths() == (3, 2)
+    real = flat_realization(build_lattice(2, 3))
+    assert restrict_hamiltonian(real, reg).shape == (3, 2)
 
 
 def test_region_validation():
@@ -85,24 +85,38 @@ def test_region_site_indices_by_hand():
 
 
 def test_region_wrap_detection():
-    geom = build_lattice(1, 3)
-    assert not Region(intervals=((2, 2),)).wraps(geom)
-    assert Region(intervals=((3, 2),)).wraps(geom)
-    assert not Region(intervals=((-3, 7),)).wraps(geom)
+    real = flat_realization(build_lattice(1, 3))
+    restrict_hamiltonian(real, Region(intervals=((2, 2),)))
+    restrict_hamiltonian(real, Region(intervals=((-3, 7),)))
+    with pytest.raises(ValueError, match="inside the torus"):
+        restrict_hamiltonian(real, Region(intervals=((3, 2),)))
+
+
+def test_region_must_lie_inside_the_torus():
+    # coordinates -3..3: a box may touch either end but not wrap past it
+    real = flat_realization(build_lattice(1, 3))
+    for intervals in (((3, 1),), ((-3, 1),)):
+        restrict_hamiltonian(real, Region(intervals))
+    for intervals in (((-4, 2),), ((-3, 8),), ((4, 1),)):
+        with pytest.raises(ValueError, match="inside the torus"):
+            restrict_hamiltonian(real, Region(intervals))
+    # one axis too few would otherwise pass: the slice takes whole rows
+    with pytest.raises(ValueError, match="1-dimensional, lattice is 2"):
+        restrict_hamiltonian(flat_realization(build_lattice(2, 3)), Region(((0, 2),)))
 
 
 def test_partition_example_sides():
     # 17 sites cut with target side 4 -> one 5 and three 4s
     geom = build_lattice(1, 8)
     parts = partition_into_boxes(geom, 4)
-    assert [p.side_lengths()[0] for p in parts] == [5, 4, 4, 4]
+    assert [p.intervals[0][1] for p in parts] == [5, 4, 4, 4]
 
 
 def test_partition_whole_side_single_box():
     geom = build_lattice(1, 8)
     parts = partition_into_boxes(geom, geom.side)
     assert len(parts) == 1
-    assert parts[0].side_lengths() == (17,)
+    assert parts[0].intervals == ((-8, 17),)
 
 
 def test_partition_rejects_oversized_box():
@@ -124,7 +138,7 @@ def test_partition_covers_torus_disjointly(dim, half, box):
     assert len(seen) == geom.n_sites
     assert len(np.unique(seen)) == geom.n_sites
     for p in parts:
-        for side in p.side_lengths():
+        for _, side in p.intervals:
             assert box / 2 <= side <= 2 * box or box == geom.side
 
 
@@ -172,14 +186,14 @@ def test_neumann_below_dirichlet():
 
 
 def test_restriction_rejects_wrapping_and_partial_periodic():
-    geom = build_lattice(1, 3)
-    real = flat_realization(geom)
-    with pytest.raises(ValueError):
-        restrict_hamiltonian(real, Region(intervals=((2, 3),), bc="dirichlet"))
-    # the torus itself is periodic_hamiltonian, never a periodic box
-    for intervals in (((0, 2),), ((-3, 7),)):
-        with pytest.raises(ValueError):
-            restrict_hamiltonian(real, Region(intervals=intervals, bc="periodic"))
+    real = flat_realization(build_lattice(1, 3))
+    for bc in ("dirichlet", "neumann"):
+        with pytest.raises(ValueError, match="inside the torus"):
+            restrict_hamiltonian(real, Region(intervals=((2, 3),), bc=bc))
+    # a periodic box is refused before it reaches restrict_hamiltonian:
+    # the torus itself is periodic_hamiltonian
+    with pytest.raises(ValueError, match="bc must be one of"):
+        Region(intervals=((0, 2),), bc="periodic")
 
 
 def test_restricted_potential_follows_sites():
@@ -208,7 +222,7 @@ def test_restriction_takes_the_potential_at_site_indices(dim, half):
     ]
     for region in regions:
         op = restrict_hamiltonian(real, region)
-        assert op.shape == region.side_lengths()
+        assert op.shape == tuple(length for _, length in region.intervals)
         np.testing.assert_array_equal(op.potential, real.potential[site_indices(region, geom)])
 
 

@@ -18,10 +18,10 @@ from gplattice import (
     sample_potential,
 )
 from gplattice import gp
-from gplattice.gp import gp_energy, gp_gradient
+from gplattice.gp import gp_gradient
 from gplattice.ensemble import theorem_coupling
 from gplattice.spectral import HamiltonianOperator, dense_oracle
-from gp_reference import projected_gradient_descent
+from gp_reference import energy_at, gradient_at, projected_gradient_descent
 
 SPEC = DisorderSpec(v_max=1.0, master_seed=77)
 
@@ -80,8 +80,8 @@ def test_energy_and_gradient_closed_form_on_two_modes():
     ham = prob.hamiltonian
     phi = np.full(ham.n_sites, ham.n_sites ** -0.5)
     expected = float(np.mean(ham.potential))
-    assert gp_energy(prob, phi) == pytest.approx(expected, abs=1e-12)
-    grad = gp_gradient(prob, phi)
+    assert energy_at(prob, phi) == pytest.approx(expected, abs=1e-12)
+    grad = gradient_at(prob, phi)
     np.testing.assert_allclose(grad, 2.0 * ham.apply(phi), atol=1e-14)
 
 
@@ -94,10 +94,10 @@ def test_gradient_matches_central_differences():
         phi = rng.normal(size=n)
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)
-        directional = (gp_energy(prob, phi + h * v) - gp_energy(prob, phi - h * v)) / (
+        directional = (energy_at(prob, phi + h * v) - energy_at(prob, phi - h * v)) / (
             2.0 * h
         )
-        analytic = float(gp_gradient(prob, phi) @ v)
+        analytic = float(gradient_at(prob, phi) @ v)
         assert abs(directional - analytic) <= 1e-6 * max(1.0, abs(analytic))
 
 
@@ -119,6 +119,9 @@ def test_minimizer_basic_contract():
     assert (res.phi >= 0).all()
     assert np.all(np.diff(res.trace) <= 0)  # monotone energy trace
     assert res.trace[-1] == pytest.approx(res.energy)
+    # the reported norm is the tangent part of the gradient criterion 7 checks
+    grad = gp_gradient(prob, res.phi, prob.hamiltonian.apply(res.phi))
+    assert res.grad_norm == np.linalg.norm(grad - (grad @ res.phi) * res.phi)
 
 
 def test_energy_sandwich_against_dense_oracle():
@@ -159,7 +162,7 @@ def test_minimizer_against_scipy_composite():
     n = geom.n_sites
 
     def composite(x):
-        return gp_energy(prob, x / np.linalg.norm(x))
+        return energy_at(prob, x / np.linalg.norm(x))
 
     best = np.inf
     rng = np.random.default_rng(7)
@@ -302,7 +305,7 @@ def test_newton_direction_on_fixed_buffers_is_the_reference(make, uphill, monkey
     # allocates H p, ap and p anew each iteration
     prob = make()
     start = dense_oracle(prob.hamiltonian).vectors[:, 0]
-    lagrange = float(gp_gradient(prob, start) @ start)
+    lagrange = float(gradient_at(prob, start) @ start)
     hessian = dense_matrix(prob.hamiltonian) + np.diag(
         6.0 * prob.coupling * start**2 - 0.5 * lagrange
     )
@@ -468,4 +471,4 @@ def test_dense_hamiltonian_consistency_of_energies():
     for _ in range(5):
         phi = rng.normal(size=prob.hamiltonian.n_sites)
         direct = float(phi @ mat @ phi + prob.coupling * np.sum(phi**4))
-        assert gp_energy(prob, phi) == pytest.approx(direct, rel=1e-12)
+        assert energy_at(prob, phi) == pytest.approx(direct, rel=1e-12)
