@@ -404,7 +404,9 @@ def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunR
                 seed=provenance_stream(plan.seed, l_index, sample_index, EIG_CHANNEL),
             )
             base.update(
-                eig_applies=eig.iterations, eig_residual_max=float(eig.residuals.max())
+                eig_applies=eig.iterations,
+                eig_single_applies=eig.single_applies,
+                eig_residual_max=float(eig.residuals.max()),
             )
         base["t_eig"] = time.perf_counter() - eig_start
         fields = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)

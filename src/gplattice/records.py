@@ -6,11 +6,12 @@ numeric field exactly.  A record holds everything a summary reads, so a
 summary is a function of the plan and the records: ``estimates`` records
 carry their window counts, ``shells`` records their random-field statistics,
 one entry per kept eps.  The diagnostics (``wall_time``, the GP minimizer's
-final gradient and operator applications, the eigensolver's applied columns
-and largest residual, and the seconds spent in the eigensolve and in the GP
-minimization) are bookkeeping, not payload: record content comparisons (and
-the determinism guarantees) exclude them.  A records file is read by the
-version that wrote it: a line with a missing or unknown field is a bad line.
+final gradient and operator applications, the eigensolver's applied columns,
+those of them filtered in single precision and its largest residual, and
+the seconds spent in the eigensolve and in the GP minimization) are
+bookkeeping, not payload: record content comparisons (and the determinism
+guarantees) exclude them.  A records file is read by the version that wrote
+it: a line with a missing or unknown field is a bad line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 # bookkeeping fields, kept out of content comparisons
 DIAGNOSTICS = (
     "wall_time", "gp_grad_norm", "eig_applies", "eig_residual_max", "t_eig", "t_gp",
-    "gp_applies",
+    "gp_applies", "eig_single_applies",
 )
 
 # the JSON values a field of each annotation takes: an int field takes no
@@ -82,6 +83,7 @@ class RunRecord:
     t_eig: float = math.nan             # seconds in the eigensolve
     t_gp: float = math.nan              # seconds in minimize_gp
     gp_applies: float = math.nan        # operator applications in minimize_gp
+    eig_single_applies: float = math.nan  # of eig_applies, filtered in float32
 
     def content_dict(self) -> dict:
         """All payload fields; excludes the diagnostics."""

@@ -23,6 +23,19 @@ whole; the free first excited level has multiplicity 2d, which a
 single-vector iteration would silently split.
 Residuals of returned pairs are recomputed with a fresh operator
 application before the solver accepts them.
+
+The filter is the one step that may run in single precision (mixed
+precision as in Higham & Mary, Acta Numerica 31, 2022): while the wanted
+residuals lie far above float32's resolution, halving the bytes per pass
+costs no accuracy the next steps keep.  Each outer step chooses its
+precision from the solve's own state alone: float32 while the wanted pairs'
+largest residual is above ``SINGLE_RESIDUAL`` times the spectral bound, the
+filter's largest gain on [min V, bound] is below ``SINGLE_GAIN``, and every
+float32 step so far lowered that residual; once one fails, float64 to the
+end.  The QR, the operator applications, the Rayleigh-Ritz steps, the
+residuals, the locking and the confirming application stay in float64, so
+the contract is unchanged, and a solve that never filters in float32 is the
+float64 solve bit for bit.
 """
 
 from __future__ import annotations
@@ -44,6 +57,14 @@ FILTER_DEGREE = 30
 # d = 2, below 125 in d = 3); moving it would change the records of the
 # tori it moves across
 WHOLE_SPACE_LIMIT = 120
+# the filter runs in float32 while the wanted pairs' largest residual exceeds
+# this multiple of the spectral bound; lower, the float32 steps stop helping
+# (12 d = 2, L = 32 solves spent on average 7.5 more applications at 2e-6,
+# 32.5 at 2e-7 and 655 with the stall guard alone, against none here)
+SINGLE_RESIDUAL = 2e-5
+# and while its largest gain on the spectrum stays below this, far under
+# float32's largest value 3.4e38
+SINGLE_GAIN = 1e34
 
 
 class EigenConvergenceError(RuntimeError):
@@ -135,6 +156,7 @@ class EigenSolution:
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: int         # operator applications spent
+    single_applies: int     # of which filtered in float32
 
 
 def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
@@ -143,7 +165,7 @@ def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
     return vals, basis @ rot, image @ rot
 
 
-def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
+def _chebyshev_filter(op, block, image, cut, upper, dtype) -> np.ndarray:
     """Degree-``FILTER_DEGREE`` Chebyshev filter damping [cut, upper] on ``block``.
 
     ``image`` holds the images of the block's columns under the operator.  In
@@ -154,26 +176,47 @@ def _chebyshev_filter(op, block, image, cut, upper) -> np.ndarray:
     Each step overwrites the older block with ``(diag - center) * newer -
     beta * older`` minus the newer block's neighbours, so the pair takes
     only two orders, and the stencil is bound once for each.
+    The recurrence runs in ``dtype``: the block, W_1 = ``image - center *
+    block`` and the shifted diagonal are formed in float64 and rounded to
+    ``dtype``, and the filtered block returns in float64.  In float64
+    nothing is rounded, so every operation is the double-precision one.
     """
     half = (upper - cut) / 2.0
     center = (upper + cut) / 2.0
-    prev = block.copy()
-    cur = image - center * prev
-    shifted = np.repeat(op.diag - center, cur.shape[1]).reshape(cur.shape)
+    prev = block.astype(dtype, order="C")
+    cur = (image - center * block).astype(dtype, copy=False)
+    shifted = np.repeat((op.diag - center).astype(dtype, copy=False), cur.shape[1])
+    shifted = shifted.reshape(cur.shape)
     scratch = np.empty_like(cur)
     orders = [
         (older, newer, bind_stencil(op.shape, op.geom.side, newer, older))
         for older, newer in ((prev, cur), (cur, prev))
     ]
-    beta = half * half / 2.0
+    beta = dtype(half * half / 2.0)
     for step in range(FILTER_DEGREE - 1):
         older, newer, neighbours = orders[step % 2]
         older *= -beta
         np.multiply(shifted, newer, out=scratch)
         older += scratch
         neighbours()
-        beta = half * half / 4.0
-    return older
+        beta = dtype(half * half / 4.0)
+    return older.astype(np.float64, copy=False)
+
+
+def _filter_log_gain(cut, upper, low) -> float:
+    """Natural log of the filter's largest gain on [low, upper].
+
+    The gain is 2 (half/2)^m T_m((center - low) / half), at ``low``, a lower
+    bound on the spectrum below ``cut``; it bounds the filtered block's
+    column norms for an orthonormal block, so a float32 filter cannot
+    overflow while it stays far below float32's range.  Its logarithm stays
+    finite for any potential.
+    """
+    half = (upper - cut) / 2.0
+    z = math.acosh(max(1.0, ((upper + cut) / 2.0 - low) / half))
+    m = FILTER_DEGREE
+    # 2 (half/2)^m cosh(m z) = (half/2)^m (e^{mz} + e^{-mz})
+    return m * math.log(half / 2.0) + m * z + math.log1p(math.exp(-2.0 * m * z))
 
 
 def lowest_eigenpairs(
@@ -195,10 +238,18 @@ def lowest_eigenpairs(
     whose residual is already <= ``tol`` are locked: the filter skips them,
     so a deep isolated ground state cannot swamp the fields above it in the
     QR.
+    The filter runs in float32 while all of three conditions hold: the
+    wanted pairs' largest residual is above ``SINGLE_RESIDUAL *
+    op.spectral_bound()``; the filter's gain on [min V, bound] stays below
+    ``SINGLE_GAIN`` (-Delta >= 0, so min V bounds the spectrum from below);
+    and every float32 step so far lowered that residual.  Once one fails,
+    the filter runs in float64 to the end of the solve.  The choice reads
+    only the solve's own state, so a solve replays bit-exactly.
     Pairs are accepted only after a fresh application confirms every
     residual <= ``tol``, which must be positive and finite; vectors are
     returned up to sign.
-    ``iterations`` counts applied fields; if the budget
+    ``iterations`` counts applied fields, and ``single_applies`` those of
+    them filtered in float32; if the budget
     ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)`` would be
     exceeded, :class:`EigenConvergenceError` names the smallest residuals
     found.
@@ -212,11 +263,13 @@ def lowest_eigenpairs(
     width = n if n <= WHOLE_SPACE_LIMIT else min(n, max(count + 4, 2 * op.geom.dim + 3))
     budget = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
+    low = float(op.potential.min())
 
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
     vals, vecs, image = _rayleigh_ritz(basis, op.apply(basis))
-    used = width
+    used, single_used = width, 0
     best = None     # residuals of the step whose largest residual is smallest
+    single, last = True, math.inf   # float32 filter allowed; the previous largest residual
     while True:
         # column-contiguous copies: the residual, and every caller of the
         # returned head, then run along whole fields
@@ -227,7 +280,7 @@ def lowest_eigenpairs(
             used += count
             res = np.linalg.norm(op.apply(head) - head * vals[:count], axis=0)
             if res.max() <= tol:
-                return EigenSolution(vals[:count].copy(), head, res, used)
+                return EigenSolution(vals[:count].copy(), head, res, used, single_used)
         if best is None or res.max() < best.max():
             best = res
         lock = int(np.argmin(res <= tol))   # leading converged pairs
@@ -238,7 +291,17 @@ def lowest_eigenpairs(
                 f"best residuals {np.array2string(best, precision=3)}"
             )
 
-        filtered = _chebyshev_filter(op, vecs[:, lock:], image[:, lock:], vals[-1], upper)
+        worst = res.max()
+        single = (
+            single
+            and SINGLE_RESIDUAL * upper < worst < last
+            and _filter_log_gain(vals[-1], upper, low) < math.log(SINGLE_GAIN)
+        )
+        last = worst
+        filtered = _chebyshev_filter(
+            op, vecs[:, lock:], image[:, lock:], vals[-1], upper,
+            np.float32 if single else np.float64,
+        )
         if lock:
             # the locked fields lead the QR, so the new ones come out orthogonal
             filtered = np.hstack([vecs[:, :lock], filtered])
@@ -249,6 +312,8 @@ def lowest_eigenpairs(
         image[:, lock:] = op.apply(basis[:, lock:])
         vals, vecs, image = _rayleigh_ritz(basis, image)
         used += FILTER_DEGREE * (width - lock)
+        if single:
+            single_used += FILTER_DEGREE * (width - lock)
 
 
 def dense_oracle(op: HamiltonianOperator) -> EigenSolution:
@@ -259,4 +324,6 @@ def dense_oracle(op: HamiltonianOperator) -> EigenSolution:
     mat = dense_matrix(op)
     vals, vecs = np.linalg.eigh(mat)
     res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    return EigenSolution(values=vals, vectors=vecs, residuals=res, iterations=0)
+    return EigenSolution(
+        values=vals, vectors=vecs, residuals=res, iterations=0, single_applies=0
+    )

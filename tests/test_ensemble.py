@@ -301,6 +301,8 @@ def test_records_carry_eigensolver_diagnostics(small_condense):
     plan, result = small_condense
     for rec in result.records:
         assert isinstance(rec.eig_applies, int) and rec.eig_applies > 0
+        # 9 and 13 sites are solved on the whole space: nothing is filtered
+        assert rec.eig_single_applies == 0
         assert isinstance(rec.gp_applies, int) and rec.gp_applies > 0
         assert 0.0 < rec.eig_residual_max <= plan.tol_eig
         # the two stage times are parts of the sample's wall time
@@ -309,6 +311,7 @@ def test_records_carry_eigensolver_diagnostics(small_condense):
     # the dense path of `estimates` runs no iterative solver and no GP step
     rec = replay_sample(ExperimentPlan(experiment="estimates", seed=2, l_grid=(6,)), 0, 0)
     assert math.isnan(rec.eig_applies) and math.isnan(rec.eig_residual_max)
+    assert math.isnan(rec.eig_single_applies)
     assert 0.0 < rec.t_eig < rec.wall_time and math.isnan(rec.t_gp)
     assert math.isnan(rec.gp_applies)
 
@@ -484,6 +487,27 @@ def test_worker_count_does_not_change_records():
         ), plan_serial.experiment
         np.testing.assert_equal(serial.summary.series, pooled.summary.series)
         np.testing.assert_equal(serial.summary.checks, pooled.summary.checks)
+
+
+def test_worker_count_does_not_change_filtered_solves():
+    # 289 sites are filtered, first in float32: the precision of each step
+    # comes from the solve alone, so a pooled run gives the same records and
+    # spends the same applications in each precision
+    plan = ExperimentPlan(experiment="spectrum", seed=9, dim=2, l_grid=(8,), samples=4)
+    serial = run_plan(plan)
+    pooled = run_plan(replace(plan, workers=2))
+    assert Counter(r.content_key() for r in serial.records) == Counter(
+        r.content_key() for r in pooled.records
+    )
+
+    def work(result):
+        return {
+            (r.l_index, r.sample_index): (r.eig_applies, r.eig_single_applies)
+            for r in result.records
+        }
+
+    assert work(serial) == work(pooled)
+    assert all(single > 0 for _, single in work(serial).values())
 
 
 @pytest.mark.parametrize("flip", [slice(None), slice(1, 2)], ids=["every column", "column 1"])

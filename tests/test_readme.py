@@ -2,7 +2,9 @@
 
 Each fenced ``python`` block is executed, and each ``gplattice ...`` command
 line of a ``sh`` block is parsed into a plan (without running it), so an
-example that names a removed option or field fails here.
+example that names a removed option or field fails here.  A command's test
+is named by its subcommand and its ordinal among that subcommand's examples,
+so editing an example's options keeps its name.
 """
 
 import re
@@ -24,6 +26,10 @@ COMMANDS = [
     for line in code.replace("\\\n", " ").splitlines()
     if line.startswith("gplattice ")
 ]
+SUBCOMMANDS = [shlex.split(command)[1] for command in COMMANDS]
+COMMAND_IDS = [
+    f"{name}-{SUBCOMMANDS[: i + 1].count(name)}" for i, name in enumerate(SUBCOMMANDS)
+]
 
 
 def test_readme_has_examples():
@@ -36,7 +42,7 @@ def test_python_block_runs(code, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("command", COMMANDS, ids=COMMAND_IDS)
 def test_command_line_builds_a_plan(command, monkeypatch):
     # config paths in the README are relative to the repository root
     monkeypatch.chdir(ROOT)

@@ -47,6 +47,7 @@ def make_record(**overrides):
         t_eig=0.0421,
         t_gp=0.0036,
         gp_applies=66,
+        eig_single_applies=540,
     )
     base.update(overrides)
     return RunRecord(**base)
@@ -149,12 +150,25 @@ def test_gp_grad_norm_is_a_diagnostic():
 
 
 def test_eigensolver_diagnostics_round_trip():
-    rec = make_record(eig_applies=4213, eig_residual_max=8.123456789e-11)
+    rec = make_record(eig_applies=4213, eig_single_applies=840, eig_residual_max=8.123456789e-11)
     back = RunRecord.from_json(rec.to_json())
     assert back == rec
     assert back.eig_applies == 4213 and back.eig_residual_max == 8.123456789e-11
-    assert not {"eig_applies", "eig_residual_max"} & rec.content_dict().keys()
-    assert rec.content_key() == make_record(eig_applies=7, eig_residual_max=1.0).content_key()
+    assert back.eig_single_applies == 840
+    names = {"eig_applies", "eig_single_applies", "eig_residual_max"}
+    assert not names & rec.content_dict().keys()
+    other = make_record(eig_applies=7, eig_single_applies=0, eig_residual_max=1.0)
+    assert rec.content_key() == other.content_key()
+
+
+def test_filtered_solve_records_its_float32_share():
+    # a d=2, L=16 torus (1089 sites) is filtered, first in float32, then in
+    # float64 to the end of the solve
+    plan = ExperimentPlan(experiment="spectrum", seed=5, dim=2, l_grid=(16,), samples=1)
+    rec = replay_sample(plan, 0, 0)
+    assert rec.error is None
+    assert isinstance(rec.eig_single_applies, int)
+    assert 0 < rec.eig_single_applies < rec.eig_applies
 
 
 def test_stage_times_are_diagnostics():

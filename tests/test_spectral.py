@@ -15,6 +15,7 @@ from gplattice import (
     restrict_hamiltonian,
     sample_potential,
 )
+from gplattice import spectral
 from gplattice.disorder import EIG_CHANNEL
 from gplattice.lattice import bind_stencil
 from gplattice.spectral import (
@@ -147,7 +148,8 @@ def monic_chebyshev(op, block, cut, upper):
 def test_chebyshev_filter_is_the_monic_recurrence(dim, half, lock):
     # the filter rotates two fixed site-major blocks with the stencil's views
     # taken once per order; a locked prefix hands it column slices of the
-    # solver's C-ordered block and image
+    # solver's C-ordered block and image.  In float32 it agrees to float32's
+    # resolution relative to the scale, and still returns float64
     ham = make_ham(dim, half)
     rng = np.random.default_rng(dim + lock)
     width = 2 * dim + 3
@@ -155,11 +157,13 @@ def test_chebyshev_filter_is_the_monic_recurrence(dim, half, lock):
     image = ham.apply(block)
     kept = block.copy(), image.copy()
     cut, upper = 2.0 * dim, ham.spectral_bound()
-    got = _chebyshev_filter(ham, block[:, lock:], image[:, lock:], cut, upper)
     want = monic_chebyshev(ham, block[:, lock:], cut, upper)
-    assert got.shape == (ham.n_sites, width - lock) and got.flags.c_contiguous
     scale = np.abs(want).max()
-    assert np.abs(got - want).max() <= 1e-13 * scale
+    for dtype, rel in ((np.float64, 1e-13), (np.float32, 1e-5)):
+        got = _chebyshev_filter(ham, block[:, lock:], image[:, lock:], cut, upper, dtype)
+        assert got.shape == (ham.n_sites, width - lock) and got.flags.c_contiguous
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= rel * scale
     # the inputs are read, never overwritten
     np.testing.assert_array_equal(block, kept[0])
     np.testing.assert_array_equal(image, kept[1])
@@ -225,10 +229,57 @@ def test_applied_columns_are_pinned(dim, half, applies):
     assert sol.iterations == applies
 
 
+def float64_only(monkeypatch):
+    """Make every filter step run in float64: no residual exceeds infinity."""
+    monkeypatch.setattr(spectral, "SINGLE_RESIDUAL", math.inf)
+
+
+@pytest.mark.parametrize("dim, half", [(1, 64), (2, 16), (3, 6)])
+def test_mixed_precision_solve_agrees_with_the_float64_solve(dim, half, monkeypatch):
+    # the float32 filter steps only move the path to the answer: the
+    # confirmed pairs agree with an all-float64 solve from the same start
+    ham = make_ham(dim, half)
+    mixed = lowest_eigenpairs(ham, 2, tol=1e-10, seed=0)
+    assert 0 < mixed.single_applies < mixed.iterations
+    float64_only(monkeypatch)
+    full = lowest_eigenpairs(ham, 2, tol=1e-10, seed=0)
+    assert full.single_applies == 0
+    for sol in (mixed, full):
+        assert sol.residuals.max() <= 1e-10
+    np.testing.assert_allclose(mixed.values, full.values, rtol=0, atol=1e-12)
+    overlaps = np.abs(np.sum(mixed.vectors * full.vectors, axis=0))
+    assert overlaps.min() >= 1.0 - 1e-12
+
+
+def test_strong_disorder_keeps_the_filter_in_float64(monkeypatch):
+    # at v_max = 200 the filter's gain on [min V, bound] passes 1e34, so no
+    # step runs in float32 and the solve is the float64 solve bit for bit
+    geom = build_lattice(1, 128)
+    ham = periodic_hamiltonian(sample_potential(DisorderSpec(v_max=200.0, master_seed=7), geom))
+    mixed = lowest_eigenpairs(ham, 2, tol=1e-10, seed=1)
+    assert mixed.single_applies == 0
+    float64_only(monkeypatch)
+    full = lowest_eigenpairs(ham, 2, tol=1e-10, seed=1)
+    np.testing.assert_array_equal(mixed.values, full.values)
+    np.testing.assert_array_equal(mixed.vectors, full.vectors)
+    np.testing.assert_array_equal(mixed.residuals, full.residuals)
+    assert mixed.iterations == full.iterations
+
+
+def test_float32_steps_stop_when_the_residual_stalls(monkeypatch):
+    # with no residual floor the filter stays in float32 until a step fails
+    # to lower the residual; the solve then finishes in float64
+    monkeypatch.setattr(spectral, "SINGLE_RESIDUAL", 0.0)
+    sol = lowest_eigenpairs(make_ham(2, 16), 2, tol=1e-10, seed=0)
+    assert sol.residuals.max() <= 1e-10
+    assert 0 < sol.single_applies < sol.iterations
+
+
 def test_iterative_matches_dense_oracle():
     for dim, half, count in [(1, 20, 4), (2, 5, 4), (3, 2, 6), (1, 64, 2)]:
         ham = make_ham(dim, half)
         ref = dense_oracle(ham)
+        assert ref.single_applies == 0
         sol = lowest_eigenpairs(ham, count, tol=1e-10, seed=5)
         assert sol.residuals.max() <= 1e-10
         np.testing.assert_allclose(sol.values, ref.values[:count], atol=1e-9)
