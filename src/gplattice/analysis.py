@@ -158,7 +158,7 @@ def gap_and_overlap(
         gap=float(eig.values[1] - eig.values[0]),
         overlap=abs(float(phi0 @ gp.phi)),
         kinetic=dirichlet_energy(geom, phi0),
-        ipr=float(np.sum(phi0**4)),
+        ipr=float(np.sum(np.abs(phi0) ** 4)),
     )
 
 

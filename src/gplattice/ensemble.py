@@ -454,7 +454,7 @@ def _ground_fields(geom: LatticeGeometry, eig) -> dict:
     phi0 = eig.vectors[:, 0]
     return dict(
         e0=float(eig.values[0]),
-        ipr=float(np.sum(phi0**4)),
+        ipr=float(np.sum(np.abs(phi0) ** 4)),
         kinetic=dirichlet_energy(geom, phi0),
         center0=localization_center(geom, phi0).center,
     )

@@ -4,8 +4,8 @@ An operator stores a per-site diagonal (kinetic part plus potential) on the
 grid of its region, the torus or a box inside it, and subtracts the
 neighbours with :func:`lattice.bind_stencil`: two shifts of the flat field
 per axis, corrected at the end faces and at the row ends of inner axes.
-One application costs O(sites * 2d), and nothing is ever assembled except
-inside the small-instance dense oracle.
+One application costs O(sites * 2d); a matrix is assembled only by
+:func:`dense_matrix`, for the full spectra of small tori and boxes.
 
 The iterative solver is Chebyshev-filtered subspace iteration (Zhou, Saad,
 Tiago & Chelikowsky, J. Comput. Phys. 219, 2006; Zhou & Saad, SIAM J. Matrix
@@ -51,12 +51,6 @@ from .lattice import LatticeGeometry, bind_stencil
 DENSE_LIMIT = 4096
 # Chebyshev filter degree per outer step; 20-40 all cost within 10%
 FILTER_DEGREE = 30
-# up to this many sites one Rayleigh-Ritz step on the whole space is cheaper
-# than filtering a block, or about as cheap (measured crossover of the
-# site-major filter, count = 2, one CPU: 90-100 sites in d = 1, 81-121 in
-# d = 2, below 125 in d = 3); moving it would change the records of the
-# tori it moves across
-WHOLE_SPACE_LIMIT = 120
 # the filter runs in float32 while the wanted pairs' largest residual exceeds
 # this multiple of the spectral bound; lower, the float32 steps stop helping
 # (12 d = 2, L = 32 solves spent on average 7.5 more applications at 2e-6,
@@ -156,7 +150,7 @@ class EigenSolution:
     vectors: np.ndarray
     residuals: np.ndarray
     iterations: int         # operator applications spent
-    single_applies: int     # of which filtered in float32
+    single_applies: int     # of which filtered in float32; 0 without a filter step
 
 
 def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
@@ -224,9 +218,9 @@ def lowest_eigenpairs(
 ) -> EigenSolution:
     """Lowest ``count`` eigenpairs by Chebyshev-filtered subspace iteration.
 
-    A block of ``max(count + 4, 2d + 3)`` fields is drawn from ``seed``, so
-    runs replay bit-exactly; up to ``WHOLE_SPACE_LIMIT`` sites the block
-    spans the whole space and one Rayleigh-Ritz step is exact.  The block is
+    A block of ``min(n, max(count + 4, 2d + 3))`` fields is drawn from
+    ``seed``, so runs replay bit-exactly; an operator no larger than that
+    block is solved exactly by one Rayleigh-Ritz step.  The block is
     a C-ordered (n, width) array, one field per column, so the fields of one
     site are adjacent.  Each outer step applies a degree-``FILTER_DEGREE``
     Chebyshev filter that damps [largest Ritz value,
@@ -260,7 +254,7 @@ def lowest_eigenpairs(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    width = n if n <= WHOLE_SPACE_LIMIT else min(n, max(count + 4, 2 * op.geom.dim + 3))
+    width = min(n, max(count + 4, 2 * op.geom.dim + 3))
     budget = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
     low = float(op.potential.min())
@@ -314,16 +308,3 @@ def lowest_eigenpairs(
         used += FILTER_DEGREE * (width - lock)
         if single:
             single_used += FILTER_DEGREE * (width - lock)
-
-
-def dense_oracle(op: HamiltonianOperator) -> EigenSolution:
-    """Full dense diagonalization; the independent check for the iterative path."""
-    n = op.n_sites
-    if n > DENSE_LIMIT:
-        raise ValueError(f"dense oracle limited to {DENSE_LIMIT} sites, got {n}")
-    mat = dense_matrix(op)
-    vals, vecs = np.linalg.eigh(mat)
-    res = np.linalg.norm(mat @ vecs - vecs * vals, axis=0)
-    return EigenSolution(
-        values=vals, vectors=vecs, residuals=res, iterations=0, single_applies=0
-    )

@@ -36,10 +36,11 @@ from gplattice.analysis import (
     trial_flat_fourier,
 )
 from gplattice.ensemble import record_invariant_errors
-from gplattice.spectral import dense_matrix, dense_oracle
+from gplattice.spectral import dense_matrix
 
 from box_bracketing import bracket_ground_energy
 from coordinate_reference import flat_realization, laplace_symbol
+from dense_reference import dense_oracle
 from gp_reference import energy_at, gradient_at
 
 WORKERS = min(8, os.cpu_count() or 1)

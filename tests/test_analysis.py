@@ -26,9 +26,9 @@ from gplattice.analysis import (
     trial_delta_background,
     trial_flat_fourier,
 )
-from gplattice.spectral import dense_oracle
 
 from coordinate_reference import flat_realization, plane_wave
+from dense_reference import dense_oracle
 
 SPEC = DisorderSpec(v_max=1.0, master_seed=55)
 

@@ -20,7 +20,8 @@ from gplattice import (
 from gplattice import gp
 from gplattice.gp import gp_gradient
 from gplattice.ensemble import theorem_coupling
-from gplattice.spectral import HamiltonianOperator, dense_oracle
+from gplattice.spectral import HamiltonianOperator
+from dense_reference import dense_oracle
 from gp_reference import energy_at, gradient_at, projected_gradient_descent
 
 SPEC = DisorderSpec(v_max=1.0, master_seed=77)

@@ -62,7 +62,7 @@ def test_json_round_trip_is_bit_exact():
 
 
 def test_json_matches_a_deep_copied_dict(monkeypatch):
-    # one record of each experiment, and an error record: the whole-space
+    # one record of each experiment, and an error record: the filtered
     # solve of a 9-site torus cannot reach tol_eig = 1e-300
     plans = [
         ExperimentPlan(experiment=name, seed=1, l_grid=(4,))

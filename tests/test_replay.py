@@ -19,8 +19,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PLANS = {
     "condense": ExperimentPlan(experiment="condense", seed=3, l_grid=(8, 16), samples=3),
-    # 129 sites: the eigensolve filters, in float32 first, where the plan
-    # above solves on the whole space
+    # 129 sites, the smallest torus of the benchmark's trend-1d grid
     "condense-filtered": ExperimentPlan(experiment="condense", seed=3, l_grid=(64,), samples=2),
     "spectrum-2d": ExperimentPlan(
         experiment="spectrum", seed=5, dim=2, l_grid=(6,), eig_count=2, samples=3

@@ -22,7 +22,6 @@ from gplattice.spectral import (
     FILTER_DEGREE,
     EigenConvergenceError,
     _chebyshev_filter,
-    dense_oracle,
 )
 
 from coordinate_reference import (
@@ -32,6 +31,7 @@ from coordinate_reference import (
     site_indices,
     torus_distances,
 )
+from dense_reference import dense_oracle
 
 SPEC = DisorderSpec(v_max=1.0, master_seed=101)
 
