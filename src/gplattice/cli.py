@@ -1,7 +1,8 @@
 """Command line front end.
 
-One subcommand per experiment kind.  Options come from an optional key=value
-config file plus flags, both named by ``ExperimentPlan`` fields; flags win.
+The experiment is the first argument; ``gplattice --help`` lists them.
+Options come from an optional key=value config file plus flags, both named by
+``ExperimentPlan`` fields; flags win.
 A master seed is mandatory so no run is ever silently irreproducible.
 
 Outputs, when --out is given: the records file itself (one JSON object per
@@ -28,8 +29,7 @@ from .records import write_records
 
 _EXPERIMENT_HELP = {
     "condense": "ground state, interacting minimizer, and certificate per sample",
-    "spectrum": "low-lying eigenvalues, gaps, localization centers, and the "
-    "ground-energy scaling in L",
+    "spectrum": "lowest eigenvalues, gaps, localization centers, ground energy in L",
     "estimates": "Wegner / Minami / Lifshitz / gap-law Monte Carlo estimators",
     "shells": "frequency-shell bounds and four-norm calibration",
 }
@@ -50,29 +50,28 @@ _FLAG_HELP = {
 }
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    """``--config`` plus ``--<name, with - for _>`` per ``_FLAG_HELP`` field.
+def build_parser() -> argparse.ArgumentParser:
+    """The experiment, then ``--config`` and one ``--<name>`` per ``_FLAG_HELP`` field.
 
     Flags take strings: the plan parses and checks a flag's value exactly as
     it does the same key in a config file.
     """
+    epilog = "experiments:\n" + "\n".join(
+        f"  {name:<10} {text}" for name, text in _EXPERIMENT_HELP.items()
+    )
+    parser = argparse.ArgumentParser(
+        prog="gplattice",
+        description="ensemble experiments for a discrete random Schroedinger\n"
+        "operator with a weak on-site interaction",
+        epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="see the list below")
     parser.add_argument(
         "--config", help="key=value file; command line flags override its entries"
     )
     for name, text in _FLAG_HELP.items():
         parser.add_argument("--" + name.replace("_", "-"), help=text)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gplattice",
-        description="ensemble experiments for a discrete random Schroedinger "
-        "operator with a weak on-site interaction",
-    )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        child = sub.add_parser(name, help=_EXPERIMENT_HELP[name])
-        _add_common_options(child)
     return parser
 
 
@@ -80,7 +79,7 @@ def _merge_options(args: argparse.Namespace) -> dict[str, str]:
     options = parse_config_text(Path(args.config).read_text()) if args.config else {}
     flags = {key: value for key, value in vars(args).items() if value is not None}
     flags.pop("config", None)
-    return options | flags  # the subcommand and the flags win
+    return options | flags  # the experiment and the flags win
 
 
 def _write_series(path: Path, header: list[str], rows: list[list[float]]) -> None:

@@ -74,8 +74,6 @@ from .spectral import (
     lowest_eigenpairs,
 )
 
-EXPERIMENTS = ("condense", "spectrum", "estimates", "shells")
-
 INVARIANT_SLACK = 1e-9
 
 
@@ -618,7 +616,8 @@ def _box_ground_sample(plan: ExperimentPlan, side_index: int, sample_index: int)
 
 
 def _payload(group, name: str, size: int) -> list[tuple]:
-    """Each record's tuple field ``name``, refused unless it has ``size`` entries."""
+    """Each record's tuple field ``name``, refused unless it has ``size`` entries
+    (as are another experiment's records under the same seed, dim and L grid)."""
     values = [getattr(r, name) for r in group]
     if any(len(v) != size for v in values):
         raise ValueError(f"records lack the {size}-entry {name} payload this plan reads")
@@ -763,4 +762,5 @@ _PIPELINES = {
     "estimates": _Pipeline(None, _observe_estimates, _summarize_estimates),
     "shells": _Pipeline(lambda plan: 1, _observe_shells, _summarize_shells),
 }
+EXPERIMENTS = tuple(_PIPELINES)
 

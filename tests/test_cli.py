@@ -1,13 +1,12 @@
-import argparse
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from gplattice import ExperimentPlan, main, read_records
-from gplattice.cli import _FLAG_HELP, _add_common_options, _merge_options, build_parser
+from gplattice import ExperimentPlan, main, read_records, run_plan
+from gplattice.cli import _EXPERIMENT_HELP, _FLAG_HELP, _merge_options, build_parser
 from gplattice.ensemble import EXPERIMENTS, parse_config_text, plan_from_options
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -82,8 +81,9 @@ def test_every_experiment_has_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--help"])
     text = capsys.readouterr().out
-    for name in EXPERIMENTS:
-        assert name in text
+    assert list(_EXPERIMENT_HELP) == list(EXPERIMENTS)
+    for name, line in _EXPERIMENT_HELP.items():
+        assert re.search(rf"^  {name} +{re.escape(line)}$", text, re.MULTILINE), name
 
 
 def test_missing_seed_is_a_usage_error(capsys):
@@ -93,7 +93,7 @@ def test_missing_seed_is_a_usage_error(capsys):
 
 
 def test_unknown_subcommand_rejected(capsys):
-    # scaling runs are spectrum runs, so "scaling" names no subcommand either
+    # scaling runs are spectrum runs, so "scaling" names no experiment either
     for name in ("anneal", "scaling"):
         with pytest.raises(SystemExit) as exc:
             main([name, "--seed", "0"])
@@ -225,9 +225,11 @@ def test_every_flag_reaches_the_plan():
         "workers": ("3", 3),
         "eig_count": ("4", 4),
     }
-    common = argparse.ArgumentParser()
-    _add_common_options(common)
-    options = {a.dest: a.option_strings[0] for a in common._actions if a.dest != "help"}
+    options = {
+        a.dest: a.option_strings[0]
+        for a in build_parser()._actions
+        if a.option_strings and a.dest != "help"
+    }
     assert set(options) == set(flags) | {"config"}
 
     argv = ["spectrum"]
@@ -288,6 +290,21 @@ def test_repeated_config_key_is_a_usage_error(tmp_path, capsys, monkeypatch):
     config.write_text("seed=1\nl_grid=4\n# the last value must not win silently\nseed=2\n")
     assert main(["condense", "--config", str(config)]) == 2
     assert "error: config line 4: duplicate key 'seed'" in capsys.readouterr().err
+
+
+def test_invariant_violation_exits_with_1_after_writing_outputs(tmp_path, capsys, monkeypatch):
+    def one_violation(plan):
+        return replace(run_plan(plan), invariant_violations=["injected: e1 < e0"])
+
+    monkeypatch.setattr("gplattice.cli.run_plan", one_violation)
+    out = tmp_path / "run.jsonl"
+    argv = ["spectrum", "--seed", "0", "--l-grid", "4", "--samples", "1"]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "invariant violation: injected: e1 < e0\n"
+    assert len(read_records(out).records) == 1
+    assert (tmp_path / "run.summary.txt").exists()
+    assert f"wrote {out}" in captured.out
 
 
 # former plan options: the shell scales are a fixed grid, the tolerances are

@@ -414,21 +414,24 @@ def test_overflowing_coupling_becomes_an_error_record(coupling):
     assert result.summary.n_failed == 1
 
 
-FIELD_PAYLOAD = ("field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok")
-
-
 @pytest.mark.parametrize(
-    "experiment, l_grid, payload",
-    [("estimates", (3,), ("window_counts",)), ("shells", (8,), FIELD_PAYLOAD)],
+    "experiment, source, l_grid, payload",
+    [
+        ("estimates", "condense", (3,), "7-entry window_counts"),
+        ("shells", "spectrum", (8,), "1-entry field_four_norm_ratio"),
+    ],
     ids=["estimates", "shells"],
 )
-def test_summarize_names_a_payload_missing_from_older_records(experiment, l_grid, payload):
-    # records without their payload are refused by name instead of a numpy error
+def test_summarize_refuses_another_experiments_records_by_payload(
+    experiment, source, l_grid, payload
+):
+    # another experiment's records under the same seed, dim and L grid fill
+    # the plan's slots; the payload the plan reads refuses them by name
+    # instead of a numpy error
     plan = ExperimentPlan(experiment=experiment, seed=2, l_grid=l_grid, samples=2)
-    records = [
-        replace(rec, **{key: () for key in payload}) for rec in run_plan(plan).records
-    ]
-    with pytest.raises(ValueError, match=payload[0]):
+    records = run_plan(replace(plan, experiment=source)).records
+    message = f"records lack the {payload} payload this plan reads"
+    with pytest.raises(ValueError, match=re.escape(message)):
         summarize(plan, records)
 
 
@@ -827,7 +830,31 @@ def test_shells_flat_ground_state_at_l_49_is_healthy():
     plan = ExperimentPlan(
         experiment="shells", seed=0, l_grid=(49,), schedule=(0.0,), samples=1, v_max=1e-3
     )
-    assert replay_sample(plan, 0, 0).error is None
+    result = run_plan(plan)
+    assert result.records[0].kinetic < (1 / 49) ** 2
+    [row] = result.summary.series["corpus"][1]
+    assert row[0] == 49 and all(math.isfinite(v) for v in row[1:])
+
+
+def test_shells_summary_of_an_all_failed_l_has_no_rows_and_is_quiet():
+    # an L with no healthy sample gets no shell rows and a NaN corpus row,
+    # without a numpy warning
+    plan = ExperimentPlan(experiment="shells", seed=7, l_grid=(8, 16), samples=2)
+    records = run_plan(plan).records
+    healthy_corpus = summarize(plan, records).series["corpus"][1]
+    records = [replace(r, error="injected failure") if r.half_side == 16 else r for r in records]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = summarize(plan, records)
+    assert summary.n_ok == {8: 2, 16: 0} and summary.n_failed == 2
+    for name in ("four_norm_ratio", "sup_bound"):
+        assert {row[0] for row in summary.series[name][1]} == {8}, name
+    corpus = summary.series["corpus"][1]
+    assert corpus[0] == healthy_corpus[0]
+    half_side, corpus_max, corpus_median, trial_scale = corpus[1]
+    assert half_side == 16 and math.isnan(corpus_max) and math.isnan(corpus_median)
+    assert trial_scale == healthy_corpus[1][3]
+    assert summary.checks["corpus max within 3x trial scale by L"][16] is False
 
 
 def test_shells_strong_disorder_samples_are_healthy():

@@ -3,7 +3,7 @@
 Each fenced ``python`` block is executed, and each ``gplattice ...`` command
 line of a ``sh`` block is parsed into a plan (without running it), so an
 example that names a removed option or field fails here.  A command's test
-is named by its subcommand and its ordinal among that subcommand's examples,
+is named by its experiment and its ordinal among that experiment's examples,
 so editing an example's options keeps its name.
 """
 
