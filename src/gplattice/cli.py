@@ -1,8 +1,10 @@
 """Command line front end.
 
-The experiment is the first argument; ``gplattice --help`` lists them.
+The experiment is the first argument; ``gplattice --help`` lists them, each
+with its help line from the pipeline table.
 Options come from an optional key=value config file plus flags, both named by
-``ExperimentPlan`` fields; flags win.
+``ExperimentPlan`` fields; flags win.  Each flag's help text is its field's
+``help`` metadata.
 A master seed is mandatory so no run is ever silently irreproducible.
 
 Outputs, when --out is given: the records file itself (one JSON object per
@@ -16,10 +18,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .ensemble import (
     EXPERIMENTS,
+    PIPELINES,
+    ExperimentPlan,
     ExperimentResult,
     parse_config_text,
     plan_from_options,
@@ -27,37 +32,17 @@ from .ensemble import (
 )
 from .records import write_records
 
-_EXPERIMENT_HELP = {
-    "condense": "ground state, interacting minimizer, and certificate per sample",
-    "spectrum": "lowest eigenvalues, gaps, localization centers, ground energy in L",
-    "estimates": "Wegner / Minami / Lifshitz / gap-law Monte Carlo estimators",
-    "shells": "frequency-shell bounds and four-norm calibration",
-}
-
-
-_FLAG_HELP = {
-    "seed": "master seed (required here or in the config)",
-    "dim": "lattice dimension (1, 2, or 3)",
-    "l_grid": "comma separated half-sides, e.g. 64,128,256,512",
-    "schedule": "condense only: 'theorem' for the built-in coupling schedule, "
-    "or comma separated couplings (one value, or one per L)",
-    "c": "condense only: prefactor of the built-in coupling schedule",
-    "samples": "disorder samples per L",
-    "out": "records file (JSON lines); sidecar files share its stem",
-    "v_max": "upper end of the uniform potential law on [0, v_max]",
-    "workers": "worker processes (default 1)",
-    "eig_count": "eigenpairs a spectrum run solves for (at least 2)",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
-    """The experiment, then ``--config`` and one ``--<name>`` per ``_FLAG_HELP`` field.
+    """The experiment, then ``--config`` and one ``--<name>`` per plan field.
 
+    The experiments and their help lines come from the pipeline table, the
+    flags and theirs from ``ExperimentPlan``'s fields, in field order.
     Flags take strings: the plan parses and checks a flag's value exactly as
     it does the same key in a config file.
     """
     epilog = "experiments:\n" + "\n".join(
-        f"  {name:<10} {text}" for name, text in _EXPERIMENT_HELP.items()
+        f"  {name:<10} {pipeline.help}" for name, pipeline in PIPELINES.items()
     )
     parser = argparse.ArgumentParser(
         prog="gplattice",
@@ -70,8 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config", help="key=value file; command line flags override its entries"
     )
-    for name, text in _FLAG_HELP.items():
-        parser.add_argument("--" + name.replace("_", "-"), help=text)
+    for option in fields(ExperimentPlan):
+        if option.name != "experiment":
+            parser.add_argument(
+                "--" + option.name.replace("_", "-"), help=option.metadata["help"]
+            )
     return parser
 
 

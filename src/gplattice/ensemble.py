@@ -9,7 +9,7 @@ bit and can be sharded over workers without changing a single record.
 Every experiment runs through one sample function, ``replay_sample``, which
 draws the potential, solves for the spectrum, and turns any failure into an
 error record; ``run_plan`` maps it over the plan's slots, and an experiment
-adds only its observable and its summary (see ``_PIPELINES``).
+adds only its observable and its summary (see ``PIPELINES``).
 A sample's only output is its record, so a summary is a function of the plan
 and the records (``summarize``).
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, ClassVar
 
@@ -100,16 +100,34 @@ class ExperimentPlan:
     """Complete, picklable description of one ensemble run."""
 
     experiment: str
-    seed: int
-    dim: int = 1
-    l_grid: tuple[int, ...] = (16,)
-    schedule: str | tuple[float, ...] = "theorem"
-    c: float = 1.0
-    samples: int = 100
-    out: str | None = None
-    v_max: float = 1.0
-    workers: int = 1
-    eig_count: int = 2
+    # every field below is also the CLI flag --<name>, with this help text
+    seed: int = field(metadata={"help": "master seed (required here or in the config)"})
+    dim: int = field(default=1, metadata={"help": "lattice dimension (1, 2, or 3)"})
+    l_grid: tuple[int, ...] = field(
+        default=(16,), metadata={"help": "comma separated half-sides, e.g. 64,128,256,512"}
+    )
+    schedule: str | tuple[float, ...] = field(
+        default="theorem",
+        metadata={
+            "help": "condense only: 'theorem' for the built-in coupling schedule, "
+            "or comma separated couplings (one value, or one per L)"
+        },
+    )
+    c: float = field(
+        default=1.0,
+        metadata={"help": "condense only: prefactor of the built-in coupling schedule"},
+    )
+    samples: int = field(default=100, metadata={"help": "disorder samples per L"})
+    out: str | None = field(
+        default=None, metadata={"help": "records file (JSON lines); sidecar files share its stem"}
+    )
+    v_max: float = field(
+        default=1.0, metadata={"help": "upper end of the uniform potential law on [0, v_max]"}
+    )
+    workers: int = field(default=1, metadata={"help": "worker processes (default 1)"})
+    eig_count: int = field(
+        default=2, metadata={"help": "eigenpairs a spectrum run solves for (at least 2)"}
+    )
 
     # constants, not options: the eigensolver residual and GP projected
     # gradient tolerances, Neumann box sides of the Lifshitz tail (the largest
@@ -128,6 +146,7 @@ class ExperimentPlan:
             raise ValueError(
                 f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}"
             )
+        pipeline = PIPELINES[self.experiment]
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.dim not in SUPPORTED_DIMS:
@@ -140,15 +159,14 @@ class ExperimentPlan:
             raise ValueError(f"l_grid must be strictly increasing, got {self.l_grid}")
         if min(self.l_grid) < 1:
             raise ValueError("every L must be >= 1")
-        if self.experiment in ("condense", "shells") and min(self.l_grid) < 2:
-            # condense takes log L (coupling, eta(L)); shells needs eps < 1 with eps L >= 1
-            raise ValueError(f"{self.experiment} needs every L >= 2")
-        if self.experiment == "estimates":
+        if min(self.l_grid) < pipeline.min_half_side:
+            raise ValueError(f"{self.experiment} needs every L >= {pipeline.min_half_side}")
+        if pipeline.eig_count is None:
             # full dense spectra of the torus; every Neumann box is small
             sites = (2 * max(self.l_grid) + 1) ** self.dim
             if sites > DENSE_LIMIT:
                 raise ValueError(
-                    f"estimates needs full dense spectra; {sites} sites exceeds "
+                    f"{self.experiment} needs full dense spectra; {sites} sites exceeds "
                     f"the {DENSE_LIMIT}-site dense limit"
                 )
         if self.samples < 1:
@@ -158,7 +176,7 @@ class ExperimentPlan:
         if self.eig_count < 2:
             raise ValueError("eig_count must be >= 2")
         smallest = (2 * min(self.l_grid) + 1) ** self.dim  # sites of the smallest torus
-        if self.experiment == "spectrum" and self.eig_count > smallest:
+        if pipeline.eig_count is not None and pipeline.eig_count(self) > smallest:
             raise ValueError(f"eig_count exceeds the {smallest} sites of the smallest torus")
         if isinstance(self.schedule, str):
             if self.schedule != "theorem":
@@ -356,17 +374,22 @@ def _column_means(rows: np.ndarray) -> np.ndarray:
 class _Pipeline:
     """What one experiment adds to the shared sample pipeline.
 
+    ``help`` is the experiment's line in ``gplattice --help``.
     ``eig_count`` gives the number of lowest eigenpairs to solve for, or is
     None for a full dense spectrum.  ``observe(plan, l_index, sample_index,
     geom, ham, eig)`` returns the record fields, everything the summary
     reads of the sample; ``summarize(plan, groups)`` gets the healthy
     records grouped per L and returns the ``Summary`` series and checks.
+    The plan refuses an L below ``min_half_side``, a count above the sites
+    of its smallest torus, and a dense spectrum above ``DENSE_LIMIT`` sites.
     """
 
+    help: str
     eig_count: Callable[[ExperimentPlan], int] | None
     observe: Callable
     summarize: Callable
     interacting: bool = False
+    min_half_side: int = 1
 
 
 def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunRecord:
@@ -376,7 +399,7 @@ def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunR
     experiment replays from its provenance.  A failure anywhere after the
     record's base fields becomes an error record.
     """
-    pipeline = _PIPELINES[plan.experiment]
+    pipeline = PIPELINES[plan.experiment]
     half_side = plan.l_grid[l_index]
     geom = build_lattice(plan.dim, half_side)
     base = dict(
@@ -431,7 +454,7 @@ def summarize(plan: ExperimentPlan, records: list[RunRecord]) -> Summary:
             raise ValueError(f"record {slot} is not a distinct slot of this plan")
         if record.error is None:
             groups[record.l_index].append(record)
-    series, checks = _PIPELINES[plan.experiment].summarize(plan, groups)
+    series, checks = PIPELINES[plan.experiment].summarize(plan, groups)
     n_ok = {half_side: len(group) for half_side, group in zip(plan.l_grid, groups)}
     return Summary(series, checks, n_ok, len(records) - sum(n_ok.values()))
 
@@ -752,15 +775,26 @@ def _summarize_shells(plan: ExperimentPlan, groups):
     return series, checks
 
 
-_PIPELINES = {
+# min_half_side 2: condense takes log L in U(L) and eta(L); shells needs a
+# shell scale eps < 1 with eps L >= 1
+PIPELINES = {
     "condense": _Pipeline(
-        lambda plan: 2, _observe_condense, _summarize_condense, interacting=True
+        "ground state, interacting minimizer, and certificate per sample",
+        lambda plan: 2, _observe_condense, _summarize_condense,
+        interacting=True, min_half_side=2,
     ),
     "spectrum": _Pipeline(
-        lambda plan: plan.eig_count, _observe_spectrum, _summarize_spectrum
+        "lowest eigenvalues, gaps, localization centers, ground energy in L",
+        lambda plan: plan.eig_count, _observe_spectrum, _summarize_spectrum,
     ),
-    "estimates": _Pipeline(None, _observe_estimates, _summarize_estimates),
-    "shells": _Pipeline(lambda plan: 1, _observe_shells, _summarize_shells),
+    "estimates": _Pipeline(
+        "Wegner / Minami / Lifshitz / gap-law Monte Carlo estimators",
+        None, _observe_estimates, _summarize_estimates,
+    ),
+    "shells": _Pipeline(
+        "frequency-shell bounds and four-norm calibration",
+        lambda plan: 1, _observe_shells, _summarize_shells, min_half_side=2,
+    ),
 }
-EXPERIMENTS = tuple(_PIPELINES)
+EXPERIMENTS = tuple(PIPELINES)
 

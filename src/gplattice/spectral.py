@@ -218,11 +218,14 @@ def lowest_eigenpairs(
 ) -> EigenSolution:
     """Lowest ``count`` eigenpairs by Chebyshev-filtered subspace iteration.
 
-    A block of ``min(n, max(count + 4, 2d + 3))`` fields is drawn from
-    ``seed``, so runs replay bit-exactly; an operator no larger than that
-    block is solved exactly by one Rayleigh-Ritz step.  The block is
-    a C-ordered (n, width) array, one field per column, so the fields of one
-    site are adjacent.  Each outer step applies a degree-``FILTER_DEGREE``
+    A block of ``max(count + 4, 2d + 3)`` fields is drawn from ``seed``, so
+    runs replay bit-exactly; an operator of at most twice that many sites
+    takes a block of all n fields instead, and is solved exactly by one
+    Rayleigh-Ritz step: on a small torus the block's cut can fall inside a
+    near-degenerate cluster of the free spectrum (in d = 3 at side 3 the
+    levels come in groups of 1, 6, 12 and 8), where filtering stalls.  The
+    block is a C-ordered (n, width) array, one field per column, so the
+    fields of one site are adjacent.  Each outer step applies a degree-``FILTER_DEGREE``
     Chebyshev filter that damps [largest Ritz value,
     ``op.spectral_bound()``]: each step of its three-term recurrence
     overwrites the oldest iterate in place, so no block is allocated and no
@@ -254,7 +257,11 @@ def lowest_eigenpairs(
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
-    width = min(n, max(count + 4, 2 * op.geom.dim + 3))
+    width = max(count + 4, 2 * op.geom.dim + 3)
+    if 2 * width >= n:
+        # a cut this high may split a near-degenerate cluster; the whole
+        # space is exact
+        width = n
     budget = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
     low = float(op.potential.min())

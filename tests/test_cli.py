@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from gplattice import ExperimentPlan, main, read_records, run_plan
-from gplattice.cli import _EXPERIMENT_HELP, _FLAG_HELP, _merge_options, build_parser
-from gplattice.ensemble import EXPERIMENTS, parse_config_text, plan_from_options
+from gplattice.cli import _merge_options, build_parser
+from gplattice.ensemble import PIPELINES, parse_config_text, plan_from_options
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -81,9 +81,9 @@ def test_every_experiment_has_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--help"])
     text = capsys.readouterr().out
-    assert list(_EXPERIMENT_HELP) == list(EXPERIMENTS)
-    for name, line in _EXPERIMENT_HELP.items():
-        assert re.search(rf"^  {name} +{re.escape(line)}$", text, re.MULTILINE), name
+    for name, pipeline in PIPELINES.items():
+        assert pipeline.help
+        assert re.search(rf"^  {name} +{re.escape(pipeline.help)}$", text, re.MULTILINE), name
 
 
 def test_missing_seed_is_a_usage_error(capsys):
@@ -242,7 +242,16 @@ def test_every_flag_reaches_the_plan():
 
 
 def test_every_plan_field_but_the_subcommand_is_a_flag():
-    assert set(_FLAG_HELP) == {f.name for f in fields(ExperimentPlan)} - {"experiment"}
+    actions = [a for a in build_parser()._actions if a.option_strings]
+    for option in fields(ExperimentPlan):
+        flags = [a for a in actions if a.dest == option.name]
+        if option.name == "experiment":
+            assert flags == []
+            continue
+        assert option.metadata["help"], option.name
+        assert len(flags) == 1, option.name
+        assert flags[0].option_strings == ["--" + option.name.replace("_", "-")]
+        assert flags[0].help == option.metadata["help"]
 
 
 def test_oversize_estimates_plan_is_a_usage_error(tmp_path, capsys):

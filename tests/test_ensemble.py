@@ -32,6 +32,7 @@ from gplattice.ensemble import (
     theorem_coupling,
 )
 from gplattice import ensemble, gp
+from gplattice.spectral import DENSE_LIMIT
 
 from coordinate_reference import flat_realization
 
@@ -116,6 +117,12 @@ def test_only_condense_and_shells_need_l_above_1():
     for experiment in ("spectrum", "estimates"):
         plan = ExperimentPlan(experiment=experiment, seed=0, l_grid=(1,))
         assert replay_sample(plan, 0, 0).error is None, experiment
+
+
+def test_dense_limit_binds_only_the_dense_pipeline():
+    # the spectrum-2d benchmark torus, refused to estimates, is solved iteratively
+    assert (2 * 32 + 1) ** 2 > DENSE_LIMIT
+    ExperimentPlan(experiment="spectrum", seed=0, dim=2, l_grid=(32,))
 
 
 def test_coupling_for_each_schedule_form():
@@ -301,15 +308,16 @@ def test_records_carry_eigensolver_diagnostics(small_condense):
     plan, result = small_condense
     for rec in result.records:
         assert isinstance(rec.eig_applies, int) and rec.eig_applies > 0
-        # 9 and 13 sites are filtered with a block of 6 fields
+        # 9 sites are solved whole, being at most twice a block of 6 fields;
+        # 13 sites are filtered with that block
         assert 0 <= rec.eig_single_applies <= rec.eig_applies
         assert isinstance(rec.gp_applies, int) and rec.gp_applies > 0
         assert 0.0 < rec.eig_residual_max <= plan.tol_eig
         # the two stage times are parts of the sample's wall time
         assert 0.0 < rec.t_eig and 0.0 < rec.t_gp
         assert rec.t_eig + rec.t_gp < rec.wall_time
-    # a torus of 5 sites is no wider than the block: one exact Rayleigh-Ritz
-    # step on 5 fields and the confirming application of 2, nothing filtered
+    # a torus of 5 sites is solved whole: one exact Rayleigh-Ritz step on 5
+    # fields and the confirming application of 2, nothing filtered
     rec = replay_sample(base_plan(l_grid=(2,), samples=1), 0, 0)
     assert rec.error is None
     assert rec.eig_applies == 7 and rec.eig_single_applies == 0
@@ -339,6 +347,23 @@ def test_trend_solves_stop_the_conjugate_gradients_at_the_gradient_test():
     ]
     assert all(r.error is None and r.gp_grad_norm <= plan.tol_gp for r in records)
     assert sum(r.gp_applies for r in records) <= 1.05 * TREND_HEAD_APPLIES
+
+
+@pytest.mark.parametrize("dim, half_side, eig_count", [(3, 1, 13), (3, 1, 22), (3, 2, 62)])
+def test_a_block_of_half_the_torus_solves_the_whole_torus(dim, half_side, eig_count):
+    # a block over half the torus or more can cut the nearly free spectrum
+    # inside one of its degenerate clusters, where filtering stalls; so such
+    # a torus is solved whole: n applications and the confirming ones
+    sites = (2 * half_side + 1) ** dim
+    for v_max in (0.01, 1.0):
+        plan = ExperimentPlan(
+            experiment="spectrum", seed=1, dim=dim, l_grid=(half_side,), samples=3,
+            v_max=v_max, eig_count=eig_count,
+        )
+        for rec in run_plan(plan).records:
+            assert rec.error is None, (v_max, rec.sample_index, rec.error)
+            assert rec.eig_applies == sites + eig_count
+            assert rec.eig_single_applies == 0
 
 
 def test_condense_summary_shape(small_condense):
