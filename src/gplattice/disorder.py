@@ -128,16 +128,14 @@ def restrict_hamiltonian(
     grid = realization.potential.reshape(geom.shape)
     pot = grid[tuple(slice(o, o + n) for o, n in zip(offsets, shape))].reshape(-1)
     if region.bc == "neumann":
-        diag = _neumann_degree(shape, geom.side) + pot
+        kinetic = _neumann_degree(shape, geom.side)
     else:
-        diag = 2.0 * geom.dim + pot
-
-    return HamiltonianOperator(geom=geom, diag=diag, shape=shape, potential=pot)
+        kinetic = 2.0 * geom.dim
+    return HamiltonianOperator(geom=geom, diag=kinetic + pot, shape=shape)
 
 
 def periodic_hamiltonian(realization: DisorderRealization) -> HamiltonianOperator:
     """-Delta + V on the full torus."""
-    geom, pot = realization.geom, realization.potential
-    return HamiltonianOperator(
-        geom=geom, diag=2.0 * geom.dim + pot, shape=geom.shape, potential=pot
-    )
+    geom = realization.geom
+    diag = 2.0 * geom.dim + realization.potential
+    return HamiltonianOperator(geom=geom, diag=diag, shape=geom.shape)

@@ -28,7 +28,8 @@ converge to a nearby saddle.  A boundary step leaves it only when the
 conjugate gradients' Krylov space meets the negative curvature, so a solve
 can end at a saddle with ``converged`` True: 2 of the 800 records of the
 theorem-schedule trend do, and 14-15 of 50 samples at 100-300 times that
-coupling (ROADMAP item 1 plans a second-order exit test).  Along an
+coupling (ROADMAP item 1 plans the dual lower bound mu - lambda0(H + 2U
+rho), with rho = phi^2, which is 0 only at the minimizer).  Along an
 excited state psi of H that Hessian has curvature (e_psi - e0) - 2U ipr +
 6U sum phi0^2 psi^2, with ipr = sum phi0^4, so phi0 is a saddle once 2U ipr
 exceeds the gap to a low state that phi0 barely overlaps.  U ipr

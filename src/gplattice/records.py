@@ -158,16 +158,20 @@ def write_records(path, records, *, append: bool = False) -> None:
 
 
 def read_records(path) -> ReadResult:
-    """Read a record stream; malformed lines are reported, not fatal."""
+    """Read a record stream; malformed lines are reported, not fatal.
+
+    Each line is decoded on its own, so a byte that is not UTF-8, JSON nested
+    too deep to parse, or a record that does not validate costs that line
+    alone.
+    """
     records: list[RunRecord] = []
     bad: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
             try:
-                records.append(RunRecord.from_json(stripped))
-            except (json.JSONDecodeError, ValueError, TypeError) as exc:
+                stripped = line.decode("utf-8").strip()
+                if stripped:
+                    records.append(RunRecord.from_json(stripped))
+            except (ValueError, TypeError, RecursionError) as exc:
                 bad.append((lineno, str(exc)))
     return ReadResult(records=records, bad_lines=bad)

@@ -18,9 +18,13 @@ crosses from one field into the next, each filter step is a few passes
 over the flat block, and the QR and the Rayleigh-Ritz products take the
 block as it is.  The filter recurrence rotates two fixed blocks, so it
 binds the stencil to them once per filter call, not once per step.  The
-block is at least 2d+3 fields wide so degenerate clusters are captured
-whole; the free first excited level has multiplicity 2d, which a
-single-vector iteration would silently split.
+block is at least 2d+3 fields wide, so it holds the ground state and the
+whole free first excited level, of multiplicity 2d, which a single-vector
+iteration would silently split.  A wider cluster can still be cut: where the
+block's edge falls inside a near-degenerate cluster, the filter barely damps
+the first state above the edge and the solve can stall (``spectrum`` d = 3,
+L = 2, count 10 at v_max 0.01: the block of 14 ends inside the 12-fold
+second excited free level, and three of six seeds run out of budget).
 Residuals of returned pairs are recomputed with a fresh operator
 application before the solver accepts them.
 
@@ -30,12 +34,12 @@ residuals lie far above float32's resolution, halving the bytes per pass
 costs no accuracy the next steps keep.  Each outer step chooses its
 precision from the solve's own state alone: float32 while the wanted pairs'
 largest residual is above ``SINGLE_RESIDUAL`` times the spectral bound, the
-filter's largest gain on [min V, bound] is below ``SINGLE_GAIN``, and every
-float32 step so far lowered that residual; once one fails, float64 to the
-end.  The QR, the operator applications, the Rayleigh-Ritz steps, the
-residuals, the locking and the confirming application stay in float64, so
-the contract is unchanged, and a solve that never filters in float32 is the
-float64 solve bit for bit.
+filter's largest gain on [min diag - 2d, bound] is below ``SINGLE_GAIN``,
+and every float32 step so far lowered that residual; once one fails,
+float64 to the end.  The QR, the operator applications, the Rayleigh-Ritz
+steps, the residuals, the locking and the confirming application stay in
+float64, so the contract is unchanged, and a solve that never filters in
+float32 is the float64 solve bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ class EigenConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class HamiltonianOperator:
-    """(-Delta + V) restricted to a region.
+    """(-Delta + V) restricted to a region: the region's grid and a diagonal.
 
     The operator is a stencil on the region's grid of side lengths
     ``shape``.  An axis as long as the torus side keeps the coupling between
@@ -76,13 +80,12 @@ class HamiltonianOperator:
     torus's ``geom.shape``.  Boundary conventions: periodic and Dirichlet
     keep the full diagonal 2d + V, the Neumann restriction reduces it to the
     in-region degree + V so that the region-constant vector is in the kernel
-    whenever V vanishes.
+    whenever V vanishes.  A shifted operator is ``replace(op, diag=...)``.
     """
 
     geom: LatticeGeometry
     diag: np.ndarray        # kinetic diagonal + potential (n,)
     shape: tuple[int, ...]  # the region's side lengths
-    potential: np.ndarray   # (n,)
 
     @property
     def n_sites(self) -> int:
@@ -102,8 +105,8 @@ class HamiltonianOperator:
         return out
 
     def spectral_bound(self) -> float:
-        """Upper bound 4d + max V on the spectrum."""
-        return 4.0 * self.geom.dim + float(self.potential.max(initial=0.0))
+        """Gershgorin upper bound: a row has at most 2d entries -1 off the diagonal."""
+        return float(self.diag.max()) + 2.0 * self.geom.dim
 
 
 @functools.cache
@@ -237,11 +240,11 @@ def lowest_eigenpairs(
     QR.
     The filter runs in float32 while all of three conditions hold: the
     wanted pairs' largest residual is above ``SINGLE_RESIDUAL *
-    op.spectral_bound()``; the filter's gain on [min V, bound] stays below
-    ``SINGLE_GAIN`` (-Delta >= 0, so min V bounds the spectrum from below);
-    and every float32 step so far lowered that residual.  Once one fails,
-    the filter runs in float64 to the end of the solve.  The choice reads
-    only the solve's own state, so a solve replays bit-exactly.
+    op.spectral_bound()``; the filter's gain on the Gershgorin interval
+    [min diag - 2d, max diag + 2d], which holds the spectrum, stays below
+    ``SINGLE_GAIN``; and every float32 step so far lowered that residual.
+    Once one fails, it runs in float64 to the end of the solve.  The choice
+    reads only the solve's own state, so a solve replays bit-exactly.
     Pairs are accepted only after a fresh application confirms every
     residual <= ``tol``, which must be positive and finite; vectors are
     returned up to sign.
@@ -264,7 +267,7 @@ def lowest_eigenpairs(
         width = n
     budget = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
-    low = float(op.potential.min())
+    low = float(op.diag.min()) - 2.0 * op.geom.dim
 
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
     vals, vecs, image = _rayleigh_ritz(basis, op.apply(basis))

@@ -34,12 +34,13 @@ def projected_gradient_descent(
     energy = energy_at(problem, phi)
     trace = [energy]
     applies = 1
-    vmax = float(h.potential.max(initial=0.0))
+    # Gershgorin: each row of H has at most 2d off-diagonal entries -1
+    h_max = float(h.diag.max()) + 2.0 * h.geom.dim
     # largest step that is stable for any unit iterate (||phi||_inf <= 1);
     # near the floor, energy differences drop below one ulp and the Armijo
     # test turns into noise, so sub-noise moves at this step are accepted
-    step_safe = 1.0 / (2.0 * (4.0 * h.geom.dim + vmax) + 12.0 * coupling)
-    step = 1.0 / (2.0 * (4.0 * h.geom.dim + vmax) + 12.0 * coupling * float(np.max(phi**2)))
+    step_safe = 1.0 / (2.0 * h_max + 12.0 * coupling)
+    step = 1.0 / (2.0 * h_max + 12.0 * coupling * float(np.max(phi**2)))
     last_drop = 0.0
     converged = False
     while True:

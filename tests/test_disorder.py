@@ -15,7 +15,7 @@ from gplattice import (
 )
 
 from box_bracketing import partition_into_boxes
-from coordinate_reference import flat_realization, site_indices
+from coordinate_reference import flat_realization, reference_matrix, site_indices
 
 
 # --- disorder spec and sampling ---------------------------------------------
@@ -203,15 +203,16 @@ def test_restricted_potential_follows_sites():
     reg = Region(intervals=((-1, 3),), bc="dirichlet")
     op = restrict_hamiltonian(real, reg)
     sites = site_indices(reg, geom)
-    np.testing.assert_array_equal(op.potential, real.potential[sites])
-    mat = dense_matrix(op)
-    np.testing.assert_allclose(np.diag(mat), 2.0 + real.potential[sites])
+    np.testing.assert_array_equal(op.diag, 2.0 + real.potential[sites])
+    np.testing.assert_array_equal(np.diag(dense_matrix(op)), op.diag)
 
 
 @pytest.mark.parametrize("dim, half", [(1, 6), (2, 3), (3, 2)])
 def test_restriction_takes_the_potential_at_site_indices(dim, half):
-    # site_indices is the oracle for the sliced potential; box sides run up
-    # to the torus side
+    # site_indices is the oracle for the sliced potential, and the diagonal
+    # of the coordinate reference matrix (2d or the in-box degree, plus the
+    # potential) is formed by the same addition, so they agree exactly; box
+    # sides run up to the torus side
     geom = build_lattice(dim, half)
     real = sample_potential(DisorderSpec(master_seed=4), geom, 0, dim)
     regions = [
@@ -223,7 +224,7 @@ def test_restriction_takes_the_potential_at_site_indices(dim, half):
     for region in regions:
         op = restrict_hamiltonian(real, region)
         assert op.shape == tuple(length for _, length in region.intervals)
-        np.testing.assert_array_equal(op.potential, real.potential[site_indices(region, geom)])
+        np.testing.assert_array_equal(op.diag, np.diag(reference_matrix(real, region)))
 
 
 def test_callers_cannot_change_the_cached_shape_data():

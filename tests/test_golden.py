@@ -9,6 +9,9 @@ centers must match exactly, floats within ``FLOAT_TOL``.  Regenerate with
 only when a change to the records is intended, and say which fields moved.
 Regeneration keeps every archived value that still matches, rewrites only
 the moved ones and prints them, so a second run leaves the fixture as is.
+With ``--report`` it writes nothing and prints, per plan and per field or
+series, how many values differ from the fixture at all (within
+``FLOAT_TOL`` or not) and the largest |delta|.
 """
 
 import json
@@ -184,12 +187,82 @@ def test_regeneration_keeps_values_that_still_match():
     assert fresh["series"]["run.gap.dat"] == "# half_side median\n4 0.25\n5 0.6\n"
 
 
+def delta(got, want) -> float:
+    """|got - want|: 0 for equal values and for two NaNs, inf where none is defined."""
+    if got == want or (got != got and want != want):
+        return 0.0
+    try:
+        gap = abs(got - want)
+    except TypeError:
+        return math.inf
+    return gap if gap == gap else math.inf
+
+
+def differences(fresh: dict, archived: dict) -> tuple[int, dict]:
+    """Records that differ at all, and (count, largest |delta|) per field or series.
+
+    Each entry of a tuple field and of a series row counts; records or rows
+    that do not line up count once, with an infinite delta.
+    """
+    diffs: dict = {}
+
+    def note(key, gaps) -> bool:
+        gaps = [g for g in gaps if g > 0]
+        if gaps:
+            count, largest = diffs.get(key, (0, 0.0))
+            diffs[key] = (count + len(gaps), max(largest, *gaps))
+        return bool(gaps)
+
+    def entries(got, want) -> list[float]:
+        got, want = (list(v) if isinstance(v, (list, tuple)) else [v] for v in (got, want))
+        return [delta(a, b) for a, b in zip(got, want)] if len(got) == len(want) else [math.inf]
+
+    if len(fresh["records"]) != len(archived["records"]):
+        note("records", [math.inf])
+    moved = 0
+    for rec, ref in zip(fresh["records"], archived["records"]):
+        moved += any([note(key, entries(rec.get(key), ref[key])) for key in ref])
+    for series, text in fresh["series"].items():
+        header, rows = series_rows(text)
+        ref_header, ref_rows = series_rows(archived["series"].get(series, "\n"))
+        if header != ref_header or len(rows) != len(ref_rows):
+            note(series, [math.inf])
+        for row, ref_row in zip(rows, ref_rows):
+            note(series, entries(row, ref_row))
+    return moved, diffs
+
+
+def test_report_counts_every_value_that_differs():
+    archived = {
+        "records": [{"e0": 0.5, "gap": 0.25, "center0": [1, 2], "error": None}],
+        "series": {"run.gap.dat": "# half_side median\n4 0.25\n5 0.5\n"},
+    }
+    fresh = {
+        "records": [{"e0": 0.5 + 1e-13, "gap": 0.25, "center0": (1, 3), "error": None}],
+        "series": {"run.gap.dat": "# half_side median\n4 0.25\n5 0.5\n"},
+    }
+    moved, diffs = differences(fresh, archived)
+    assert moved == 1
+    assert diffs.keys() == {"e0", "center0"}
+    assert diffs["e0"][0] == 1 and 0 < diffs["e0"][1] < 2e-13
+    assert diffs["center0"] == (1, 1)
+    assert differences(archived, archived) == (0, {})
+
+
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     archive = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         data = {name: snapshot(plan, Path(tmp)) for name, plan in GOLDEN_PLANS.items()}
+    if sys.argv[1:] == ["--report"]:
+        for name, snap in data.items():
+            moved, diffs = differences(snap, archive[name])
+            print(f"{name}: {moved} of {len(snap['records'])} records differ")
+            for key, (count, largest) in diffs.items():
+                print(f"  {key}: {count} values differ, max |delta| {largest:.3g}")
+        sys.exit()
     moved = [
         entry
         for name, snap in data.items()

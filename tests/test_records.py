@@ -281,6 +281,27 @@ def test_bad_lines_reported_with_numbers(tmp_path):
     assert "not a JSON object" in result.bad_lines[2][1]
 
 
+def test_a_line_nested_past_the_recursion_limit_is_a_bad_line(tmp_path):
+    # json raises RecursionError, not a ValueError, on such a line
+    path = tmp_path / "run.jsonl"
+    good, deep = make_record().to_json(), "[" * 100_000 + "]" * 100_000
+    path.write_text("\n".join([good, deep, good]) + "\n")
+    result = read_records(path)
+    assert len(result.records) == 2
+    assert [lineno for lineno, _ in result.bad_lines] == [2]
+
+
+def test_a_byte_that_is_not_utf8_costs_its_line_alone(tmp_path):
+    # the bad byte costs its own line alone; the line after it is still read
+    path = tmp_path / "run.jsonl"
+    good = make_record().to_json().encode()
+    path.write_bytes(b"\n".join([good, b'{"master_seed": \xff}', good]) + b"\n")
+    result = read_records(path)
+    assert len(result.records) == 2
+    [(lineno, message)] = result.bad_lines
+    assert lineno == 2 and "utf-8" in message
+
+
 def test_unknown_field_rejected():
     rec = make_record()
     line = rec.to_json()
