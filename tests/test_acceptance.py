@@ -2,8 +2,9 @@
 
 Each test prints a single "criterion N: PASS/FAIL" line (visible without -s)
 and then asserts.  The large condensation-trend run is shared by several
-criteria through a module-scoped fixture and is archived as a regression
-fixture under tests/fixtures/ the first time it passes.
+criteria through a module-scoped fixture, and criterion 6 compares it with
+the regression fixture tests/fixtures/condensation_trend.json, which only
+``python tests/test_golden.py`` writes: a missing fixture fails the gate.
 """
 
 import json
@@ -45,8 +46,10 @@ from gp_reference import energy_at, gradient_at
 
 WORKERS = min(8, os.cpu_count() or 1)
 FIXTURE = Path(__file__).parent / "fixtures" / "condensation_trend.json"
-# relative gate on the archived per-L median overlap deficits
+# relative gates on the archived trend: per-L median overlap deficits, and
+# every other field relative to max(1, |value|)
 DEFICIT_RTOL = 1e-3
+TREND_RTOL = 1e-6
 
 TREND_PLAN = ExperimentPlan(
     experiment="condense",
@@ -207,58 +210,79 @@ def test_criterion_05_certificate_holds_on_condensation_run(capsys, trend_run):
     )
 
 
+def trend_fixture(result, path: Path = FIXTURE) -> tuple[dict, dict, list[str]]:
+    """A trend run's per-L snapshot, its drift from the archive at ``path``
+    and the fields whose drift lies beyond their gate.
+
+    The drift is (values that differ, largest relative |delta|) per field; a
+    field on one side only, or of another length, counts once with an
+    infinite delta, so a missing archive fails every field.
+    """
+    plan, series = result.plan, result.summary.series
+    l_indices = range(len(plan.l_grid))
+    snapshot = {
+        "l_grid": list(plan.l_grid),
+        "coupling": [plan.coupling_for(l_index) for l_index in l_indices],
+        "eta": [row[2] for row in series["condensate_fraction"][1]],
+        "median_overlap": [row[1] for row in series["overlap"][1]],
+        "fraction_within_eta": [row[1] for row in series["condensate_fraction"][1]],
+        # the overlap differs from 1 only in the 8th digit at L=512, so the
+        # deficit 1 - overlap is what a relative gate can see move
+        "median_deficit": [
+            float(np.median([1.0 - r.overlap for r in result.records
+                             if r.error is None and r.l_index == l_index]))
+            for l_index in l_indices
+        ],
+    }
+    stored = json.loads(path.read_text()) if path.exists() else {}
+    drifts, beyond = {}, []
+    for key in dict.fromkeys([*snapshot, *stored]):
+        got, want = snapshot.get(key), stored.get(key)
+        deficit = key == "median_deficit"
+        if got is None or want is None or len(got) != len(want):
+            gaps = [math.inf]
+        else:
+            gaps = [abs(a - b) / (abs(b) if deficit else max(1.0, abs(b)))
+                    for a, b in zip(got, want) if a != b]
+        if gaps:
+            drifts[key] = (len(gaps), max(gaps))
+            if max(gaps) > (DEFICIT_RTOL if deficit else TREND_RTOL):
+                beyond.append(key)
+    return snapshot, drifts, beyond
+
+
+def test_trend_gate_fails_without_its_fixture(tmp_path):
+    plan = replace(TREND_PLAN, l_grid=(8, 16), samples=3, workers=1)
+    result = run_plan(plan)
+    path = tmp_path / "condensation_trend.json"
+    snapshot, drifts, beyond = trend_fixture(result, path)
+    assert beyond == list(snapshot) and not path.exists()
+    assert all(drift == (1, math.inf) for drift in drifts.values())
+    path.write_text(json.dumps(snapshot, indent=2) + "\n")
+    assert trend_fixture(result, path)[1:] == ({}, [])
+
+
 def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
     result, elapsed = trend_run
     summary = result.summary
-    medians = [row[1] for row in summary.series["overlap"][1]]
-    fractions = [row[1] for row in summary.series["condensate_fraction"][1]]
+    snapshot, drifts, beyond = trend_fixture(result)
+    medians, deficits = snapshot["median_overlap"], snapshot["median_deficit"]
     overlap_monotone = summary.checks["overlap trend non-decreasing"]
     fraction_monotone = summary.checks["fraction trend non-decreasing"]
-    # the overlap differs from 1 only in the 8th digit at L=512, so the
-    # deficit 1 - overlap is what a relative gate can see move
-    deficits = [
-        float(np.median([1.0 - r.overlap for r in result.records
-                         if r.error is None and r.l_index == l_index]))
-        for l_index in range(len(TREND_PLAN.l_grid))
-    ]
-
-    snapshot = {
-        "l_grid": list(TREND_PLAN.l_grid),
-        "coupling": [
-            TREND_PLAN.coupling_for(l_index) for l_index in range(len(TREND_PLAN.l_grid))
-        ],
-        "eta": [row[2] for row in summary.series["condensate_fraction"][1]],
-        "median_overlap": medians,
-        "fraction_within_eta": fractions,
-        "median_deficit": deficits,
-    }
-    if FIXTURE.exists():
-        stored = json.loads(FIXTURE.read_text())
-        drift = 0.0
-        for key in snapshot:
-            if key != "median_deficit":
-                for a, b in zip(snapshot[key], stored[key]):
-                    drift = max(drift, abs(a - b) / max(1.0, abs(b)))
-        deficit_drift = max(
-            abs(a - b) / b for a, b in zip(deficits, stored["median_deficit"])
-        )
+    if beyond:
         fixture_note = (
-            f"matches archived fixture (max rel drift {drift:.2e}, "
-            f"median deficit rel drift {deficit_drift:.2e})"
+            f"{FIXTURE.name} fields beyond their gate: {beyond}; if the change "
+            "is intended, regenerate with `PYTHONPATH=src python tests/test_golden.py`"
         )
-        fixture_ok = drift <= 1e-6 and deficit_drift <= DEFICIT_RTOL
     else:
-        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-        FIXTURE.write_text(json.dumps(snapshot, indent=2) + "\n")
-        fixture_note = f"archived fixture {FIXTURE.name}"
-        fixture_ok = True
+        fixture_note = f"matches archived fixture (relative drift per field: {drifts or 'none'})"
 
     ok = (
         overlap_monotone
         and fraction_monotone
         and medians[-1] >= 0.9
         and elapsed <= 1800.0
-        and fixture_ok
+        and not beyond
     )
     verdict(
         capsys,

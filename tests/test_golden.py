@@ -1,17 +1,21 @@
 """Record identity: one tiny plan per experiment against archived outputs.
 
 The fixture holds each plan's records (payload fields, no wall time) and the
-text of every ``.dat`` series it writes.  Integers, booleans, strings and
-centers must match exactly, floats within ``FLOAT_TOL``.  Regenerate with
+text of every ``.dat`` series it writes.  ``differences`` is the one walk of
+a snapshot against its archive: every value of a record or a series row
+(integers, booleans, strings, centers and floats alike) must lie within
+``FLOAT_TOL`` of the archive, and a plan, record key, series, record or row
+on one side only differs by an infinite |delta|.
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [--report]
 
-only when a change to the records is intended, and say which fields moved.
-Regeneration keeps every archived value that still matches, rewrites only
-the moved ones and prints them, so a second run leaves the fixture as is.
-With ``--report`` it writes nothing and prints, per plan and per field or
-series, how many values differ from the fixture at all (within
-``FLOAT_TOL`` or not) and the largest |delta|.
+is the only writer under ``tests/fixtures/``: it prints, for each golden
+plan and for criterion 6's trend fixture, how many values differ from the
+archive at all and the largest |delta| per field or series.  Without
+``--report`` it then writes the current values whole, so a second run
+leaves both files as they are.  Run it only when a change to the records is
+intended, and say which fields moved.  With ``--report`` it writes nothing
+and exits 1 when any value lies beyond its gate.
 """
 
 import json
@@ -53,6 +57,9 @@ GOLDEN_PLANS = {
     "certificate-2d": ExperimentPlan(
         experiment="condense", seed=0, dim=2, l_grid=(8, 16), samples=2
     ),
+    "condense-3d": ExperimentPlan(
+        experiment="condense", seed=4, dim=3, l_grid=(2, 3), samples=2
+    ),
 }
 
 
@@ -67,16 +74,6 @@ def snapshot(plan: ExperimentPlan, tmp: Path) -> dict:
     }
 
 
-def same_value(got, want) -> bool:
-    if isinstance(want, float):
-        if math.isnan(want):
-            return math.isnan(got)
-        return abs(got - want) <= FLOAT_TOL
-    if isinstance(want, list):
-        return list(got) == want
-    return got == want
-
-
 def series_rows(text: str) -> tuple[str, list[list[float]]]:
     header, *rows = text.splitlines()
     return header, [[float(tok) for tok in row.split()] for row in rows]
@@ -84,23 +81,9 @@ def series_rows(text: str) -> tuple[str, list[list[float]]]:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
 def test_records_and_series_match_golden(name, tmp_path):
-    want = json.loads(GOLDEN.read_text())[name]
-    got = snapshot(GOLDEN_PLANS[name], tmp_path)
-
-    assert len(got["records"]) == len(want["records"])
-    for rec, ref in zip(got["records"], want["records"]):
-        assert rec.keys() == ref.keys()
-        moved = [k for k in ref if not same_value(rec[k], ref[k])]
-        assert not moved, f"{name} {ref['l_index'], ref['sample_index']}: {moved}"
-
-    assert got["series"].keys() == want["series"].keys()
-    for series, text in want["series"].items():
-        header, rows = series_rows(got["series"][series])
-        ref_header, ref_rows = series_rows(text)
-        assert header == ref_header
-        assert len(rows) == len(ref_rows)
-        for row, ref_row in zip(rows, ref_rows):
-            assert all(same_value(a, b) for a, b in zip(row, ref_row)), series
+    archived = json.loads(GOLDEN.read_text()).get(name)
+    diffs = differences(snapshot(GOLDEN_PLANS[name], tmp_path), archived)
+    assert not beyond_gate(diffs), f"{name}: (values that differ, largest |delta|) {diffs}"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
@@ -140,53 +123,6 @@ def test_summary_rebuilds_from_the_records_file(name, tmp_path):
         assert rebuilt_path.read_bytes() == run_path.read_bytes(), run_path.name
 
 
-def merge_snapshot(fresh: dict, archived: dict | None, name: str) -> list[tuple]:
-    """Put archived values back into ``fresh`` wherever they still match.
-
-    Returns the (plan, record or series, field or row) triples that moved.
-    """
-    if archived is None or len(archived["records"]) != len(fresh["records"]):
-        return [(name, "records", "all")]
-    moved = []
-    for rec, ref in zip(fresh["records"], archived["records"]):
-        for key, value in rec.items():
-            if key in ref and same_value(value, ref[key]):
-                rec[key] = ref[key]
-            else:
-                moved.append((name, (rec["l_index"], rec["sample_index"]), key))
-    for series, text in fresh["series"].items():
-        lines = text.splitlines(keepends=True)
-        old = archived["series"].get(series, "").splitlines(keepends=True)
-        if len(old) != len(lines) or old[:1] != lines[:1]:
-            moved.append((name, series, "all"))
-            continue
-        for row, (line, ref) in enumerate(zip(lines[1:], old[1:]), start=1):
-            got, want = line.split(), ref.split()
-            if len(got) == len(want) and all(
-                same_value(float(a), float(b)) for a, b in zip(got, want)
-            ):
-                lines[row] = ref
-            else:
-                moved.append((name, series, row))
-        fresh["series"][series] = "".join(lines)
-    return moved
-
-
-def test_regeneration_keeps_values_that_still_match():
-    archived = {
-        "records": [{"l_index": 0, "sample_index": 1, "e0": 0.5, "gap": 0.25}],
-        "series": {"run.gap.dat": "# half_side median\n4 0.25\n5 0.5\n"},
-    }
-    fresh = {
-        "records": [{"l_index": 0, "sample_index": 1, "e0": 0.5 + 1e-13, "gap": 0.26}],
-        "series": {"run.gap.dat": "# half_side median\n4 0.2500000000001\n5 0.6\n"},
-    }
-    moved = merge_snapshot(fresh, archived, "plan")
-    assert moved == [("plan", (0, 1), "gap"), ("plan", "run.gap.dat", 2)]
-    assert fresh["records"][0] == {"l_index": 0, "sample_index": 1, "e0": 0.5, "gap": 0.26}
-    assert fresh["series"]["run.gap.dat"] == "# half_side median\n4 0.25\n5 0.6\n"
-
-
 def delta(got, want) -> float:
     """|got - want|: 0 for equal values and for two NaNs, inf where none is defined."""
     if got == want or (got != got and want != want):
@@ -198,77 +134,106 @@ def delta(got, want) -> float:
     return gap if gap == gap else math.inf
 
 
-def differences(fresh: dict, archived: dict) -> tuple[int, dict]:
-    """Records that differ at all, and (count, largest |delta|) per field or series.
+def differences(fresh: dict | None, archived: dict | None) -> dict:
+    """(count, largest |delta|) per field or series, over the values that differ.
 
-    Each entry of a tuple field and of a series row counts; records or rows
-    that do not line up count once, with an infinite delta.
+    Each entry of a tuple field and of a series row counts.  A plan, record
+    key or series on one side only, and records or rows that do not line up,
+    count once with an infinite delta.
     """
     diffs: dict = {}
 
-    def note(key, gaps) -> bool:
+    def note(key, gaps) -> None:
         gaps = [g for g in gaps if g > 0]
         if gaps:
             count, largest = diffs.get(key, (0, 0.0))
             diffs[key] = (count + len(gaps), max(largest, *gaps))
-        return bool(gaps)
 
     def entries(got, want) -> list[float]:
         got, want = (list(v) if isinstance(v, (list, tuple)) else [v] for v in (got, want))
         return [delta(a, b) for a, b in zip(got, want)] if len(got) == len(want) else [math.inf]
 
+    def both(got: dict, want: dict):
+        """Each key of either side, with its two values; one-sided keys count."""
+        for key in dict.fromkeys([*want, *got]):
+            if key in got and key in want:
+                yield key, got[key], want[key]
+            else:
+                note(key, [math.inf])
+
+    if fresh is None or archived is None:
+        note("plan", [math.inf])
+        return diffs
     if len(fresh["records"]) != len(archived["records"]):
         note("records", [math.inf])
-    moved = 0
     for rec, ref in zip(fresh["records"], archived["records"]):
-        moved += any([note(key, entries(rec.get(key), ref[key])) for key in ref])
-    for series, text in fresh["series"].items():
+        for key, got, want in both(rec, ref):
+            note(key, entries(got, want))
+    for series, text, ref_text in both(fresh["series"], archived["series"]):
         header, rows = series_rows(text)
-        ref_header, ref_rows = series_rows(archived["series"].get(series, "\n"))
+        ref_header, ref_rows = series_rows(ref_text)
         if header != ref_header or len(rows) != len(ref_rows):
             note(series, [math.inf])
         for row, ref_row in zip(rows, ref_rows):
             note(series, entries(row, ref_row))
-    return moved, diffs
+    return diffs
+
+
+def beyond_gate(diffs: dict) -> list[str]:
+    """The fields or series of ``differences`` with a |delta| above ``FLOAT_TOL``."""
+    return [key for key, (_, largest) in diffs.items() if largest > FLOAT_TOL]
 
 
 def test_report_counts_every_value_that_differs():
     archived = {
-        "records": [{"e0": 0.5, "gap": 0.25, "center0": [1, 2], "error": None}],
-        "series": {"run.gap.dat": "# half_side median\n4 0.25\n5 0.5\n"},
+        "records": [{"e0": 0.5, "gap": 0.25, "center0": [1, 2], "error": None, "old": None}],
+        "series": {
+            "run.gap.dat": "# half_side median\n4 0.25\n5 0.5\n",
+            "run.old.dat": "# half_side median\n4 0.25\n",
+        },
     }
     fresh = {
         "records": [{"e0": 0.5 + 1e-13, "gap": 0.25, "center0": (1, 3), "error": None}],
         "series": {"run.gap.dat": "# half_side median\n4 0.25\n5 0.5\n"},
     }
-    moved, diffs = differences(fresh, archived)
-    assert moved == 1
-    assert diffs.keys() == {"e0", "center0"}
+    diffs = differences(fresh, archived)
+    assert diffs.keys() == {"e0", "center0", "old", "run.old.dat"}
     assert diffs["e0"][0] == 1 and 0 < diffs["e0"][1] < 2e-13
     assert diffs["center0"] == (1, 1)
-    assert differences(archived, archived) == (0, {})
+    assert diffs["old"] == diffs["run.old.dat"] == (1, math.inf)
+    assert beyond_gate(diffs) == ["center0", "old", "run.old.dat"]
+    # a key or series on the fresh side only counts the same way
+    assert differences(archived, fresh).keys() == diffs.keys()
+    assert differences(fresh, None) == differences(None, archived) == {"plan": (1, math.inf)}
+    assert differences(archived, archived) == {}
+
+
+def show(name: str, diffs: dict, beyond: list[str]) -> bool:
+    """Print one fixture entry's differences; True when some lie beyond its gate."""
+    print(f"{name}: {sum(count for count, _ in diffs.values())} values differ")
+    for key, (count, largest) in diffs.items():
+        gate = " (beyond the gate)" if key in beyond else ""
+        print(f"  {key}: {count} values differ, max |delta| {largest:.3g}{gate}")
+    return bool(beyond)
 
 
 if __name__ == "__main__":
     import sys
     import tempfile
 
+    from test_acceptance import FIXTURE, TREND_PLAN, trend_fixture
+
     archive = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         data = {name: snapshot(plan, Path(tmp)) for name, plan in GOLDEN_PLANS.items()}
+    failed = False
+    for name in dict.fromkeys([*data, *archive]):
+        diffs = differences(data.get(name), archive.get(name))
+        failed |= show(name, diffs, beyond_gate(diffs))
+    trend, drifts, beyond = trend_fixture(run_plan(TREND_PLAN))
+    failed |= show(f"{FIXTURE.name} (relative |delta|)", drifts, beyond)
     if sys.argv[1:] == ["--report"]:
-        for name, snap in data.items():
-            moved, diffs = differences(snap, archive[name])
-            print(f"{name}: {moved} of {len(snap['records'])} records differ")
-            for key, (count, largest) in diffs.items():
-                print(f"  {key}: {count} values differ, max |delta| {largest:.3g}")
-        sys.exit()
-    moved = [
-        entry
-        for name, snap in data.items()
-        for entry in merge_snapshot(snap, archive.get(name), name)
-    ]
+        sys.exit(int(failed))
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n")
-    for entry in moved:
-        print("moved:", *entry)
-    print(f"wrote {GOLDEN} ({len(moved)} moved)")
+    FIXTURE.write_text(json.dumps(trend, indent=2) + "\n")
+    print(f"wrote {GOLDEN} and {FIXTURE}")
