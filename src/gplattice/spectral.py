@@ -9,24 +9,30 @@ One application costs O(sites * 2d); a matrix is assembled only by
 
 The iterative solver is Chebyshev-filtered subspace iteration (Zhou, Saad,
 Tiago & Chelikowsky, J. Comput. Phys. 219, 2006; Zhou & Saad, SIAM J. Matrix
-Anal. Appl. 29, 2007): a fixed-degree Chebyshev polynomial of the operator
-damps the unwanted upper spectrum of a block, which is then orthonormalized
-by one Householder QR and rotated onto its Ritz vectors.  Blocks are held
-site-major, as C-ordered (sites, k) arrays whose k fields at one site are
-adjacent: the stencil takes such a block as one flat field, so no shift
-crosses from one field into the next, each filter step is a few passes
-over the flat block, and the QR and the Rayleigh-Ritz products take the
-block as it is.  The filter recurrence rotates two fixed blocks, so it
-binds the stencil to them once per filter call, not once per step.  The
-block is at least 2d+3 fields wide, so it holds the ground state and the
-whole free first excited level, of multiplicity 2d, which a single-vector
-iteration would silently split.  A wider cluster can still be cut: where the
-block's edge falls inside a near-degenerate cluster, the filter barely damps
-the first state above the edge and the solve can stall (``spectrum`` d = 3,
-L = 2, count 10 at v_max 0.01: the block of 14 ends inside the 12-fold
-second excited free level, and three of six seeds run out of budget).
-Residuals of returned pairs are recomputed with a fresh operator
-application before the solver accepts them.
+Anal. Appl. 29, 2007): a Chebyshev polynomial of the operator damps the
+unwanted upper spectrum of a block, which is then orthonormalized by one
+Householder QR and rotated onto its Ritz vectors.  Each filter call's
+degree comes from the convergence the solve has already shown, as in
+ChASE's degree optimization (Winkelmann, Springer & Di Napoli, ACM TOMS
+45, 2019): a few calls at ``FILTER_DEGREE``, then one call sized to take
+the worst wanted residual to its target, so a solve takes fewer QR and
+Rayleigh-Ritz steps; a solve whose residual stalls keeps
+``FILTER_DEGREE``.  Blocks are held site-major, as C-ordered (sites, k)
+arrays whose k fields at one site are adjacent: the stencil takes such a
+block as one flat field, so no shift crosses from one field into the next,
+each filter step is a few passes over the flat block, and the QR and the
+Rayleigh-Ritz products take the block as it is.  The filter recurrence
+rotates two fixed blocks, so it binds the stencil to them once per filter
+call, not once per step.  The block is at least 2d+3 fields wide, so it
+holds the ground state and the whole free first excited level, of
+multiplicity 2d, which a single-vector iteration would silently split.  A
+wider cluster can still be cut: where the block's edge falls inside a
+near-degenerate cluster, the filter barely damps the first state above the
+edge and the solve can stall (``spectrum`` d = 3, L = 2, count 10 at v_max
+0.01: the block of 14 ends inside the 12-fold second excited free level,
+and three of six seeds run out of budget).  Residuals of returned pairs
+are recomputed with a fresh operator application before the solver
+accepts them.
 
 The filter is the one step that may run in single precision (mixed
 precision as in Higham & Mary, Acta Numerica 31, 2022): while the wanted
@@ -34,12 +40,12 @@ residuals lie far above float32's resolution, halving the bytes per pass
 costs no accuracy the next steps keep.  Each outer step chooses its
 precision from the solve's own state alone: float32 while the wanted pairs'
 largest residual is above ``SINGLE_RESIDUAL`` times the spectral bound, the
-filter's largest gain on [min diag - 2d, bound] is below ``SINGLE_GAIN``,
-and every float32 step so far lowered that residual; once one fails,
-float64 to the end.  The QR, the operator applications, the Rayleigh-Ritz
-steps, the residuals, the locking and the confirming application stay in
-float64, so the contract is unchanged, and a solve that never filters in
-float32 is the float64 solve bit for bit.
+degree-``FILTER_DEGREE`` filter's largest gain on [min diag - 2d, bound] is
+below ``SINGLE_GAIN``, and every float32 step so far lowered that residual;
+once one fails, float64 to the end.  The QR, the operator applications,
+the Rayleigh-Ritz steps, the residuals, the locking and the confirming
+application stay in float64, so the contract is unchanged, and a solve
+that never filters in float32 is the float64 solve bit for bit.
 """
 
 from __future__ import annotations
@@ -53,8 +59,19 @@ import numpy as np
 from .lattice import LatticeGeometry, bind_stencil
 
 DENSE_LIMIT = 4096
-# Chebyshev filter degree per outer step; 20-40 all cost within 10%
+# Chebyshev filter degree of the first outer step and of any step the
+# solve's contraction cannot size; at a fixed degree, 20-40 all cost within 10%
 FILTER_DEGREE = 30
+# a call is sized only after one that cut the worst wanted residual by at
+# least this factor; a smaller cut is a stall (a block edge inside a
+# cluster), where one call's cut does not predict the next: without this
+# guard, long calls sized from a chance drop spent the budget of the d = 3,
+# L = 2 cluster case on all six seeds
+STALL_FACTOR = 10.0
+# the smallest degree of a sized call, and the largest it may need: a call
+# that would need more takes FILTER_DEGREE
+MIN_DEGREE = 8
+MAX_DEGREE = 150
 # the filter runs in float32 while the wanted pairs' largest residual exceeds
 # this multiple of the spectral bound; lower, the float32 steps stop helping
 # (12 d = 2, L = 32 solves spent on average 7.5 more applications at 2e-6,
@@ -63,6 +80,9 @@ SINGLE_RESIDUAL = 2e-5
 # and while its largest gain on the spectrum stays below this, far under
 # float32's largest value 3.4e38
 SINGLE_GAIN = 1e34
+# a float64 call's log gain stays below this, under float64's largest value
+# e^709.8
+DOUBLE_LOG_GAIN = 600.0
 
 
 class EigenConvergenceError(RuntimeError):
@@ -162,8 +182,8 @@ def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
     return vals, basis @ rot, image @ rot
 
 
-def _chebyshev_filter(op, block, image, cut, upper, dtype) -> np.ndarray:
-    """Degree-``FILTER_DEGREE`` Chebyshev filter damping [cut, upper] on ``block``.
+def _chebyshev_filter(op, block, image, cut, upper, degree, dtype) -> np.ndarray:
+    """Degree-``degree`` Chebyshev filter damping [cut, upper] on ``block``.
 
     ``image`` holds the images of the block's columns under the operator.  In
     monic form, with x = (H - center) / half, W_j = 2 (half / 2)^j T_j(x)
@@ -172,7 +192,8 @@ def _chebyshev_filter(op, block, image, cut, upper, dtype) -> np.ndarray:
     and the diagonal repeated across the block hold the whole recurrence.
     Each step overwrites the older block with ``(diag - center) * newer -
     beta * older`` minus the newer block's neighbours, so the pair takes
-    only two orders, and the stencil is bound once for each.
+    only two orders, and the stencil is bound once for each.  Any degree
+    >= 1 is exact: degree 1 returns W_1 and runs no step.
     The recurrence runs in ``dtype``: the block, W_1 = ``image - center *
     block`` and the shifted diagonal are formed in float64 and rounded to
     ``dtype``, and the filtered block returns in float64.  In float64
@@ -190,7 +211,8 @@ def _chebyshev_filter(op, block, image, cut, upper, dtype) -> np.ndarray:
         for older, newer in ((prev, cur), (cur, prev))
     ]
     beta = dtype(half * half / 2.0)
-    for step in range(FILTER_DEGREE - 1):
+    older = cur     # the newest iterate once the loop has run
+    for step in range(degree - 1):
         older, newer, neighbours = orders[step % 2]
         older *= -beta
         np.multiply(shifted, newer, out=scratch)
@@ -200,20 +222,49 @@ def _chebyshev_filter(op, block, image, cut, upper, dtype) -> np.ndarray:
     return older.astype(np.float64, copy=False)
 
 
-def _filter_log_gain(cut, upper, low) -> float:
-    """Natural log of the filter's largest gain on [low, upper].
+def _filter_log_gain(cut, upper, low, degree) -> float:
+    """Natural log of the degree-``degree`` filter's largest gain on [low, upper].
 
     The gain is 2 (half/2)^m T_m((center - low) / half), at ``low``, a lower
     bound on the spectrum below ``cut``; it bounds the filtered block's
-    column norms for an orthonormal block, so a float32 filter cannot
-    overflow while it stays far below float32's range.  Its logarithm stays
+    column norms for an orthonormal block, so a filter cannot overflow
+    while it stays far below its dtype's range.  Its logarithm stays
     finite for any potential.
     """
     half = (upper - cut) / 2.0
     z = math.acosh(max(1.0, ((upper + cut) / 2.0 - low) / half))
-    m = FILTER_DEGREE
+    m = degree
     # 2 (half/2)^m cosh(m z) = (half/2)^m (e^{mz} + e^{-mz})
     return m * math.log(half / 2.0) + m * z + math.log1p(math.exp(-2.0 * m * z))
+
+
+def _filter_degree(worst, last, previous, single, tol, cut, upper, low) -> int:
+    """Degree of the next filter call, from the solve's own contraction.
+
+    ``last`` and ``worst`` are the wanted pairs' largest residual before and
+    after the previous call, of degree ``previous``; ``last`` is infinite
+    before the first call, which takes ``FILTER_DEGREE``.  When that call
+    cut the residual by at least ``STALL_FACTOR``, its contraction per
+    degree sizes this call to take ``worst`` to the target of its
+    precision: in float32 ``SINGLE_RESIDUAL * upper``, where float32 stops
+    (but not below ``tol / 2``), in float64 ``tol / 2``.  A call that would
+    need more than ``MAX_DEGREE``, or follows a stall, takes
+    ``FILTER_DEGREE``; a sized one takes at least ``MIN_DEGREE``.  The
+    degree is then lowered until the filter's gain on [low, upper] stays
+    below ``SINGLE_GAIN`` in float32, or below ``e^DOUBLE_LOG_GAIN`` in
+    float64.
+    """
+    degree = FILTER_DEGREE
+    if math.isfinite(last) and worst * STALL_FACTOR <= last:
+        target = max(SINGLE_RESIDUAL * upper, tol / 2.0) if single else tol / 2.0
+        rate = math.log(last / worst) / previous
+        needed = math.ceil(math.log(worst / target) / rate)
+        if needed <= MAX_DEGREE:
+            degree = max(MIN_DEGREE, needed)
+    log_cap = math.log(SINGLE_GAIN) if single else DOUBLE_LOG_GAIN
+    while degree > 1 and _filter_log_gain(cut, upper, low, degree) >= log_cap:
+        degree -= 1
+    return degree
 
 
 def lowest_eigenpairs(
@@ -228,13 +279,18 @@ def lowest_eigenpairs(
     near-degenerate cluster of the free spectrum (in d = 3 at side 3 the
     levels come in groups of 1, 6, 12 and 8), where filtering stalls.  The
     block is a C-ordered (n, width) array, one field per column, so the
-    fields of one site are adjacent.  Each outer step applies a degree-``FILTER_DEGREE``
-    Chebyshev filter that damps [largest Ritz value,
-    ``op.spectral_bound()``]: each step of its three-term recurrence
-    overwrites the oldest iterate in place, so no block is allocated and no
-    stencil view is taken per step.  One Householder QR then
-    orthonormalizes the block and a Rayleigh-Ritz step rotates it onto its
-    Ritz vectors.  Leading pairs
+    fields of one site are adjacent.  Each outer step applies a Chebyshev
+    filter that damps [largest Ritz value, ``op.spectral_bound()``]: each
+    step of its three-term recurrence overwrites the oldest iterate in
+    place, so no block is allocated and no stencil view is taken per step.
+    One Householder QR then orthonormalizes the block and a Rayleigh-Ritz
+    step rotates it onto its Ritz vectors.  The first filter call has degree
+    ``FILTER_DEGREE``; each later one is sized by :func:`_filter_degree`
+    from how far the previous call lowered the wanted pairs' largest
+    residual, so that it reaches the target of its precision, unless that
+    call lowered it by less than ``STALL_FACTOR``.  Its degree is capped so
+    that the filter's gain stays inside its precision's range, and so that
+    the call fits the budget.  Leading pairs
     whose residual is already <= ``tol`` are locked: the filter skips them,
     so a deep isolated ground state cannot swamp the fields above it in the
     QR.
@@ -242,17 +298,18 @@ def lowest_eigenpairs(
     wanted pairs' largest residual is above ``SINGLE_RESIDUAL *
     op.spectral_bound()``; the filter's gain on the Gershgorin interval
     [min diag - 2d, max diag + 2d], which holds the spectrum, stays below
-    ``SINGLE_GAIN``; and every float32 step so far lowered that residual.
-    Once one fails, it runs in float64 to the end of the solve.  The choice
-    reads only the solve's own state, so a solve replays bit-exactly.
+    ``SINGLE_GAIN`` at degree ``FILTER_DEGREE``; and every float32 step so
+    far lowered that residual.  Once one fails, it runs in float64 to the
+    end of the solve.  The degree and the precision read only the solve's
+    own residuals, Ritz values and budget, so a solve replays bit-exactly.
     Pairs are accepted only after a fresh application confirms every
     residual <= ``tol``, which must be positive and finite; vectors are
     returned up to sign.
     ``iterations`` counts applied fields, and ``single_applies`` those of
-    them filtered in float32; if the budget
-    ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)`` would be
-    exceeded, :class:`EigenConvergenceError` names the smallest residuals
-    found.
+    them filtered in float32, each call counted at its own degree; when
+    the budget ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)``
+    leaves no room for a filter call of degree 1,
+    :class:`EigenConvergenceError` names the smallest residuals found.
     """
     n = op.n_sites
     if not 1 <= count <= n:
@@ -274,6 +331,7 @@ def lowest_eigenpairs(
     used, single_used = width, 0
     best = None     # residuals of the step whose largest residual is smallest
     single, last = True, math.inf   # float32 filter allowed; the previous largest residual
+    degree = FILTER_DEGREE          # of the previous filter call
     while True:
         # column-contiguous copies: the residual, and every caller of the
         # returned head, then run along whole fields
@@ -288,8 +346,9 @@ def lowest_eigenpairs(
         if best is None or res.max() < best.max():
             best = res
         lock = int(np.argmin(res <= tol))   # leading converged pairs
+        room = (budget - used) // (width - lock)    # the largest degree left
         # a basis of the whole space is already exact up to round-off
-        if width == n or used + FILTER_DEGREE * (width - lock) > budget:
+        if width == n or room < 1:
             raise EigenConvergenceError(
                 f"no convergence after {used} operator applications; "
                 f"best residuals {np.array2string(best, precision=3)}"
@@ -299,11 +358,14 @@ def lowest_eigenpairs(
         single = (
             single
             and SINGLE_RESIDUAL * upper < worst < last
-            and _filter_log_gain(vals[-1], upper, low) < math.log(SINGLE_GAIN)
+            and _filter_log_gain(vals[-1], upper, low, FILTER_DEGREE) < math.log(SINGLE_GAIN)
+        )
+        degree = min(
+            room, _filter_degree(worst, last, degree, single, tol, vals[-1], upper, low)
         )
         last = worst
         filtered = _chebyshev_filter(
-            op, vecs[:, lock:], image[:, lock:], vals[-1], upper,
+            op, vecs[:, lock:], image[:, lock:], vals[-1], upper, degree,
             np.float32 if single else np.float64,
         )
         if lock:
@@ -315,6 +377,6 @@ def lowest_eigenpairs(
         basis[:, :lock] = vecs[:, :lock]
         image[:, lock:] = op.apply(basis[:, lock:])
         vals, vecs, image = _rayleigh_ritz(basis, image)
-        used += FILTER_DEGREE * (width - lock)
+        used += degree * (width - lock)
         if single:
-            single_used += FILTER_DEGREE * (width - lock)
+            single_used += degree * (width - lock)
