@@ -354,7 +354,11 @@ def _quantiles(values: np.ndarray) -> tuple[float, float, float]:
     return float(med), float(q25), float(q75)
 
 
-def _non_decreasing(values: list[float]) -> bool:
+def _non_decreasing(values: list[float]) -> bool | float:
+    """Whether no value falls below the one before; NaN, no verdict, when a
+    value is NaN (an L with no healthy sample)."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
     return all(b >= a for a, b in zip(values, values[1:]))
 
 

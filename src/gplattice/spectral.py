@@ -14,10 +14,11 @@ unwanted upper spectrum of a block, which is then orthonormalized by one
 Householder QR and rotated onto its Ritz vectors.  Each filter call's
 degree comes from the convergence the solve has already shown, as in
 ChASE's degree optimization (Winkelmann, Springer & Di Napoli, ACM TOMS
-45, 2019): a few calls at ``FILTER_DEGREE``, then one call sized to take
-the worst wanted residual to its target, so a solve takes fewer QR and
-Rayleigh-Ritz steps; a solve whose residual stalls keeps
-``FILTER_DEGREE``.  Blocks are held site-major, as C-ordered (sites, k)
+45, 2019): the first call, and any call after a stall, takes
+``FILTER_DEGREE``; every other call is sized to take the worst wanted
+residual to its target, clipped to [1, ``MAX_DEGREE``], so a solve takes
+fewer QR and Rayleigh-Ritz steps.  Blocks are held site-major, as
+C-ordered (sites, k)
 arrays whose k fields at one site are adjacent: the stencil takes such a
 block as one flat field, so no shift crosses from one field into the next,
 each filter step is a few passes over the flat block, and the QR and the
@@ -39,13 +40,15 @@ precision as in Higham & Mary, Acta Numerica 31, 2022): while the wanted
 residuals lie far above float32's resolution, halving the bytes per pass
 costs no accuracy the next steps keep.  Each outer step chooses its
 precision from the solve's own state alone: float32 while the wanted pairs'
-largest residual is above ``SINGLE_RESIDUAL`` times the spectral bound, the
-degree-``FILTER_DEGREE`` filter's largest gain on [min diag - 2d, bound] is
-below ``SINGLE_GAIN``, and every float32 step so far lowered that residual;
-once one fails, float64 to the end.  The QR, the operator applications,
-the Rayleigh-Ritz steps, the residuals, the locking and the confirming
-application stay in float64, so the contract is unchanged, and a solve
-that never filters in float32 is the float64 solve bit for bit.
+largest residual is above ``SINGLE_RESIDUAL`` times the spectral bound and
+every float32 step so far lowered that residual; once one fails, float64 to
+the end.  One cap keeps each call inside its precision's range: its degree
+is lowered until the filter's largest gain on [min diag - 2d, bound] is
+below ``SINGLE_GAIN`` in float32, or ``e^DOUBLE_LOG_GAIN`` in float64.
+The QR, the operator applications, the Rayleigh-Ritz steps, the residuals,
+the locking and the confirming application stay in float64, so the
+contract is unchanged, and a solve that never filters in float32 is the
+float64 solve bit for bit.
 """
 
 from __future__ import annotations
@@ -59,8 +62,8 @@ import numpy as np
 from .lattice import LatticeGeometry, bind_stencil
 
 DENSE_LIMIT = 4096
-# Chebyshev filter degree of the first outer step and of any step the
-# solve's contraction cannot size; at a fixed degree, 20-40 all cost within 10%
+# Chebyshev filter degree of the first outer step and of a step after a
+# stall; at a fixed degree, 20-40 all cost within 10%
 FILTER_DEGREE = 30
 # a call is sized only after one that cut the worst wanted residual by at
 # least this factor; a smaller cut is a stall (a block edge inside a
@@ -68,16 +71,14 @@ FILTER_DEGREE = 30
 # guard, long calls sized from a chance drop spent the budget of the d = 3,
 # L = 2 cluster case on all six seeds
 STALL_FACTOR = 10.0
-# the smallest degree of a sized call, and the largest it may need: a call
-# that would need more takes FILTER_DEGREE
-MIN_DEGREE = 8
+# the largest degree of a sized call
 MAX_DEGREE = 150
 # the filter runs in float32 while the wanted pairs' largest residual exceeds
 # this multiple of the spectral bound; lower, the float32 steps stop helping
 # (12 d = 2, L = 32 solves spent on average 7.5 more applications at 2e-6,
 # 32.5 at 2e-7 and 655 with the stall guard alone, against none here)
 SINGLE_RESIDUAL = 2e-5
-# and while its largest gain on the spectrum stays below this, far under
+# a float32 call's largest gain on the spectrum stays below this, far under
 # float32's largest value 3.4e38
 SINGLE_GAIN = 1e34
 # a float64 call's log gain stays below this, under float64's largest value
@@ -247,9 +248,8 @@ def _filter_degree(worst, last, previous, single, tol, cut, upper, low) -> int:
     cut the residual by at least ``STALL_FACTOR``, its contraction per
     degree sizes this call to take ``worst`` to the target of its
     precision: in float32 ``SINGLE_RESIDUAL * upper``, where float32 stops
-    (but not below ``tol / 2``), in float64 ``tol / 2``.  A call that would
-    need more than ``MAX_DEGREE``, or follows a stall, takes
-    ``FILTER_DEGREE``; a sized one takes at least ``MIN_DEGREE``.  The
+    (but not below ``tol / 2``), in float64 ``tol / 2``, clipped to [1,
+    ``MAX_DEGREE``]; a call after a stall takes ``FILTER_DEGREE``.  The
     degree is then lowered until the filter's gain on [low, upper] stays
     below ``SINGLE_GAIN`` in float32, or below ``e^DOUBLE_LOG_GAIN`` in
     float64.
@@ -259,8 +259,7 @@ def _filter_degree(worst, last, previous, single, tol, cut, upper, low) -> int:
         target = max(SINGLE_RESIDUAL * upper, tol / 2.0) if single else tol / 2.0
         rate = math.log(last / worst) / previous
         needed = math.ceil(math.log(worst / target) / rate)
-        if needed <= MAX_DEGREE:
-            degree = max(MIN_DEGREE, needed)
+        degree = min(MAX_DEGREE, max(1, needed))
     log_cap = math.log(SINGLE_GAIN) if single else DOUBLE_LOG_GAIN
     while degree > 1 and _filter_log_gain(cut, upper, low, degree) >= log_cap:
         degree -= 1
@@ -287,21 +286,21 @@ def lowest_eigenpairs(
     step rotates it onto its Ritz vectors.  The first filter call has degree
     ``FILTER_DEGREE``; each later one is sized by :func:`_filter_degree`
     from how far the previous call lowered the wanted pairs' largest
-    residual, so that it reaches the target of its precision, unless that
-    call lowered it by less than ``STALL_FACTOR``.  Its degree is capped so
-    that the filter's gain stays inside its precision's range, and so that
-    the call fits the budget.  Leading pairs
+    residual, so that it reaches the target of its precision, clipped to
+    [1, ``MAX_DEGREE``], unless that call lowered it by less than
+    ``STALL_FACTOR``, a stall, which keeps ``FILTER_DEGREE``.  One cap then
+    keeps the filter's gain on the Gershgorin interval [min diag - 2d, max
+    diag + 2d], which holds the spectrum, inside its precision's range, and
+    the call is cut to fit the budget.  Leading pairs
     whose residual is already <= ``tol`` are locked: the filter skips them,
     so a deep isolated ground state cannot swamp the fields above it in the
     QR.
-    The filter runs in float32 while all of three conditions hold: the
-    wanted pairs' largest residual is above ``SINGLE_RESIDUAL *
-    op.spectral_bound()``; the filter's gain on the Gershgorin interval
-    [min diag - 2d, max diag + 2d], which holds the spectrum, stays below
-    ``SINGLE_GAIN`` at degree ``FILTER_DEGREE``; and every float32 step so
-    far lowered that residual.  Once one fails, it runs in float64 to the
-    end of the solve.  The degree and the precision read only the solve's
-    own residuals, Ritz values and budget, so a solve replays bit-exactly.
+    The filter runs in float32 while the wanted pairs' largest residual is
+    above ``SINGLE_RESIDUAL * op.spectral_bound()`` and every float32 step
+    so far lowered that residual.  Once either fails, it runs in float64 to
+    the end of the solve.  The degree and the precision read only the
+    solve's own residuals, Ritz values and budget, so a solve replays
+    bit-exactly.
     Pairs are accepted only after a fresh application confirms every
     residual <= ``tol``, which must be positive and finite; vectors are
     returned up to sign.
@@ -355,11 +354,7 @@ def lowest_eigenpairs(
             )
 
         worst = res.max()
-        single = (
-            single
-            and SINGLE_RESIDUAL * upper < worst < last
-            and _filter_log_gain(vals[-1], upper, low, FILTER_DEGREE) < math.log(SINGLE_GAIN)
-        )
+        single = single and SINGLE_RESIDUAL * upper < worst < last
         degree = min(
             room, _filter_degree(worst, last, degree, single, tol, vals[-1], upper, low)
         )

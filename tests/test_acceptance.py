@@ -210,16 +210,39 @@ def test_criterion_05_certificate_holds_on_condensation_run(capsys, trend_run):
     )
 
 
+def relative_gap(got: float, want: float, deficit: bool) -> float:
+    """|got - want| relative to the archived value: 0 for equal values and
+    for two NaNs, inf for a NaN against a number."""
+    if got == want or (math.isnan(got) and math.isnan(want)):
+        return 0.0
+    gap = abs(got - want) / (abs(want) if deficit else max(1.0, abs(want)))
+    return math.inf if math.isnan(gap) else gap
+
+
+def trend_passes(checks: dict, medians: list[float], elapsed: float, beyond: list[str]) -> bool:
+    """Criterion 6's verdict.  A trend over an L with no healthy sample has
+    no verdict (NaN), and only a trend that holds passes."""
+    return (
+        checks["overlap trend non-decreasing"] is True
+        and checks["fraction trend non-decreasing"] is True
+        and medians[-1] >= 0.9
+        and elapsed <= 1800.0
+        and not beyond
+    )
+
+
 def trend_fixture(result, path: Path = FIXTURE) -> tuple[dict, dict, list[str]]:
     """A trend run's per-L snapshot, its drift from the archive at ``path``
     and the fields whose drift lies beyond their gate.
 
     The drift is (values that differ, largest relative |delta|) per field; a
-    field on one side only, or of another length, counts once with an
-    infinite delta, so a missing archive fails every field.
+    field on one side only, or of another length, and a NaN against a number
+    count with an infinite delta, so a missing archive fails every field.
     """
     plan, series = result.plan, result.summary.series
     l_indices = range(len(plan.l_grid))
+    deficits = [[1.0 - r.overlap for r in result.records
+                 if r.error is None and r.l_index == l_index] for l_index in l_indices]
     snapshot = {
         "l_grid": list(plan.l_grid),
         "coupling": [plan.coupling_for(l_index) for l_index in l_indices],
@@ -227,12 +250,9 @@ def trend_fixture(result, path: Path = FIXTURE) -> tuple[dict, dict, list[str]]:
         "median_overlap": [row[1] for row in series["overlap"][1]],
         "fraction_within_eta": [row[1] for row in series["condensate_fraction"][1]],
         # the overlap differs from 1 only in the 8th digit at L=512, so the
-        # deficit 1 - overlap is what a relative gate can see move
-        "median_deficit": [
-            float(np.median([1.0 - r.overlap for r in result.records
-                             if r.error is None and r.l_index == l_index]))
-            for l_index in l_indices
-        ],
+        # deficit 1 - overlap is what a relative gate can see move; an L with
+        # no healthy sample has none
+        "median_deficit": [float(np.median(d)) if d else math.nan for d in deficits],
     }
     stored = json.loads(path.read_text()) if path.exists() else {}
     drifts, beyond = {}, []
@@ -242,8 +262,8 @@ def trend_fixture(result, path: Path = FIXTURE) -> tuple[dict, dict, list[str]]:
         if got is None or want is None or len(got) != len(want):
             gaps = [math.inf]
         else:
-            gaps = [abs(a - b) / (abs(b) if deficit else max(1.0, abs(b)))
-                    for a, b in zip(got, want) if a != b]
+            gaps = [relative_gap(a, b, deficit) for a, b in zip(got, want)]
+            gaps = [gap for gap in gaps if gap > 0]
         if gaps:
             drifts[key] = (len(gaps), max(gaps))
             if max(gaps) > (DEFICIT_RTOL if deficit else TREND_RTOL):
@@ -262,6 +282,31 @@ def test_trend_gate_fails_without_its_fixture(tmp_path):
     assert trend_fixture(result, path)[1:] == ({}, [])
 
 
+def test_trend_gate_fails_over_an_l_with_no_healthy_sample(tmp_path):
+    # a coupling of 1e300 fails every sample of the middle L: the trend checks
+    # over its NaN median have no verdict, which fails criterion 6 although
+    # the last L is healthy, and a NaN against an archived number lies
+    # beyond the fixture's gate
+    plan = replace(TREND_PLAN, l_grid=(8, 12, 16), schedule=(0.0, 1e300, 0.0),
+                   samples=2, workers=1)
+    result = run_plan(plan)
+    assert result.summary.n_ok == {8: 2, 12: 0, 16: 2}
+    snapshot = trend_fixture(result, tmp_path / "missing.json")[0]
+    medians = snapshot["median_overlap"]
+    assert math.isnan(medians[1]) and medians[-1] >= 0.9
+    assert not trend_passes(result.summary.checks, medians, 0.0, [])
+    path = tmp_path / "condensation_trend.json"
+    path.write_text(json.dumps(snapshot))
+    assert trend_fixture(result, path)[1:] == ({}, [])
+    with_nan = [key for key, values in snapshot.items() if any(map(math.isnan, values))]
+    assert "median_overlap" in with_nan and "median_deficit" in with_nan
+    path.write_text(json.dumps({key: [0.5 if math.isnan(v) else v for v in values]
+                                for key, values in snapshot.items()}))
+    drifts, beyond = trend_fixture(result, path)[1:]
+    assert beyond == with_nan
+    assert all(drifts[key] == (1, math.inf) for key in with_nan)
+
+
 def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
     result, elapsed = trend_run
     summary = result.summary
@@ -277,17 +322,10 @@ def test_criterion_06_overlap_trend_with_system_size(capsys, trend_run):
     else:
         fixture_note = f"matches archived fixture (relative drift per field: {drifts or 'none'})"
 
-    ok = (
-        overlap_monotone
-        and fraction_monotone
-        and medians[-1] >= 0.9
-        and elapsed <= 1800.0
-        and not beyond
-    )
     verdict(
         capsys,
         6,
-        ok,
+        trend_passes(summary.checks, medians, elapsed, beyond),
         f"median overlaps {['%.8f' % m for m in medians]} (deficits "
         f"{['%.4e' % d for d in deficits]}) non-decreasing="
         f"{overlap_monotone}, fractions non-decreasing="

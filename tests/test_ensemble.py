@@ -380,6 +380,19 @@ def test_condense_summary_shape(small_condense):
     assert header[0] == "half_side" and len(rows) == len(plan.l_grid)
 
 
+def test_condense_trend_over_an_all_failed_l_reads_nan():
+    # a coupling of 1e300 fails every L = 3 sample; a trend over that L's NaN
+    # median has no verdict, where a comparison with NaN read as a failed one
+    plan = ExperimentPlan(
+        "condense", seed=0, l_grid=(2, 3), samples=2, schedule=(0.0, 1e300)
+    )
+    summary = run_plan(plan).summary
+    assert summary.n_ok == {2: 2, 3: 0}
+    for name in ("overlap trend non-decreasing", "fraction trend non-decreasing"):
+        assert math.isnan(summary.checks[name])
+        assert f"{name}: nan" in summary.table().splitlines()
+
+
 def test_certificate_plan_has_no_invariant_violations():
     # with unsquared norms in the margin, two of these records broke the bound
     plan = ExperimentPlan("condense", seed=0, dim=2, l_grid=(8, 16), samples=2)

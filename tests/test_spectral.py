@@ -238,9 +238,9 @@ def test_stencil_updates_need_one_c_ordered_shape():
 
 
 def fixed_degree(monkeypatch):
-    """Make every filter call take ``FILTER_DEGREE``, as before calls were sized."""
-    monkeypatch.setattr(spectral, "MIN_DEGREE", FILTER_DEGREE)
-    monkeypatch.setattr(spectral, "MAX_DEGREE", FILTER_DEGREE)
+    """Make every filter call take ``FILTER_DEGREE``, as before calls were sized:
+    no cut is large enough to size the next call."""
+    monkeypatch.setattr(spectral, "STALL_FACTOR", math.inf)
 
 
 @pytest.mark.parametrize(
@@ -297,41 +297,75 @@ def test_filter_degree_keeps_the_gain_in_range():
     assert _filter_log_gain(cut, upper, low, degree(1e-2, 1.0, False) + 1) >= DOUBLE_LOG_GAIN
 
 
+def test_a_sized_call_is_clipped_to_one_to_max_degree():
+    # on a weak-disorder spectrum no gain cap binds below MAX_DEGREE, so the
+    # size rule shows alone: the size the contraction asks for, clipped to
+    # [1, MAX_DEGREE]; a cut of less than STALL_FACTOR keeps FILTER_DEGREE
+    cut, upper, low = 0.01, 5.0, 0.0
+    assert _filter_log_gain(cut, upper, low, MAX_DEGREE) < math.log(SINGLE_GAIN)
+
+    def degree(worst, last, single):
+        return _filter_degree(worst, last, FILTER_DEGREE, single, 1e-10, cut, upper, low)
+
+    # a tenfold cut per 30 degrees asks for 280 to reach tol / 2
+    assert degree(0.1, 1.0, False) == MAX_DEGREE
+    # a hundredfold cut per 30 degrees takes 1e-2 to tol / 2 in 125
+    assert degree(1e-2, 1.0, False) == 125
+    # a residual already below float32's target 2e-5 * upper asks for none
+    assert degree(1e-5, 1.0, True) == 1
+    assert degree(0.5, 1.0, False) == degree(0.5, 1.0, True) == FILTER_DEGREE
+    assert degree(1.0, math.inf, False) == FILTER_DEGREE
+
+
 def float64_only(monkeypatch):
     """Make every filter step run in float64: no residual exceeds infinity."""
     monkeypatch.setattr(spectral, "SINGLE_RESIDUAL", math.inf)
 
 
-@pytest.mark.parametrize("dim, half", [(1, 64), (2, 16), (3, 6)])
-def test_mixed_precision_solve_agrees_with_the_float64_solve(dim, half, monkeypatch):
+STRONG = DisorderSpec(v_max=200.0, master_seed=7)
+
+
+@pytest.mark.parametrize(
+    "dim, half, spec, seed, capped",
+    [(1, 64, SPEC, 0, False), (2, 16, SPEC, 0, False), (3, 6, SPEC, 0, False),
+     (1, 128, STRONG, 1, True)],
+    ids=["1-64", "2-16", "3-6", "strong-1-128"],
+)
+def test_mixed_precision_solve_agrees_with_the_float64_solve(
+    dim, half, spec, seed, capped, monkeypatch
+):
     # the float32 filter steps only move the path to the answer: the
-    # confirmed pairs agree with an all-float64 solve from the same start
-    ham = make_ham(dim, half)
-    mixed = lowest_eigenpairs(ham, 2, tol=1e-10, seed=0)
+    # confirmed pairs agree with an all-float64 solve from the same start.
+    # Every float32 call's gain on the spectrum stays below SINGLE_GAIN, also
+    # at v_max = 200, where a degree-FILTER_DEGREE filter's gain passes it
+    ham = periodic_hamiltonian(sample_potential(spec, build_lattice(dim, half)))
+    low = float(ham.diag.min()) - 2.0 * dim
+    single_calls = []
+
+    def logged(op, block, image, cut, upper, degree, dtype):
+        if dtype == np.float32:
+            single_calls.append((cut, upper, degree))
+        return _chebyshev_filter(op, block, image, cut, upper, degree, dtype)
+
+    monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
+    mixed = lowest_eigenpairs(ham, 2, tol=1e-10, seed=seed)
     assert 0 < mixed.single_applies < mixed.iterations
+    gains = [_filter_log_gain(cut, upper, low, degree) for cut, upper, degree in single_calls]
+    assert max(gains) < math.log(SINGLE_GAIN)
+    # the strong case takes the gain cap's path: its first float32 call would
+    # pass SINGLE_GAIN at FILTER_DEGREE and runs at a lower degree
+    cut, upper, degree = single_calls[0]
+    full_gain = _filter_log_gain(cut, upper, low, FILTER_DEGREE)
+    assert (full_gain >= math.log(SINGLE_GAIN)) == capped
+    assert (degree < FILTER_DEGREE) == capped
     float64_only(monkeypatch)
-    full = lowest_eigenpairs(ham, 2, tol=1e-10, seed=0)
+    full = lowest_eigenpairs(ham, 2, tol=1e-10, seed=seed)
     assert full.single_applies == 0
     for sol in (mixed, full):
         assert sol.residuals.max() <= 1e-10
     np.testing.assert_allclose(mixed.values, full.values, rtol=0, atol=1e-12)
     overlaps = np.abs(np.sum(mixed.vectors * full.vectors, axis=0))
     assert overlaps.min() >= 1.0 - 1e-12
-
-
-def test_strong_disorder_keeps_the_filter_in_float64(monkeypatch):
-    # at v_max = 200 the filter's gain on [min V, bound] passes 1e34, so no
-    # step runs in float32 and the solve is the float64 solve bit for bit
-    geom = build_lattice(1, 128)
-    ham = periodic_hamiltonian(sample_potential(DisorderSpec(v_max=200.0, master_seed=7), geom))
-    mixed = lowest_eigenpairs(ham, 2, tol=1e-10, seed=1)
-    assert mixed.single_applies == 0
-    float64_only(monkeypatch)
-    full = lowest_eigenpairs(ham, 2, tol=1e-10, seed=1)
-    np.testing.assert_array_equal(mixed.values, full.values)
-    np.testing.assert_array_equal(mixed.vectors, full.vectors)
-    np.testing.assert_array_equal(mixed.residuals, full.residuals)
-    assert mixed.iterations == full.iterations
 
 
 def test_float32_steps_stop_when_the_residual_stalls(monkeypatch):
