@@ -11,7 +11,8 @@ draws the potential, solves for the spectrum, and turns any failure into an
 error record; ``run_plan`` maps it over the plan's slots, and an experiment
 adds only its observable and its summary (see ``PIPELINES``).
 A sample's only output is its record, so a summary is a function of the plan
-and the records (``summarize``).
+and the records (``summarize``); each record names its run, and the summary
+refuses a record of another run.
 
 The named coupling schedule scales the interaction as
 
@@ -381,9 +382,10 @@ class _Pipeline:
     ``help`` is the experiment's line in ``gplattice --help``.
     ``eig_count`` gives the number of lowest eigenpairs to solve for, or is
     None for a full dense spectrum.  ``observe(plan, l_index, sample_index,
-    geom, ham, eig)`` returns the record fields, everything the summary
-    reads of the sample; ``summarize(plan, groups)`` gets the healthy
-    records grouped per L and returns the ``Summary`` series and checks.
+    geom, ham, eig)`` returns the record fields past the slot and
+    ``_run_fields``, everything the summary reads of the sample;
+    ``summarize(plan, groups)`` gets the healthy records grouped per L and
+    returns the ``Summary`` series and checks.
     The plan refuses an L below ``min_half_side``, a count above the sites
     of its smallest torus, and a dense spectrum above ``DENSE_LIMIT`` sites.
     """
@@ -396,24 +398,32 @@ class _Pipeline:
     min_half_side: int = 1
 
 
+def _run_fields(plan: ExperimentPlan, l_index: int) -> dict:
+    """The record fields that name the plan's run at an L index.
+
+    ``replay_sample`` writes them into every record, and ``summarize``
+    refuses a record whose values differ.
+    """
+    return dict(
+        master_seed=plan.seed,
+        experiment=plan.experiment,
+        dim=plan.dim,
+        half_side=plan.l_grid[l_index],
+        v_max=plan.v_max,
+        coupling=plan.coupling_for(l_index) if PIPELINES[plan.experiment].interacting else 0.0,
+    )
+
+
 def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunRecord:
     """Draw, solve and observe one (plan, L index, sample index) slot.
 
     ``run_plan`` maps this over the plan's slots, so any record of any
     experiment replays from its provenance.  A failure anywhere after the
-    record's base fields becomes an error record.
+    record's base fields (its slot and run fields) becomes an error record.
     """
     pipeline = PIPELINES[plan.experiment]
-    half_side = plan.l_grid[l_index]
-    geom = build_lattice(plan.dim, half_side)
-    base = dict(
-        master_seed=plan.seed,
-        l_index=l_index,
-        sample_index=sample_index,
-        dim=plan.dim,
-        half_side=half_side,
-        coupling=plan.coupling_for(l_index) if pipeline.interacting else 0.0,
-    )
+    base = dict(_run_fields(plan, l_index), l_index=l_index, sample_index=sample_index)
+    geom = build_lattice(plan.dim, base["half_side"])
     start = time.perf_counter()
     try:
         realization = sample_potential(plan.disorder_spec(), geom, l_index, sample_index)
@@ -444,18 +454,23 @@ def summarize(plan: ExperimentPlan, records: list[RunRecord]) -> Summary:
     """The plan's summary of its records, healthy ones grouped per L.
 
     Each record, error records included, must fill a distinct slot of the
-    plan, with the plan's seed, dim and L; slots may stay empty.
+    plan and carry the run fields ``replay_sample`` writes there (the plan's
+    seed, experiment, dim, L, v_max and coupling); slots may stay empty.
     """
-    open_slots = {
-        (plan.seed, l_index, sample): half_side
-        for l_index, half_side in enumerate(plan.l_grid)
-        for sample in range(plan.samples)
-    }
+    run_fields = [_run_fields(plan, l_index) for l_index in range(len(plan.l_grid))]
+    open_slots = set(product(range(len(plan.l_grid)), range(plan.samples)))
     groups: list[list[RunRecord]] = [[] for _ in plan.l_grid]
     for record in records:
         slot = (record.master_seed, record.l_index, record.sample_index)
-        if record.dim != plan.dim or open_slots.pop(slot, None) != record.half_side:
+        if slot[1:] not in open_slots:
             raise ValueError(f"record {slot} is not a distinct slot of this plan")
+        open_slots.remove(slot[1:])
+        expected = run_fields[record.l_index]
+        wrong = [name for name, value in expected.items() if getattr(record, name) != value]
+        if wrong:
+            raise ValueError(f"record {slot} is of another run: " + ", ".join(
+                f"{name} {getattr(record, name)!r}, not {expected[name]!r}" for name in wrong
+            ))
         if record.error is None:
             groups[record.l_index].append(record)
     series, checks = PIPELINES[plan.experiment].summarize(plan, groups)
@@ -642,15 +657,6 @@ def _box_ground_sample(plan: ExperimentPlan, side_index: int, sample_index: int)
     return float(np.linalg.eigvalsh(dense_matrix(box))[0])
 
 
-def _payload(group, name: str, size: int) -> list[tuple]:
-    """Each record's tuple field ``name``, refused unless it has ``size`` entries
-    (as are another experiment's records under the same seed, dim and L grid)."""
-    values = [getattr(r, name) for r in group]
-    if any(len(v) != size for v in values):
-        raise ValueError(f"records lack the {size}-entry {name} payload this plan reads")
-    return values
-
-
 def _summarize_estimates(plan: ExperimentPlan, groups):
     wegner, minami, law = [], [], []
     minami_slopes: dict[int, float] = {}
@@ -658,7 +664,7 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
     n_windows = widths.size + len(plan.minami_widths)
     for half_side, group in zip(plan.l_grid, groups):
         # the reshape keeps the window axis when every sample of this L failed
-        counts = np.array(_payload(group, "window_counts", n_windows), dtype=float)
+        counts = np.array([r.window_counts for r in group], dtype=float)
         counts = counts.reshape(len(group), n_windows)
 
         means = _column_means(counts[:, : widths.size])
@@ -732,10 +738,6 @@ def _summarize_shells(plan: ExperimentPlan, groups):
         kept = _kept_eps(plan, half_side)
         skipped[half_side] = [eps for eps in plan.eps_grid if eps not in kept]
         trial_ratios = []
-        field_ratios, field_sups, field_annuli = (
-            _payload(group, name, len(kept))
-            for name in ("field_four_norm_ratio", "field_sup_ratio", "field_annulus_ok")
-        )
         for j, eps in enumerate(kept):
             delta = trial_delta_background(geom, eps)
             delta_unit = delta / np.linalg.norm(delta)
@@ -746,12 +748,12 @@ def _summarize_shells(plan: ExperimentPlan, groups):
 
             if not group:
                 continue
-            ratios = np.array([r[j] for r in field_ratios])
+            ratios = np.array([r.field_four_norm_ratio[j] for r in group])
             row = [half_side, eps, float(ratios.max()), float(np.median(ratios))]
             four_norm.append(row + [delta_ratio, flat_ratio])
-            sup = float(np.nanmax([r[j] for r in field_sups]))
+            sup = float(np.nanmax([r.field_sup_ratio[j] for r in group]))
             sup_bound.append([half_side, eps, sup])
-            annulus_ok[half_side, eps] = all(r[j] for r in field_annuli)
+            annulus_ok[half_side, eps] = all(r.field_annulus_ok[j] for r in group)
 
         # ||phi0||_4 / g(eps) at phi0's band scale
         scales = [default_band_scale(half_side, r.kinetic) for r in group]

@@ -46,6 +46,7 @@ converges immediately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,8 @@ class GPProblem:
     coupling: float
 
     def __post_init__(self):
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
+        if not 0.0 <= self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
         if self.hamiltonian.shape != self.hamiltonian.geom.shape:
             raise ValueError("the interacting problem is posed on the periodic torus")
 
@@ -179,7 +180,10 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
     rejected step keeps the gradient it had.  The loop gives up, unconverged,
     once the radius falls below ``RADIUS_FLOOR``, after ``MAX_STEPS`` steps,
     or when the model predicts no decrease, which only an overflowed model does.
+    ``g_tol`` must be positive and finite.
     """
+    if not 0.0 < g_tol < math.inf:
+        raise ValueError(f"g_tol must be positive and finite, got {g_tol}")
     phi = np.abs(np.asarray(init, dtype=float))
     if not np.isfinite(phi).all():
         raise ValueError("initial field must be finite")

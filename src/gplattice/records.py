@@ -2,16 +2,20 @@
 
 One record per sample, one JSON object per line, floats serialized with
 shortest-round-trip precision so reading a stream back reproduces every
-numeric field exactly.  A record holds everything a summary reads, so a
-summary is a function of the plan and the records: ``estimates`` records
-carry their window counts, ``shells`` records their random-field statistics,
-one entry per kept eps.  The diagnostics (``wall_time``, the GP minimizer's
-final gradient and operator applications, the eigensolver's applied columns,
-those of them filtered in single precision and its largest residual, and
-the seconds spent in the eigensolve and in the GP minimization) are
-bookkeeping, not payload: record content comparisons (and the determinism
-guarantees) exclude them.  A records file is read by the version that wrote
-it: a line with a missing or unknown field is a bad line.
+numeric field exactly.  A record names its run: ``master_seed``,
+``experiment``, ``dim``, ``half_side``, ``v_max`` and ``coupling`` are the
+same for every record of one plan's L index, and ``ensemble.summarize``
+refuses a record whose values differ from its plan's.  A record holds
+everything a summary reads, so a summary is a function of the plan and the
+records: ``estimates`` records carry their window counts, ``shells`` records
+their random-field statistics, one entry per kept eps.  The diagnostics
+(``wall_time``, the GP minimizer's final gradient and operator applications,
+the eigensolver's applied columns, those of them filtered in single
+precision and its largest residual, and the seconds spent in the eigensolve
+and in the GP minimization) are bookkeeping, not payload: record content
+comparisons (and the determinism guarantees) exclude them.  A records file
+is read by the version that wrote it: a line with a missing or unknown field
+is a bad line.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ DIAGNOSTICS = (
 # the JSON values a field of each annotation takes: an int field takes no
 # bool, a float field an int too (kept as it is, so a record equals its own
 # round trip), a bool field only a bool; tuple fields take lists of those
-_KINDS = {"int": int, "float": float, "bool": bool, "str | None": (str, type(None))}
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "str | None": (str, type(None))}
 
 # json's constants; NaN is the math.nan object the defaults hold, so a record
 # equals its own round trip (tuple comparison checks identity before ==)
@@ -42,17 +46,21 @@ _CONSTANTS = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
 class RunRecord:
     """Everything one sample produced, keyed by its provenance triple.
 
-    Experiments that skip the interacting minimization leave the GP and
-    certificate fields as NaN/False; ``error`` is set (and the numeric fields
-    are NaN) when a sample failed, so failures stay visible in the stream
-    without polluting summaries.
+    Its run fields, ``master_seed`` and ``experiment`` through ``coupling``,
+    name the plan's run at its L index; ``coupling`` is 0.0 for experiments
+    without interaction.  Experiments that skip the interacting
+    minimization leave the GP and certificate fields as NaN/False; ``error``
+    is set (and the numeric fields are NaN) when a sample failed, so
+    failures stay visible in the stream without polluting summaries.
     """
 
     master_seed: int
     l_index: int
     sample_index: int
+    experiment: str
     dim: int
     half_side: int
+    v_max: float
     coupling: float
     e0: float = math.nan
     e1: float = math.nan

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gplattice import (
+    EXPERIMENTS,
     DisorderSpec,
     ExperimentPlan,
     RunRecord,
@@ -231,8 +232,10 @@ def healthy_record(**overrides):
         master_seed=1,
         l_index=0,
         sample_index=0,
+        experiment="condense",
         dim=1,
         half_side=8,
+        v_max=1.0,
         coupling=0.1,
         e0=0.5,
         e1=0.8,
@@ -453,24 +456,44 @@ def test_overflowing_coupling_becomes_an_error_record(coupling):
 
 
 @pytest.mark.parametrize(
-    "experiment, source, l_grid, payload",
-    [
-        ("estimates", "condense", (3,), "7-entry window_counts"),
-        ("shells", "spectrum", (8,), "1-entry field_four_norm_ratio"),
-    ],
-    ids=["estimates", "shells"],
+    "experiment, source", [(a, b) for a in EXPERIMENTS for b in EXPERIMENTS if a != b]
 )
-def test_summarize_refuses_another_experiments_records_by_payload(
-    experiment, source, l_grid, payload
-):
+def test_summarize_refuses_another_experiments_records(experiment, source):
     # another experiment's records under the same seed, dim and L grid fill
-    # the plan's slots; the payload the plan reads refuses them by name
-    # instead of a numpy error
-    plan = ExperimentPlan(experiment=experiment, seed=2, l_grid=l_grid, samples=2)
+    # the plan's slots; their experiment field refuses them
+    plan = ExperimentPlan(experiment=experiment, seed=2, l_grid=(8,), samples=2)
     records = run_plan(replace(plan, experiment=source)).records
-    message = f"records lack the {payload} payload this plan reads"
+    message = f"record (2, 0, 0) is of another run: experiment {source!r}, not {experiment!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         summarize(plan, records)
+
+
+@pytest.mark.parametrize(
+    "plan, made_with, field",
+    [
+        (
+            ExperimentPlan(experiment="condense", seed=2, l_grid=(8,), samples=2),
+            dict(c=50.0),
+            "coupling",
+        ),
+        (
+            ExperimentPlan(experiment="estimates", seed=2, l_grid=(8,), samples=2, v_max=6.0),
+            dict(v_max=1.0),
+            "v_max",
+        ),
+    ],
+    ids=["condense-c", "estimates-v_max"],
+)
+def test_summarize_refuses_records_of_the_same_experiment_under_another_plan(
+    plan, made_with, field
+):
+    # the records differ from the plan's run only by the coupling their c
+    # gave them, or by their v_max
+    records = run_plan(replace(plan, **made_with)).records
+    message = f"is of another run: {field} {getattr(records[0], field)!r}, not "
+    with pytest.raises(ValueError, match=re.escape(message)):
+        summarize(plan, records)
+    assert summarize(plan, run_plan(plan).records).n_ok == {8: 2}
 
 
 def test_summarize_refuses_records_that_are_not_a_distinct_slot_of_the_plan():
@@ -486,6 +509,10 @@ def test_summarize_refuses_records_that_are_not_a_distinct_slot_of_the_plan():
         replace(last, half_side=4),
         replace(last, sample_index=2),
         replace(last, dim=2),
+        replace(last, experiment="condense"),
+        replace(last, v_max=2.0),
+        replace(last, coupling=0.5),
+        replace(last, experiment="estimates", error="injected failure"),
         replace(records[0], error="injected failure"),
     ]:
         slot = (foreign.master_seed, foreign.l_index, foreign.sample_index)

@@ -45,6 +45,22 @@ def test_problem_validation():
         GPProblem(ham, -0.1)
 
 
+@pytest.mark.parametrize("coupling", [np.nan, np.inf, -np.inf])
+def test_problem_refuses_a_non_finite_coupling(coupling):
+    # nan < 0 is False, so a NaN coupling used to pass and give a NaN energy
+    ham = periodic_hamiltonian(sample_potential(SPEC, build_lattice(1, 4)))
+    with pytest.raises(ValueError, match="coupling must be finite"):
+        GPProblem(ham, coupling)
+
+
+@pytest.mark.parametrize("g_tol", [0.0, -1e-9, np.nan, np.inf])
+def test_minimizer_refuses_a_tolerance_outside_zero_to_inf(g_tol):
+    # a zero, negative or NaN tolerance ran to the radius or step limit
+    prob = make_problem(half=16, coupling=0.5)
+    with pytest.raises(ValueError, match="g_tol must be positive and finite"):
+        minimize_gp(prob, init=np.ones(prob.hamiltonian.n_sites), g_tol=g_tol)
+
+
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 @pytest.mark.parametrize("dim, half", [(1, 5), (2, 3)])
 def test_a_region_covering_the_torus_is_the_periodic_operator(dim, half, bc):

@@ -22,8 +22,10 @@ def make_record(**overrides):
         master_seed=7,
         l_index=0,
         sample_index=3,
+        experiment="condense",
         dim=1,
         half_side=16,
+        v_max=1.0,
         coupling=0.125,
         e0=0.1 + 0.2,
         e1=1.0 / 3.0,
@@ -112,8 +114,13 @@ def test_nan_fields_round_trip_via_content_key(tmp_path):
         ("gp_applies", None),
         ("t_gp", None),
         ("window_counts", None),
+        ("experiment", None),
+        ("v_max", None),
     ],
-    ids=["pi0_norm-added", "gp_converged-added", "no-gp_applies", "no-t_gp", "no-window_counts"],
+    ids=[
+        "pi0_norm-added", "gp_converged-added", "no-gp_applies", "no-t_gp", "no-window_counts",
+        "no-experiment", "no-v_max",
+    ],
 )
 def test_line_of_another_schema_is_a_bad_line(field, value, tmp_path):
     # a records file is read by the version that wrote it: a line with a
@@ -189,7 +196,10 @@ def test_gp_applies_is_a_diagnostic():
 
 def test_defaulted_record_equals_its_round_trip():
     # the NaN defaults are math.nan, and so is every NaN read back
-    rec = RunRecord(master_seed=0, l_index=0, sample_index=0, dim=1, half_side=4, coupling=0.0)
+    rec = RunRecord(
+        master_seed=0, l_index=0, sample_index=0, experiment="spectrum", dim=1, half_side=4,
+        v_max=1.0, coupling=0.0,
+    )
     back = RunRecord.from_json(rec.to_json())
     assert back == rec and back.e0 is math.nan
 
@@ -221,8 +231,8 @@ def test_malformed_tuple_fields_reported(tmp_path):
 
 def test_mistyped_scalar_fields_reported(tmp_path):
     # a scalar field takes the JSON type of its annotation: no bool for an
-    # int or a float, no number for a bool, a string or null for the error;
-    # the provenance slot is non-negative
+    # int or a float, no number for a bool, a string or null for the error,
+    # only a string for the experiment; the provenance slot is non-negative
     data = json.loads(make_record().to_json())
     path = tmp_path / "run.jsonl"
     lines = [json.dumps(data)]
@@ -234,12 +244,13 @@ def test_mistyped_scalar_fields_reported(tmp_path):
         ("cert_valid", 1),
         ("half_side", "4"),
         ("error", 5),
+        ("experiment", None),
     ]:
         lines.append(json.dumps(dict(data, **{name: value})))
     lines.append(json.dumps(dict(data, e0=1, error="solver failed")))
     path.write_text("\n".join(lines) + "\n")
     result = read_records(path)
-    assert [lineno for lineno, _ in result.bad_lines] == [2, 3, 4, 5, 6, 7, 8]
+    assert [lineno for lineno, _ in result.bad_lines] == [2, 3, 4, 5, 6, 7, 8, 9]
     # an int in a float field is kept as it is, so the record round-trips
     last = result.records[-1]
     assert type(last.e0) is int and last.error == "solver failed"
