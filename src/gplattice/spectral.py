@@ -42,13 +42,16 @@ costs no accuracy the next steps keep.  Each outer step chooses its
 precision from the solve's own state alone: float32 while the wanted pairs'
 largest residual is above ``SINGLE_RESIDUAL`` times the spectral bound and
 every float32 step so far lowered that residual; once one fails, float64 to
-the end.  One cap keeps each call inside its precision's range: its degree
-is lowered until the filter's largest gain on [min diag - 2d, bound] is
-below ``SINGLE_GAIN`` in float32, or ``e^DOUBLE_LOG_GAIN`` in float64.
-The QR, the operator applications, the Rayleigh-Ritz steps, the residuals,
-the locking and the confirming application stay in float64, so the
-contract is unchanged, and a solve that never filters in float32 is the
-float64 solve bit for bit.
+the end.  The filter cannot overflow at any degree in either precision: it
+tracks its own largest gain on the Gershgorin interval [min diag - 2d,
+max diag + 2d], which holds the spectrum, and rescales the recurrence by
+an exact power of two before that gain leaves its precision's range, as
+Zhou & Saad scale theirs.  A call that never rescales is unchanged bit for
+bit, and one that does returns its block times a power of two, which the
+QR removes.  The QR, the operator applications, the Rayleigh-Ritz steps,
+the residuals, the locking and the confirming application stay in float64,
+so the contract is unchanged, and a solve that never filters in float32 is
+the float64 solve bit for bit.
 """
 
 from __future__ import annotations
@@ -78,12 +81,6 @@ MAX_DEGREE = 150
 # (12 d = 2, L = 32 solves spent on average 7.5 more applications at 2e-6,
 # 32.5 at 2e-7 and 655 with the stall guard alone, against none here)
 SINGLE_RESIDUAL = 2e-5
-# a float32 call's largest gain on the spectrum stays below this, far under
-# float32's largest value 3.4e38
-SINGLE_GAIN = 1e34
-# a float64 call's log gain stays below this, under float64's largest value
-# e^709.8
-DOUBLE_LOG_GAIN = 600.0
 
 
 class EigenConvergenceError(RuntimeError):
@@ -183,7 +180,7 @@ def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
     return vals, basis @ rot, image @ rot
 
 
-def _chebyshev_filter(op, block, image, cut, upper, degree, dtype) -> np.ndarray:
+def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype) -> np.ndarray:
     """Degree-``degree`` Chebyshev filter damping [cut, upper] on ``block``.
 
     ``image`` holds the images of the block's columns under the operator.  In
@@ -199,6 +196,18 @@ def _chebyshev_filter(op, block, image, cut, upper, degree, dtype) -> np.ndarray
     block`` and the shifted diagonal are formed in float64 and rounded to
     ``dtype``, and the filtered block returns in float64.  In float64
     nothing is rounded, so every operation is the double-precision one.
+    No degree overflows.  On [low, upper], which holds the spectrum, the
+    filter's largest gain |W_j| is its value at ``low``; that value obeys
+    the same recurrence, and two floats track it.  An entry of W_j on
+    orthonormal columns is at most that gain, and |diag - center| plus the
+    2d neighbours is at most upper - low, so no partial result of a step
+    exceeds (upper - low)^2 times the larger of the two tracked gains.
+    Once the newer gain passes ``dtype``'s largest value over 4 (upper -
+    low)^2, both blocks and both gains are multiplied by the power of two
+    that takes it into [1/2, 1).  That product is exact, so a call that
+    never rescales is unchanged bit for bit, and one that does returns the
+    block times a power of two, up to entries far below the block's
+    resolution that may underflow.
     """
     half = (upper - cut) / 2.0
     center = (upper + cut) / 2.0
@@ -211,35 +220,28 @@ def _chebyshev_filter(op, block, image, cut, upper, degree, dtype) -> np.ndarray
         (older, newer, bind_stencil(op.shape, op.geom.side, newer, older))
         for older, newer in ((prev, cur), (cur, prev))
     ]
-    beta = dtype(half * half / 2.0)
+    limit = float(np.finfo(dtype).max) / (4.0 * (upper - low) ** 2)
+    edge = low - center
+    gain_prev, gain = 1.0, edge     # W_0 and W_1 at low
+    beta = half * half / 2.0
     older = cur     # the newest iterate once the loop has run
     for step in range(degree - 1):
         older, newer, neighbours = orders[step % 2]
-        older *= -beta
+        older *= -dtype(beta)
         np.multiply(shifted, newer, out=scratch)
         older += scratch
         neighbours()
-        beta = dtype(half * half / 4.0)
+        gain_prev, gain = gain, edge * gain - beta * gain_prev
+        beta = half * half / 4.0
+        if abs(gain) > limit:
+            scale = 2.0 ** -math.frexp(gain)[1]
+            older *= dtype(scale)
+            newer *= dtype(scale)
+            gain_prev, gain = gain_prev * scale, gain * scale
     return older.astype(np.float64, copy=False)
 
 
-def _filter_log_gain(cut, upper, low, degree) -> float:
-    """Natural log of the degree-``degree`` filter's largest gain on [low, upper].
-
-    The gain is 2 (half/2)^m T_m((center - low) / half), at ``low``, a lower
-    bound on the spectrum below ``cut``; it bounds the filtered block's
-    column norms for an orthonormal block, so a filter cannot overflow
-    while it stays far below its dtype's range.  Its logarithm stays
-    finite for any potential.
-    """
-    half = (upper - cut) / 2.0
-    z = math.acosh(max(1.0, ((upper + cut) / 2.0 - low) / half))
-    m = degree
-    # 2 (half/2)^m cosh(m z) = (half/2)^m (e^{mz} + e^{-mz})
-    return m * math.log(half / 2.0) + m * z + math.log1p(math.exp(-2.0 * m * z))
-
-
-def _filter_degree(worst, last, previous, single, tol, cut, upper, low) -> int:
+def _filter_degree(worst, last, previous, single, tol, upper) -> int:
     """Degree of the next filter call, from the solve's own contraction.
 
     ``last`` and ``worst`` are the wanted pairs' largest residual before and
@@ -250,20 +252,14 @@ def _filter_degree(worst, last, previous, single, tol, cut, upper, low) -> int:
     precision: in float32 ``SINGLE_RESIDUAL * upper``, where float32 stops
     (but not below ``tol / 2``), in float64 ``tol / 2``, clipped to [1,
     ``MAX_DEGREE``]; a call after a stall takes ``FILTER_DEGREE``.  The
-    degree is then lowered until the filter's gain on [low, upper] stays
-    below ``SINGLE_GAIN`` in float32, or below ``e^DOUBLE_LOG_GAIN`` in
-    float64.
+    filter cannot overflow at any degree, so nothing else bounds it.
     """
-    degree = FILTER_DEGREE
-    if math.isfinite(last) and worst * STALL_FACTOR <= last:
-        target = max(SINGLE_RESIDUAL * upper, tol / 2.0) if single else tol / 2.0
-        rate = math.log(last / worst) / previous
-        needed = math.ceil(math.log(worst / target) / rate)
-        degree = min(MAX_DEGREE, max(1, needed))
-    log_cap = math.log(SINGLE_GAIN) if single else DOUBLE_LOG_GAIN
-    while degree > 1 and _filter_log_gain(cut, upper, low, degree) >= log_cap:
-        degree -= 1
-    return degree
+    if not (math.isfinite(last) and worst * STALL_FACTOR <= last):
+        return FILTER_DEGREE
+    target = max(SINGLE_RESIDUAL * upper, tol / 2.0) if single else tol / 2.0
+    rate = math.log(last / worst) / previous
+    needed = math.ceil(math.log(worst / target) / rate)
+    return min(MAX_DEGREE, max(1, needed))
 
 
 def lowest_eigenpairs(
@@ -288,10 +284,11 @@ def lowest_eigenpairs(
     from how far the previous call lowered the wanted pairs' largest
     residual, so that it reaches the target of its precision, clipped to
     [1, ``MAX_DEGREE``], unless that call lowered it by less than
-    ``STALL_FACTOR``, a stall, which keeps ``FILTER_DEGREE``.  One cap then
-    keeps the filter's gain on the Gershgorin interval [min diag - 2d, max
-    diag + 2d], which holds the spectrum, inside its precision's range, and
-    the call is cut to fit the budget.  Leading pairs
+    ``STALL_FACTOR``, a stall, which keeps ``FILTER_DEGREE``; the call is
+    then cut to fit the budget.  The filter rescales its recurrence by
+    powers of two to stay inside its precision's range on the Gershgorin
+    interval [min diag - 2d, max diag + 2d], which holds the spectrum, so
+    no degree is too long for either precision.  Leading pairs
     whose residual is already <= ``tol`` are locked: the filter skips them,
     so a deep isolated ground state cannot swamp the fields above it in the
     QR.
@@ -355,12 +352,10 @@ def lowest_eigenpairs(
 
         worst = res.max()
         single = single and SINGLE_RESIDUAL * upper < worst < last
-        degree = min(
-            room, _filter_degree(worst, last, degree, single, tol, vals[-1], upper, low)
-        )
+        degree = min(room, _filter_degree(worst, last, degree, single, tol, upper))
         last = worst
         filtered = _chebyshev_filter(
-            op, vecs[:, lock:], image[:, lock:], vals[-1], upper, degree,
+            op, vecs[:, lock:], image[:, lock:], low, vals[-1], upper, degree,
             np.float32 if single else np.float64,
         )
         if lock:

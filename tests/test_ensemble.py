@@ -20,9 +20,12 @@ from gplattice import (
     RunRecord,
     build_lattice,
     dense_matrix,
+    lowest_eigenpairs,
     periodic_hamiltonian,
+    provenance_stream,
     replay_sample,
     run_plan,
+    sample_potential,
 )
 from gplattice.ensemble import (
     overlap_deficit_scale,
@@ -33,6 +36,7 @@ from gplattice.ensemble import (
     theorem_coupling,
 )
 from gplattice import ensemble, gp
+from gplattice.disorder import EIG_CHANNEL
 from gplattice.spectral import DENSE_LIMIT
 
 from coordinate_reference import flat_realization
@@ -356,17 +360,20 @@ def test_trend_solves_stop_the_conjugate_gradients_at_the_gradient_test():
 def test_a_block_of_half_the_torus_solves_the_whole_torus(dim, half_side, eig_count):
     # a block over half the torus or more can cut the nearly free spectrum
     # inside one of its degenerate clusters, where filtering stalls; so such
-    # a torus is solved whole: n applications and the confirming ones
-    sites = (2 * half_side + 1) ** dim
+    # a torus is solved whole: n applications and the confirming ones.  Each
+    # slot draws its potential and solver seed as ``replay_sample`` does
+    geom = build_lattice(dim, half_side)
     for v_max in (0.01, 1.0):
-        plan = ExperimentPlan(
-            experiment="spectrum", seed=1, dim=dim, l_grid=(half_side,), samples=3,
-            v_max=v_max, eig_count=eig_count,
-        )
-        for rec in run_plan(plan).records:
-            assert rec.error is None, (v_max, rec.sample_index, rec.error)
-            assert rec.eig_applies == sites + eig_count
-            assert rec.eig_single_applies == 0
+        spec = DisorderSpec(v_max=v_max, master_seed=1)
+        for sample in range(3):
+            ham = periodic_hamiltonian(sample_potential(spec, geom, 0, sample))
+            sol = lowest_eigenpairs(
+                ham, eig_count, tol=ExperimentPlan.tol_eig,
+                seed=provenance_stream(spec.master_seed, 0, sample, EIG_CHANNEL),
+            )
+            assert sol.residuals.max() <= ExperimentPlan.tol_eig
+            assert sol.iterations == geom.n_sites + eig_count, (v_max, sample)
+            assert sol.single_applies == 0
 
 
 def test_condense_summary_shape(small_condense):
