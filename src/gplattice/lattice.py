@@ -18,7 +18,11 @@ ends inside the block.  :func:`bind_stencil` binds a pair of buffers to the
 stencil's short list of in-place updates, each a view of the output, a view
 of the input and a ufunc; a one-shot application calls the binding once, and
 a solver that applies the stencil again and again to the same pair calls it
-at every step.
+at every step.  :func:`bind_padded_stencil` binds a pair of blocks whose rows
+along the innermost axis each end in a ghost site: a call refreshes the
+input's ghosts with one strided copy (periodic images, or zeros on a box
+axis cut short), so the innermost axis needs two flat shifts and no row-end
+correction.  Both bindings build each outer axis's updates the same way.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol
@@ -32,6 +36,7 @@ unitary normalization (2L+1)^(-d/2), so Parseval holds exactly and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +93,51 @@ def _check_field(geom: LatticeGeometry, field) -> np.ndarray:
     return arr
 
 
+def _axis_updates(flat, acc, length: int, stride: int, periodic: bool) -> list:
+    """The updates that subtract the neighbours along one axis of ``flat`` from ``acc``.
+
+    The axis has ``length`` sites of flat stride ``stride``.  Two shifts of
+    the whole flat block by ``stride`` subtract the neighbours.  On the
+    axis's (-1, length, stride) view, whose rows run along the axis, the
+    couplings the shifts made across a row end are added back; an axis that
+    spans the block in one row has none.  A ``periodic`` axis also couples
+    its two end faces, in one update of the [first, last] face pair from the
+    [last, first] pair; on any other axis the couplings that leave the box
+    are dropped.
+    """
+    updates = [
+        (acc[:-stride], flat[stride:], np.subtract),
+        (acc[stride:], flat[:-stride], np.subtract),
+    ]
+    grid = flat.reshape(-1, length, stride)
+    faces = acc.reshape(grid.shape)
+    if grid.shape[0] > 1:
+        updates += [
+            (faces[:-1, -1], grid[1:, 0], np.add),
+            (faces[1:, 0], grid[:-1, -1], np.add),
+        ]
+    if periodic:
+        updates.append((faces[:, :: length - 1], grid[:, :: 1 - length], np.subtract))
+    return updates
+
+
+def _applied(updates: list):
+    """A call that applies ``updates`` in order, each ``ufunc(target, source)`` in place."""
+
+    def apply() -> None:
+        for target, source, ufunc in updates:
+            ufunc(target, source, out=target)
+
+    return apply
+
+
+def _check_pair(field: np.ndarray, out: np.ndarray) -> None:
+    if field.shape != out.shape or not (field.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError(
+            f"field and out must be C-contiguous of one shape, got {field.shape}, {out.shape}"
+        )
+
+
 def bind_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.ndarray):
     """The stencil of ``field`` into ``out``, bound once: a call subtracts the neighbours.
 
@@ -101,40 +151,57 @@ def bind_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.n
     memory: a one-shot application fills ``out`` and calls the binding at
     once, and a solver that overwrites the same pair of buffers binds them
     once and calls the binding at every step.  The updates are applied in
-    order.  Per axis of flat stride ``s``, two shifts of the whole flat block
-    by ``s`` subtract the neighbours.  On the axis's (-1, length, s) view,
-    whose rows run along the axis, the couplings the shifts made across a row
-    end are added back; the leading axis spans the block in one row, so it
-    has none.  An axis as long as the torus side also couples its two end
-    faces, in one update of the [first, last] face pair from the [last,
-    first] pair; a shorter axis drops the couplings that leave the box.
+    order, axis by axis, each axis's as :func:`_axis_updates` builds them:
+    the leading axis spans the block in one row, so it has no row ends, and
+    an axis as long as the torus side is periodic.
     """
-    if field.shape != out.shape or not (field.flags.c_contiguous and out.flags.c_contiguous):
-        raise ValueError(
-            f"field and out must be C-contiguous of one shape, got {field.shape}, {out.shape}"
-        )
+    _check_pair(field, out)
     flat, acc = field.ravel(), out.ravel()
     updates = []
     stride = flat.size
     for length in shape:
         stride //= length
-        updates += [
-            (acc[:-stride], flat[stride:], np.subtract),
-            (acc[stride:], flat[:-stride], np.subtract),
-        ]
-        grid = flat.reshape(-1, length, stride)
-        faces = acc.reshape(grid.shape)
-        if grid.shape[0] > 1:
-            updates += [
-                (faces[:-1, -1], grid[1:, 0], np.add),
-                (faces[1:, 0], grid[:-1, -1], np.add),
-            ]
-        if length == side:
-            updates.append((faces[:, :: length - 1], grid[:, :: 1 - length], np.subtract))
+        updates += _axis_updates(flat, acc, length, stride, length == side)
+    return _applied(updates)
+
+
+def bind_padded_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, out: np.ndarray):
+    """:func:`bind_stencil` for a block whose innermost rows end in ghost sites.
+
+    ``field`` and ``out`` are C-contiguous (rows, m + 2, k) arrays: the box
+    of side lengths ``shape`` has rows = prod(shape[:-1]) rows of m =
+    shape[-1] sites along its innermost axis, held at positions 1..m between
+    two ghost sites, k entries per site.  A call first refreshes the ghosts
+    of ``field`` with one strided copy: the images of the row's far end
+    sites when the innermost axis spans the torus, zeros on a shorter axis.
+    The innermost axis then needs no correction: the ghosts join its rows
+    into one row through the whole flat block, so two shifts of the block by
+    k subtract both neighbours of every interior site.  The outer axes then
+    take the same per-axis updates as in :func:`bind_stencil`, on the padded
+    grid.  Only the interior of ``out`` holds the stencil; its ghosts hold
+    finite values of no meaning, which its own next refresh overwrites.
+    """
+    _check_pair(field, out)
+    m = shape[-1]
+    if field.ndim != 3 or field.shape[:2] != (math.prod(shape[:-1]), m + 2):
+        raise ValueError(
+            f"a padded block of shape {shape} is (rows, {m + 2}, k), got {field.shape}"
+        )
+    flat, acc = field.ravel(), out.ravel()
+    k = field.shape[-1]
+    # the innermost axis as one row of stride k through the block
+    updates = _axis_updates(flat, acc, flat.size // k, k, False)
+    stride = flat.size
+    for length in shape[:-1]:
+        stride //= length
+        updates += _axis_updates(flat, acc, length, stride, length == side)
+    stencil = _applied(updates)
+    ghosts = field[:, :: m + 1]
+    images = field[:, m:0:1 - m] if m == side else 0
 
     def apply() -> None:
-        for target, source, ufunc in updates:
-            ufunc(target, source, out=target)
+        np.copyto(ghosts, images)
+        stencil()
 
     return apply
 
