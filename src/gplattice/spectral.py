@@ -17,8 +17,13 @@ ChASE's degree optimization (Winkelmann, Springer & Di Napoli, ACM TOMS
 45, 2019): the first call, and any call after a stall, takes
 ``FILTER_DEGREE``; every other call is sized to take the worst wanted
 residual to its target, clipped to [1, ``MAX_DEGREE``], so a solve takes
-fewer QR and Rayleigh-Ritz steps.  Blocks are held site-major, as
-C-ordered (sites, k)
+fewer QR and Rayleigh-Ritz steps.  A sized float64 call filters only the
+unlocked wanted fields: the block's width - count extra fields, Zhou &
+Saad's guard vectors, only hold the filter's cut and need not converge, so
+they enter the QR as they are, after the filtered fields (at d = 2,
+L = 32 a float64 step costs about 56 us on 7 fields and 22 us on 2).  The
+first call, a call after a stall and every float32 call filter the whole
+unlocked block.  Blocks are held site-major, as C-ordered (sites, k)
 arrays whose k fields at one site are adjacent: the stencil takes such a
 block as one flat field, so no shift crosses from one field into the next,
 and the QR and the Rayleigh-Ritz products take the block as it is.  In
@@ -176,7 +181,7 @@ class EigenSolution:
     values: np.ndarray
     vectors: np.ndarray
     residuals: np.ndarray
-    iterations: int         # operator applications spent
+    iterations: int         # applied fields, as lowest_eigenpairs counts them
     single_applies: int     # of which filtered in float32; 0 without a filter step
 
 
@@ -300,6 +305,13 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
     return np.ascontiguousarray(interior, dtype=np.float64).reshape(n, k)
 
 
+def _sized(worst, last) -> bool:
+    """Whether the next filter call is sized: the previous call cut the worst
+    wanted residual from ``last`` to ``worst`` by at least ``STALL_FACTOR``
+    (``last`` is infinite before the first call)."""
+    return math.isfinite(last) and worst * STALL_FACTOR <= last
+
+
 def _filter_degree(worst, last, previous, single, tol, upper) -> int:
     """Degree of the next filter call, from the solve's own contraction.
 
@@ -313,7 +325,7 @@ def _filter_degree(worst, last, previous, single, tol, upper) -> int:
     ``MAX_DEGREE``]; a call after a stall takes ``FILTER_DEGREE``.  The
     filter cannot overflow at any degree, so nothing else bounds it.
     """
-    if not (math.isfinite(last) and worst * STALL_FACTOR <= last):
+    if not _sized(worst, last):
         return FILTER_DEGREE
     target = max(SINGLE_RESIDUAL * upper, tol / 2.0) if single else tol / 2.0
     rate = math.log(last / worst) / previous
@@ -353,7 +365,10 @@ def lowest_eigenpairs(
     no degree is too long for either precision.  Leading pairs
     whose residual is already <= ``tol`` are locked: the filter skips them,
     so a deep isolated ground state cannot swamp the fields above it in the
-    QR.
+    QR.  A sized float64 call filters only the unlocked wanted fields
+    ``[lock, count)``; the extra fields, which only hold the cut, enter the
+    QR unfiltered after them.  The first call, a call after a stall and
+    every float32 call filter all of ``[lock, width)``.
     The filter runs in float32 while the wanted pairs' largest residual is
     above ``SINGLE_RESIDUAL * op.spectral_bound()`` and every float32 step
     so far lowered that residual.  Once either fails, it runs in float64 to
@@ -363,8 +378,11 @@ def lowest_eigenpairs(
     Pairs are accepted only after a fresh application confirms every
     residual <= ``tol``, which must be positive and finite; vectors are
     returned up to sign.
-    ``iterations`` counts applied fields, and ``single_applies`` those of
-    them filtered in float32, each call counted at its own degree; when
+    ``iterations`` counts applied fields: the start block, each filtered
+    field once per degree of its call, and the confirming applications (a
+    sized float64 call's extra fields are applied once, for their images
+    after the QR, and not counted); ``single_applies`` counts those
+    filtered in float32.  When
     the budget ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)``
     leaves no room for a filter call of degree 1,
     :class:`EigenConvergenceError` names the smallest residuals found.
@@ -406,7 +424,12 @@ def lowest_eigenpairs(
         if best is None or res.max() < best.max():
             best = res
         lock = int(np.argmin(res <= tol))   # leading converged pairs
-        room = (budget - used) // (width - lock)    # the largest degree left
+        worst = res.max()
+        single = single and SINGLE_RESIDUAL * upper < worst < last
+        # a sized float64 call filters only the unlocked wanted fields: the
+        # extras only hold the cut and need not converge
+        end = count if _sized(worst, last) and not single else width
+        room = (budget - used) // (end - lock)      # the largest degree left
         # a basis of the whole space is already exact up to round-off
         if width == n or room < 1:
             raise EigenConvergenceError(
@@ -414,23 +437,22 @@ def lowest_eigenpairs(
                 f"best residuals {np.array2string(best, precision=3)}"
             )
 
-        worst = res.max()
-        single = single and SINGLE_RESIDUAL * upper < worst < last
         degree = min(room, _filter_degree(worst, last, degree, single, tol, upper))
         last = worst
         filtered = _chebyshev_filter(
-            op, vecs[:, lock:], image[:, lock:], low, vals[-1], upper, degree,
+            op, vecs[:, lock:end], image[:, lock:end], low, vals[-1], upper, degree,
             np.float32 if single else np.float64, buffers,
         )
-        if lock:
-            # the locked fields lead the QR, so the new ones come out orthogonal
-            filtered = np.hstack([vecs[:, :lock], filtered])
+        if lock or end < width:
+            # the locked fields lead the QR, so the new ones come out
+            # orthogonal; the unfiltered extras follow the filtered fields
+            filtered = np.hstack([vecs[:, :lock], filtered, vecs[:, end:]])
         basis = np.linalg.qr(filtered)[0]
         del filtered    # one block fewer held through the Rayleigh-Ritz step
         # the QR returns the locked fields up to sign; keep them and their images
         basis[:, :lock] = vecs[:, :lock]
         image[:, lock:] = op.apply(basis[:, lock:])
         vals, vecs, image = _rayleigh_ritz(basis, image)
-        used += degree * (width - lock)
+        used += degree * (end - lock)
         if single:
-            single_used += degree * (width - lock)
+            single_used += degree * (end - lock)

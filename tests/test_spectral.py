@@ -26,6 +26,7 @@ from gplattice.spectral import (
     _chebyshev_filter,
     _filter_buffers,
     _filter_degree,
+    _rayleigh_ritz,
 )
 
 from coordinate_reference import (
@@ -38,6 +39,7 @@ from coordinate_reference import (
 from dense_reference import dense_oracle
 
 SPEC = DisorderSpec(v_max=1.0, master_seed=101)
+STRONG = DisorderSpec(v_max=200.0, master_seed=7)
 
 
 def make_real(dim, half, sample=0):
@@ -324,11 +326,11 @@ def fixed_degree(monkeypatch):
     "dim, half, applies, sized",
     [
         (1, 64, 728, False), (2, 16, 1449, False), (3, 6, 1331, False),
-        (1, 64, 740, True), (2, 16, 1486, True), (3, 6, 1478, True),
+        (1, 64, 592, True), (2, 16, 1026, True), (3, 6, 981, True),
     ],
     ids=[
         "1-64-728", "2-16-1449", "3-6-1331",
-        "sized-1-64-740", "sized-2-16-1486", "sized-3-6-1478",
+        "sized-1-64-592", "sized-2-16-1026", "sized-3-6-981",
     ],
 )
 def test_applied_columns_are_pinned(dim, half, applies, sized, monkeypatch):
@@ -347,6 +349,82 @@ def test_applied_columns_are_pinned(dim, half, applies, sized, monkeypatch):
     np.testing.assert_allclose(sol.values, fixed.values, rtol=0, atol=1e-12)
     overlaps = np.abs(np.sum(sol.vectors * fixed.vectors, axis=0))
     assert overlaps.min() >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "dim, half, spec, sample, stalls",
+    [(2, 16, SPEC, 0, False), (1, 64, SPEC, 0, False), (1, 128, STRONG, 1, True)],
+    ids=["2-16", "1-64", "strong-1-128"],
+)
+def test_a_sized_float64_call_filters_only_the_wanted_fields(
+    dim, half, spec, sample, stalls, monkeypatch
+):
+    # the width - count extra fields only hold the filter's cut: a float64
+    # call sized from the previous call's contraction filters the unlocked
+    # wanted fields alone, while the first call, a call after a stall and
+    # every float32 call filter the whole unlocked block.  The strong case
+    # ends its float32 phase in a stall and then locks its ground state
+    ham = periodic_hamiltonian(sample_potential(spec, build_lattice(dim, half), 0, sample))
+    count, tol = 2, 1e-10
+    width = max(count + 4, 2 * dim + 3)
+    steps, calls = [], []
+
+    def ritz(basis, image):
+        steps.append(_rayleigh_ritz(basis, image))
+        return steps[-1]
+
+    def logged(op, block, image, low, cut, upper, degree, dtype, buffers):
+        # the wanted residuals the solver read before this call: those of
+        # the last Rayleigh-Ritz step, or the fresh ones if it failed to
+        # confirm them
+        vals, vecs, images = steps[-1]
+        head = vecs[:, :count]
+        res = np.linalg.norm(images[:, :count] - head * vals[:count], axis=0)
+        if res.max() <= tol:
+            res = np.linalg.norm(ham.apply(head) - head * vals[:count], axis=0)
+        calls.append((block.shape[1], degree, dtype, res))
+        return _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
+
+    monkeypatch.setattr(spectral, "_rayleigh_ritz", ritz)
+    monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
+    seed = provenance_stream(spec.master_seed, 0, sample, EIG_CHANNEL)
+    sol = lowest_eigenpairs(ham, count, tol=tol, seed=seed)
+    assert sol.residuals.max() <= tol
+    last, kinds, locks = math.inf, set(), []
+    for step, (columns, degree, dtype, res) in enumerate(calls):
+        lock, worst = int(np.argmin(res <= tol)), res.max()
+        sized = step > 0 and worst * spectral.STALL_FACTOR <= last
+        narrow = sized and dtype == np.float64
+        assert columns == (count if narrow else width) - lock, (step, calls)
+        kinds.add((sized, np.dtype(dtype).name))
+        locks.append(lock)
+        last = worst
+    assert (True, "float64") in kinds
+    assert ((False, "float64") in kinds) == stalls
+    assert (max(locks) > 0) == stalls
+    applied = sum(columns * degree for columns, degree, _, _ in calls)
+    assert sol.iterations == width + applied + count
+
+
+@pytest.mark.parametrize(
+    "master_seed, v_max, count",
+    [(seed, 0.01, 2) for seed in range(6)] + [(SPEC.master_seed, 1.0, 10)],
+    ids=[f"near-free-{seed}" for seed in range(6)] + ["count-10"],
+)
+def test_pairs_beside_a_near_free_level_match_the_dense_reference(master_seed, v_max, count):
+    # at v_max 0.01 the 4-fold free first excited level sits next to the
+    # wanted pair, and a sized float64 call leaves its partners in the
+    # unfiltered extra fields; the pairs still converge to the dense ones
+    spec = DisorderSpec(v_max=v_max, master_seed=master_seed)
+    ham = periodic_hamiltonian(sample_potential(spec, build_lattice(2, 16)))
+    sol = lowest_eigenpairs(
+        ham, count, tol=1e-10, seed=provenance_stream(master_seed, 0, 0, EIG_CHANNEL)
+    )
+    assert sol.residuals.max() <= 1e-10
+    ref = dense_oracle(ham)
+    np.testing.assert_allclose(sol.values, ref.values[:count], rtol=0, atol=1e-10)
+    overlaps = np.abs(np.sum(sol.vectors * ref.vectors[:, :count], axis=0))
+    assert overlaps.min() >= 1.0 - 1e-10
 
 
 def test_a_long_filter_call_under_strong_disorder_stays_finite():
@@ -389,9 +467,6 @@ def test_a_sized_call_is_clipped_to_one_to_max_degree():
 def float64_only(monkeypatch):
     """Make every filter step run in float64: no residual exceeds infinity."""
     monkeypatch.setattr(spectral, "SINGLE_RESIDUAL", math.inf)
-
-
-STRONG = DisorderSpec(v_max=200.0, master_seed=7)
 
 
 @pytest.mark.parametrize(
