@@ -27,12 +27,13 @@ unlocked block.  Blocks are held site-major, as C-ordered (sites, k)
 arrays whose k fields at one site are adjacent: the stencil takes such a
 block as one flat field, so no shift crosses from one field into the next,
 and the QR and the Rayleigh-Ritz products take the block as it is.  In
-d >= 2 the filter holds its blocks with a ghost site at each end of every
-row of the innermost axis, in four buffers allocated once per solve: a
-step refreshes the newer iterate's ghosts with one strided copy, and the
-innermost axis then needs two flat shifts and no row-end correction (at
-d = 2, L = 32 with k = 7, a float32 step took 43 us with the corrections
-and 32 us with ghosts, a float64 step 61 us and 56 us).  The filter
+every d the filter holds its blocks with a ghost site at each end of every
+row of the innermost axis (a d = 1 region is one row), in four buffers
+allocated once per solve: a step refreshes the newer iterate's ghosts
+with one strided copy, and the innermost axis then needs two flat shifts
+and no row-end correction (at d = 2, L = 32 with k = 7, a float32 step
+took 43 us with the corrections and 32 us with ghosts, a float64 step 61
+us and 56 us).  The filter
 recurrence rotates two fixed blocks, so it binds the stencil to them once
 per filter call, not once per step.  The block is at least 2d+3 fields
 wide, so it holds the ground state and the whole free first excited level, of
@@ -191,22 +192,19 @@ def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
     return vals, basis @ rot, image @ rot
 
 
-def _filter_buffers(op: HamiltonianOperator, width: int) -> np.ndarray | None:
-    """The padded filter's four blocks as page-aligned rows of bytes; None for one row.
+def _filter_buffers(op: HamiltonianOperator, width: int) -> np.ndarray:
+    """The padded filter's four blocks as page-aligned rows of bytes.
 
-    A region of more than one row holds each filter block as (rows, m + 2,
-    k), its m sites and two ghosts per row of the innermost axis; a row of
-    bytes holds such a block of up to ``width`` fields in either precision.
-    A region of one row (d = 1) has no row ends and keeps flat blocks.
-    Each block starts on a page of its own: at offsets that differ within a
-    page, a step's loads from one block can wait on its stores to another
-    with the same low address bits (at d = 2, L = 32 with k = 7, a float64
-    step took 70 us on unaligned rows against 56 us, a float32 one 40 us
-    against 32 us).
+    The filter holds each block as (rows, m + 2, k): the m sites of each
+    row of the innermost axis and two ghosts, in every d (a d = 1 region is
+    one row); a row of bytes holds such a block of up to ``width`` fields
+    in either precision.  Each block starts on a page of its own: at
+    offsets that differ within a page, a step's loads from one block can
+    wait on its stores to another with the same low address bits (at d = 2,
+    L = 32 with k = 7, a float64 step took 70 us on unaligned rows against
+    56 us, a float32 one 40 us against 32 us).
     """
     m = op.shape[-1]
-    if m == op.n_sites:
-        return None
     size = op.n_sites // m * (m + 2) * width * np.dtype(np.float64).itemsize
     row = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
     raw = np.empty(4 * row + mmap.PAGESIZE, np.uint8)
@@ -226,10 +224,9 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
     beta * older`` minus the newer block's neighbours, so the pair takes
     only two orders, and the stencil is bound once for each.  Any degree
     >= 1 is exact: degree 1 returns W_1 and runs no step.
-    Without ``buffers`` (a region of one row, d = 1) the blocks are flat
-    (n, k) arrays bound by :func:`lattice.bind_stencil`.  Otherwise they
-    are (rows, m + 2, k) views of ``buffers``, from :func:`_filter_buffers`:
-    each row of the innermost axis, m sites, sits between two ghost sites.
+    The blocks are (rows, m + 2, k) views of ``buffers``, from
+    :func:`_filter_buffers`: each row of the innermost axis, m sites, sits
+    between two ghost sites, in every d (a d = 1 region is one row).
     The block and W_1 are copied into the interiors on entry, every ghost
     starts at zero (the first step reads them all), and
     :func:`lattice.bind_padded_stencil` refreshes the newer block's ghosts
@@ -260,27 +257,18 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
     half = (upper - cut) / 2.0
     center = (upper + cut) / 2.0
     n, k = block.shape
-    if buffers is None:
-        prev = block.astype(dtype, order="C")
-        cur = (image - center * block).astype(dtype, copy=False)
-        shifted = np.repeat((op.diag - center).astype(dtype, copy=False), k)
-        shifted = shifted.reshape(cur.shape)
-        scratch = np.empty_like(cur)
-        bind = bind_stencil
-    else:
-        m = op.shape[-1]
-        rows = n // m
-        prev, cur, shifted, scratch = (
-            buf.view(dtype)[: rows * (m + 2) * k].reshape(rows, m + 2, k) for buf in buffers
-        )
-        prev[:, 1:-1] = block.reshape(rows, m, k)
-        cur[:, 1:-1] = (image - center * block).reshape(rows, m, k)
-        shifted[:, 1:-1] = (op.diag - center).reshape(rows, m, 1)
-        # the first step reads every ghost before the stencil refreshes any
-        prev[:, :: m + 1] = cur[:, :: m + 1] = shifted[:, :: m + 1] = 0
-        bind = bind_padded_stencil
+    m = op.shape[-1]
+    rows = n // m
+    prev, cur, shifted, scratch = (
+        buf.view(dtype)[: rows * (m + 2) * k].reshape(rows, m + 2, k) for buf in buffers
+    )
+    prev[:, 1:-1] = block.reshape(rows, m, k)
+    cur[:, 1:-1] = (image - center * block).reshape(rows, m, k)
+    shifted[:, 1:-1] = (op.diag - center).reshape(rows, m, 1)
+    # the first step reads every ghost before the stencil refreshes any
+    prev[:, :: m + 1] = cur[:, :: m + 1] = shifted[:, :: m + 1] = 0
     orders = [
-        (older, newer, bind(op.shape, op.geom.side, newer, older))
+        (older, newer, bind_padded_stencil(op.shape, op.geom.side, newer, older))
         for older, newer in ((prev, cur), (cur, prev))
     ]
     limit = float(np.finfo(dtype).max) / (4.0 * (upper - low) ** 2)
@@ -301,8 +289,7 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
             older *= dtype(scale)
             newer *= dtype(scale)
             gain_prev, gain = gain_prev * scale, gain * scale
-    interior = older if buffers is None else older[:, 1:-1]
-    return np.ascontiguousarray(interior, dtype=np.float64).reshape(n, k)
+    return np.ascontiguousarray(older[:, 1:-1], dtype=np.float64).reshape(n, k)
 
 
 def _sized(worst, last) -> bool:
@@ -349,7 +336,7 @@ def lowest_eigenpairs(
     filter that damps [largest Ritz value, ``op.spectral_bound()``]: each
     step of its three-term recurrence overwrites the oldest iterate in
     place, so no block is allocated and no stencil view is taken per step.
-    In d >= 2 the filter's blocks carry a ghost site at each row end of the
+    In every d the filter's blocks carry a ghost site at each row end of the
     innermost axis, in buffers allocated once per solve, which each filter
     call fills on entry and whose interior it copies out on exit.
     One Householder QR then orthonormalizes the block and a Rayleigh-Ritz

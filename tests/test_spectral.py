@@ -1,4 +1,5 @@
 import math
+import mmap
 import re
 from dataclasses import replace
 
@@ -167,6 +168,7 @@ def column_directions(block):
         (1, 10, None, "periodic"),
         (2, 4, None, "periodic"),
         (3, 2, None, "periodic"),
+        (1, 10, ((-4, 13),), "dirichlet"),
         (2, 4, ((-3, 6), (-2, 4)), "dirichlet"),
         (2, 4, ((-1, 5), (-4, 9)), "neumann"),
         (3, 2, ((-1, 3), (0, 2), (-2, 5)), "dirichlet"),
@@ -174,14 +176,14 @@ def column_directions(block):
     ],
     ids=[
         "1-10", "2-4", "3-2",
-        "d2-dirichlet-short", "d2-neumann-spanning",
+        "d1-dirichlet-short", "d2-dirichlet-short", "d2-neumann-spanning",
         "d3-dirichlet-spanning", "d3-neumann-short",
     ],
 )
 def test_chebyshev_filter_is_the_monic_recurrence(dim, half, intervals, bc, lock):
     # the filter rotates two fixed blocks with the stencil's views taken
     # once per order; a locked prefix hands it column slices of the
-    # solver's C-ordered block and image.  In d >= 2 the blocks' innermost
+    # solver's C-ordered block and image.  In every d the blocks' innermost
     # rows end in ghost sites, periodic images on an axis that spans the
     # torus and zeros on a box axis cut short; the reference applies the
     # operator's own stencil.  In either precision the filter returns, as
@@ -201,12 +203,15 @@ def test_chebyshev_filter_is_the_monic_recurrence(dim, half, intervals, bc, lock
     block = rng.normal(size=(ham.n_sites, width))
     image = ham.apply(block)
     kept = block.copy(), image.copy()
-    # one set of buffers serves every call, as in a solve; d = 1 takes none
+    # one set of buffers serves every call, as in a solve
     buffers = _filter_buffers(ham, width)
     cut, upper = 2.0 * dim, ham.spectral_bound()
     for degree in (1, 2, FILTER_DEGREE, 47):
         want = column_directions(monic_chebyshev(ham, block[:, lock:], cut, upper, degree))
         for dtype, rel in [(np.float64, 1e-13), (np.float32, 1e-5)]:
+            # stale buffers may hold anything: the filter zeroes every ghost
+            # on entry, or the first step overflows on them
+            buffers.view(np.float32)[:] = np.finfo(np.float32).max
             got = _chebyshev_filter(
                 ham, block[:, lock:], image[:, lock:], low, cut, upper, degree, dtype,
                 buffers,
@@ -262,16 +267,20 @@ def test_stencil_updates_built_once_match_the_stencil(dim, intervals, bc, width)
 @pytest.mark.parametrize(
     "dim, intervals, bc",
     [
+        (1, None, "periodic"),
         (2, None, "periodic"),
         (3, None, "periodic"),
+        (1, ((-3, 5),), "dirichlet"),
         (2, ((-3, 7), (0, 3)), "dirichlet"),
         (3, ((-1, 3), (0, 2), (-2, 3)), "dirichlet"),
+        (1, ((-3, 5),), "neumann"),
         (2, ((1, 3), (-3, 7)), "neumann"),
         (3, ((-3, 7), (0, 3), (-3, 7)), "neumann"),
     ],
     ids=[
-        "d2-torus", "d3-torus", "d2-dirichlet-short", "d3-dirichlet-short",
-        "d2-neumann-spanning", "d3-neumann-spanning",
+        "d1-torus", "d2-torus", "d3-torus",
+        "d1-dirichlet-short", "d2-dirichlet-short", "d3-dirichlet-short",
+        "d1-neumann-short", "d2-neumann-spanning", "d3-neumann-spanning",
     ],
 )
 def test_padded_stencil_matches_the_stencil(dim, intervals, bc):
@@ -300,6 +309,21 @@ def test_padded_stencil_matches_the_stencil(dim, intervals, bc):
         out[...] = field[...] = rng.normal(size=padded)
 
 
+@pytest.mark.parametrize("dim, half", [(1, 64), (2, 8), (3, 3)])
+def test_filter_buffers_are_four_page_aligned_padded_blocks(dim, half):
+    # the filter pads its blocks in every d, a d = 1 torus as one row: each
+    # of the four blocks starts on a page of its own and holds a padded
+    # block of the solve's width in float64, the wider precision
+    ham = make_ham(dim, half)
+    width = 2 * dim + 3
+    m = ham.shape[-1]
+    buffers = _filter_buffers(ham, width)
+    assert buffers.shape[0] == 4
+    for row in buffers:
+        assert row.ctypes.data % mmap.PAGESIZE == 0
+        assert row.view(np.float64).size >= ham.n_sites // m * (m + 2) * width
+
+
 def test_stencil_updates_need_one_c_ordered_shape():
     shape, side = (7, 7), 7
     block = np.zeros((49, 3))
@@ -326,11 +350,11 @@ def fixed_degree(monkeypatch):
     "dim, half, applies, sized",
     [
         (1, 64, 728, False), (2, 16, 1449, False), (3, 6, 1331, False),
-        (1, 64, 592, True), (2, 16, 1026, True), (3, 6, 981, True),
+        (1, 64, 582, True), (2, 16, 1026, True), (3, 6, 981, True),
     ],
     ids=[
         "1-64-728", "2-16-1449", "3-6-1331",
-        "sized-1-64-592", "sized-2-16-1026", "sized-3-6-981",
+        "sized-1-64-582", "sized-2-16-1026", "sized-3-6-981",
     ],
 )
 def test_applied_columns_are_pinned(dim, half, applies, sized, monkeypatch):
@@ -441,7 +465,9 @@ def test_a_long_filter_call_under_strong_disorder_stays_finite():
     image = ham.apply(block)
     want = column_directions(monic_chebyshev(ham, block, cut, upper, MAX_DEGREE))
     for dtype, rel in [(np.float64, 1e-13), (np.float32, 1e-5)]:
-        got = _chebyshev_filter(ham, block, image, low, cut, upper, MAX_DEGREE, dtype, None)
+        got = _chebyshev_filter(
+            ham, block, image, low, cut, upper, MAX_DEGREE, dtype, _filter_buffers(ham, 6)
+        )
         assert np.isfinite(got).all(), dtype
         assert np.abs(column_directions(got) - want).max() <= rel, dtype
 
