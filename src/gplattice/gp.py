@@ -119,13 +119,14 @@ def _projected_newton_direction(
     step that would leave the ball, or a direction of non-positive
     curvature, is followed to the boundary instead (Steihaug-Toint).  |d|^2
     comes from the recurrences for d.p and p.p, and the model from the CG
-    scalars, so neither costs a vector operation.  The search direction ``p`` and its image ``ap`` are
-    fixed buffers, bound to the stencil once; each iteration overwrites both
-    in place.  A NaN curvature is not positive, so it also ends on the
-    boundary, with a NaN model.
+    scalars, so neither costs a vector operation.  The search direction
+    ``p`` and its image ``ap`` are fixed buffers, bound to the stencil once;
+    the Hessian's diagonal, H's plus 6U phi^2 - mu, is formed once, and each
+    iteration overwrites both buffers in place.  A NaN curvature is not
+    positive, so it also ends on the boundary, with a NaN model.
     """
     h = problem.hamiltonian
-    shift = 6.0 * problem.coupling * phi**2 - mu
+    hess_diag = h.diag + (6.0 * problem.coupling * phi**2 - mu)
     rhs_norm = float(np.linalg.norm(residual))
     stop = max(min(0.1, rhs_norm) * rhs_norm, g_tol / 8.0)
     d = np.zeros_like(phi)
@@ -139,10 +140,9 @@ def _projected_newton_direction(
     # |d|^2, d.p, p.p, and the model <residual, d> + <d, A d> / 2
     dd, dp, pp, model = 0.0, 0.0, rr, 0.0
     for iteration in range(1, phi.size + 1):
-        # ap = H p + shift * p, with H p = diag * p minus the neighbours
-        np.multiply(h.diag, p, out=ap)
+        # ap = (H + 6U phi^2 - mu) p = hess_diag * p minus the neighbours
+        np.multiply(hess_diag, p, out=ap)
         neighbours()
-        ap += shift * p
         ap -= (phi @ ap) * phi
         curvature = float(p @ ap)
         if curvature > 0.0:

@@ -23,22 +23,22 @@ Saad's guard vectors, only hold the filter's cut and need not converge, so
 they enter the QR as they are, after the filtered fields (at d = 2,
 L = 32 a float64 step costs about 56 us on 7 fields and 22 us on 2).  The
 first call, a call after a stall and every float32 call filter the whole
-unlocked block.  Blocks are held site-major, as C-ordered (sites, k)
-arrays whose k fields at one site are adjacent: the stencil takes such a
-block as one flat field, so no shift crosses from one field into the next,
-and the QR and the Rayleigh-Ritz products take the block as it is.  In
-every d the filter holds its blocks with a ghost site at each end of every
-row of the innermost axis (a d = 1 region is one row), in four buffers
-allocated once per solve: a step refreshes the newer iterate's ghosts
-with one strided copy, and the innermost axis then needs two flat shifts
-and no row-end correction (at d = 2, L = 32 with k = 7, a float32 step
-took 43 us with the corrections and 32 us with ghosts, a float64 step 61
-us and 56 us).  The filter
-recurrence rotates two fixed blocks, so it binds the stencil to them once
-per filter call, not once per step.  The block is at least 2d+3 fields
-wide, so it holds the ground state and the whole free first excited level, of
-multiplicity 2d, which a single-vector iteration would silently split.  A
-wider cluster can still be cut: where the block's edge falls inside a
+unlocked block.  Blocks are held site-major, as C-ordered (sites, k) arrays
+whose k fields at one site are adjacent: the stencil takes such a block as
+one flat field, so no shift crosses from one field into the next, the
+filter writes over the block's own columns, and the QR and the
+Rayleigh-Ritz products take the block as it is.  In every d the filter
+holds its blocks with a ghost site at each end of every row of the
+innermost axis (a d = 1 region is one row), in four buffers allocated once
+per solve: a step refreshes the newer iterate's ghosts with one strided
+copy, and the innermost axis then needs two flat shifts and no row-end
+correction (at d = 2, L = 32 with k = 7, a float32 step took 43 us with
+the corrections and 32 us with ghosts, a float64 step 61 us and 56 us).
+The filter recurrence rotates two fixed blocks, so it binds the stencil to
+them once per filter call, not once per step.  The block is at least 2d+3
+fields wide, so it holds the ground state and the whole free first excited
+level, of multiplicity 2d, which a single-vector iteration would silently
+split.  A wider cluster can still be cut: where the block's edge falls inside a
 near-degenerate cluster, the filter barely damps the first state above the
 edge and the solve can stall (``spectrum`` d = 3, L = 2, count 10 at v_max
 0.01: the block of 14 ends inside the 12-fold second excited free level,
@@ -212,7 +212,7 @@ def _filter_buffers(op: HamiltonianOperator, width: int) -> np.ndarray:
     return raw[start : start + 4 * row].reshape(4, row)
 
 
-def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers) -> np.ndarray:
+def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers) -> None:
     """Degree-``degree`` Chebyshev filter damping [cut, upper] on ``block``.
 
     ``image`` holds the images of the block's columns under the operator.  In
@@ -233,11 +233,11 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
     at the start of its stencil, so the innermost axis takes two flat
     shifts and no row-end correction.  The ghosts of the diagonal stay
     zero; a ghost of the older block ends a step with a value of no
-    meaning, which its next refresh replaces.  The interior of the result
-    is copied out once, so the buffers serve the next call.
+    meaning, which its next refresh replaces.  The result's interior is
+    written over ``block``, so the buffers serve the next call.
     The recurrence runs in ``dtype``: the block, W_1 = ``image - center *
     block`` and the shifted diagonal are formed in float64 and rounded to
-    ``dtype``, and the filtered block returns in float64.  In float64
+    ``dtype``, and the filtered block is stored in float64.  In float64
     nothing is rounded, so every operation is the double-precision one.
     No degree overflows.  On [low, upper], which holds the spectrum, the
     filter's largest gain |W_j| is its value at ``low``; that value obeys
@@ -289,31 +289,23 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
             older *= dtype(scale)
             newer *= dtype(scale)
             gain_prev, gain = gain_prev * scale, gain * scale
-    return np.ascontiguousarray(older[:, 1:-1], dtype=np.float64).reshape(n, k)
-
-
-def _sized(worst, last) -> bool:
-    """Whether the next filter call is sized: the previous call cut the worst
-    wanted residual from ``last`` to ``worst`` by at least ``STALL_FACTOR``
-    (``last`` is infinite before the first call)."""
-    return math.isfinite(last) and worst * STALL_FACTOR <= last
+    # splitting the site axis is a view, so this writes into the caller's block
+    block.reshape(rows, m, k)[...] = older[:, 1:-1]
 
 
 def _filter_degree(worst, last, previous, single, tol, upper) -> int:
-    """Degree of the next filter call, from the solve's own contraction.
+    """Degree of a sized filter call, from the solve's own contraction.
 
     ``last`` and ``worst`` are the wanted pairs' largest residual before and
-    after the previous call, of degree ``previous``; ``last`` is infinite
-    before the first call, which takes ``FILTER_DEGREE``.  When that call
-    cut the residual by at least ``STALL_FACTOR``, its contraction per
-    degree sizes this call to take ``worst`` to the target of its
-    precision: in float32 ``SINGLE_RESIDUAL * upper``, where float32 stops
-    (but not below ``tol / 2``), in float64 ``tol / 2``, clipped to [1,
-    ``MAX_DEGREE``]; a call after a stall takes ``FILTER_DEGREE``.  The
-    filter cannot overflow at any degree, so nothing else bounds it.
+    after the previous call, of degree ``previous``, which cut it by at
+    least ``STALL_FACTOR`` (:func:`lowest_eigenpairs` gives the first call
+    and a call after a stall ``FILTER_DEGREE`` instead).  That call's
+    contraction per degree sizes this call to take ``worst`` to the target
+    of its precision: in float32 ``SINGLE_RESIDUAL * upper``, where float32
+    stops (but not below ``tol / 2``), in float64 ``tol / 2``, clipped to
+    [1, ``MAX_DEGREE``].  The filter cannot overflow at any degree, so
+    nothing else bounds it.
     """
-    if not _sized(worst, last):
-        return FILTER_DEGREE
     target = max(SINGLE_RESIDUAL * upper, tol / 2.0) if single else tol / 2.0
     rate = math.log(last / worst) / previous
     needed = math.ceil(math.log(worst / target) / rate)
@@ -338,7 +330,8 @@ def lowest_eigenpairs(
     place, so no block is allocated and no stencil view is taken per step.
     In every d the filter's blocks carry a ghost site at each row end of the
     innermost axis, in buffers allocated once per solve, which each filter
-    call fills on entry and whose interior it copies out on exit.
+    call fills on entry; on exit it writes their interior back over the
+    block's own columns.
     One Householder QR then orthonormalizes the block and a Rayleigh-Ritz
     step rotates it onto its Ritz vectors.  The first filter call has degree
     ``FILTER_DEGREE``; each later one is sized by :func:`_filter_degree`
@@ -413,9 +406,11 @@ def lowest_eigenpairs(
         lock = int(np.argmin(res <= tol))   # leading converged pairs
         worst = res.max()
         single = single and SINGLE_RESIDUAL * upper < worst < last
+        # the previous call cut the worst residual by at least STALL_FACTOR
+        sized = math.isfinite(last) and worst * STALL_FACTOR <= last
         # a sized float64 call filters only the unlocked wanted fields: the
         # extras only hold the cut and need not converge
-        end = count if _sized(worst, last) and not single else width
+        end = count if sized and not single else width
         room = (budget - used) // (end - lock)      # the largest degree left
         # a basis of the whole space is already exact up to round-off
         if width == n or room < 1:
@@ -424,18 +419,16 @@ def lowest_eigenpairs(
                 f"best residuals {np.array2string(best, precision=3)}"
             )
 
-        degree = min(room, _filter_degree(worst, last, degree, single, tol, upper))
+        wanted = _filter_degree(worst, last, degree, single, tol, upper) if sized else FILTER_DEGREE
+        degree = min(room, wanted)
         last = worst
-        filtered = _chebyshev_filter(
+        _chebyshev_filter(
             op, vecs[:, lock:end], image[:, lock:end], low, vals[-1], upper, degree,
             np.float32 if single else np.float64, buffers,
         )
-        if lock or end < width:
-            # the locked fields lead the QR, so the new ones come out
-            # orthogonal; the unfiltered extras follow the filtered fields
-            filtered = np.hstack([vecs[:, :lock], filtered, vecs[:, end:]])
-        basis = np.linalg.qr(filtered)[0]
-        del filtered    # one block fewer held through the Rayleigh-Ritz step
+        # the locked fields lead the QR, so the new ones come out orthogonal;
+        # the unfiltered extras follow the filtered fields
+        basis = np.linalg.qr(vecs)[0]
         # the QR returns the locked fields up to sign; keep them and their images
         basis[:, :lock] = vecs[:, :lock]
         image[:, lock:] = op.apply(basis[:, lock:])
