@@ -79,7 +79,7 @@ class GPProblem:
 
 def gp_energy(problem: GPProblem, phi: np.ndarray, hphi: np.ndarray) -> float:
     """Ambient energy <H phi, phi> + U ||phi||_4^4, given ``hphi`` = H phi."""
-    return float(phi @ hphi + problem.coupling * np.sum(phi**4))
+    return float(phi.dot(hphi) + problem.coupling * np.sum(phi**4))
 
 
 def gp_gradient(problem: GPProblem, phi: np.ndarray, hphi: np.ndarray) -> np.ndarray:
@@ -122,47 +122,57 @@ def _projected_newton_direction(
     scalars, so neither costs a vector operation.  The search direction
     ``p`` and its image ``ap`` are fixed buffers, bound to the stencil once;
     the Hessian's diagonal, H's plus 6U phi^2 - mu, is formed once, and each
-    iteration overwrites both buffers in place.  A NaN curvature is not
-    positive, so it also ends on the boundary, with a NaN model.
+    iteration overwrites both buffers in place.  Each array operation is one
+    numpy call: products are ``ndarray.dot``, a norm is ``math.sqrt`` of a
+    vector's dot with itself (``np.linalg.norm``'s own path for a real
+    vector), in-place updates pass their output positionally, and a vector
+    times a CG scalar is written into one fixed scratch buffer, so an
+    iteration allocates nothing.  A NaN curvature is not positive, so it
+    also ends on the boundary, with a NaN model.
     """
     h = problem.hamiltonian
     hess_diag = h.diag + (6.0 * problem.coupling * phi**2 - mu)
-    rhs_norm = float(np.linalg.norm(residual))
+    rhs_norm = math.sqrt(residual.dot(residual))
     stop = max(min(0.1, rhs_norm) * rhs_norm, g_tol / 8.0)
     d = np.zeros_like(phi)
     # the residual's rounding leaves a part along phi of order eps |gradient|;
     # as |residual| falls, A applied to that part swamps the true curvature
-    res = (phi @ residual) * phi - residual
+    res = phi.dot(residual) * phi - residual
     p = res.copy()
     ap = np.empty_like(p)
+    scaled = np.empty_like(p)   # a vector times a CG scalar
     neighbours = bind_stencil(h.shape, h.geom.side, p, ap)
-    rr = float(res @ res)
+    rr = float(res.dot(res))
+    radius_sq, stop_sq = radius**2, stop**2
     # |d|^2, d.p, p.p, and the model <residual, d> + <d, A d> / 2
     dd, dp, pp, model = 0.0, 0.0, rr, 0.0
     for iteration in range(1, phi.size + 1):
         # ap = (H + 6U phi^2 - mu) p = hess_diag * p minus the neighbours
-        np.multiply(hess_diag, p, out=ap)
+        np.multiply(hess_diag, p, ap)
         neighbours()
-        ap -= (phi @ ap) * phi
-        curvature = float(p @ ap)
+        np.multiply(phi, phi.dot(ap), scaled)
+        np.subtract(ap, scaled, ap)
+        curvature = float(p.dot(ap))
         if curvature > 0.0:
             alpha = rr / curvature
             dd_next = dd + alpha * (2.0 * dp + alpha * pp)
-        if not curvature > 0.0 or dd_next >= radius**2:
-            tau = (np.sqrt(dp**2 + pp * max(radius**2 - dd, 0.0)) - dp) / pp
-            d += tau * p
+        if not curvature > 0.0 or dd_next >= radius_sq:
+            tau = (np.sqrt(dp**2 + pp * max(radius_sq - dd, 0.0)) - dp) / pp
+            np.add(d, tau * p, d)
             model += tau * (0.5 * tau * curvature - rr)
             return d, -2.0 * model, True, iteration
-        d += alpha * p
+        np.multiply(p, alpha, scaled)
+        np.add(d, scaled, d)
         model -= 0.5 * alpha * rr
-        res -= alpha * ap
-        rr_next = float(res @ res)
-        if rr_next <= stop**2:
+        np.multiply(ap, alpha, scaled)
+        np.subtract(res, scaled, res)
+        rr_next = float(res.dot(res))
+        if rr_next <= stop_sq:
             break
         beta = rr_next / rr
         dd, dp, pp = dd_next, beta * (dp + alpha * pp), rr_next + beta**2 * pp
-        p *= beta
-        p += res
+        np.multiply(p, beta, p)
+        np.add(p, res, p)
         rr = rr_next
     return d, -2.0 * model, False, iteration
 
@@ -187,7 +197,7 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
     phi = np.abs(np.asarray(init, dtype=float))
     if not np.isfinite(phi).all():
         raise ValueError("initial field must be finite")
-    norm = np.linalg.norm(phi)
+    norm = math.sqrt(phi.dot(phi))
     if norm == 0:
         raise ValueError("initial field must be nonzero")
     phi = phi / norm
@@ -204,9 +214,9 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
         for step in range(MAX_STEPS + 1):
             if moved:
                 grad = gp_gradient(problem, phi, hphi)
-                lagrange = float(grad @ phi)
+                lagrange = float(grad.dot(phi))
                 tangent = grad - lagrange * phi
-                grad_norm = float(np.linalg.norm(tangent))
+                grad_norm = math.sqrt(tangent.dot(tangent))
             converged = grad_norm <= g_tol
             if converged or step == MAX_STEPS or radius < RADIUS_FLOOR:
                 break
@@ -217,13 +227,13 @@ def minimize_gp(problem: GPProblem, init: np.ndarray, *, g_tol: float = 1e-9) ->
             if not predicted > 0.0:
                 break
             cand = np.abs(phi + d)
-            cand /= np.linalg.norm(cand)
+            cand /= math.sqrt(cand.dot(cand))
             cand_hphi = problem.hamiltonian.apply(cand)
             applies += 1
             cand_energy = gp_energy(problem, cand, cand_hphi)
             rho = (energy - cand_energy) / predicted
             if rho < 0.25:
-                radius = 0.25 * float(np.linalg.norm(d))
+                radius = 0.25 * math.sqrt(d.dot(d))
             elif rho > 0.75 and boundary:
                 radius = min(2.0 * radius, 2.0)
             # an interior step whose rise is rounding noise is accepted at the

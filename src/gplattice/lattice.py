@@ -122,11 +122,15 @@ def _axis_updates(flat, acc, length: int, stride: int, periodic: bool) -> list:
 
 
 def _applied(updates: list):
-    """A call that applies ``updates`` in order, each ``ufunc(target, source)`` in place."""
+    """A call that applies ``updates`` in order, each ``ufunc(target, source)`` in place.
+
+    The output is passed positionally, ``ufunc(target, source, target)``:
+    the same ufunc call as ``out=target``, with less to parse per update.
+    """
 
     def apply() -> None:
         for target, source, ufunc in updates:
-            ufunc(target, source, out=target)
+            ufunc(target, source, target)
 
     return apply
 
@@ -174,6 +178,8 @@ def bind_padded_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, ou
     two ghost sites, k entries per site.  A call first refreshes the ghosts
     of ``field`` with one strided copy: the images of the row's far end
     sites when the innermost axis spans the torus, zeros on a shorter axis.
+    The copy and the updates run in one closure, so a call makes no nested
+    Python call.
     The innermost axis then needs no correction: the ghosts join its rows
     into one row through the whole flat block, so two shifts of the block by
     k subtract both neighbours of every interior site.  The outer axes then
@@ -195,13 +201,13 @@ def bind_padded_stencil(shape: tuple[int, ...], side: int, field: np.ndarray, ou
     for length in shape[:-1]:
         stride //= length
         updates += _axis_updates(flat, acc, length, stride, length == side)
-    stencil = _applied(updates)
     ghosts = field[:, :: m + 1]
     images = field[:, m:0:1 - m] if m == side else 0
 
     def apply() -> None:
-        np.copyto(ghosts, images)
-        stencil()
+        ghosts[...] = images
+        for target, source, ufunc in updates:
+            ufunc(target, source, target)
 
     return apply
 

@@ -34,8 +34,9 @@ per solve: a step refreshes the newer iterate's ghosts with one strided
 copy, and the innermost axis then needs two flat shifts and no row-end
 correction (at d = 2, L = 32 with k = 7, a float32 step took 43 us with
 the corrections and 32 us with ghosts, a float64 step 61 us and 56 us).
-The filter recurrence rotates two fixed blocks, so it binds the stencil to
-them once per filter call, not once per step.  The block is at least 2d+3
+The filter recurrence rotates two fixed blocks, so the views of them and
+the stencil bound to both orders are built once per (k, dtype) per solve,
+not once per call or per step.  The block is at least 2d+3
 fields wide, so it holds the ground state and the whole free first excited
 level, of multiplicity 2d, which a single-vector iteration would silently
 split.  A wider cluster can still be cut: where the block's edge falls inside a
@@ -68,6 +69,7 @@ the float64 solve bit for bit.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
 from dataclasses import dataclass
@@ -186,6 +188,15 @@ class EigenSolution:
     single_applies: int     # of which filtered in float32; 0 without a filter step
 
 
+def _column_norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a real ``r``.
+
+    This is what ``np.linalg.norm(r, axis=0)`` runs for a real array, the
+    same sum in the same order, without its checks and dispatch.
+    """
+    return np.sqrt(np.add.reduce(r * r, axis=0))
+
+
 def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
     """Ritz values, vectors and their images for an orthonormal basis of columns."""
     vals, rot = np.linalg.eigh(basis.T @ image)
@@ -212,7 +223,36 @@ def _filter_buffers(op: HamiltonianOperator, width: int) -> np.ndarray:
     return raw[start : start + 4 * row].reshape(4, row)
 
 
-def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers) -> None:
+def _filter_views(op: HamiltonianOperator, buffers: np.ndarray):
+    """A memo of the filter's padded views of ``buffers``, one entry per (k, dtype).
+
+    Called with a column count k and a dtype, the memo returns the four
+    (rows, m + 2, k) views of ``buffers`` from :func:`_filter_buffers` in
+    that dtype, the older and newer iterates, the shifted diagonal and a
+    scratch block, and the two orders of the rotating pair, each with the
+    stencil bound to it by :func:`lattice.bind_padded_stencil`.  It builds
+    them on the first call for a (k, dtype) only: the views keep the
+    buffers' memory, so the bindings stay valid for every later call.
+    :func:`lowest_eigenpairs` makes one memo per solve.
+    """
+    m = op.shape[-1]
+    rows = op.n_sites // m
+
+    @functools.cache
+    def views(k: int, dtype):
+        prev, cur, shifted, scratch = (
+            buf.view(dtype)[: rows * (m + 2) * k].reshape(rows, m + 2, k) for buf in buffers
+        )
+        orders = tuple(
+            (older, newer, bind_padded_stencil(op.shape, op.geom.side, newer, older))
+            for older, newer in ((prev, cur), (cur, prev))
+        )
+        return prev, cur, shifted, scratch, orders
+
+    return views
+
+
+def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views) -> None:
     """Degree-``degree`` Chebyshev filter damping [cut, upper] on ``block``.
 
     ``image`` holds the images of the block's columns under the operator.  In
@@ -222,19 +262,23 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
     and the diagonal repeated across the block hold the whole recurrence.
     Each step overwrites the older block with ``(diag - center) * newer -
     beta * older`` minus the newer block's neighbours, so the pair takes
-    only two orders, and the stencil is bound once for each.  Any degree
-    >= 1 is exact: degree 1 returns W_1 and runs no step.
-    The blocks are (rows, m + 2, k) views of ``buffers``, from
-    :func:`_filter_buffers`: each row of the innermost axis, m sites, sits
-    between two ghost sites, in every d (a d = 1 region is one row).
-    The block and W_1 are copied into the interiors on entry, every ghost
-    starts at zero (the first step reads them all), and
-    :func:`lattice.bind_padded_stencil` refreshes the newer block's ghosts
-    at the start of its stencil, so the innermost axis takes two flat
-    shifts and no row-end correction.  The ghosts of the diagonal stay
-    zero; a ghost of the older block ends a step with a value of no
+    only two orders.  A step is three ufunc calls with positional outputs
+    and the stencil; the two negated betas are ``dtype`` scalars made once
+    per call.
+    Any degree >= 1 is exact: degree 1 returns W_1 and runs no step.
+    The blocks are (rows, m + 2, k) views from the memo ``views`` of
+    :func:`_filter_views`, which builds them and binds the stencil to both
+    orders once per (k, dtype) per solve: each row of the innermost axis,
+    m sites, sits between two ghost sites, in every d (a d = 1 region is
+    one row).  Every call copies the block and W_1 into the interiors and
+    refills the shifted diagonal, and every ghost starts at zero (the first
+    step reads them all), so nothing a previous call left in the views
+    carries over.  :func:`lattice.bind_padded_stencil` refreshes the newer
+    block's ghosts at the start of its stencil, so the innermost axis takes
+    two flat shifts and no row-end correction.  The ghosts of the diagonal
+    stay zero; a ghost of the older block ends a step with a value of no
     meaning, which its next refresh replaces.  The result's interior is
-    written over ``block``, so the buffers serve the next call.
+    written over ``block``.
     The recurrence runs in ``dtype``: the block, W_1 = ``image - center *
     block`` and the shifted diagonal are formed in float64 and rounded to
     ``dtype``, and the filtered block is stored in float64.  In float64
@@ -259,31 +303,26 @@ def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
     n, k = block.shape
     m = op.shape[-1]
     rows = n // m
-    prev, cur, shifted, scratch = (
-        buf.view(dtype)[: rows * (m + 2) * k].reshape(rows, m + 2, k) for buf in buffers
-    )
+    prev, cur, shifted, scratch, orders = views(k, dtype)
     prev[:, 1:-1] = block.reshape(rows, m, k)
     cur[:, 1:-1] = (image - center * block).reshape(rows, m, k)
     shifted[:, 1:-1] = (op.diag - center).reshape(rows, m, 1)
     # the first step reads every ghost before the stencil refreshes any
     prev[:, :: m + 1] = cur[:, :: m + 1] = shifted[:, :: m + 1] = 0
-    orders = [
-        (older, newer, bind_padded_stencil(op.shape, op.geom.side, newer, older))
-        for older, newer in ((prev, cur), (cur, prev))
-    ]
     limit = float(np.finfo(dtype).max) / (4.0 * (upper - low) ** 2)
     edge = low - center
     gain_prev, gain = 1.0, edge     # W_0 and W_1 at low
-    beta = half * half / 2.0
+    beta, beta_next = half * half / 2.0, half * half / 4.0
+    # -beta_1 and -beta_j for j > 1, rounded to dtype
+    nbeta, nbeta_next = -dtype(beta), -dtype(beta_next)
     older = cur     # the newest iterate once the loop has run
-    for step in range(degree - 1):
-        older, newer, neighbours = orders[step % 2]
-        older *= -dtype(beta)
-        np.multiply(shifted, newer, out=scratch)
-        older += scratch
+    for older, newer, neighbours in itertools.islice(itertools.cycle(orders), degree - 1):
+        np.multiply(older, nbeta, older)
+        np.multiply(shifted, newer, scratch)
+        np.add(older, scratch, older)
         neighbours()
         gain_prev, gain = gain, edge * gain - beta * gain_prev
-        beta = half * half / 4.0
+        beta, nbeta = beta_next, nbeta_next
         if abs(gain) > limit:
             scale = 2.0 ** -math.frexp(gain)[1]
             older *= dtype(scale)
@@ -331,7 +370,9 @@ def lowest_eigenpairs(
     In every d the filter's blocks carry a ghost site at each row end of the
     innermost axis, in buffers allocated once per solve, which each filter
     call fills on entry; on exit it writes their interior back over the
-    block's own columns.
+    block's own columns.  The solve owns one :func:`_filter_views` memo, so
+    the filter's views and stencil orders are built once per (k, dtype)
+    per solve, not once per call.
     One Householder QR then orthonormalizes the block and a Rayleigh-Ritz
     step rotates it onto its Ritz vectors.  The first filter call has degree
     ``FILTER_DEGREE``; each later one is sized by :func:`_filter_degree`
@@ -382,29 +423,31 @@ def lowest_eigenpairs(
     upper = op.spectral_bound()
     low = float(op.diag.min()) - 2.0 * op.geom.dim
     # a block of all n fields is never filtered
-    buffers = _filter_buffers(op, width) if width < n else None
+    views = _filter_views(op, _filter_buffers(op, width)) if width < n else None
 
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
     vals, vecs, image = _rayleigh_ritz(basis, op.apply(basis))
     used, single_used = width, 0
-    best = None     # residuals of the step whose largest residual is smallest
+    # residuals of the step whose largest residual is smallest, and that residual
+    best, best_worst = None, math.inf
     single, last = True, math.inf   # float32 filter allowed; the previous largest residual
     degree = FILTER_DEGREE          # of the previous filter call
     while True:
         # column-contiguous copies: the residual, and every caller of the
         # returned head, then run along whole fields
         head = np.asfortranarray(vecs[:, :count])
-        res = np.linalg.norm(np.asfortranarray(image[:, :count]) - head * vals[:count], axis=0)
-        if res.max() <= tol:
+        res = _column_norms(np.asfortranarray(image[:, :count]) - head * vals[:count])
+        worst = res.max()
+        if worst <= tol:
             # confirm with a fresh application before accepting
             used += count
-            res = np.linalg.norm(op.apply(head) - head * vals[:count], axis=0)
-            if res.max() <= tol:
+            res = _column_norms(op.apply(head) - head * vals[:count])
+            worst = res.max()
+            if worst <= tol:
                 return EigenSolution(vals[:count].copy(), head, res, used, single_used)
-        if best is None or res.max() < best.max():
-            best = res
+        if best is None or worst < best_worst:
+            best, best_worst = res, worst
         lock = int(np.argmin(res <= tol))   # leading converged pairs
-        worst = res.max()
         single = single and SINGLE_RESIDUAL * upper < worst < last
         # the previous call cut the worst residual by at least STALL_FACTOR
         sized = math.isfinite(last) and worst * STALL_FACTOR <= last
@@ -424,7 +467,7 @@ def lowest_eigenpairs(
         last = worst
         _chebyshev_filter(
             op, vecs[:, lock:end], image[:, lock:end], low, vals[-1], upper, degree,
-            np.float32 if single else np.float64, buffers,
+            np.float32 if single else np.float64, views,
         )
         # the locked fields lead the QR, so the new ones come out orthogonal;
         # the unfiltered extras follow the filtered fields

@@ -27,6 +27,7 @@ from gplattice.spectral import (
     _chebyshev_filter,
     _filter_buffers,
     _filter_degree,
+    _filter_views,
     _rayleigh_ritz,
 )
 
@@ -181,9 +182,9 @@ def column_directions(block):
     ],
 )
 def test_chebyshev_filter_is_the_monic_recurrence(dim, half, intervals, bc, lock):
-    # the filter rotates two fixed blocks with the stencil's views taken
-    # once per order; a locked prefix hands it column slices of the
-    # solver's C-ordered block and image.  In every d the blocks' innermost
+    # the filter rotates two fixed blocks, whose views and stencil orders a
+    # memo builds once per (k, dtype); a locked prefix hands it column
+    # slices of the solver's C-ordered block and image.  In every d the blocks' innermost
     # rows end in ghost sites, periodic images on an axis that spans the
     # torus and zeros on a box axis cut short; the reference applies the
     # operator's own stencil.  In either precision the filter writes, in
@@ -204,26 +205,58 @@ def test_chebyshev_filter_is_the_monic_recurrence(dim, half, intervals, bc, lock
     image = ham.apply(start)
     kept = image.copy()
     block = np.empty_like(start)
-    # one set of buffers serves every call, as in a solve
+    # one set of buffers and one memo of their views serve every call, as
+    # in a solve
     buffers = _filter_buffers(ham, width)
+    views = _filter_views(ham, buffers)
     cut, upper = 2.0 * dim, ham.spectral_bound()
     for degree in (1, 2, FILTER_DEGREE, 47):
         want = column_directions(monic_chebyshev(ham, start[:, lock:], cut, upper, degree))
         for dtype, rel in [(np.float64, 1e-13), (np.float32, 1e-5)]:
-            # stale buffers may hold anything: the filter zeroes every ghost
-            # on entry, or the first step overflows on them
-            buffers.view(np.float32)[:] = np.finfo(np.float32).max
-            block[...] = start
-            assert _chebyshev_filter(
-                ham, block[:, lock:], image[:, lock:], low, cut, upper, degree, dtype,
-                buffers,
-            ) is None
-            # the filter overwrites exactly the columns it was given: the
-            # locked prefix and the images stay as they were
-            got = block[:, lock:]
-            assert np.abs(column_directions(got) - want).max() <= rel, (degree, dtype)
-            np.testing.assert_array_equal(block[:, :lock], start[:, :lock])
-            np.testing.assert_array_equal(image, kept)
+            # two consecutive calls on the same memo: the second reuses the
+            # first call's views, and stale buffers may hold anything, so the
+            # filter zeroes every ghost on each entry, or the first step
+            # overflows on them
+            for call in range(2):
+                buffers.view(np.float32)[:] = np.finfo(np.float32).max
+                block[...] = start
+                assert _chebyshev_filter(
+                    ham, block[:, lock:], image[:, lock:], low, cut, upper, degree, dtype,
+                    views,
+                ) is None
+                # the filter overwrites exactly the columns it was given: the
+                # locked prefix and the images stay as they were
+                got = block[:, lock:]
+                assert np.abs(column_directions(got) - want).max() <= rel, (degree, dtype, call)
+                np.testing.assert_array_equal(block[:, :lock], start[:, :lock])
+                np.testing.assert_array_equal(image, kept)
+
+
+@pytest.mark.parametrize("dim, half", [(1, 64), (2, 8)])
+def test_a_solve_binds_each_filter_order_once(dim, half, monkeypatch):
+    # the solve's memo builds the filter's views and binds the stencil to
+    # both orders of the rotating pair once per (k, dtype): a later call of
+    # the same width and precision reuses them
+    ham = make_ham(dim, half)
+    bound, filtered = [], []
+
+    def binding(shape, side, field, out):
+        bound.append((field.shape[-1], field.dtype, field.ctypes.data))
+        return bind_padded_stencil(shape, side, field, out)
+
+    def logged(op, block, image, low, cut, upper, degree, dtype, views):
+        filtered.append((block.shape[1], np.dtype(dtype)))
+        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views)
+
+    monkeypatch.setattr(spectral, "bind_padded_stencil", binding)
+    monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
+    sol = lowest_eigenpairs(ham, 2, tol=1e-10, seed=provenance_stream(0, 0, 0, EIG_CHANNEL))
+    assert sol.residuals.max() <= 1e-10
+    # some (k, dtype) serves more than one call, so a binding per call would show
+    assert len(set(filtered)) < len(filtered), filtered
+    assert len(bound) == len(set(bound)), bound
+    assert {(k, dtype) for k, dtype, _ in bound} == set(filtered)
+    assert len(bound) == 2 * len(set(filtered))
 
 
 @pytest.mark.parametrize("width", [None, 5], ids=["field", "block"])
@@ -401,7 +434,7 @@ def test_a_sized_float64_call_filters_only_the_wanted_fields(
         steps.append(_rayleigh_ritz(basis, image))
         return steps[-1]
 
-    def logged(op, block, image, low, cut, upper, degree, dtype, buffers):
+    def logged(op, block, image, low, cut, upper, degree, dtype, views):
         # the wanted residuals the solver read before this call: those of
         # the last Rayleigh-Ritz step, or the fresh ones if it failed to
         # confirm them
@@ -411,7 +444,7 @@ def test_a_sized_float64_call_filters_only_the_wanted_fields(
         if res.max() <= tol:
             res = np.linalg.norm(ham.apply(head) - head * vals[:count], axis=0)
         calls.append((block.shape[1], degree, dtype, res))
-        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
+        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views)
 
     monkeypatch.setattr(spectral, "_rayleigh_ritz", ritz)
     monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
@@ -472,7 +505,8 @@ def test_a_long_filter_call_under_strong_disorder_stays_finite():
     for dtype, rel in [(np.float64, 1e-13), (np.float32, 1e-5)]:
         got = block.copy()
         _chebyshev_filter(
-            ham, got, image, low, cut, upper, MAX_DEGREE, dtype, _filter_buffers(ham, 6)
+            ham, got, image, low, cut, upper, MAX_DEGREE, dtype,
+            _filter_views(ham, _filter_buffers(ham, 6)),
         )
         assert np.isfinite(got).all(), dtype
         assert np.abs(column_directions(got) - want).max() <= rel, dtype
@@ -534,9 +568,9 @@ def test_strong_disorder_filters_in_float32_at_full_degree(dim, half, sample, mo
     ham = periodic_hamiltonian(sample_potential(spec, build_lattice(dim, half), 0, sample))
     calls = []
 
-    def logged(op, block, image, low, cut, upper, degree, dtype, buffers):
+    def logged(op, block, image, low, cut, upper, degree, dtype, views):
         calls.append((degree, dtype))
-        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, buffers)
+        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views)
 
     monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
     seed = provenance_stream(spec.master_seed, 0, sample, EIG_CHANNEL)
