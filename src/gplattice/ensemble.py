@@ -158,8 +158,6 @@ class ExperimentPlan:
             raise ValueError("l_grid must not be empty")
         if any(b <= a for a, b in zip(self.l_grid, self.l_grid[1:])):
             raise ValueError(f"l_grid must be strictly increasing, got {self.l_grid}")
-        if min(self.l_grid) < 1:
-            raise ValueError("every L must be >= 1")
         if min(self.l_grid) < pipeline.min_half_side:
             raise ValueError(f"{self.experiment} needs every L >= {pipeline.min_half_side}")
         if pipeline.eig_count is None:
@@ -382,7 +380,7 @@ class _Pipeline:
     ``help`` is the experiment's line in ``gplattice --help``.
     ``eig_count`` gives the number of lowest eigenpairs to solve for, or is
     None for a full dense spectrum.  ``observe(plan, l_index, sample_index,
-    geom, ham, eig)`` returns the record fields past the slot and
+    ham, eig)`` returns the record fields past the slot and
     ``_run_fields``, everything the summary reads of the sample;
     ``summarize(plan, groups)`` gets the healthy records grouped per L and
     returns the ``Summary`` series and checks.
@@ -444,7 +442,7 @@ def replay_sample(plan: ExperimentPlan, l_index: int, sample_index: int) -> RunR
                 eig_residual_max=float(eig.residuals.max()),
             )
         base["t_eig"] = time.perf_counter() - eig_start
-        fields = pipeline.observe(plan, l_index, sample_index, geom, ham, eig)
+        fields = pipeline.observe(plan, l_index, sample_index, ham, eig)
     except (RuntimeError, ValueError) as exc:
         return RunRecord(**base, error=str(exc), wall_time=time.perf_counter() - start)
     return RunRecord(**base, **fields, wall_time=time.perf_counter() - start)
@@ -517,7 +515,7 @@ def _pair_fields(geom: LatticeGeometry, eig) -> dict:
 # ---------------------------------------------------------------------------
 # condensation runs: ground state, GP minimizer, and certificate
 
-def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
+def _observe_condense(plan, l_index, sample_index, ham, eig):
     problem = GPProblem(ham, plan.coupling_for(l_index))
     gp_start = time.perf_counter()
     gp = minimize_gp(problem, init=eig.vectors[:, 0], g_tol=plan.tol_gp)
@@ -525,7 +523,7 @@ def _observe_condense(plan, l_index, sample_index, geom, ham, eig):
     if not gp.converged:
         raise RuntimeError(f"minimizer stalled at projected gradient {gp.grad_norm:.3e}")
     cert = certificate(problem, eig, gp)
-    fields = _pair_fields(geom, eig)
+    fields = _pair_fields(ham.geom, eig)
     fields.update(
         e_gp=gp.energy,
         overlap=cert.pi0_norm,
@@ -567,8 +565,8 @@ def _summarize_condense(plan: ExperimentPlan, groups):
 # ---------------------------------------------------------------------------
 # spectrum runs (no interaction): ground-energy scaling, gaps, centers, gap law
 
-def _observe_spectrum(plan, l_index, sample_index, geom, ham, eig):
-    return _pair_fields(geom, eig)
+def _observe_spectrum(plan, l_index, sample_index, ham, eig):
+    return _pair_fields(ham.geom, eig)
 
 
 # localization centers at most CENTER_LAMBDA * log L apart count as close
@@ -626,7 +624,7 @@ def _window_counts(vals: np.ndarray, center: float, widths) -> np.ndarray:
     return hi - vals.searchsorted(center - half, "left")
 
 
-def _observe_estimates(plan, l_index, sample_index, geom, ham, vals):
+def _observe_estimates(plan, l_index, sample_index, ham, vals):
     """Gap fields and the level counts in windows at the band center.
 
     The windows are ``wegner_widths + minami_widths``; a Minami hit is a
@@ -704,7 +702,7 @@ def _summarize_estimates(plan: ExperimentPlan, groups):
 # ---------------------------------------------------------------------------
 # shell / four-norm calibration
 
-def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
+def _observe_shells(plan, l_index, sample_index, ham, eig):
     """Ground-state fields, plus one random field's statistics per kept eps.
 
     An eps with eps * L < 1 has no shell to sample and is skipped; the
@@ -712,6 +710,7 @@ def _observe_shells(plan, l_index, sample_index, geom, ham, eig):
     no field of its own: it is ``ipr**0.25 / g(eps)`` at the band scale of
     ``kinetic``.
     """
+    geom = ham.geom
     rng = provenance_stream(plan.seed, l_index, sample_index, FIELD_CHANNEL)
     stats = [
         shell_statistics(geom, random_low_energy_field(geom, eps, rng), eps)

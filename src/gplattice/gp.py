@@ -17,10 +17,10 @@ test resolves (inexact Newton; Dembo, Eisenstat & Steihaug, SIAM J.
 Numer. Anal. 19, 1982).  The candidate |phi + d| / || |phi + d| || is
 accepted when its energy is no higher (up to rounding noise for a step
 inside the radius), and the radius shrinks or grows with the ratio of
-actual to predicted decrease.  The conjugate gradients run on two fixed
-buffers, bound to the stencil once per solve.  While every full Newton
-step lies inside the radius and lowers the energy, the iterates are plain
-Newton's.
+actual to predicted decrease.  Each iteration's conjugate gradients run
+on two fixed buffers, allocated and bound to the stencil once for that
+iteration.  While every full Newton step lies inside the radius and lowers
+the energy, the iterates are plain Newton's.
 
 The linear ground state phi0 can be a saddle of the energy (the projected
 Hessian there has a negative direction), and Newton steps from phi0 can

@@ -14,15 +14,10 @@ only the sites on a row end of that axis need a correction.  A block of k
 fields is held site-major, the k values of one site adjacent, so the stencil
 sees it as one flat field with k trailing entries per site: each shift is
 one contiguous pass over the whole block, and the leading axis has no row
-ends inside the block.  :func:`bind_stencil` binds a pair of buffers to the
-stencil's short list of in-place updates, each a view of the output, a view
-of the input and a ufunc; a one-shot application calls the binding once, and
-a solver that applies the stencil again and again to the same pair calls it
-at every step.  :func:`bind_padded_stencil` binds a pair of blocks whose rows
-along the innermost axis each end in a ghost site: a call refreshes the
-input's ghosts with one strided copy (periodic images, or zeros on a box
-axis cut short), so the innermost axis needs two flat shifts and no row-end
-correction.  Both bindings build each outer axis's updates the same way.
+ends inside the block.  :func:`bind_stencil` binds the stencil to a pair of
+buffers once, for a solver that applies it again and again to the same
+pair, and :func:`bind_padded_stencil` binds it to a pair of blocks padded
+with ghost sites.
 
 The negative Laplacian acts as (-Delta u)(x) = 2d u(x) - sum_{y ~ x} u(y).
 Plane waves diagonalize it: the frequency gamma in {-L, ..., L}^d has symbol

@@ -7,63 +7,20 @@ per axis, corrected at the end faces and at the row ends of inner axes.
 One application costs O(sites * 2d); a matrix is assembled only by
 :func:`dense_matrix`, for the full spectra of small tori and boxes.
 
-The iterative solver is Chebyshev-filtered subspace iteration (Zhou, Saad,
-Tiago & Chelikowsky, J. Comput. Phys. 219, 2006; Zhou & Saad, SIAM J. Matrix
-Anal. Appl. 29, 2007): a Chebyshev polynomial of the operator damps the
-unwanted upper spectrum of a block, which is then orthonormalized by one
-Householder QR and rotated onto its Ritz vectors.  Each filter call's
-degree comes from the convergence the solve has already shown, as in
-ChASE's degree optimization (Winkelmann, Springer & Di Napoli, ACM TOMS
-45, 2019): the first call, and any call after a stall, takes
-``FILTER_DEGREE``; every other call is sized to take the worst wanted
-residual to its target, clipped to [1, ``MAX_DEGREE``], so a solve takes
-fewer QR and Rayleigh-Ritz steps.  A sized float64 call filters only the
-unlocked wanted fields: the block's width - count extra fields, Zhou &
-Saad's guard vectors, only hold the filter's cut and need not converge, so
-they enter the QR as they are, after the filtered fields (at d = 2,
-L = 32 a float64 step costs about 56 us on 7 fields and 22 us on 2).  The
-first call, a call after a stall and every float32 call filter the whole
-unlocked block.  Blocks are held site-major, as C-ordered (sites, k) arrays
-whose k fields at one site are adjacent: the stencil takes such a block as
-one flat field, so no shift crosses from one field into the next, the
-filter writes over the block's own columns, and the QR and the
-Rayleigh-Ritz products take the block as it is.  In every d the filter
-holds its blocks with a ghost site at each end of every row of the
-innermost axis (a d = 1 region is one row), in four buffers allocated once
-per solve: a step refreshes the newer iterate's ghosts with one strided
-copy, and the innermost axis then needs two flat shifts and no row-end
-correction (at d = 2, L = 32 with k = 7, a float32 step took 43 us with
-the corrections and 32 us with ghosts, a float64 step 61 us and 56 us).
-The filter recurrence rotates two fixed blocks, so the views of them and
-the stencil bound to both orders are built once per (k, dtype) per solve,
-not once per call or per step.  The block is at least 2d+3
-fields wide, so it holds the ground state and the whole free first excited
-level, of multiplicity 2d, which a single-vector iteration would silently
-split.  A wider cluster can still be cut: where the block's edge falls inside a
-near-degenerate cluster, the filter barely damps the first state above the
-edge and the solve can stall (``spectrum`` d = 3, L = 2, count 10 at v_max
-0.01: the block of 14 ends inside the 12-fold second excited free level,
-and three of six seeds run out of budget).  Residuals of returned pairs
-are recomputed with a fresh operator application before the solver
-accepts them.
-
-The filter is the one step that may run in single precision (mixed
-precision as in Higham & Mary, Acta Numerica 31, 2022): while the wanted
-residuals lie far above float32's resolution, halving the bytes per pass
-costs no accuracy the next steps keep.  Each outer step chooses its
-precision from the solve's own state alone: float32 while the wanted pairs'
-largest residual is above ``SINGLE_RESIDUAL`` times the spectral bound and
-every float32 step so far lowered that residual; once one fails, float64 to
-the end.  The filter cannot overflow at any degree in either precision: it
-tracks its own largest gain on the Gershgorin interval [min diag - 2d,
-max diag + 2d], which holds the spectrum, and rescales the recurrence by
-an exact power of two before that gain leaves its precision's range, as
-Zhou & Saad scale theirs.  A call that never rescales is unchanged bit for
-bit, and one that does returns its block times a power of two, which the
-QR removes.  The QR, the operator applications, the Rayleigh-Ritz steps,
-the residuals, the locking and the confirming application stay in float64,
-so the contract is unchanged, and a solve that never filters in float32 is
-the float64 solve bit for bit.
+The iterative solver, :func:`lowest_eigenpairs`, is Chebyshev-filtered
+subspace iteration (Zhou, Saad, Tiago & Chelikowsky, J. Comput. Phys. 219,
+2006; Zhou & Saad, SIAM J. Matrix Anal. Appl. 29, 2007): a Chebyshev
+polynomial of the operator, :func:`_chebyshev_filter`, damps the unwanted
+upper spectrum of a block, which is then orthonormalized by one Householder
+QR and rotated onto its Ritz vectors.  Each filter call's degree comes from
+the convergence the solve has already shown, as in ChASE's degree
+optimization (Winkelmann, Springer & Di Napoli, ACM TOMS 45, 2019), and the
+filter is the one step that may run in single precision (mixed precision as
+in Higham & Mary, Acta Numerica 31, 2022).  Blocks are held site-major, as
+C-ordered (sites, k) arrays whose k fields at one site are adjacent: the
+stencil takes such a block as one flat field, so no shift crosses from one
+field into the next, the filter writes over the block's own columns, and
+the QR and the Rayleigh-Ritz products take the block as it is.
 """
 
 from __future__ import annotations
@@ -203,114 +160,109 @@ def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
     return vals, basis @ rot, image @ rot
 
 
-def _filter_buffers(op: HamiltonianOperator, width: int) -> np.ndarray:
-    """The padded filter's four blocks as page-aligned rows of bytes.
+class _FilterWorkspace:
+    """A solve's filter state: padded page-aligned buffers, a memo of their views, an interval.
 
-    The filter holds each block as (rows, m + 2, k): the m sites of each
-    row of the innermost axis and two ghosts, in every d (a d = 1 region is
-    one row); a row of bytes holds such a block of up to ``width`` fields
-    in either precision.  Each block starts on a page of its own: at
-    offsets that differ within a page, a step's loads from one block can
-    wait on its stores to another with the same low address bits (at d = 2,
-    L = 32 with k = 7, a float64 step took 70 us on unaligned rows against
-    56 us, a float32 one 40 us against 32 us).
+    The filter holds its four blocks, the older and newer iterates, the
+    shifted diagonal and a scratch block, padded as
+    :func:`lattice.bind_padded_stencil` takes them, in every d (a d = 1
+    region is one row), so the innermost axis needs two flat shifts and no
+    row-end correction (at d = 2, L = 32 with k = 7, a float32 step took
+    43 us with the corrections and 32 us with ghosts, a float64 step 61 us
+    and 56 us).  ``buffers`` holds the four blocks as rows of bytes, each
+    long enough for a padded block of up to ``width`` fields in either
+    precision and starting on a page of its own: at offsets that differ
+    within a page, a step's loads from one block can wait on its stores to
+    another with the same low address bits (in the same setting a float64
+    step took 70 us on unaligned rows against 56 us, a float32 one 40 us
+    against 32 us).
+    ``views(k, dtype)`` returns the four (rows, m + 2, k) views of the
+    buffers in ``dtype`` and the two orders of the rotating pair, each an
+    (older, newer, stencil) triple whose stencil, bound by
+    :func:`lattice.bind_padded_stencil`, subtracts the newer block's
+    neighbours from the older one.  It builds them on the first call for a
+    (k, dtype) only: the views keep the buffers' memory, so the bindings
+    stay valid for every later call of the solve.
+    [``low``, ``upper``] is the Gershgorin interval [min diag - 2d, max diag
+    + 2d], which holds the spectrum (:meth:`HamiltonianOperator.spectral_bound`).
     """
-    m = op.shape[-1]
-    size = op.n_sites // m * (m + 2) * width * np.dtype(np.float64).itemsize
-    row = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
-    raw = np.empty(4 * row + mmap.PAGESIZE, np.uint8)
-    start = -raw.ctypes.data % mmap.PAGESIZE
-    return raw[start : start + 4 * row].reshape(4, row)
+
+    def __init__(self, op: HamiltonianOperator, width: int):
+        m = op.shape[-1]
+        rows = op.n_sites // m
+        size = rows * (m + 2) * width * np.dtype(np.float64).itemsize
+        row = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+        raw = np.empty(4 * row + mmap.PAGESIZE, np.uint8)
+        start = -raw.ctypes.data % mmap.PAGESIZE
+        self.op = op
+        self.low, self.upper = float(op.diag.min()) - 2.0 * op.geom.dim, op.spectral_bound()
+        self.buffers = buffers = raw[start : start + 4 * row].reshape(4, row)
+
+        @functools.cache
+        def views(k: int, dtype):
+            prev, cur, shifted, scratch = (
+                buf.view(dtype)[: rows * (m + 2) * k].reshape(rows, m + 2, k) for buf in buffers
+            )
+            orders = tuple(
+                (older, newer, bind_padded_stencil(op.shape, op.geom.side, newer, older))
+                for older, newer in ((prev, cur), (cur, prev))
+            )
+            return prev, cur, shifted, scratch, orders
+
+        self.views = views
 
 
-def _filter_views(op: HamiltonianOperator, buffers: np.ndarray):
-    """A memo of the filter's padded views of ``buffers``, one entry per (k, dtype).
+def _chebyshev_filter(work: _FilterWorkspace, block, image, cut, degree, dtype) -> None:
+    """Degree-``degree`` Chebyshev filter damping [cut, upper] on ``block``, in ``dtype``.
 
-    Called with a column count k and a dtype, the memo returns the four
-    (rows, m + 2, k) views of ``buffers`` from :func:`_filter_buffers` in
-    that dtype, the older and newer iterates, the shifted diagonal and a
-    scratch block, and the two orders of the rotating pair, each with the
-    stencil bound to it by :func:`lattice.bind_padded_stencil`.  It builds
-    them on the first call for a (k, dtype) only: the views keep the
-    buffers' memory, so the bindings stay valid for every later call.
-    :func:`lowest_eigenpairs` makes one memo per solve.
-    """
-    m = op.shape[-1]
-    rows = op.n_sites // m
-
-    @functools.cache
-    def views(k: int, dtype):
-        prev, cur, shifted, scratch = (
-            buf.view(dtype)[: rows * (m + 2) * k].reshape(rows, m + 2, k) for buf in buffers
-        )
-        orders = tuple(
-            (older, newer, bind_padded_stencil(op.shape, op.geom.side, newer, older))
-            for older, newer in ((prev, cur), (cur, prev))
-        )
-        return prev, cur, shifted, scratch, orders
-
-    return views
-
-
-def _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views) -> None:
-    """Degree-``degree`` Chebyshev filter damping [cut, upper] on ``block``.
-
-    ``image`` holds the images of the block's columns under the operator.  In
-    monic form, with x = (H - center) / half, W_j = 2 (half / 2)^j T_j(x)
-    obeys W_{j+1} = (H - center) W_j - beta_j W_{j-1}, beta_1 = half^2 / 2
-    and beta_j = half^2 / 4 after.  Two site-major blocks, one scratch block
-    and the diagonal repeated across the block hold the whole recurrence.
-    Each step overwrites the older block with ``(diag - center) * newer -
-    beta * older`` minus the newer block's neighbours, so the pair takes
-    only two orders.  A step is three ufunc calls with positional outputs
-    and the stencil; the two negated betas are ``dtype`` scalars made once
-    per call.
+    ``image`` holds the images of the block's columns under the operator;
+    ``work`` is the solve's workspace, whose interval [low, upper] holds
+    the spectrum.  In monic form, with x = (H - center) / half, W_j = 2
+    (half / 2)^j T_j(x) obeys W_{j+1} = (H - center) W_j - beta_j W_{j-1},
+    beta_1 = half^2 / 2 and beta_j = half^2 / 4 after.  The workspace's two
+    rotating blocks, its scratch block and the diagonal repeated across the
+    block hold the whole recurrence.  Each step overwrites the older block
+    with ``(diag - center) * newer - beta * older`` minus the newer block's
+    neighbours, so the pair takes only two orders.  A step is three ufunc
+    calls with positional outputs and the stencil; the two negated betas
+    are ``dtype`` scalars made once per call.
     Any degree >= 1 is exact: degree 1 returns W_1 and runs no step.
-    The blocks are (rows, m + 2, k) views from the memo ``views`` of
-    :func:`_filter_views`, which builds them and binds the stencil to both
-    orders once per (k, dtype) per solve: each row of the innermost axis,
-    m sites, sits between two ghost sites, in every d (a d = 1 region is
-    one row).  Every call copies the block and W_1 into the interiors and
-    refills the shifted diagonal, and every ghost starts at zero (the first
-    step reads them all), so nothing a previous call left in the views
-    carries over.  :func:`lattice.bind_padded_stencil` refreshes the newer
-    block's ghosts at the start of its stencil, so the innermost axis takes
-    two flat shifts and no row-end correction.  The ghosts of the diagonal
-    stay zero; a ghost of the older block ends a step with a value of no
-    meaning, which its next refresh replaces.  The result's interior is
-    written over ``block``.
-    The recurrence runs in ``dtype``: the block, W_1 = ``image - center *
-    block`` and the shifted diagonal are formed in float64 and rounded to
-    ``dtype``, and the filtered block is stored in float64.  In float64
-    nothing is rounded, so every operation is the double-precision one.
-    No degree overflows.  On [low, upper], which holds the spectrum, the
-    filter's largest gain |W_j| is its value at ``low``; that value obeys
-    the same recurrence, and two floats track it.  An entry of W_j on
-    orthonormal columns is at most that gain, and |diag - center| plus the
-    2d neighbours is at most upper - low, so no partial result of a step
-    exceeds (upper - low)^2 times the larger of the two tracked gains; a
-    ghost holds zero or an image of an interior entry once refreshed, and
-    before that a sum of the same terms, so the bound holds for it too.
-    Once the newer gain passes ``dtype``'s largest value over 4 (upper -
-    low)^2, both blocks and both gains are multiplied by the power of two
-    that takes it into [1/2, 1).  That product is exact, so a call that
-    never rescales is unchanged bit for bit, and one that does returns the
-    block times a power of two, up to entries far below the block's
-    resolution that may underflow.
+    Every call copies the block and W_1 into the interiors, refills the
+    shifted diagonal and zeroes every ghost (the first step reads them all
+    before the stencil refreshes any), so nothing a previous call left in
+    the workspace carries over; the diagonal's ghosts stay zero.  The
+    result's interior is written over ``block``.
+    The block, W_1 = ``image - center * block`` and the shifted diagonal
+    are formed in float64 and rounded to ``dtype``, and the filtered block
+    is stored in float64.  In float64 nothing is rounded, so every
+    operation is the double-precision one.
+    No degree overflows.  On [low, upper] the filter's largest gain |W_j|
+    is its value at ``low``; that value obeys the same recurrence, and two
+    floats track it.  An entry of W_j on orthonormal columns is at most
+    that gain, and |diag - center| plus the 2d neighbours is at most upper
+    - low, so no partial result of a step exceeds (upper - low)^2 times the
+    larger of the two tracked gains; a ghost holds zero or an image of an
+    interior entry once refreshed, and before that a sum of the same terms,
+    so the bound holds for it too.  Once the newer gain passes ``dtype``'s
+    largest value over 4 (upper - low)^2, both blocks and both gains are
+    multiplied by the power of two that takes it into [1/2, 1), as Zhou &
+    Saad scale theirs.  That product is exact, so a call that never
+    rescales is unchanged bit for bit, and one that does returns the block
+    times a power of two, which the solver's QR removes, up to entries far
+    below the block's resolution that may underflow.
     """
-    half = (upper - cut) / 2.0
-    center = (upper + cut) / 2.0
+    half = (work.upper - cut) / 2.0
+    center = (work.upper + cut) / 2.0
     n, k = block.shape
-    m = op.shape[-1]
+    m = work.op.shape[-1]
     rows = n // m
-    prev, cur, shifted, scratch, orders = views(k, dtype)
+    prev, cur, shifted, scratch, orders = work.views(k, dtype)
     prev[:, 1:-1] = block.reshape(rows, m, k)
     cur[:, 1:-1] = (image - center * block).reshape(rows, m, k)
-    shifted[:, 1:-1] = (op.diag - center).reshape(rows, m, 1)
-    # the first step reads every ghost before the stencil refreshes any
+    shifted[:, 1:-1] = (work.op.diag - center).reshape(rows, m, 1)
     prev[:, :: m + 1] = cur[:, :: m + 1] = shifted[:, :: m + 1] = 0
-    limit = float(np.finfo(dtype).max) / (4.0 * (upper - low) ** 2)
-    edge = low - center
+    limit = float(np.finfo(dtype).max) / (4.0 * (work.upper - work.low) ** 2)
+    edge = work.low - center
     gain_prev, gain = 1.0, edge     # W_0 and W_1 at low
     beta, beta_next = half * half / 2.0, half * half / 4.0
     # -beta_1 and -beta_j for j > 1, rounded to dtype
@@ -357,45 +309,48 @@ def lowest_eigenpairs(
     """Lowest ``count`` eigenpairs by Chebyshev-filtered subspace iteration.
 
     A block of ``max(count + 4, 2d + 3)`` fields is drawn from ``seed``, so
-    runs replay bit-exactly; an operator of at most twice that many sites
-    takes a block of all n fields instead, and is solved exactly by one
-    Rayleigh-Ritz step: on a small torus the block's cut can fall inside a
-    near-degenerate cluster of the free spectrum (in d = 3 at side 3 the
-    levels come in groups of 1, 6, 12 and 8), where filtering stalls.  The
-    block is a C-ordered (n, width) array, one field per column, so the
-    fields of one site are adjacent.  Each outer step applies a Chebyshev
-    filter that damps [largest Ritz value, ``op.spectral_bound()``]: each
-    step of its three-term recurrence overwrites the oldest iterate in
-    place, so no block is allocated and no stencil view is taken per step.
-    In every d the filter's blocks carry a ghost site at each row end of the
-    innermost axis, in buffers allocated once per solve, which each filter
-    call fills on entry; on exit it writes their interior back over the
-    block's own columns.  The solve owns one :func:`_filter_views` memo, so
-    the filter's views and stencil orders are built once per (k, dtype)
-    per solve, not once per call.
-    One Householder QR then orthonormalizes the block and a Rayleigh-Ritz
-    step rotates it onto its Ritz vectors.  The first filter call has degree
-    ``FILTER_DEGREE``; each later one is sized by :func:`_filter_degree`
-    from how far the previous call lowered the wanted pairs' largest
-    residual, so that it reaches the target of its precision, clipped to
-    [1, ``MAX_DEGREE``], unless that call lowered it by less than
-    ``STALL_FACTOR``, a stall, which keeps ``FILTER_DEGREE``; the call is
-    then cut to fit the budget.  The filter rescales its recurrence by
-    powers of two to stay inside its precision's range on the Gershgorin
-    interval [min diag - 2d, max diag + 2d], which holds the spectrum, so
-    no degree is too long for either precision.  Leading pairs
-    whose residual is already <= ``tol`` are locked: the filter skips them,
-    so a deep isolated ground state cannot swamp the fields above it in the
-    QR.  A sized float64 call filters only the unlocked wanted fields
-    ``[lock, count)``; the extra fields, which only hold the cut, enter the
-    QR unfiltered after them.  The first call, a call after a stall and
-    every float32 call filter all of ``[lock, width)``.
-    The filter runs in float32 while the wanted pairs' largest residual is
-    above ``SINGLE_RESIDUAL * op.spectral_bound()`` and every float32 step
-    so far lowered that residual.  Once either fails, it runs in float64 to
-    the end of the solve.  The degree and the precision read only the
-    solve's own residuals, Ritz values and budget, so a solve replays
-    bit-exactly.
+    runs replay bit-exactly.  At least 2d + 3 fields hold the ground state
+    and the whole free first excited level, of multiplicity 2d, which a
+    single-vector iteration would silently split.  A wider cluster can
+    still be cut: where the block's edge falls inside a near-degenerate
+    cluster, the filter barely damps the first state above the edge and the
+    solve can stall (``spectrum`` d = 3, L = 2, count 10 at v_max 0.01: the
+    block of 14 ends inside the 12-fold second excited free level, and
+    three of six seeds run out of budget).  On a small torus the cut can
+    fall inside such a cluster of the free spectrum (in d = 3 at side 3 the
+    levels come in groups of 1, 6, 12 and 8), so an operator of at most
+    twice the block's width takes a block of all n fields instead and is
+    solved exactly by one Rayleigh-Ritz step.  The block is a C-ordered
+    (n, width) array, one field per column.
+    Each outer step damps [largest Ritz value, ``op.spectral_bound()``] on
+    the block with :func:`_chebyshev_filter`, orthonormalizes the block by
+    one Householder QR and rotates it onto its Ritz vectors.  All filter
+    calls of a solve share one :class:`_FilterWorkspace`; a whole-space
+    solve builds none.  The first call, and any call after a stall, has
+    degree ``FILTER_DEGREE``; every other call is sized by
+    :func:`_filter_degree` from how far the previous call lowered the
+    wanted pairs' largest residual, so a solve takes fewer QR and
+    Rayleigh-Ritz steps.  A stall is a call that lowered it by less than
+    ``STALL_FACTOR``.  The call is then cut to fit the budget.  Leading
+    pairs whose residual is already <= ``tol`` are locked: the filter skips
+    them, so a deep isolated ground state cannot swamp the fields above it
+    in the QR.  A sized float64 call filters only the unlocked wanted fields
+    ``[lock, count)``: the width - count extra fields, Zhou & Saad's guard
+    vectors, only hold the filter's cut and need not converge, so they
+    enter the QR as they are, after the filtered fields (at d = 2, L = 32 a
+    float64 step costs about 56 us on 7 fields and 22 us on 2).  The first
+    call, a call after a stall and every float32 call filter all of
+    ``[lock, width)``.
+    While the wanted residuals lie far above float32's resolution, halving
+    the filter's bytes per pass costs no accuracy the next steps keep: it
+    runs in float32 while the wanted pairs' largest residual is above
+    ``SINGLE_RESIDUAL * op.spectral_bound()`` and every float32 step so far
+    lowered that residual, and once either fails, in float64 to the end of
+    the solve.  The QR, the operator applications, the Rayleigh-Ritz steps,
+    the residuals, the locking and the confirming application stay in
+    float64, so a solve that never filters in float32 is the float64 solve
+    bit for bit.  The degree and the precision read only the solve's own
+    residuals, Ritz values and budget, so a solve replays bit-exactly.
     Pairs are accepted only after a fresh application confirms every
     residual <= ``tol``, which must be positive and finite; vectors are
     returned up to sign.
@@ -403,9 +358,8 @@ def lowest_eigenpairs(
     field once per degree of its call, and the confirming applications (a
     sized float64 call's extra fields are applied once, for their images
     after the QR, and not counted); ``single_applies`` counts those
-    filtered in float32.  When
-    the budget ``max(50 * count * sqrt(n), 40 * FILTER_DEGREE * width)``
-    leaves no room for a filter call of degree 1,
+    filtered in float32.  When the budget ``max(50 * count * sqrt(n), 40 *
+    FILTER_DEGREE * width)`` leaves no room for a filter call of degree 1,
     :class:`EigenConvergenceError` names the smallest residuals found.
     """
     n = op.n_sites
@@ -421,9 +375,8 @@ def lowest_eigenpairs(
         width = n
     budget = max(int(50 * count * math.sqrt(n)), 40 * FILTER_DEGREE * width)
     upper = op.spectral_bound()
-    low = float(op.diag.min()) - 2.0 * op.geom.dim
     # a block of all n fields is never filtered
-    views = _filter_views(op, _filter_buffers(op, width)) if width < n else None
+    work = _FilterWorkspace(op, width) if width < n else None
 
     basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, width)))[0]
     vals, vecs, image = _rayleigh_ritz(basis, op.apply(basis))
@@ -465,10 +418,8 @@ def lowest_eigenpairs(
         wanted = _filter_degree(worst, last, degree, single, tol, upper) if sized else FILTER_DEGREE
         degree = min(room, wanted)
         last = worst
-        _chebyshev_filter(
-            op, vecs[:, lock:end], image[:, lock:end], low, vals[-1], upper, degree,
-            np.float32 if single else np.float64, views,
-        )
+        dtype = np.float32 if single else np.float64
+        _chebyshev_filter(work, vecs[:, lock:end], image[:, lock:end], vals[-1], degree, dtype)
         # the locked fields lead the QR, so the new ones come out orthogonal;
         # the unfiltered extras follow the filtered fields
         basis = np.linalg.qr(vecs)[0]

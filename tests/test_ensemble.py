@@ -110,6 +110,7 @@ def base_plan(**overrides):
         dict(experiment="estimates", l_grid=(2048,)),
         dict(experiment="estimates", dim=2, l_grid=(32,)),
         dict(experiment="estimates", dim=3, l_grid=(8,)),
+        dict(experiment="spectrum", l_grid=(0, 4)),
     ],
 )
 def test_plan_rejects_bad_options(overrides):
@@ -764,7 +765,7 @@ def test_estimates_window_counts_match_the_mask_definition(case):
     counts = ensemble._window_counts(vals, ESTIMATES_CENTER, widths)
     assert counts.tolist() == [count(w) for w in widths]
     plan = ESTIMATES_PLAN
-    fields = ensemble._observe_estimates(plan, 0, 0, None, None, vals)
+    fields = ensemble._observe_estimates(plan, 0, 0, None, vals)
     n_wegner = len(plan.wegner_widths)
     wcounts = list(fields["window_counts"][:n_wegner])
     mhits = [c >= 2 for c in fields["window_counts"][n_wegner:]]

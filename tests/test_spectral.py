@@ -25,9 +25,8 @@ from gplattice.spectral import (
     MAX_DEGREE,
     EigenConvergenceError,
     _chebyshev_filter,
-    _filter_buffers,
     _filter_degree,
-    _filter_views,
+    _FilterWorkspace,
     _rayleigh_ritz,
 )
 
@@ -162,6 +161,22 @@ def column_directions(block):
     return block / np.abs(block).max(axis=0)
 
 
+def log_filter_calls(monkeypatch, note):
+    """Log every filter call of later solves, then run it.
+
+    Before each call, ``note(block, degree, dtype)`` is appended to the
+    returned list.
+    """
+    calls = []
+
+    def logged(work, block, image, cut, degree, dtype):
+        calls.append(note(block, degree, dtype))
+        _chebyshev_filter(work, block, image, cut, degree, dtype)
+
+    monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
+    return calls
+
+
 @pytest.mark.parametrize("lock", [0, 2])
 @pytest.mark.parametrize(
     "dim, half, intervals, bc",
@@ -182,8 +197,8 @@ def column_directions(block):
     ],
 )
 def test_chebyshev_filter_is_the_monic_recurrence(dim, half, intervals, bc, lock):
-    # the filter rotates two fixed blocks, whose views and stencil orders a
-    # memo builds once per (k, dtype); a locked prefix hands it column
+    # the filter rotates two fixed blocks, whose views and stencil orders its
+    # workspace builds once per (k, dtype); a locked prefix hands it column
     # slices of the solver's C-ordered block and image.  In every d the blocks' innermost
     # rows end in ghost sites, periodic images on an axis that spans the
     # torus and zeros on a box axis cut short; the reference applies the
@@ -198,31 +213,27 @@ def test_chebyshev_filter_is_the_monic_recurrence(dim, half, intervals, bc, lock
         ham = periodic_hamiltonian(real)
     else:
         ham = restrict_hamiltonian(real, Region(intervals=intervals, bc=bc))
-    low = float(ham.diag.min()) - 2.0 * dim
     rng = np.random.default_rng(dim + lock)
     width = 2 * dim + 3
     start = rng.normal(size=(ham.n_sites, width))
     image = ham.apply(start)
     kept = image.copy()
     block = np.empty_like(start)
-    # one set of buffers and one memo of their views serve every call, as
-    # in a solve
-    buffers = _filter_buffers(ham, width)
-    views = _filter_views(ham, buffers)
+    # one workspace serves every call, as in a solve
+    work = _FilterWorkspace(ham, width)
     cut, upper = 2.0 * dim, ham.spectral_bound()
     for degree in (1, 2, FILTER_DEGREE, 47):
         want = column_directions(monic_chebyshev(ham, start[:, lock:], cut, upper, degree))
         for dtype, rel in [(np.float64, 1e-13), (np.float32, 1e-5)]:
-            # two consecutive calls on the same memo: the second reuses the
-            # first call's views, and stale buffers may hold anything, so the
-            # filter zeroes every ghost on each entry, or the first step
+            # two consecutive calls on the same workspace: the second reuses
+            # the first call's views, and stale buffers may hold anything, so
+            # the filter zeroes every ghost on each entry, or the first step
             # overflows on them
             for call in range(2):
-                buffers.view(np.float32)[:] = np.finfo(np.float32).max
+                work.buffers.view(np.float32)[:] = np.finfo(np.float32).max
                 block[...] = start
                 assert _chebyshev_filter(
-                    ham, block[:, lock:], image[:, lock:], low, cut, upper, degree, dtype,
-                    views,
+                    work, block[:, lock:], image[:, lock:], cut, degree, dtype
                 ) is None
                 # the filter overwrites exactly the columns it was given: the
                 # locked prefix and the images stay as they were
@@ -232,31 +243,52 @@ def test_chebyshev_filter_is_the_monic_recurrence(dim, half, intervals, bc, lock
                 np.testing.assert_array_equal(image, kept)
 
 
+def log_workspaces(monkeypatch):
+    """Log the width of every filter workspace later solves build."""
+    widths = []
+
+    def workspace(op, width):
+        widths.append(width)
+        return _FilterWorkspace(op, width)
+
+    monkeypatch.setattr(spectral, "_FilterWorkspace", workspace)
+    return widths
+
+
 @pytest.mark.parametrize("dim, half", [(1, 64), (2, 8)])
 def test_a_solve_binds_each_filter_order_once(dim, half, monkeypatch):
-    # the solve's memo builds the filter's views and binds the stencil to
-    # both orders of the rotating pair once per (k, dtype): a later call of
-    # the same width and precision reuses them
+    # a solve builds one workspace, which builds the filter's views and binds
+    # the stencil to both orders of the rotating pair once per (k, dtype): a
+    # later call of the same width and precision reuses them
     ham = make_ham(dim, half)
-    bound, filtered = [], []
+    bound = []
 
     def binding(shape, side, field, out):
         bound.append((field.shape[-1], field.dtype, field.ctypes.data))
         return bind_padded_stencil(shape, side, field, out)
 
-    def logged(op, block, image, low, cut, upper, degree, dtype, views):
-        filtered.append((block.shape[1], np.dtype(dtype)))
-        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views)
-
     monkeypatch.setattr(spectral, "bind_padded_stencil", binding)
-    monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
+    filtered = log_filter_calls(
+        monkeypatch, lambda block, degree, dtype: (block.shape[1], np.dtype(dtype))
+    )
+    workspaces = log_workspaces(monkeypatch)
     sol = lowest_eigenpairs(ham, 2, tol=1e-10, seed=provenance_stream(0, 0, 0, EIG_CHANNEL))
     assert sol.residuals.max() <= 1e-10
+    assert workspaces == [max(2 + 4, 2 * dim + 3)]
     # some (k, dtype) serves more than one call, so a binding per call would show
     assert len(set(filtered)) < len(filtered), filtered
     assert len(bound) == len(set(bound)), bound
     assert {(k, dtype) for k, dtype, _ in bound} == set(filtered)
     assert len(bound) == 2 * len(set(filtered))
+
+
+def test_a_whole_space_solve_builds_no_filter_workspace(monkeypatch):
+    # 11 sites against a block of 6: the first Rayleigh-Ritz step is exact
+    workspaces = log_workspaces(monkeypatch)
+    filtered = log_filter_calls(monkeypatch, lambda block, degree, dtype: degree)
+    sol = lowest_eigenpairs(make_ham(1, 5), 2, tol=1e-10, seed=0)
+    assert sol.residuals.max() <= 1e-10
+    assert workspaces == filtered == []
 
 
 @pytest.mark.parametrize("width", [None, 5], ids=["field", "block"])
@@ -352,7 +384,7 @@ def test_filter_buffers_are_four_page_aligned_padded_blocks(dim, half):
     ham = make_ham(dim, half)
     width = 2 * dim + 3
     m = ham.shape[-1]
-    buffers = _filter_buffers(ham, width)
+    buffers = _FilterWorkspace(ham, width).buffers
     assert buffers.shape[0] == 4
     for row in buffers:
         assert row.ctypes.data % mmap.PAGESIZE == 0
@@ -428,13 +460,13 @@ def test_a_sized_float64_call_filters_only_the_wanted_fields(
     ham = periodic_hamiltonian(sample_potential(spec, build_lattice(dim, half), 0, sample))
     count, tol = 2, 1e-10
     width = max(count + 4, 2 * dim + 3)
-    steps, calls = [], []
+    steps = []
 
     def ritz(basis, image):
         steps.append(_rayleigh_ritz(basis, image))
         return steps[-1]
 
-    def logged(op, block, image, low, cut, upper, degree, dtype, views):
+    def note(block, degree, dtype):
         # the wanted residuals the solver read before this call: those of
         # the last Rayleigh-Ritz step, or the fresh ones if it failed to
         # confirm them
@@ -443,11 +475,10 @@ def test_a_sized_float64_call_filters_only_the_wanted_fields(
         res = np.linalg.norm(images[:, :count] - head * vals[:count], axis=0)
         if res.max() <= tol:
             res = np.linalg.norm(ham.apply(head) - head * vals[:count], axis=0)
-        calls.append((block.shape[1], degree, dtype, res))
-        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views)
+        return block.shape[1], degree, dtype, res
 
     monkeypatch.setattr(spectral, "_rayleigh_ritz", ritz)
-    monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
+    calls = log_filter_calls(monkeypatch, note)
     seed = provenance_stream(spec.master_seed, 0, sample, EIG_CHANNEL)
     sol = lowest_eigenpairs(ham, count, tol=tol, seed=seed)
     assert sol.residuals.max() <= tol
@@ -496,7 +527,7 @@ def test_a_long_filter_call_under_strong_disorder_stays_finite():
     ham = periodic_hamiltonian(
         sample_potential(DisorderSpec(v_max=1e4, master_seed=7), build_lattice(1, 64))
     )
-    upper, low = ham.spectral_bound(), float(ham.diag.min()) - 2.0
+    upper = ham.spectral_bound()
     # the last Ritz value of a solved block of 6 fields, as in a count-2 solve
     cut = np.linalg.eigvalsh(dense_matrix(ham))[5]
     block = np.linalg.qr(np.random.default_rng(7).normal(size=(ham.n_sites, 6)))[0]
@@ -504,10 +535,7 @@ def test_a_long_filter_call_under_strong_disorder_stays_finite():
     want = column_directions(monic_chebyshev(ham, block, cut, upper, MAX_DEGREE))
     for dtype, rel in [(np.float64, 1e-13), (np.float32, 1e-5)]:
         got = block.copy()
-        _chebyshev_filter(
-            ham, got, image, low, cut, upper, MAX_DEGREE, dtype,
-            _filter_views(ham, _filter_buffers(ham, 6)),
-        )
+        _chebyshev_filter(_FilterWorkspace(ham, 6), got, image, cut, MAX_DEGREE, dtype)
         assert np.isfinite(got).all(), dtype
         assert np.abs(column_directions(got) - want).max() <= rel, dtype
 
@@ -566,13 +594,7 @@ def test_strong_disorder_filters_in_float32_at_full_degree(dim, half, sample, mo
     # follows the float64 one
     spec = DisorderSpec(v_max=1e4, master_seed=7)
     ham = periodic_hamiltonian(sample_potential(spec, build_lattice(dim, half), 0, sample))
-    calls = []
-
-    def logged(op, block, image, low, cut, upper, degree, dtype, views):
-        calls.append((degree, dtype))
-        _chebyshev_filter(op, block, image, low, cut, upper, degree, dtype, views)
-
-    monkeypatch.setattr(spectral, "_chebyshev_filter", logged)
+    calls = log_filter_calls(monkeypatch, lambda block, degree, dtype: (degree, dtype))
     seed = provenance_stream(spec.master_seed, 0, sample, EIG_CHANNEL)
     mixed = lowest_eigenpairs(ham, 2, tol=1e-10, seed=seed)
     mixed_steps = len(calls)
